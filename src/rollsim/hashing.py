@@ -9,6 +9,9 @@ that the ~2x matters.
 
 from __future__ import annotations
 
+import functools
+from typing import Callable
+
 _M = (1 << 64) - 1
 
 _ROUND_CONSTANTS = (
@@ -120,8 +123,18 @@ def _keccak_f(state: list[int]) -> list[int]:
 
 def keccak256(data: bytes) -> bytes:
     """Return the 32-byte Keccak-256 digest of ``data``."""
+    return _sponge(data, 0x01)
+
+
+def _sponge(data: bytes, domain: int) -> bytes:
+    """Absorb ``data`` with pad10*1 after the ``domain`` byte; squeeze 32 bytes.
+
+    Keccak-256 uses domain byte 0x01; FIPS-202 SHA3-256 uses 0x06 over the
+    same permutation and rate, which lets tests check the sponge against
+    ``hashlib.sha3_256``.
+    """
     padded = bytearray(data)
-    padded.append(0x01)
+    padded.append(domain)
     while len(padded) % _RATE:
         padded.append(0x00)
     padded[-1] |= 0x80
@@ -132,3 +145,25 @@ def keccak256(data: bytes) -> bytes:
             state[j] ^= int.from_bytes(block[8 * j:8 * j + 8], "little")
         state = _keccak_f(state)
     return b"".join(state[j].to_bytes(8, "little") for j in range(4))
+
+
+def memoized_digest(compute: Callable[[object], bytes]) -> property:
+    """A read-only property that runs ``compute(self)`` once per instance.
+
+    For frozen dataclasses whose digest is a pure function of their fields.
+    The digest is kept in the instance ``__dict__`` under a private key, not
+    in a dataclass field, so ``__eq__``, ``__hash__``, ``repr`` and
+    ``dataclasses.asdict`` never see it, and an equal object that has not
+    been hashed yet still compares equal.
+    """
+    key = f"_{compute.__name__}_memo"
+
+    @functools.wraps(compute)
+    def get(self) -> bytes:
+        try:
+            return self.__dict__[key]
+        except KeyError:
+            digest = self.__dict__[key] = compute(self)
+            return digest
+
+    return property(get)

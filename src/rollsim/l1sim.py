@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field as dataclass_field
 from typing import Mapping
 
-from .hashing import keccak256
+from .hashing import keccak256, memoized_digest
 
 BLOCK_TIME = 12  # seconds
 TX_BASE_GAS = 21_000
@@ -154,7 +154,7 @@ class L1Block:
     txs: tuple[Tx, ...]
     gas_used: int
 
-    @property
+    @memoized_digest
     def hash(self) -> bytes:
         tx_blob = b"".join(
             keccak256(

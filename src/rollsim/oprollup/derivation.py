@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from ..hashing import keccak256
+from ..hashing import keccak256, memoized_digest
 from ..l1sim import Chain, l1_attributes
 from .batching import Batch, Frame, parse_frames
 from .deposits import (
@@ -38,7 +38,7 @@ class L2Block:
     sequence_number: int
     txs: tuple[bytes, ...]
 
-    @property
+    @memoized_digest
     def hash(self) -> bytes:
         tx_digest = keccak256(b"".join(keccak256(tx) for tx in self.txs))
         return keccak256(

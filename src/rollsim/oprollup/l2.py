@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dataclass_field
 
-from ..hashing import keccak256
+from ..hashing import keccak256, memoized_digest
 from ..l1sim import L1Attributes
 from ..merkle import MerkleProof, MerkleTree
 from .deposits import DepositedTx, L1_ATTRIBUTES_PREDEPLOY
@@ -33,7 +33,7 @@ class WithdrawalTx:
     gas_limit: int
     data: bytes
 
-    @property
+    @memoized_digest
     def hash(self) -> bytes:
         return keccak256(
             self.nonce.to_bytes(32, "big")
@@ -54,7 +54,7 @@ class OutputRootProof:
     withdrawal_root: bytes
     l2_block_hash: bytes
 
-    @property
+    @memoized_digest
     def output_root(self) -> bytes:
         return keccak256(
             self.version + self.state_root + self.withdrawal_root + self.l2_block_hash
@@ -63,12 +63,25 @@ class OutputRootProof:
 
 @dataclass
 class OpL2State:
+    """L2 accounts plus the ledger of sent withdrawals.
+
+    ``sent_withdrawals`` is append-only: entries are only ever added at the
+    end (by ``initiate_withdrawal``), never removed, reordered or replaced.
+    The withdrawal tree is therefore cached against the ledger's length and
+    rebuilt only after a withdrawal has been appended.
+    """
+
     balances: dict[int, int] = dataclass_field(default_factory=dict)
     nonces: dict[int, int] = dataclass_field(default_factory=dict)
     withdrawal_nonce: int = 0
     sent_withdrawals: list[WithdrawalTx] = dataclass_field(default_factory=list)
     latest_attributes: L1Attributes | None = None
     events: list[tuple[str, bytes]] = dataclass_field(default_factory=list)
+    # (ledger length, tree over the ledger or None while it is empty,
+    # withdrawal hash -> first index)
+    _withdrawal_tree: tuple[int, MerkleTree | None, dict[bytes, int]] | None = (
+        dataclass_field(default=None, init=False, repr=False, compare=False)
+    )
 
     def balance(self, address: int) -> int:
         return self.balances.get(address, 0)
@@ -87,15 +100,25 @@ class OpL2State:
         ).encode()
         return keccak256(blob)
 
+    def _withdrawal_tree_entry(self) -> tuple[int, MerkleTree | None, dict[bytes, int]]:
+        count = len(self.sent_withdrawals)
+        if self._withdrawal_tree is None or self._withdrawal_tree[0] != count:
+            hashes = [w.hash for w in self.sent_withdrawals]
+            index: dict[bytes, int] = {}
+            for i, h in enumerate(hashes):
+                index.setdefault(h, i)
+            self._withdrawal_tree = (count, MerkleTree(hashes) if hashes else None, index)
+        return self._withdrawal_tree
+
     def withdrawal_root(self) -> bytes:
-        if not self.sent_withdrawals:
-            return ZERO32
-        return MerkleTree([w.hash for w in self.sent_withdrawals]).root
+        tree = self._withdrawal_tree_entry()[1]
+        return tree.root if tree is not None else ZERO32
 
     def withdrawal_proof(self, withdrawal_hash: bytes) -> MerkleProof:
-        hashes = [w.hash for w in self.sent_withdrawals]
-        index = hashes.index(withdrawal_hash)
-        return MerkleTree(hashes).prove(index)
+        _, tree, index = self._withdrawal_tree_entry()
+        if withdrawal_hash not in index:
+            raise ValueError(f"withdrawal {withdrawal_hash.hex()} was never sent")
+        return tree.prove(index[withdrawal_hash])
 
 
 def apply_deposit(state: OpL2State, deposit: DepositedTx) -> OpL2State:

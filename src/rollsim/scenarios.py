@@ -17,7 +17,7 @@ from .hashing import keccak256
 from .l1sim import Chain
 from .costbench import DaScenario, da_cost_comparison, synthetic_batch_corpus, compression_stats
 from .oprollup import batching, dispute as dispute_mod
-from .oprollup.deposits import OptimismPortal
+from .oprollup.deposits import GUARANTEED_GAS_CAP, GuaranteedGasExhausted, OptimismPortal
 from .oprollup.derivation import (
     BATCH_INBOX_ADDRESS,
     DerivationConfig,
@@ -26,6 +26,7 @@ from .oprollup.derivation import (
     transfer_tx,
     withdraw_tx,
 )
+from .oprollup.l2 import WithdrawalTx
 from .oprollup.withdrawals import (
     DISPUTE_PERIOD,
     L2OutputOracle,
@@ -207,35 +208,49 @@ def _run_optimistic(config: ScenarioConfig) -> RunReport:
     )
     wportal = WithdrawalPortal(chain, oracle)
 
-    # block 0: deposits through the portal
+    # deposits through the portal from block 0 on; a deposit that would push
+    # the forming block past its guaranteed L2 gas goes into the next block
     for dep in config.deposits:
-        event, burned = portal.deposit_transaction(
-            caller=dep["user"],
-            caller_is_contract=False,
-            to=dep["user"],
-            value=dep["value"],
-            gas_limit=dep.get("gas_limit", 100_000),
-            is_creation=False,
-            data=b"",
-            l2_basefee=1,
-            l1_basefee=config.basefee,
-        )
+        gas_limit = dep.get("gas_limit", 100_000)
+        used = portal.guaranteed_gas_in_block(chain.pending_block_number)
+        if used and used + gas_limit > GUARANTEED_GAS_CAP:
+            chain.mine_block()
+        try:
+            _, burned = portal.deposit_transaction(
+                caller=dep["user"],
+                caller_is_contract=False,
+                to=dep["user"],
+                value=dep["value"],
+                gas_limit=gas_limit,
+                is_creation=False,
+                data=b"",
+                l2_basefee=1,
+                l1_basefee=config.basefee,
+            )
+        except GuaranteedGasExhausted as exc:  # more gas than a whole block guarantees
+            timeline.log(
+                chain.pending_timestamp, chain.pending_block_number, "deposit_rejected",
+                user=dep["user"], value=dep["value"], reason=str(exc),
+            )
+            continue
         timeline.log(
             chain.pending_timestamp, chain.pending_block_number, "deposit",
             user=dep["user"], value=dep["value"], burned_gas=burned,
         )
     chain.mine_block()
-    chain.mine_block()  # block 1: the epoch the sequenced batch anchors to
+    epoch = chain.pending_block_number  # the block after the last deposit block
+    chain.mine_block()
 
-    # sequencer: transfers and withdrawal initiations for epoch 1
+    # sequencer: transfers and withdrawal initiations for that epoch
     txs = [transfer_tx(t["user"], t["target"], t["value"]) for t in config.transfers]
-    txs += [
-        withdraw_tx(w["user"], w.get("target", w["user"]), w["value"], w.get("gas_limit", 21_000))
+    # (sender, target, value, gas_limit) of each configured withdrawal
+    wanted = [
+        (w["user"], w.get("target", w["user"]), w["value"], w.get("gas_limit", 21_000))
         for w in config.withdrawals
     ]
+    txs += [withdraw_tx(*fields) for fields in wanted]
     da_bytes = 0
     if txs:
-        epoch = 1
         batch = batching.Batch(
             epoch_number=epoch,
             epoch_hash=chain.blocks[epoch].hash,
@@ -269,6 +284,22 @@ def _run_optimistic(config: ScenarioConfig) -> RunReport:
         chain.pending_timestamp, chain.pending_block_number, "derived",
         l2_blocks=len(l2_blocks),
     )
+    # L2 execution skips a withdrawal its sender cannot fund, so the sent
+    # withdrawals are the configured ones in order, minus the skipped ones
+    sent = iter(executed.state.sent_withdrawals)
+    landed: list[WithdrawalTx] = []
+    candidate = next(sent, None)
+    for fields in wanted:
+        if candidate is not None and fields == (
+            candidate.sender, candidate.target, candidate.value, candidate.gas_limit
+        ):
+            landed.append(candidate)
+            candidate = next(sent, None)
+        else:
+            timeline.log(
+                chain.pending_timestamp, chain.pending_block_number,
+                "withdrawal_not_initiated", user=fields[0], value=fields[2],
+            )
 
     tip = l2_blocks[-1].number if l2_blocks else 0
     honest_proof = executed.roots_by_block[tip]
@@ -318,8 +349,7 @@ def _run_optimistic(config: ScenarioConfig) -> RunReport:
     )
 
     latencies: dict[str, dict] = {}
-    for i, w in enumerate(config.withdrawals):
-        wtx = executed.state.sent_withdrawals[i]
+    for wtx in landed:
         proof = executed.state.withdrawal_proof(wtx.hash)
         early = proposal.timestamp + config.dispute_period - 1
         try:
@@ -329,13 +359,18 @@ def _run_optimistic(config: ScenarioConfig) -> RunReport:
             timeline.log(early, chain.pending_block_number, "finalize_rejected",
                          reason=str(exc), withdrawal=wtx.hash.hex())
         on_time = proposal.timestamp + config.dispute_period
-        receipt = wportal.finalize_withdrawal(wtx, tip, honest_proof, proof, now=on_time)
+        try:
+            receipt = wportal.finalize_withdrawal(wtx, tip, honest_proof, proof, now=on_time)
+        except WithdrawalError as exc:
+            timeline.log(on_time, chain.pending_block_number, "finalize_rejected",
+                         reason=str(exc), withdrawal=wtx.hash.hex())
+            continue
         timeline.log(on_time, chain.pending_block_number, "withdrawal_finalized",
                      withdrawal=wtx.hash.hex(), value=receipt["value"])
         latencies[wtx.hash.hex()] = {
-            "initiated_at": chain.blocks[1].timestamp,
+            "initiated_at": chain.blocks[epoch].timestamp,
             "finalized_at": on_time,
-            "seconds": on_time - chain.blocks[1].timestamp,
+            "seconds": on_time - chain.blocks[epoch].timestamp,
         }
 
     corpus = synthetic_batch_corpus(seed=config.seed + 7)

@@ -88,6 +88,43 @@ class TestProposals:
         assert 7 not in oracle.proposals
 
 
+class TestWithdrawalTree:
+    def test_root_and_proofs_follow_each_new_withdrawal(self):
+        from rollsim.merkle import MerkleTree, verify_inclusion
+
+        state = OpL2State()
+        state.credit(0xFA, 10_000)
+        roots = [state.withdrawal_root()]
+        for i in range(5):
+            initiate_withdrawal(state, 0xFA, 0xD0, 21_000, 10 + i, b"")
+            if i % 2:
+                state.withdrawal_proof(state.sent_withdrawals[0].hash)  # fill the cache
+            root = state.withdrawal_root()
+            assert root == MerkleTree([w.hash for w in state.sent_withdrawals]).root
+            for wtx in state.sent_withdrawals:
+                assert verify_inclusion(root, wtx.hash, state.withdrawal_proof(wtx.hash))
+            roots.append(root)
+        assert len(set(roots)) == len(roots)
+
+    def test_unknown_hash_rejected(self):
+        state = OpL2State()
+        with pytest.raises(ValueError, match="never sent"):
+            state.withdrawal_proof(b"\x00" * 32)
+        state.credit(0xFA, 10)
+        initiate_withdrawal(state, 0xFA, 0xD0, 21_000, 1, b"")
+        with pytest.raises(ValueError, match="never sent"):
+            state.withdrawal_proof(b"\x00" * 32)
+
+    def test_cache_is_not_state(self):
+        a, b = OpL2State(), OpL2State()
+        for state in (a, b):
+            state.credit(0xFA, 10)
+            initiate_withdrawal(state, 0xFA, 0xD0, 21_000, 1, b"")
+        a.withdrawal_root()
+        assert a == b
+        assert repr(a) == repr(b)
+
+
 class TestFinalization:
     def test_too_early_rejected_with_message(self):
         chain, oracle, portal, state, hashes, proof, proposal = setup_rollup()

@@ -69,6 +69,93 @@ class TestOptimisticScenario:
         assert rejected and rejected[0]["reason"] == "proposal is not yet finalized"
 
 
+def funded_users(n, **overrides):
+    """Optimistic config: n users each deposit, transfer to the next and withdraw."""
+    users = [0x1000 + i for i in range(n)]
+    return ScenarioConfig(
+        rollup="optimistic",
+        deposits=[{"user": u, "value": 10_000} for u in users],
+        transfers=[
+            {"user": u, "target": users[(i + 1) % n], "value": 1_000}
+            for i, u in enumerate(users)
+        ],
+        withdrawals=[{"user": u, "value": 700} for u in users],
+        **overrides,
+    )
+
+
+@pytest.fixture
+def keccak_perms(monkeypatch):
+    """Counts Keccak-f permutations; read ``keccak_perms[0]``."""
+    from rollsim import hashing
+
+    count = [0]
+    real = hashing._keccak_f
+
+    def counted(state):
+        count[0] += 1
+        return real(state)
+
+    monkeypatch.setattr(hashing, "_keccak_f", counted)
+    return count
+
+
+def _events(report, name):
+    return [e for e in report.timeline if e["event"] == name]
+
+
+class TestOptimisticScale:
+    def test_permutation_budget_at_80_users(self, keccak_perms):
+        report = run(funded_users(80))
+        assert report.ok
+        assert keccak_perms[0] <= 2_500
+
+    def test_320_users_spill_deposits_and_stay_linear(self, keccak_perms):
+        report = run(funded_users(40))
+        per_user_40 = keccak_perms[0] / 40
+        keccak_perms[0] = 0
+        report = run(funded_users(320))
+        assert report.ok
+        assert len(_events(report, "withdrawal_finalized")) == 320
+        # 80 deposits of 100k guaranteed gas fill a block's 8M cap
+        deposit_blocks = [e["block"] for e in _events(report, "deposit")]
+        assert deposit_blocks == sorted(deposit_blocks)
+        assert set(deposit_blocks) == {0, 1, 2, 3}
+        # the batch anchors to the block after the last deposit block
+        initiated = {lat["initiated_at"] for lat in report.withdrawal_latencies.values()}
+        assert initiated == {4 * 12}
+        assert keccak_perms[0] / 320 <= 1.5 * per_user_40
+
+    def test_unfunded_withdrawal_is_an_event(self):
+        config = funded_users(3)
+        config.withdrawals.insert(1, {"user": 0xDEAD, "value": 5})
+        config.withdrawals.append({"user": 0x1000, "value": 10**9})
+        report = run(config)
+        assert report.ok
+        skipped = _events(report, "withdrawal_not_initiated")
+        assert [(e["user"], e["value"]) for e in skipped] == [(0xDEAD, 5), (0x1000, 10**9)]
+        finalized = _events(report, "withdrawal_finalized")
+        assert [e["value"] for e in finalized] == [700, 700, 700]
+
+    def test_oversized_deposit_is_rejected_not_raised(self):
+        config = funded_users(2)
+        config.deposits.insert(0, {"user": 0x77, "value": 1, "gas_limit": 9_000_000})
+        report = run(config)
+        assert report.ok
+        (rejected,) = _events(report, "deposit_rejected")
+        assert rejected["user"] == 0x77 and "exceeds" in rejected["reason"]
+        assert len(_events(report, "withdrawal_finalized")) == 2
+
+    def test_withdrawal_gas_above_finalize_budget_is_rejected_not_raised(self):
+        config = funded_users(2)
+        config.withdrawals[0]["gas_limit"] = 10**8
+        report = run(config)
+        assert report.ok
+        reasons = [e["reason"] for e in _events(report, "finalize_rejected")]
+        assert "insufficient gas to finalize withdrawal" in reasons
+        assert len(_events(report, "withdrawal_finalized")) == 1
+
+
 class TestValidityScenario:
     def test_withdrawal_next_block_after_settlement(self):
         report = run(ScenarioConfig(rollup="validity", **WORKLOAD))
