@@ -469,9 +469,5 @@ class TargetElement:
         return f"TargetElement(order={self._group.order})"
 
 
-def group_encrypt(group: PairingGroup, exponent: int | FieldElement) -> GroupElement:
-    return group.encrypt(exponent)
-
-
 def pairing(a: GroupElement, b: GroupElement) -> TargetElement:
     return a._group.pairing(a, b)

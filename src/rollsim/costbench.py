@@ -92,14 +92,6 @@ class BloomFilter:
         return all(self.bits[bit // 8] >> (bit % 8) & 1 for bit in self._probes(element))
 
 
-def bloom_insert(f: BloomFilter, element: bytes) -> None:
-    f.insert(element)
-
-
-def bloom_query(f: BloomFilter, element: bytes) -> bool:
-    return f.query(element)
-
-
 # --- address cache -----------------------------------------------------------------
 
 CACHE_CAPACITY = (1 << 32) - 1
@@ -135,14 +127,6 @@ class AddressCache:
     def lookup(self, value: int) -> int:
         """Key for a cached value, or 0 when absent."""
         return self.value_to_key.get(value, 0)
-
-
-def cache_write(cache: AddressCache, value: int) -> int:
-    return cache.write(value)
-
-
-def cache_read(cache: AddressCache, key: int) -> int:
-    return cache.read(key)
 
 
 def cache_calldata_savings(full_bytes: int = 20, key_bytes: int = 4) -> float:

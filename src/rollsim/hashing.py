@@ -135,8 +135,7 @@ def _sponge(data: bytes, domain: int) -> bytes:
     """
     padded = bytearray(data)
     padded.append(domain)
-    while len(padded) % _RATE:
-        padded.append(0x00)
+    padded += bytes(-len(padded) % _RATE)
     padded[-1] |= 0x80
     state = [0] * 25
     for off in range(0, len(padded), _RATE):

@@ -60,7 +60,7 @@ class MerkleProof:
 
 
 class MerkleTree:
-    """A tree over raw leaf blobs; immutable once built."""
+    """A tree over raw leaf blobs."""
 
     def __init__(self, leaves: Sequence[bytes], hash_fn: HashFn = keccak256):
         if not leaves:
@@ -82,9 +82,28 @@ class MerkleTree:
     def root(self) -> bytes:
         return self.levels[-1][0]
 
-    def prove(self, index: int) -> MerkleProof:
+    def _check_index(self, index: int) -> None:
         if not 0 <= index < self.leaf_count:
             raise IndexOutOfRange(f"leaf index {index} out of range 0..{self.leaf_count - 1}")
+
+    def update(self, index: int, leaf: bytes) -> None:
+        """Replace leaf ``index`` and rehash its path to the root.
+
+        Only for power-of-two leaf counts: with duplication padding, an odd
+        level's last node also sits in its padded copy, which would go stale.
+        """
+        if self.leaf_count & (self.leaf_count - 1):
+            raise ValueError(f"update needs a power-of-two leaf count, not {self.leaf_count}")
+        self._check_index(index)
+        node = hash_leaf(leaf, self._hash_fn)
+        for level in self.levels[:-1]:
+            level[index] = node
+            node = hash_node(level[index & ~1], level[index | 1], self._hash_fn)
+            index //= 2
+        self.levels[-1][0] = node
+
+    def prove(self, index: int) -> MerkleProof:
+        self._check_index(index)
         siblings = []
         pos = index
         for level in self.levels[:-1]:
@@ -100,17 +119,8 @@ def build_root(leaves: Sequence[bytes], hash_fn: HashFn = keccak256) -> bytes:
     return MerkleTree(leaves, hash_fn).root
 
 
-def prove_inclusion(tree: MerkleTree, index: int) -> MerkleProof:
-    return tree.prove(index)
-
-
 def fold_proof(leaf: bytes, proof: MerkleProof, hash_fn: HashFn = keccak256) -> bytes:
-    """Recompute the root implied by ``leaf`` and the proof's sibling path.
-
-    Only sound for trees whose every level has even width (power-of-two leaf
-    counts): with duplication padding, a recorded sibling may alias the path
-    node itself and would go stale on update.
-    """
+    """Recompute the root implied by ``leaf`` and the proof's sibling path."""
     acc = hash_leaf(leaf, hash_fn)
     for sib, side in proof.siblings:
         if side == "left":

@@ -6,15 +6,26 @@ one instruction "on-chain" against memory cells proven into the pre-state
 memory root. The VM is a small register machine standing in for a MIPS
 minigeth: 8 registers, word-addressed power-of-two memory, and a LOADPRE
 opcode backed by the preimage oracle.
+
+The game is sound only if every party applies the same ISA, so there is one
+interpreter, ``execute``. It reaches memory only through ``load(addr)`` and
+``update(addr, word)``, and runs over three memories:
+
+* off-chain (``VmRunner``): the live ``MemoryTree``, where a STORE pays its
+  path update;
+* replay (``VmTrace.step_proof``): raw words, so replaying to a trace index
+  does no hashing;
+* on-chain (``vm_step``): witnessed cells, each checked against the current
+  root, with a STORE folding the new root through the cell's proof.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..hashing import keccak256
-from ..merkle import MerkleProof, fold_proof, hash_leaf, hash_node, verify_inclusion
+from ..merkle import MerkleProof, MerkleTree, fold_proof, verify_inclusion
 
 WORD_MASK = (1 << 64) - 1
 NUM_REGISTERS = 8
@@ -70,10 +81,6 @@ class PreimageOracle:
         return self._store[key]
 
 
-def preimage_get(oracle: PreimageOracle, key: bytes) -> bytes:
-    return oracle.get(key)
-
-
 # --- VM ----------------------------------------------------------------------
 
 
@@ -104,59 +111,99 @@ def _word_bytes(word: int) -> bytes:
     return word.to_bytes(8, "big")
 
 
-class MemoryTree:
-    """Merkle tree over a power-of-two array of words, with path updates."""
+class MemoryTree(MerkleTree):
+    """Memory as a Merkle tree over a power-of-two array of words."""
 
     def __init__(self, words: list[int]):
-        size = len(words)
-        if size & (size - 1) or size == 0:
+        if not words or len(words) & (len(words) - 1):
             raise ValueError("memory size must be a power of two")
-        self.size = size
+        super().__init__([_word_bytes(w) for w in words])
         self.words = list(words)
-        level = [hash_leaf(_word_bytes(w)) for w in self.words]
-        self.levels = [level]
-        while len(level) > 1:
-            level = [hash_node(level[i], level[i + 1]) for i in range(0, len(level), 2)]
-            self.levels.append(level)
 
-    @property
-    def root(self) -> bytes:
-        return self.levels[-1][0]
+    def load(self, addr: int) -> int:
+        return self.words[addr]
 
     def update(self, index: int, word: int) -> None:
         self.words[index] = word
-        self.levels[0][index] = hash_leaf(_word_bytes(word))
-        pos = index
-        for depth in range(1, len(self.levels)):
-            pos //= 2
-            left = self.levels[depth - 1][2 * pos]
-            right = self.levels[depth - 1][2 * pos + 1]
-            self.levels[depth][pos] = hash_node(left, right)
+        super().update(index, _word_bytes(word))
 
-    def prove(self, index: int) -> MerkleProof:
-        siblings = []
-        pos = index
-        for level in self.levels[:-1]:
-            sib = pos ^ 1
-            siblings.append((level[sib], "left" if sib < pos else "right"))
-            pos //= 2
-        return MerkleProof(leaf_index=index, siblings=tuple(siblings))
+
+class _RawMemory(list):
+    """Plain words with the memory interface; replay hashes nothing."""
+
+    load = list.__getitem__
+    update = list.__setitem__
 
 
 MemoryWitness = dict[int, tuple[int, MerkleProof]]
 
 
-def _witness_cell(
-    witness: MemoryWitness, addr: int, memory_root: bytes
-) -> tuple[int, MerkleProof]:
-    if addr not in witness:
-        raise BadStepProof(f"no witness for memory cell {addr}")
-    value, proof = witness[addr]
-    if proof.leaf_index != addr or not verify_inclusion(
-        memory_root, _word_bytes(value), proof
-    ):
-        raise BadStepProof(f"witness for cell {addr} fails against the memory root")
-    return value, proof
+class _WitnessedMemory:
+    """Cells proven against ``root``; a STORE folds the new root."""
+
+    def __init__(self, witness: MemoryWitness, root: bytes):
+        self.witness = witness
+        self.root = root
+
+    def _proven(self, addr: int) -> tuple[int, MerkleProof]:
+        if addr not in self.witness:
+            raise BadStepProof(f"no witness for memory cell {addr}")
+        value, proof = self.witness[addr]
+        if proof.leaf_index != addr or not verify_inclusion(
+            self.root, _word_bytes(value), proof
+        ):
+            raise BadStepProof(f"witness for cell {addr} fails against the memory root")
+        return value, proof
+
+    def load(self, addr: int) -> int:
+        return self._proven(addr)[0]
+
+    def update(self, addr: int, word: int) -> None:
+        _, proof = self._proven(addr)
+        self.root = fold_proof(_word_bytes(word), proof)
+
+
+def fetch(program: list[Instruction], pc: int) -> Instruction:
+    """The instruction at ``pc``; an off-program pc is HALT."""
+    if 0 <= pc < len(program):
+        return program[pc]
+    return Instruction(OP_HALT)
+
+
+def execute(
+    instr: Instruction,
+    pc: int,
+    regs: list[int],
+    memory,
+    oracle: PreimageOracle | None,
+    memory_size: int,
+) -> int:
+    """Apply ``instr`` to ``regs`` (in place) and ``memory``; return the next pc.
+
+    ``memory`` is any object with ``load(addr)`` and ``update(addr, word)``.
+    """
+    op = instr.op
+    if op == OP_ADD:
+        regs[instr.c] = (regs[instr.a] + regs[instr.b]) & WORD_MASK
+    elif op == OP_MUL:
+        regs[instr.c] = (regs[instr.a] * regs[instr.b]) & WORD_MASK
+    elif op == OP_LOAD:
+        regs[instr.c] = memory.load(regs[instr.a] % memory_size)
+    elif op == OP_STORE:
+        memory.update(regs[instr.a] % memory_size, regs[instr.b])
+    elif op == OP_JUMPZ:
+        if regs[instr.a] == 0:
+            return instr.b
+    elif op == OP_LOADPRE:
+        if oracle is None:
+            raise BadStepProof("LOADPRE requires the preimage oracle")
+        preimage = oracle.get(instr.key)
+        regs[instr.c] = int.from_bytes(preimage[:8].ljust(8, b"\x00"), "big")
+    elif op == OP_HALT:
+        return pc
+    else:
+        raise IllegalInstruction(op)
+    return pc + 1
 
 
 def vm_step(
@@ -172,36 +219,20 @@ def vm_step(
     proof against ``pre.memory_root``; a store's new root is derived by
     folding the updated leaf through the same path.
     """
-    witness = memory_witness or {}
+    memory = _WitnessedMemory(memory_witness or {}, pre.memory_root)
     regs = list(pre.registers)
-    pc = pre.pc + 1
-    root = pre.memory_root
-    op = instruction.op
-    if op == OP_ADD:
-        regs[instruction.c] = (regs[instruction.a] + regs[instruction.b]) & WORD_MASK
-    elif op == OP_MUL:
-        regs[instruction.c] = (regs[instruction.a] * regs[instruction.b]) & WORD_MASK
-    elif op == OP_LOAD:
-        addr = regs[instruction.a] % memory_size
-        value, _ = _witness_cell(witness, addr, root)
-        regs[instruction.c] = value
-    elif op == OP_STORE:
-        addr = regs[instruction.a] % memory_size
-        _, proof = _witness_cell(witness, addr, root)
-        root = fold_proof(_word_bytes(regs[instruction.b]), proof)
-    elif op == OP_JUMPZ:
-        if regs[instruction.a] == 0:
-            pc = instruction.b
-    elif op == OP_LOADPRE:
-        if oracle is None:
-            raise BadStepProof("LOADPRE requires the preimage oracle")
-        preimage = oracle.get(instruction.key)
-        regs[instruction.c] = int.from_bytes(preimage[:8].ljust(8, b"\x00"), "big")
-    elif op == OP_HALT:
-        pc = pre.pc
-    else:
-        raise IllegalInstruction(op)
-    return VmState(pc=pc, registers=tuple(regs), memory_root=root)
+    pc = execute(instruction, pre.pc, regs, memory, oracle, memory_size)
+    return VmState(pc=pc, registers=tuple(regs), memory_root=memory.root)
+
+
+def _witness(
+    memory: MemoryTree, instr: Instruction, regs: Sequence[int], memory_size: int
+) -> MemoryWitness:
+    """Inclusion proofs for the cells ``instr`` touches."""
+    if instr.op not in (OP_LOAD, OP_STORE):
+        return {}
+    addr = regs[instr.a] % memory_size
+    return {addr: (memory.words[addr], memory.prove(addr))}
 
 
 @dataclass(frozen=True)
@@ -225,7 +256,11 @@ class VmRunner:
         self.memory_size = memory_size
         self.oracle = oracle
         words = list(initial_memory) if initial_memory else [0] * memory_size
-        self._initial_memory = list(words)
+        if len(words) != memory_size:
+            raise ValueError(
+                f"initial_memory has {len(words)} words, memory_size is {memory_size}"
+            )
+        self._initial_memory = words
         self._initial_registers = tuple(initial_registers or (0,) * NUM_REGISTERS)
         self.memory = MemoryTree(words)
         self.state = VmState(
@@ -235,28 +270,25 @@ class VmRunner:
         )
 
     def instruction_at(self, pc: int) -> Instruction:
-        if 0 <= pc < len(self.program):
-            return self.program[pc]
-        return Instruction(OP_HALT)
+        return fetch(self.program, pc)
 
     def step_witness(self) -> MemoryWitness:
         """Inclusion proofs for the cells the next instruction touches."""
         instr = self.instruction_at(self.state.pc)
-        witness: MemoryWitness = {}
-        if instr.op in (OP_LOAD, OP_STORE):
-            addr = self.state.registers[instr.a] % self.memory_size
-            witness[addr] = (self.memory.words[addr], self.memory.prove(addr))
-        return witness
+        return _witness(self.memory, instr, self.state.registers, self.memory_size)
 
     def step(self) -> VmState:
-        instr = self.instruction_at(self.state.pc)
-        witness = self.step_witness()
-        post = vm_step(self.state, instr, witness, self.oracle, self.memory_size)
-        if instr.op == OP_STORE:
-            addr = self.state.registers[instr.a] % self.memory_size
-            self.memory.update(addr, self.state.registers[instr.b])
-        self.state = post
-        return post
+        regs = list(self.state.registers)
+        pc = execute(
+            self.instruction_at(self.state.pc),
+            self.state.pc,
+            regs,
+            self.memory,
+            self.oracle,
+            self.memory_size,
+        )
+        self.state = VmState(pc=pc, registers=tuple(regs), memory_root=self.memory.root)
+        return self.state
 
     def run_trace(self, steps: int) -> "VmTrace":
         """Execute ``steps`` instructions, recording every state hash."""
@@ -274,47 +306,6 @@ class VmRunner:
             initial_registers=self._initial_registers,
             initial_memory=self._initial_memory,
         )
-
-
-def _replay_raw(
-    program: list[Instruction],
-    memory_size: int,
-    oracle: PreimageOracle | None,
-    registers: tuple[int, ...],
-    words: list[int],
-    steps: int,
-) -> tuple[int, list[int], list[int]]:
-    """Execute ``steps`` instructions on raw words, no Merkle maintenance.
-
-    Returns (pc, registers, words); used to rebuild memory at an arbitrary
-    trace index without paying per-step hashing.
-    """
-    pc = 0
-    regs = list(registers)
-    for _ in range(steps):
-        instr = program[pc] if 0 <= pc < len(program) else Instruction(OP_HALT)
-        op = instr.op
-        next_pc = pc + 1
-        if op == OP_ADD:
-            regs[instr.c] = (regs[instr.a] + regs[instr.b]) & WORD_MASK
-        elif op == OP_MUL:
-            regs[instr.c] = (regs[instr.a] * regs[instr.b]) & WORD_MASK
-        elif op == OP_LOAD:
-            regs[instr.c] = words[regs[instr.a] % memory_size]
-        elif op == OP_STORE:
-            words[regs[instr.a] % memory_size] = regs[instr.b]
-        elif op == OP_JUMPZ:
-            if regs[instr.a] == 0:
-                next_pc = instr.b
-        elif op == OP_LOADPRE:
-            preimage = oracle.get(instr.key) if oracle else b""
-            regs[instr.c] = int.from_bytes(preimage[:8].ljust(8, b"\x00"), "big")
-        elif op == OP_HALT:
-            next_pc = pc
-        else:
-            raise IllegalInstruction(op)
-        pc = next_pc
-    return pc, regs, words
 
 
 @dataclass
@@ -339,23 +330,12 @@ class VmTrace:
         Replays raw execution from the initial configuration (traces do not
         snapshot memory per step), then Merkleizes memory once at the target.
         """
-        pc, regs, words = _replay_raw(
-            self.program,
-            self.memory_size,
-            self.oracle,
-            self.initial_registers,
-            list(self.initial_memory),
-            index,
-        )
+        pc, regs, words = 0, list(self.initial_registers), _RawMemory(self.initial_memory)
+        for _ in range(index):
+            pc = execute(fetch(self.program, pc), pc, regs, words, self.oracle, self.memory_size)
         tree = MemoryTree(words)
         pre = VmState(pc=pc, registers=tuple(regs), memory_root=tree.root)
-        instr = (
-            self.program[pc] if 0 <= pc < len(self.program) else Instruction(OP_HALT)
-        )
-        witness: MemoryWitness = {}
-        if instr.op in (OP_LOAD, OP_STORE):
-            addr = regs[instr.a] % self.memory_size
-            witness[addr] = (words[addr], tree.prove(addr))
+        witness = _witness(tree, fetch(self.program, pc), regs, self.memory_size)
         return StepProof(pre_state=pre, memory_witness=witness)
 
 
@@ -484,13 +464,9 @@ def dispute_step(game: DisputeGame, step_proof: StepProof) -> str:
     pre = step_proof.pre_state
     if pre.hash() != game.agreed_lo_hash:
         raise BadStepProof("pre-state does not match the agreed state")
-    program = game.params.program
-    instruction = (
-        program[pre.pc] if 0 <= pre.pc < len(program) else Instruction(OP_HALT)
-    )
     post = vm_step(
         pre,
-        instruction,
+        fetch(game.params.program, pre.pc),
         step_proof.memory_witness,
         game.params.oracle,
         game.params.memory_size,

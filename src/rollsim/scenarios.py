@@ -84,8 +84,11 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.rollup not in ("optimistic", "validity"):
             raise ConfigError(f"rollup: expected 'optimistic' or 'validity', got {self.rollup!r}")
-        if self.window < 1:
-            raise ConfigError("window: must be at least 1")
+        # optimistic frames land one block after their epoch, and derivation
+        # keeps a channel only if it closes inside the window
+        min_window = 2 if self.rollup == "optimistic" else 1
+        if self.window < min_window:
+            raise ConfigError(f"window: must be at least {min_window} for a {self.rollup} rollup")
         if self.block_time < 1:
             raise ConfigError("block_time: must be at least 1 second")
         if self.max_frame_bytes < 1:

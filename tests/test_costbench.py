@@ -11,12 +11,8 @@ from rollsim.costbench import (
     InvalidTolerance,
     NoTransactions,
     amortized_proof_cost,
-    bloom_insert,
     bloom_params,
-    bloom_query,
     cache_calldata_savings,
-    cache_read,
-    cache_write,
     compression_stats,
     da_cost_comparison,
     fp_rate,
@@ -63,14 +59,14 @@ class TestFpRate:
 class TestBloomFilter:
     def test_query_before_insert(self):
         bloom = BloomFilter(1024, 3, seed=1)
-        assert not bloom_query(bloom, b"anything")
+        assert not bloom.query(b"anything")
 
     def test_no_false_negatives(self):
         bloom = BloomFilter.for_expected(500, 0.01, seed=2)
         members = [b"element-%d" % i for i in range(500)]
         for element in members:
-            bloom_insert(bloom, element)
-        assert all(bloom_query(bloom, element) for element in members)
+            bloom.insert(element)
+        assert all(bloom.query(element) for element in members)
 
     def test_empirical_rate_near_prediction(self):
         bloom = BloomFilter(9585, 6, seed=3)
@@ -91,40 +87,40 @@ class TestBloomFilter:
 class TestAddressCache:
     def test_first_key_is_one(self):
         cache = AddressCache()
-        assert cache_write(cache, 0xABCDEF) == 1
+        assert cache.write(0xABCDEF) == 1
 
     def test_read_zero_is_not_found(self):
         cache = AddressCache()
-        cache_write(cache, 5)
+        cache.write(5)
         with pytest.raises(CacheError, match="key not found"):
-            cache_read(cache, 0)
+            cache.read(0)
 
     def test_duplicate_write(self):
         cache = AddressCache()
-        cache_write(cache, 5)
+        cache.write(5)
         with pytest.raises(CacheError, match="address already cached"):
-            cache_write(cache, 5)
+            cache.write(5)
 
     def test_full_cache(self):
         cache = AddressCache(capacity=2)
-        cache_write(cache, 1)
-        cache_write(cache, 2)
+        cache.write(1)
+        cache.write(2)
         with pytest.raises(CacheError, match="cache is full"):
-            cache_write(cache, 3)
+            cache.write(3)
 
     def test_round_trip_dense_keys_100k(self):
         cache = AddressCache()
         n = 100_000
-        keys = [cache_write(cache, 10_000 + v) for v in range(n)]
+        keys = [cache.write(10_000 + v) for v in range(n)]
         assert keys == list(range(1, n + 1))  # dense, no gaps
         for key in range(1, n + 1, 97):
-            assert cache_read(cache, key) == 10_000 + key - 1
-        assert cache_read(cache, n) == 10_000 + n - 1
+            assert cache.read(key) == 10_000 + key - 1
+        assert cache.read(n) == 10_000 + n - 1
 
     def test_lookup_sentinel(self):
         cache = AddressCache()
         assert cache.lookup(42) == 0
-        cache_write(cache, 42)
+        cache.write(42)
         assert cache.lookup(42) == 1
 
     def test_savings_are_80_percent(self):

@@ -14,7 +14,6 @@ from rollsim.merkle import (
     fold_proof,
     hash_leaf,
     hash_node,
-    prove_inclusion,
     verify_inclusion,
 )
 
@@ -53,7 +52,7 @@ class TestBuildRoot:
 class TestProofs:
     def test_four_leaf_proof_shape(self):
         tree = MerkleTree([b"B1", b"B2", b"B3", b"B4"])
-        proof = prove_inclusion(tree, 1)
+        proof = tree.prove(1)
         assert len(proof.siblings) == 2
         # first sibling is h1 (left of index 1), second is h_{3,4} (right)
         assert proof.siblings[0] == (hash_leaf(b"B1"), "left")
@@ -61,7 +60,7 @@ class TestProofs:
 
     def test_single_leaf_empty_proof(self):
         tree = MerkleTree([b"solo"])
-        assert prove_inclusion(tree, 0).siblings == ()
+        assert tree.prove(0).siblings == ()
         assert verify_inclusion(tree.root, b"solo", tree.prove(0))
 
     def test_eight_leaf_proof_length(self):
@@ -82,6 +81,26 @@ class TestProofs:
             tree = MerkleTree([b"%d" % i for i in range(n)], hash_fn=sha)
             idx = rng.randrange(n)
             assert len(tree.prove(idx).siblings) == math.ceil(math.log2(n)), n
+
+
+class TestUpdate:
+    def test_update_matches_rebuild(self):
+        leaves = [bytes([i]) for i in range(8)]
+        for i in range(8):
+            tree = MerkleTree(leaves, hash_fn=sha)
+            tree.update(i, b"new")
+            rebuilt = MerkleTree(leaves[:i] + [b"new"] + leaves[i + 1:], hash_fn=sha)
+            assert tree.levels == rebuilt.levels, i
+
+    def test_update_rejects_padded_width(self):
+        with pytest.raises(ValueError, match="power-of-two"):
+            MerkleTree([b"a", b"b", b"c"]).update(0, b"x")
+
+    def test_update_out_of_range(self):
+        tree = MerkleTree([b"a", b"b"])
+        for index in (2, -1):
+            with pytest.raises(IndexOutOfRange):
+                tree.update(index, b"x")
 
 
 class TestVerification:

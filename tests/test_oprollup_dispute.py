@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -31,10 +32,10 @@ from rollsim.oprollup.dispute import (
     dispute_open,
     dispute_step,
     dispute_timeout,
-    preimage_get,
     run_dispute,
     vm_step,
 )
+from rollsim.scenarios import ScenarioConfig, _dispute_fixture
 
 
 def loop_program():
@@ -57,12 +58,12 @@ class TestPreimageOracle:
     def test_round_trip(self):
         oracle = PreimageOracle()
         key = oracle.register(b"block header bytes")
-        assert preimage_get(oracle, key) == b"block header bytes"
+        assert oracle.get(key) == b"block header bytes"
         assert key == keccak256(b"block header bytes")
 
     def test_unregistered_key(self):
         with pytest.raises(PreimageUnavailable):
-            preimage_get(PreimageOracle(), b"\x00" * 32)
+            PreimageOracle().get(b"\x00" * 32)
 
     def test_adversarial_registration_rejected(self):
         oracle = PreimageOracle()
@@ -138,11 +139,17 @@ class TestVmStep:
         post = runner.step()
         assert post.pc == 3
 
+    def test_initial_memory_must_match_memory_size(self):
+        with pytest.raises(ValueError, match="initial_memory"):
+            make_runner([Instruction(OP_STORE, 0, 3)], initial_memory=[0] * 32)
+
 
 class TestTraceReplay:
     def test_step_proofs_replay_consistently(self):
+        # runner, replay and on-chain step must agree at every trace index
         trace = make_runner().run_trace(64)
-        for index in (0, 1, 13, 63):
+        runner = make_runner()
+        for index in range(64):
             proof = trace.step_proof(index)
             assert proof.pre_state.hash() == trace.hashes[index]
             post = vm_step(
@@ -151,7 +158,34 @@ class TestTraceReplay:
                 proof.memory_witness,
                 memory_size=64,
             )
-            assert post.hash() == trace.hashes[index + 1]
+            assert runner.step().hash() == post.hash() == trace.hashes[index + 1], index
+
+    def test_loadpre_without_oracle_rejected_by_runner_and_replay(self):
+        oracle = PreimageOracle()
+        program = [
+            Instruction(OP_LOADPRE, c=2, key=oracle.register(b"preimage")),
+            Instruction(OP_ADD, 1, 2, 3),
+        ]
+        with pytest.raises(BadStepProof):
+            make_runner(program).step()
+        trace = make_runner(program, oracle=oracle).run_trace(2)
+        with pytest.raises(BadStepProof):
+            dataclasses.replace(trace, oracle=None).step_proof(1)
+
+
+class TestScenarioTrace:
+    """The 1024-step trace the fraud scenario disputes."""
+
+    def test_permutation_budget(self, keccak_perms):
+        # one memory build, one hash per state, one path update per STORE
+        _dispute_fixture(ScenarioConfig(dispute_steps=1024))
+        assert keccak_perms[0] <= 2_700
+
+    def test_state_hashes_pinned(self):
+        _, trace = _dispute_fixture(ScenarioConfig(dispute_steps=1024))
+        assert keccak256(b"".join(trace.hashes)).hex() == (
+            "851ca23d1747ae32f627207a415a70bca4451115f52e629e6a5eb3085db3c2fe"
+        )
 
 
 class TestBisectionGame:

@@ -31,6 +31,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"deposits\[0\].value"):
             config.validate()
 
+    def test_optimistic_window_below_two_rejected(self):
+        # frames land one block after their epoch; window 1 would drop the batch
+        with pytest.raises(ConfigError, match="window"):
+            ScenarioConfig(rollup="optimistic", window=1).validate()
+        ScenarioConfig(rollup="validity", window=1).validate()
+
     def test_named_substreams_differ(self):
         config = ScenarioConfig(seed=5)
         assert config.rng("a").random() != config.rng("b").random()
@@ -82,22 +88,6 @@ def funded_users(n, **overrides):
         withdrawals=[{"user": u, "value": 700} for u in users],
         **overrides,
     )
-
-
-@pytest.fixture
-def keccak_perms(monkeypatch):
-    """Counts Keccak-f permutations; read ``keccak_perms[0]``."""
-    from rollsim import hashing
-
-    count = [0]
-    real = hashing._keccak_f
-
-    def counted(state):
-        count[0] += 1
-        return real(state)
-
-    monkeypatch.setattr(hashing, "_keccak_f", counted)
-    return count
 
 
 def _events(report, name):
