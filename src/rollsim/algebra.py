@@ -16,6 +16,33 @@ from typing import Iterable, Sequence
 # (Freivalds, fingerprinting) have negligible error at desk scale.
 DEFAULT_PRIME = 18446744069414584321
 
+# Miller-Rabin with these bases is exact below 318665857834031151167461 (~3.2e23),
+# the least strong pseudoprime to all of them
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Fixed-base Miller-Rabin; larger inputs are probable primes."""
+    if n < 2:
+        return False
+    for p in _MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
 
 class InversionOfZero(ZeroDivisionError):
     """Multiplicative inverse of the zero element was requested."""
@@ -35,8 +62,8 @@ class Field:
     __slots__ = ("prime",)
 
     def __init__(self, prime: int):
-        if prime < 2 or pow(2, prime, prime) != 2 % prime:
-            raise ValueError(f"{prime} fails the Fermat base-2 primality check")
+        if not is_prime(prime):
+            raise ValueError(f"{prime} is not prime")
         self.prime = prime
 
     def __call__(self, value: int | "FieldElement") -> "FieldElement":
@@ -351,7 +378,7 @@ class PairingGroup:
     __slots__ = ("order", "_mult", "_shift")
 
     def __init__(self, order: int = DEFAULT_PRIME):
-        if order < 2 or pow(2, order, order) != 2 % order:
+        if not is_prime(order):
             raise ValueError("group order must be prime")
         self.order = order
         self._mult = _ENC_MULT % order or 1

@@ -12,7 +12,7 @@ import random
 from dataclasses import asdict, dataclass, field as dataclass_field
 
 from . import __version__
-from .algebra import PairingGroup, DEFAULT_PRIME
+from .algebra import PairingGroup, DEFAULT_PRIME, is_prime
 from .hashing import keccak256
 from .l1sim import Chain
 from .costbench import DaScenario, da_cost_comparison, synthetic_batch_corpus, compression_stats
@@ -33,7 +33,7 @@ from .oprollup.withdrawals import (
     WithdrawalError,
     WithdrawalPortal,
 )
-from .validityrollup.cairo import run_program, sqrt_program
+from .validityrollup.cairo import INSTRUCTION_BITS, run_program, sqrt_program
 from .validityrollup.messaging import (
     StarkNetCore,
     ValidityL2State,
@@ -55,11 +55,26 @@ class ConfigError(ValueError):
     """Configuration is invalid; message names the offending field path."""
 
 
-@dataclass(frozen=True)
-class WorkloadItem:
-    user: int
-    target: int
-    value: int
+# Python type behind each ScenarioConfig annotation
+_FIELD_TYPES = {"int": int, "str": str, "bool": bool, "list[dict]": list}
+
+# required, then optional, keys of one item in each workload section
+_WORKLOAD_KEYS = {
+    "deposits": (("user", "value"), ("gas_limit", "fee")),
+    "transfers": (("user", "target", "value"), ()),
+    "withdrawals": (("user", "value"), ("target", "gas_limit")),
+}
+
+# exclusive upper bound, as a bit width, of each workload key: users and
+# targets are addresses, gas is a uint64, and amounts leave room for their
+# sums inside a 256-bit storage word
+_WORKLOAD_KEY_BITS = {"user": 160, "target": 160, "value": 128, "fee": 128, "gas_limit": 64}
+
+
+def _require_type(path: str, expected: type, value) -> None:
+    """Raise ConfigError unless ``value`` is an ``expected``; a bool is no int."""
+    if not isinstance(value, expected) or (expected is int and isinstance(value, bool)):
+        raise ConfigError(f"{path}: expected {expected.__name__}, got {type(value).__name__}")
 
 
 @dataclass
@@ -82,6 +97,8 @@ class ScenarioConfig:
     group_order: int = DEFAULT_PRIME
 
     def validate(self) -> None:
+        for name, spec in self.__dataclass_fields__.items():
+            _require_type(name, _FIELD_TYPES[spec.type], getattr(self, name))
         if self.rollup not in ("optimistic", "validity"):
             raise ConfigError(f"rollup: expected 'optimistic' or 'validity', got {self.rollup!r}")
         # optimistic frames land one block after their epoch, and derivation
@@ -89,21 +106,43 @@ class ScenarioConfig:
         min_window = 2 if self.rollup == "optimistic" else 1
         if self.window < min_window:
             raise ConfigError(f"window: must be at least {min_window} for a {self.rollup} rollup")
-        if self.block_time < 1:
-            raise ConfigError("block_time: must be at least 1 second")
+        # timestamps and fees are encoded as fixed-width words
+        if not 1 <= self.block_time < 1 << 32:
+            raise ConfigError("block_time: must lie in [1, 2^32) seconds")
+        if not 1 <= self.basefee < 1 << 128:
+            raise ConfigError("basefee: must lie in [1, 2^128) wei")
+        if self.dispute_period < 0:
+            raise ConfigError("dispute_period: must be non-negative")
         if self.max_frame_bytes < 1:
             raise ConfigError("max_frame_bytes: must be at least 1")
         if self.proof_cadence_blocks < 1:
             raise ConfigError("proof_cadence_blocks: must be at least 1")
         if not 0 < self.fault_position <= self.dispute_steps:
             raise ConfigError("fault_position: must lie in [1, dispute_steps]")
-        for section in ("deposits", "transfers", "withdrawals"):
+        for name in ("field_prime", "group_order"):
+            if not is_prime(getattr(self, name)):
+                raise ConfigError(f"{name}: {getattr(self, name)} is not prime")
+        if self.field_prime.bit_length() <= INSTRUCTION_BITS:
+            raise ConfigError(
+                f"field_prime: must exceed 2^{INSTRUCTION_BITS}, the Cairo instruction width"
+            )
+        for section, (required, optional) in _WORKLOAD_KEYS.items():
             for i, item in enumerate(getattr(self, section)):
-                for key in ("user", "value") if section != "transfers" else ("user", "target", "value"):
+                path = f"{section}[{i}]"
+                if not isinstance(item, dict):
+                    raise ConfigError(f"{path}: expected an object, got {type(item).__name__}")
+                unknown = set(item) - set(required) - set(optional)
+                if unknown:
+                    raise ConfigError(f"{path}: unknown keys {sorted(unknown, key=repr)}")
+                for key in required:
                     if key not in item:
-                        raise ConfigError(f"{section}[{i}].{key}: missing")
-                if item["value"] < 0:
-                    raise ConfigError(f"{section}[{i}].value: must be non-negative")
+                        raise ConfigError(f"{path}.{key}: missing")
+                for key, value in item.items():
+                    _require_type(f"{path}.{key}", int, value)
+                    if not 0 <= value < 1 << _WORKLOAD_KEY_BITS[key]:
+                        raise ConfigError(
+                            f"{path}.{key}: must lie in [0, 2^{_WORKLOAD_KEY_BITS[key]})"
+                        )
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -114,6 +153,8 @@ class ScenarioConfig:
             raw = json.loads(payload)
         except ValueError as exc:
             raise ConfigError(f"config: not valid JSON ({exc})") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config: expected a JSON object, got {type(raw).__name__}")
         unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"config: unknown fields {sorted(unknown)}")
@@ -471,7 +512,8 @@ def _run_validity(config: ScenarioConfig) -> RunReport:
     for w in config.withdrawals:
         balance = l2.storage_read(L2_BRIDGE_ADDRESS, balance_key(w["user"]))
         if balance < w["value"]:
-            violations.append(f"validity withdrawal exceeds balance for {w['user']:#x}")
+            timeline.log(chain.pending_timestamp, chain.pending_block_number,
+                         "withdrawal_not_initiated", user=w["user"], value=w["value"])
             continue
         l2.storage_write(L2_BRIDGE_ADDRESS, balance_key(w["user"]), balance - w["value"])
         payload = tuple(starkgate_withdraw_payload(w.get("target", w["user"]), w["value"]))

@@ -43,6 +43,7 @@ OP_RET = 6
 OP_ADVANCE_AP = 7
 
 _OFF_BIAS = 1 << 15
+INSTRUCTION_BITS = 56  # an instruction word must fit in one field element
 _HAS_IMMEDIATE = {OP_ASSERT_EQ_IMM, OP_JMP, OP_CALL, OP_ADVANCE_AP}
 
 REG_AP = 0
@@ -92,7 +93,7 @@ class DecodedInstruction:
 
 def decode_instruction(word: int) -> DecodedInstruction:
     opcode = word & 0xF
-    if opcode > OP_ADVANCE_AP or word >> 56:
+    if opcode > OP_ADVANCE_AP or word >> INSTRUCTION_BITS:
         raise ValueError(f"not an instruction word: {word}")
     return DecodedInstruction(
         opcode=opcode,

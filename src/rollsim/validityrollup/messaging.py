@@ -4,6 +4,13 @@ L1-to-L2 messages are recorded by bumping a counter under the message hash;
 the counter comes back down when the consuming state transition is proven.
 L2-to-L1 messages exist on L1 only after settlement and are consumed by
 decrementing. Handlers on L2 are keyed by a selector derived from their name.
+
+Both directions are frozen message objects with a memoized ``hash``, so each
+message is hashed once per side. An L1-to-L2 message is hashed when L1 sends
+it; handler dispatch and settlement reuse that digest. An L2-to-L1 message is
+hashed when the L2 sends it; settlement binds that same digest. On L1,
+``consume_message_from_l2`` hashes the raw payload its caller submits: that is
+the core contract's own check and trusts no precomputed digest.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
-from ..hashing import keccak256
+from ..hashing import keccak256, memoized_digest
 from ..l1sim import Chain
 
 CORE_ADDRESS = 0x90000000000000000000000000000000000000C1
@@ -63,7 +70,7 @@ class L1ToL2Message:
     nonce: int
     fee: int
 
-    @property
+    @memoized_digest
     def hash(self) -> bytes:
         return keccak256(
             self.from_address.to_bytes(32, "big")
@@ -85,6 +92,19 @@ def l2_to_l1_message_hash(
         + len(payload).to_bytes(32, "big")
         + b"".join(w.to_bytes(32, "big") for w in payload)
     )
+
+
+@dataclass(frozen=True)
+class L2ToL1Message:
+    """A message an L2 contract sends to ``to_address``, an L1 consumer."""
+
+    from_address: int
+    to_address: int
+    payload: tuple[int, ...]
+
+    @memoized_digest
+    def hash(self) -> bytes:
+        return l2_to_l1_message_hash(self.from_address, self.to_address, self.payload)
 
 
 class StarkNetCore:
@@ -194,7 +214,7 @@ class ValidityL2State:
 
     storage: dict[int, dict[int, int]] = dataclass_field(default_factory=dict)
     handlers: dict[int, dict[int, Callable]] = dataclass_field(default_factory=dict)
-    outbox: list[tuple[int, int, tuple[int, ...]]] = dataclass_field(default_factory=list)
+    outbox: list[L2ToL1Message] = dataclass_field(default_factory=list)
     consumed_inbox: list[bytes] = dataclass_field(default_factory=list)
     pending_diff_keys: dict[int, dict[int, int]] = dataclass_field(default_factory=dict)
 
@@ -248,9 +268,9 @@ def send_message_to_l1(
     l2_state: ValidityL2State, from_address: int, to_address: int, payload
 ) -> bytes:
     """Queue an L2->L1 message; its counter appears on L1 at settlement."""
-    payload = tuple(payload)
-    l2_state.outbox.append((from_address, to_address, payload))
-    return l2_to_l1_message_hash(from_address, to_address, payload)
+    message = L2ToL1Message(from_address, to_address, tuple(payload))
+    l2_state.outbox.append(message)
+    return message.hash
 
 
 # StarkGate-style payload prefix for token withdrawals

@@ -9,6 +9,12 @@ the prover and in test oracles, not inside the circuit.
 
 Settlement is atomic: the root update and every message-counter change land
 together or not at all.
+
+Messages are bound by digest: the transition digest covers each consumed
+L1-to-L2 message hash and the memoized ``hash`` of each sent ``L2ToL1Message``,
+which the prover, the verifier and the counter update read without rehashing
+the message fields. The verifier still recomputes the digest and the next root
+from what was submitted.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from ..snark import (
     witness,
 )
 from .cairo import RunResult, deterministic_accept
-from .messaging import StarkNetCore, l2_to_l1_message_hash
+from .messaging import L2ToL1Message, StarkNetCore
 from .statediff import StateDiff, diff_calldata_bytes, encode_state_diff
 
 
@@ -48,7 +54,7 @@ class SettlementMessages:
     """Message effects bridged by one proven transition."""
 
     consumed_l1_to_l2: tuple[bytes, ...] = ()
-    sent_l2_to_l1: tuple[tuple[int, int, tuple[int, ...]], ...] = ()
+    sent_l2_to_l1: tuple[L2ToL1Message, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -75,8 +81,8 @@ class SharpProver:
         blob = old_root + diff_calldata_bytes(diff_words)
         for msg_hash in messages.consumed_l1_to_l2:
             blob += msg_hash
-        for from_addr, to_addr, payload in messages.sent_l2_to_l1:
-            blob += l2_to_l1_message_hash(from_addr, to_addr, payload)
+        for message in messages.sent_l2_to_l1:
+            blob += message.hash
         return int.from_bytes(keccak256(blob), "big") % self.group.order
 
     def expected_output(self, digest: int) -> int:
@@ -153,10 +159,6 @@ def settle(
             raise ProofRejected(
                 f"transition consumes unsent L1->L2 message {msg_hash.hex()}"
             )
-    sent_hashes = [
-        l2_to_l1_message_hash(from_addr, to_addr, payload)
-        for from_addr, to_addr, payload in messages.sent_l2_to_l1
-    ]
     fee_release = sum(core.fee_escrow.get(h, 0) for h in consumed_deltas)
 
     # commit
@@ -165,8 +167,8 @@ def settle(
     for msg_hash, count in consumed_deltas.items():
         core.l1_to_l2_counters[msg_hash] -= count
         core.fee_escrow.pop(msg_hash, None)
-    for msg_hash in sent_hashes:
-        core.l2_to_l1_counters[msg_hash] = core.l2_to_l1_counters.get(msg_hash, 0) + 1
+    for message in messages.sent_l2_to_l1:
+        core.l2_to_l1_counters[message.hash] = core.l2_to_l1_counters.get(message.hash, 0) + 1
     if fee_release:
         core.chain.fund(core.sequencer, fee_release)
     core.chain._emit(core.address, "StateUpdate", expected_root)

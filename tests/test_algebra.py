@@ -11,6 +11,7 @@ from rollsim.algebra import (
     PairingGroup,
     Polynomial,
     field_inv,
+    is_prime,
     pairing,
     poly_divmod,
     poly_interpolate,
@@ -183,3 +184,25 @@ class TestGroupOracle:
     def test_composite_order_rejected(self):
         with pytest.raises(ValueError):
             PairingGroup(15)
+        with pytest.raises(ValueError):
+            PairingGroup(341)  # 11 * 31 passes a Fermat base-2 check
+
+
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+        assert [n for n in range(-3, 5000) if is_prime(n)] == [
+            n for n in range(-3, 5000) if trial(n)
+        ]
+
+    def test_pseudoprimes_rejected(self):
+        # Fermat base 2, Carmichael, and strong pseudoprime to bases 2, 3, 5, 7
+        for n in (341, 561, 3215031751):
+            assert not is_prime(n)
+
+    def test_large_primes(self):
+        for n in (DEFAULT_PRIME, 2**61 - 1, 2**127 - 1):
+            assert is_prime(n)
+        assert not is_prime((2**61 - 1) * (2**31 - 1))

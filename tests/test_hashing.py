@@ -8,6 +8,7 @@ from rollsim.hashing import keccak256
 from rollsim.l1sim import L1Block, Tx
 from rollsim.oprollup.derivation import L2Block
 from rollsim.oprollup.l2 import OutputRootProof, WithdrawalTx
+from rollsim.validityrollup.messaging import L1ToL2Message, L2ToL1Message
 
 
 def _message(n: int) -> bytes:
@@ -66,12 +67,23 @@ def _output_root_proof():
                            withdrawal_root=b"\x02" * 32, l2_block_hash=b"\x03" * 32)
 
 
+def _l1_to_l2_message():
+    return L1ToL2Message(from_address=0xD1, to_address=0x22, selector=5,
+                         payload=(0x77, 100), nonce=3, fee=10)
+
+
+def _l2_to_l1_message():
+    return L2ToL1Message(from_address=0x22, to_address=0xD1, payload=(0, 0xEE, 50, 0))
+
+
 # (factory, name of the memoized digest property)
 MEMOIZED = [
     (_withdrawal, "hash"),
     (_l1_block, "hash"),
     (_l2_block, "hash"),
     (_output_root_proof, "output_root"),
+    (_l1_to_l2_message, "hash"),
+    (_l2_to_l1_message, "hash"),
 ]
 
 

@@ -37,6 +37,32 @@ class TestConfig:
             ScenarioConfig(rollup="optimistic", window=1).validate()
         ScenarioConfig(rollup="validity", window=1).validate()
 
+    @pytest.mark.parametrize("payload, path", [
+        ('{"window": "2"}', "window"),
+        ('{"deposits": [5]}', r"deposits\[0\]"),
+        ("[]", "config"),
+        ('{"deposits": [{"user": 1, "value": "x"}]}', r"deposits\[0\]\.value"),
+        ('{"dispute_steps": "x"}', "dispute_steps"),
+        ('{"seed": "a"}', "seed"),
+        ('{"window": true}', "window: expected int, got bool"),
+        ('{"planted_fraud": 1}', "planted_fraud"),
+        ('{"deposits": [{"user": 1, "value": 5, "fees": 1}]}', r"deposits\[0\]: unknown keys"),
+        ('{"withdrawals": [{"user": 1, "value": 5, "target": -1}]}', r"withdrawals\[0\]\.target"),
+        ('{"basefee": 0}', "basefee"),
+    ])
+    def test_malformed_field_is_a_config_error_naming_its_path(self, payload, path):
+        with pytest.raises(ConfigError, match=path):
+            ScenarioConfig.from_json(payload)
+
+    @pytest.mark.parametrize("payload, message", [
+        ('{"rollup": "validity", "field_prime": 4}', "field_prime: 4 is not prime"),
+        ('{"group_order": 341}', "group_order: 341 is not prime"),  # a base-2 pseudoprime
+        ('{"rollup": "validity", "field_prime": 65537}', "field_prime: must exceed 2"),
+    ])
+    def test_field_prime_and_group_order_checked(self, payload, message):
+        with pytest.raises(ConfigError, match=message):
+            ScenarioConfig.from_json(payload)
+
     def test_named_substreams_differ(self):
         config = ScenarioConfig(seed=5)
         assert config.rng("a").random() != config.rng("b").random()
@@ -144,6 +170,37 @@ class TestOptimisticScale:
         reasons = [e["reason"] for e in _events(report, "finalize_rejected")]
         assert "insufficient gas to finalize withdrawal" in reasons
         assert len(_events(report, "withdrawal_finalized")) == 1
+
+
+def funded_validity_users(n):
+    config = funded_users(n)
+    config.rollup = "validity"
+    return config
+
+
+class TestValidityScale:
+    def test_320_users_within_permutation_budget_and_linear(self, keccak_perms):
+        run(funded_validity_users(40))
+        per_user_40 = keccak_perms[0] / 40
+        keccak_perms[0] = 0
+        report = run(funded_validity_users(320))
+        assert report.ok
+        assert len(_events(report, "withdrawal_consumed")) == 320
+        # each message is hashed once per side: 3,097 now, 5,657 when
+        # settlement rehashed every message from its fields
+        assert keccak_perms[0] <= 3_300
+        assert keccak_perms[0] / 320 <= 1.1 * per_user_40
+
+    def test_unfunded_withdrawal_is_an_event(self):
+        config = funded_validity_users(3)
+        config.withdrawals.insert(1, {"user": 0xDEAD, "value": 5})
+        config.withdrawals.append({"user": 0x1000, "value": 10**9})
+        report = run(config)
+        assert report.ok
+        skipped = _events(report, "withdrawal_not_initiated")
+        assert [(e["user"], e["value"]) for e in skipped] == [(0xDEAD, 5), (0x1000, 10**9)]
+        consumed = _events(report, "withdrawal_consumed")
+        assert [e["value"] for e in consumed] == [700, 700, 700]
 
 
 class TestValidityScenario:

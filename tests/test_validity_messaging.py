@@ -1,10 +1,12 @@
 import pytest
 
+from rollsim import hashing
 from rollsim.l1sim import Chain
 from rollsim.validityrollup.messaging import (
     EmptyName,
     InvalidMessageToConsume,
     L1_TO_L2,
+    L2ToL1Message,
     NoHandler,
     StarkNetCore,
     ValidityL2State,
@@ -113,8 +115,10 @@ class TestHandlerDispatch:
         with pytest.raises(NoHandler):
             dispatch_l1_handler(self.l2, message)
 
-    def test_consumed_inbox_records_dispatches(self):
+    def test_consumed_inbox_records_dispatches(self, monkeypatch):
         message = self.send(L1_BRIDGE, 0x77, 100)
+        # dispatch reuses the digest L1 computed at send
+        monkeypatch.setattr(hashing, "_keccak_f", lambda s: pytest.fail("message rehashed"))
         dispatch_l1_handler(self.l2, message)
         assert self.l2.consumed_inbox == [message.hash]
 
@@ -153,6 +157,17 @@ class TestL2ToL1:
         amount = (7 << 128) + 9
         payload = starkgate_withdraw_payload(0xEE, amount)
         assert payload == [0, 0xEE, 9, 7]
+
+    def test_message_hash_is_the_l2_to_l1_message_hash(self):
+        payload = tuple(starkgate_withdraw_payload(0xEE, 500))
+        message = L2ToL1Message(L2_BRIDGE, L1_BRIDGE, payload)
+        assert message.hash == l2_to_l1_message_hash(L2_BRIDGE, L1_BRIDGE, payload)
+
+    def test_send_queues_the_message_and_returns_its_hash(self):
+        l2 = ValidityL2State()
+        msg_hash = send_message_to_l1(l2, L2_BRIDGE, L1_BRIDGE, [1, 2, 3])
+        assert l2.outbox == [L2ToL1Message(L2_BRIDGE, L1_BRIDGE, (1, 2, 3))]
+        assert msg_hash == l2.outbox[0].hash
 
     def test_hash_binds_consumer(self):
         payload = (1,)

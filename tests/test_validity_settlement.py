@@ -4,8 +4,10 @@ import pytest
 
 from rollsim.algebra import DEFAULT_PRIME, PairingGroup
 from rollsim.l1sim import Chain
+from rollsim.validityrollup import messaging
 from rollsim.validityrollup.cairo import CairoState, run_program, sqrt_program
 from rollsim.validityrollup.messaging import (
+    L2ToL1Message,
     StarkNetCore,
     l2_to_l1_message_hash,
     selector_from_name,
@@ -120,7 +122,7 @@ class TestProveAndSettle:
         out = (0, 0xEE, 50, 0)
         messages = SettlementMessages(
             consumed_l1_to_l2=(msg_hash,),
-            sent_l2_to_l1=((0x22, 0xD1, out),),
+            sent_l2_to_l1=(L2ToL1Message(0x22, 0xD1, out),),
         )
         diff = simple_diff()
         proof = prove_transition(core.state_root, diff, None, prover, messages)
@@ -129,6 +131,31 @@ class TestProveAndSettle:
         assert core.l2_to_l1_counters[l2_to_l1_message_hash(0x22, 0xD1, out)] == 1
         # escrowed fee released to the sequencer in full
         assert chain.balance(core.sequencer) == 400
+
+    def test_sent_payload_differing_from_proven_rejected(self, prover):
+        chain, core = make_core()
+        diff = simple_diff()
+        proven = SettlementMessages(sent_l2_to_l1=(L2ToL1Message(0x22, 0xD1, (0, 0xEE, 50, 0)),))
+        proof = prove_transition(core.state_root, diff, None, prover, proven)
+        forged = SettlementMessages(sent_l2_to_l1=(L2ToL1Message(0x22, 0xD1, (0, 0xEE, 5000, 0)),))
+        with pytest.raises(ProofRejected):
+            settle(core, prover, proof, encode_state_diff(diff), forged)
+        assert core.l2_to_l1_counters == {}
+        assert len(core.root_history) == 1
+
+    def test_prove_and_settle_reuse_memoized_digests(self, prover, monkeypatch):
+        # sent messages are hashed once, when the L2 builds them
+        chain, core = make_core()
+        sent = tuple(L2ToL1Message(0x22, 0xD1, (0, 0xEE, i, 0)) for i in range(3))
+        hashes = [message.hash for message in sent]
+        monkeypatch.setattr(
+            messaging, "l2_to_l1_message_hash", lambda *a: pytest.fail("message rehashed")
+        )
+        messages = SettlementMessages(sent_l2_to_l1=sent)
+        diff = simple_diff()
+        proof = prove_transition(core.state_root, diff, None, prover, messages)
+        settle(core, prover, proof, encode_state_diff(diff), messages)
+        assert [core.l2_to_l1_counters[h] for h in hashes] == [1, 1, 1]
 
     def test_consuming_unsent_message_rejected(self, prover):
         chain, core = make_core()
