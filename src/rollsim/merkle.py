@@ -2,14 +2,15 @@
 
 Leaf and internal hashes are domain-separated (0x00 / 0x01 prefix) so a
 64-byte leaf cannot be replayed as an internal node. Odd level widths are
-padded by duplicating the last node.
+padded by duplicating the last node. A proof's sides must spell out its leaf
+index, so a proof of one leaf cannot be relabelled as a proof of another.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .hashing import keccak256
 
@@ -66,14 +67,23 @@ class MerkleTree:
         if not leaves:
             raise EmptyTree("cannot build a Merkle tree from zero leaves")
         self._hash_fn = hash_fn
-        level = [hash_leaf(leaf, hash_fn) for leaf in leaves]
+        # each distinct leaf or node blob is hashed once: an all-zero memory
+        # of 2^k words costs k + 1 hashes, not 2^(k+1) - 1
+        digests: dict[bytes, bytes] = {}
+
+        def digest(blob: bytes) -> bytes:
+            if blob not in digests:
+                digests[blob] = hash_fn(blob)
+            return digests[blob]
+
+        level = [digest(LEAF_PREFIX + leaf) for leaf in leaves]
         self.levels: list[list[bytes]] = [level]
         while len(level) > 1:
             if len(level) % 2:
                 level = level + [level[-1]]
                 self.levels[-1] = level
             level = [
-                hash_node(level[i], level[i + 1], hash_fn) for i in range(0, len(level), 2)
+                digest(NODE_PREFIX + level[i] + level[i + 1]) for i in range(0, len(level), 2)
             ]
             self.levels.append(level)
         self.leaf_count = len(leaves)
@@ -86,21 +96,25 @@ class MerkleTree:
         if not 0 <= index < self.leaf_count:
             raise IndexOutOfRange(f"leaf index {index} out of range 0..{self.leaf_count - 1}")
 
-    def update(self, index: int, leaf: bytes) -> None:
-        """Replace leaf ``index`` and rehash its path to the root.
+    def update(self, leaves: Mapping[int, bytes]) -> None:
+        """Set each ``index: leaf`` of ``leaves``, then rehash each node above
+        them once, level by level up to the root.
 
         Only for power-of-two leaf counts: with duplication padding, an odd
         level's last node also sits in its padded copy, which would go stale.
         """
         if self.leaf_count & (self.leaf_count - 1):
             raise ValueError(f"update needs a power-of-two leaf count, not {self.leaf_count}")
-        self._check_index(index)
-        node = hash_leaf(leaf, self._hash_fn)
-        for level in self.levels[:-1]:
-            level[index] = node
-            node = hash_node(level[index & ~1], level[index | 1], self._hash_fn)
-            index //= 2
-        self.levels[-1][0] = node
+        for index in leaves:
+            self._check_index(index)
+        bottom = self.levels[0]
+        for index, leaf in leaves.items():
+            bottom[index] = hash_leaf(leaf, self._hash_fn)
+        dirty = set(leaves)
+        for below, above in zip(self.levels, self.levels[1:]):
+            dirty = {index // 2 for index in dirty}
+            for index in dirty:
+                above[index] = hash_node(below[2 * index], below[2 * index + 1], self._hash_fn)
 
     def prove(self, index: int) -> MerkleProof:
         self._check_index(index)
@@ -133,5 +147,16 @@ def fold_proof(leaf: bytes, proof: MerkleProof, hash_fn: HashFn = keccak256) -> 
 def verify_inclusion(
     root: bytes, leaf: bytes, proof: MerkleProof, hash_fn: HashFn = keccak256
 ) -> bool:
-    """True iff folding ``leaf`` through the proof reproduces ``root``."""
+    """True iff the proof's path is the one of its ``leaf_index`` and folding
+    ``leaf`` through it reproduces ``root``.
+
+    The sibling at level k sits on the left exactly when bit k of the index
+    is 1; an index with bits above the path length names no leaf.
+    """
+    index = proof.leaf_index
+    if not isinstance(index, int) or not 0 <= index < 1 << len(proof.siblings):
+        return False
+    for level, (_, side) in enumerate(proof.siblings):
+        if side != ("left" if index >> level & 1 else "right"):
+            return False
     return fold_proof(leaf, proof, hash_fn) == root

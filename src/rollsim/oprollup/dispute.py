@@ -9,20 +9,26 @@ opcode backed by the preimage oracle.
 
 The game is sound only if every party applies the same ISA, so there is one
 interpreter, ``execute``. It reaches memory only through ``load(addr)`` and
-``update(addr, word)``, and runs over three memories:
+``update(addr, word)``, and runs in two places:
 
-* off-chain (``VmRunner``): the live ``MemoryTree``, where a STORE pays its
-  path update;
-* replay (``VmTrace.step_proof``): raw words, so replaying to a trace index
-  does no hashing;
-* on-chain (``vm_step``): witnessed cells, each checked against the current
-  root, with a STORE folding the new root through the cell's proof.
+* off-chain (``VmRunner.step``): over the raw words at the head of a
+  ``VmTrace``, which logs each store and hashes nothing;
+* on-chain (``vm_step``): over witnessed cells, each checked against the
+  current root, with a STORE folding the new root through the cell's proof.
+
+A game reads about log2(n) of a trace's n + 1 state hashes, so a trace hashes
+lazily. One cursor ``MemoryTree`` moves to a queried index by replaying the
+store log forward or undoing it backward, rehashing the moved cells in one
+batched pass; memory roots and state hashes are memoized per index, and step
+proofs are cut from the cursor.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping
 
 from ..hashing import keccak256
 from ..merkle import MerkleProof, MerkleTree, fold_proof, verify_inclusion
@@ -120,19 +126,11 @@ class MemoryTree(MerkleTree):
         super().__init__([_word_bytes(w) for w in words])
         self.words = list(words)
 
-    def load(self, addr: int) -> int:
-        return self.words[addr]
-
-    def update(self, index: int, word: int) -> None:
-        self.words[index] = word
-        super().update(index, _word_bytes(word))
-
-
-class _RawMemory(list):
-    """Plain words with the memory interface; replay hashes nothing."""
-
-    load = list.__getitem__
-    update = list.__setitem__
+    def update(self, words: Mapping[int, int]) -> None:
+        """Write each ``addr: word`` of ``words``; rehash each node above them once."""
+        super().update({addr: _word_bytes(word) for addr, word in words.items()})
+        for addr, word in words.items():
+            self.words[addr] = word
 
 
 MemoryWitness = dict[int, tuple[int, MerkleProof]]
@@ -225,16 +223,6 @@ def vm_step(
     return VmState(pc=pc, registers=tuple(regs), memory_root=memory.root)
 
 
-def _witness(
-    memory: MemoryTree, instr: Instruction, regs: Sequence[int], memory_size: int
-) -> MemoryWitness:
-    """Inclusion proofs for the cells ``instr`` touches."""
-    if instr.op not in (OP_LOAD, OP_STORE):
-        return {}
-    addr = regs[instr.a] % memory_size
-    return {addr: (memory.words[addr], memory.prove(addr))}
-
-
 @dataclass(frozen=True)
 class StepProof:
     pre_state: VmState
@@ -242,7 +230,7 @@ class StepProof:
 
 
 class VmRunner:
-    """Off-chain executor: runs the program directly and serves step proofs."""
+    """Off-chain executor: runs the program directly, recording its ``trace``."""
 
     def __init__(
         self,
@@ -260,82 +248,135 @@ class VmRunner:
             raise ValueError(
                 f"initial_memory has {len(words)} words, memory_size is {memory_size}"
             )
-        self._initial_memory = words
-        self._initial_registers = tuple(initial_registers or (0,) * NUM_REGISTERS)
-        self.memory = MemoryTree(words)
-        self.state = VmState(
-            pc=0,
-            registers=self._initial_registers,
-            memory_root=self.memory.root,
-        )
+        registers = tuple(initial_registers or (0,) * NUM_REGISTERS)
+        self.trace = VmTrace(self.program, memory_size, registers, words)
+
+    @property
+    def state(self) -> VmState:
+        """The state after the last executed instruction."""
+        return self.trace.states[-1]
 
     def instruction_at(self, pc: int) -> Instruction:
         return fetch(self.program, pc)
 
     def step_witness(self) -> MemoryWitness:
         """Inclusion proofs for the cells the next instruction touches."""
-        instr = self.instruction_at(self.state.pc)
-        return _witness(self.memory, instr, self.state.registers, self.memory_size)
+        return self.trace.step_proof(self.trace.length).memory_witness
 
-    def step(self) -> VmState:
-        regs = list(self.state.registers)
-        pc = execute(
-            self.instruction_at(self.state.pc),
-            self.state.pc,
-            regs,
-            self.memory,
-            self.oracle,
-            self.memory_size,
-        )
-        self.state = VmState(pc=pc, registers=tuple(regs), memory_root=self.memory.root)
-        return self.state
+    def step(self) -> None:
+        """Execute the next instruction and record it raw; nothing is hashed."""
+        trace = self.trace
+        pc, regs = trace.pcs[-1], list(trace.registers[-1])
+        pc = execute(self.instruction_at(pc), pc, regs, trace, self.oracle, self.memory_size)
+        trace.pcs.append(pc)
+        trace.registers.append(tuple(regs))
 
     def run_trace(self, steps: int) -> "VmTrace":
-        """Execute ``steps`` instructions, recording every state hash."""
-        states = [self.state]
-        hashes = [self.state.hash()]
+        """Execute ``steps`` more instructions; return the trace of the whole run."""
         for _ in range(steps):
-            states.append(self.step())
-            hashes.append(self.state.hash())
-        return VmTrace(
-            program=self.program,
-            memory_size=self.memory_size,
-            oracle=self.oracle,
-            states=states,
-            hashes=hashes,
-            initial_registers=self._initial_registers,
-            initial_memory=self._initial_memory,
-        )
+            self.step()
+        return self.trace
 
 
-@dataclass
+class _PerIndex(Sequence):
+    """A read-only view of one value per trace index, computed when read."""
+
+    def __init__(self, trace: "VmTrace", value: Callable[[int], object]):
+        self._trace = trace
+        self._value = value
+
+    def __len__(self) -> int:
+        return len(self._trace.pcs)
+
+    def __getitem__(self, index: int):
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError(f"trace index {index} out of range")
+        return self._value(index)
+
+
 class VmTrace:
-    """A completed execution: full states plus precomputed state hashes."""
+    """An execution recorded raw: the pc and registers of every state, and a
+    log of every store as ``(step, addr, old, new)``.
 
-    program: list[Instruction]
-    memory_size: int
-    oracle: PreimageOracle | None
-    states: list[VmState]
-    hashes: list[bytes]
-    initial_registers: tuple[int, ...]
-    initial_memory: list[int]
+    State ``i`` is the state before instruction ``i``. ``states`` and
+    ``hashes`` are per-index views that hash only what is read. While the
+    runner records, the trace is also the memory ``execute`` writes: its head
+    words, after the last recorded instruction.
+    """
+
+    def __init__(
+        self,
+        program: list[Instruction],
+        memory_size: int,
+        initial_registers: tuple[int, ...],
+        initial_memory: list[int],
+    ):
+        self.program = program
+        self.memory_size = memory_size
+        self.pcs = [0]
+        self.registers = [initial_registers]
+        self.stores: list[tuple[int, int, int, int]] = []
+        self._head = list(initial_memory)
+        # the cursor holds memory with the first _cursor_stores stores applied
+        self._cursor = MemoryTree(list(initial_memory))
+        self._cursor_stores = 0
+        self._roots: dict[int, bytes] = {}
+        self._hashes: dict[int, bytes] = {}
+        self.states = _PerIndex(self, self._state)
+        self.hashes = _PerIndex(self, self._state_hash)
 
     @property
     def length(self) -> int:
-        return len(self.states) - 1
+        return len(self.pcs) - 1
+
+    # -- the head memory, as execute reaches it while recording
+
+    def load(self, addr: int) -> int:
+        return self._head[addr]
+
+    def update(self, addr: int, word: int) -> None:
+        self.stores.append((self.length, addr, self._head[addr], word))
+        self._head[addr] = word
+
+    # -- lazy hashing
+
+    def _memory_at(self, index: int) -> MemoryTree:
+        """The cursor, moved to the memory of state ``index``."""
+        target = bisect_left(self.stores, index, key=lambda store: store[0])
+        here = self._cursor_stores
+        if target >= here:
+            moved = {addr: new for _, addr, _, new in self.stores[here:target]}
+        else:  # undo latest first, so each cell ends at its earliest old word
+            moved = {addr: old for _, addr, old, _ in reversed(self.stores[target:here])}
+        self._cursor.update(moved)
+        self._cursor_stores = target
+        return self._cursor
+
+    def _state(self, index: int) -> VmState:
+        root = self._roots.get(index)
+        if root is None:
+            root = self._roots[index] = self._memory_at(index).root
+        return VmState(pc=self.pcs[index], registers=self.registers[index], memory_root=root)
+
+    def _state_hash(self, index: int) -> bytes:
+        digest = self._hashes.get(index)
+        if digest is None:
+            digest = self._hashes[index] = self._state(index).hash()
+        return digest
 
     def step_proof(self, index: int) -> StepProof:
-        """Pre-state and memory witness for instruction ``index``.
-
-        Replays raw execution from the initial configuration (traces do not
-        snapshot memory per step), then Merkleizes memory once at the target.
-        """
-        pc, regs, words = 0, list(self.initial_registers), _RawMemory(self.initial_memory)
-        for _ in range(index):
-            pc = execute(fetch(self.program, pc), pc, regs, words, self.oracle, self.memory_size)
-        tree = MemoryTree(words)
-        pre = VmState(pc=pc, registers=tuple(regs), memory_root=tree.root)
-        witness = _witness(tree, fetch(self.program, pc), regs, self.memory_size)
+        """Pre-state and memory witness for instruction ``index``."""
+        if not 0 <= index <= self.length:
+            raise IndexError(f"trace index {index} out of range")
+        pre = self._state(index)
+        instr = fetch(self.program, pre.pc)
+        witness: MemoryWitness = {}
+        if instr.op in (OP_LOAD, OP_STORE):
+            addr = pre.registers[instr.a] % self.memory_size
+            memory = self._memory_at(index)
+            witness[addr] = (memory.words[addr], memory.prove(addr))
         return StepProof(pre_state=pre, memory_witness=witness)
 
 

@@ -153,6 +153,8 @@ class ScenarioConfig:
             raw = json.loads(payload)
         except ValueError as exc:
             raise ConfigError(f"config: not valid JSON ({exc})") from exc
+        except RecursionError as exc:  # the decoder recurses once per nesting level
+            raise ConfigError("config: JSON nested too deeply") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"config: expected a JSON object, got {type(raw).__name__}")
         unknown = set(raw) - set(cls.__dataclass_fields__)

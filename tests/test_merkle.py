@@ -88,19 +88,51 @@ class TestUpdate:
         leaves = [bytes([i]) for i in range(8)]
         for i in range(8):
             tree = MerkleTree(leaves, hash_fn=sha)
-            tree.update(i, b"new")
+            tree.update({i: b"new"})
             rebuilt = MerkleTree(leaves[:i] + [b"new"] + leaves[i + 1:], hash_fn=sha)
             assert tree.levels == rebuilt.levels, i
 
+    def test_batched_update_matches_rebuild(self):
+        # random subsets, so shared parents are rehashed once from both sides
+        rng = random.Random(7)
+        for width in (8, 64):
+            leaves = [bytes([i]) * 4 for i in range(width)]
+            for _ in range(40):
+                tree = MerkleTree(leaves, hash_fn=sha)
+                subset = rng.sample(range(width), rng.randrange(width + 1))
+                changes = {i: rng.randbytes(5) for i in subset}
+                tree.update(changes)
+                updated = [changes.get(i, leaf) for i, leaf in enumerate(leaves)]
+                assert tree.levels == MerkleTree(updated, hash_fn=sha).levels, (width, changes)
+
+    def test_batched_update_hashes_each_dirty_node_once(self):
+        calls = []
+        counted = lambda blob: calls.append(blob) or sha(blob)
+        tree = MerkleTree([bytes([i]) for i in range(8)], hash_fn=counted)
+        calls.clear()
+        tree.update({0: b"x", 1: b"y", 6: b"z"})
+        # 3 leaves, then parents {0, 3}, {0, 1} and the root
+        assert len(calls) == 3 + 2 + 2 + 1
+
     def test_update_rejects_padded_width(self):
         with pytest.raises(ValueError, match="power-of-two"):
-            MerkleTree([b"a", b"b", b"c"]).update(0, b"x")
+            MerkleTree([b"a", b"b", b"c"]).update({0: b"x"})
 
     def test_update_out_of_range(self):
         tree = MerkleTree([b"a", b"b"])
         for index in (2, -1):
             with pytest.raises(IndexOutOfRange):
-                tree.update(index, b"x")
+                tree.update({index: b"x"})
+
+
+class TestBuildDeduplication:
+    def test_each_distinct_blob_hashed_once(self):
+        calls = []
+        counted = lambda blob: calls.append(blob) or sha(blob)
+        tree = MerkleTree([b"a", b"a", b"b", b"a"], hash_fn=counted)
+        a, b = hash_leaf(b"a", sha), hash_leaf(b"b", sha)
+        assert tree.root == hash_node(hash_node(a, a, sha), hash_node(b, a, sha), sha)
+        assert len(calls) == len(set(calls)) == 5
 
 
 class TestVerification:
@@ -157,6 +189,38 @@ class TestVerification:
             if not verify_inclusion(root, leaf, proof, hash_fn=sha):
                 rejected += 1
         assert rejected == trials
+
+    def test_relabelled_proof_rejected(self):
+        # cell 5's path claimed for index 0: the sides do not spell out 0
+        leaves = [bytes([i]) * 8 for i in range(8)]
+        tree = MerkleTree(leaves)
+        siblings = tree.prove(5).siblings
+        assert verify_inclusion(tree.root, leaves[5], MerkleProof(5, siblings))
+        for index in (0, 4, 7):
+            assert not verify_inclusion(tree.root, leaves[5], MerkleProof(index, siblings))
+
+    def test_index_beyond_path_rejected(self):
+        leaves = [bytes([i]) * 8 for i in range(8)]
+        tree = MerkleTree(leaves)
+        siblings = tree.prove(5).siblings
+        for index in (5 + 8, 5 + 64, -3):
+            assert not verify_inclusion(tree.root, leaves[5], MerkleProof(index, siblings))
+
+    def test_unknown_side_rejected(self):
+        tree = MerkleTree([b"a", b"b"])
+        (sibling, _), = tree.prove(0).siblings
+        assert not verify_inclusion(tree.root, b"a", MerkleProof(0, ((sibling, "up"),)))
+
+    def test_every_honest_proof_binds_its_index(self):
+        for n in (1, 2, 3, 5, 8, 13):
+            leaves = [bytes([i]) for i in range(n)]
+            tree = MerkleTree(leaves, hash_fn=sha)
+            for i in range(n):
+                proof = tree.prove(i)
+                assert verify_inclusion(tree.root, leaves[i], proof, hash_fn=sha)
+                for j in set(range(n)) - {i}:
+                    relabelled = MerkleProof(j, proof.siblings)
+                    assert not verify_inclusion(tree.root, leaves[i], relabelled, hash_fn=sha)
 
     def test_fold_proof_updates_leaf(self):
         # power-of-two width so sibling paths never alias the updated leaf

@@ -1,4 +1,7 @@
+import copy
 import json
+import random
+import re
 
 import pytest
 
@@ -67,6 +70,90 @@ class TestConfig:
         config = ScenarioConfig(seed=5)
         assert config.rng("a").random() != config.rng("b").random()
         assert config.rng("a").random() == config.rng("a").random()
+
+
+_JUNK = ("x", "", 1.5, None, True, [], {}, [1, "a"], {"k": [None]}, [[{}]])
+_INTS = (-1, 0, 1, 2, 7, 2**31, 2**64, 2**128, 2**160, 2**256, -(2**70))
+_DEEP = "deeply nested"  # replaced by 3,000 nested arrays in the payload
+# "field: ", "section[i]: " or "section[i].key: "; "config: " for the whole document
+_FIELD_PATH = re.compile(r"[a-z_]+(\[\d+\](\.[a-z_]+)?)?: ")
+_FUZZ_BASES = (
+    ScenarioConfig(
+        rollup="optimistic", planted_fraud=True, dispute_steps=64, fault_position=40,
+        deposits=[{"user": 0x100, "value": 10_000, "gas_limit": 100_000}],
+        transfers=[{"user": 0x100, "target": 0x200, "value": 1_000}],
+        withdrawals=[{"user": 0x200, "value": 700, "target": 0x300}],
+    ),
+    ScenarioConfig(
+        rollup="validity",
+        deposits=[{"user": 0x100, "value": 10_000, "fee": 5}],
+        transfers=[{"user": 0x100, "target": 0x200, "value": 1_000}],
+        withdrawals=[{"user": 0x200, "value": 700}],
+    ),
+)
+
+
+def _slots(node):
+    """(container, key) of every value in a JSON tree."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return []
+    out = []
+    for key, value in items:
+        out.append((node, key))
+        out += _slots(value)
+    return out
+
+
+def _mutant(rng):
+    """A valid config's JSON with one to three random mutations."""
+    obj = json.loads(rng.choice(_FUZZ_BASES).to_json())
+    for _ in range(rng.randint(1, 3)):
+        container, key = rng.choice(_slots(obj))
+        kind = rng.randrange(6)
+        if kind == 0:  # wrong type
+            container[key] = copy.deepcopy(rng.choice(_JUNK))
+        elif kind == 1:  # negative, zero or huge int
+            container[key] = rng.choice(_INTS)
+        elif kind == 2:  # unknown or duplicate key
+            target = container if isinstance(container, dict) else obj
+            target[rng.choice(("zz", "user", "fees", "rollupz"))] = rng.choice(_INTS + _JUNK)
+        elif kind == 3:  # missing key or list item
+            del container[key]
+        elif kind == 4:  # nested junk around a value
+            container[key] = [container[key]] if rng.random() < 0.5 else {"v": container[key]}
+        else:
+            container[key] = _DEEP
+    return json.dumps(obj).replace(json.dumps(_DEEP), "[" * 3000 + "]" * 3000)
+
+
+class TestConfigFuzz:
+    def test_mutants_are_valid_or_name_their_field_path(self):
+        rng = random.Random(2024)
+        runs = []
+        for _ in range(400):
+            payload = _mutant(rng)
+            try:
+                config = ScenarioConfig.from_json(payload)
+            except ConfigError as exc:
+                assert _FIELD_PATH.match(str(exc)), (str(exc), payload[:200])
+                continue
+            assert ScenarioConfig.from_json(config.to_json()) == config
+            # run cost grows with these fields, so only mutants near the
+            # defaults run, which keeps the test to a few seconds
+            small = (
+                config.window <= 8
+                and config.proof_cadence_blocks <= 8
+                and config.dispute_steps <= 1024
+            )
+            if small and len(runs) < 8:
+                runs.append(config)
+        assert len(runs) == 8
+        for config in runs:
+            run(config)  # a rejected action is a timeline event, never a raise
 
 
 class TestOptimisticScenario:
