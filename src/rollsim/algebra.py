@@ -199,11 +199,6 @@ class FieldElement:
         raise ValueError(f"{self.value} has no small rational preimage")
 
 
-def field_inv(a: FieldElement) -> FieldElement:
-    """Multiplicative inverse; raises InversionOfZero on the zero element."""
-    return a.inverse()
-
-
 class Polynomial:
     """A polynomial over a prime field, coefficients lowest-degree first.
 
@@ -353,10 +348,6 @@ def poly_interpolate(
             denom = denom * (xi - xj)
         result = result + basis * (yi / denom)
     return result
-
-
-def poly_divmod(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    return num.divmod(den)
 
 
 # --- group oracle -----------------------------------------------------------

@@ -131,31 +131,10 @@ def dispute_demo(steps, fault, seed):
     """Play one bisection game with a planted fault and print the outcome."""
     if not 1 <= fault <= steps:
         raise click.ClickException("--fault must lie in [1, --steps]")
-    program = [
-        dispute_mod.Instruction(dispute_mod.OP_ADD, 1, 2, 1),
-        dispute_mod.Instruction(dispute_mod.OP_MUL, 1, 2, 3),
-        dispute_mod.Instruction(dispute_mod.OP_STORE, 0, 3),
-        dispute_mod.Instruction(dispute_mod.OP_ADD, 0, 4, 0),
-        dispute_mod.Instruction(dispute_mod.OP_JUMPZ, 5, 0),
-    ]
-    rng = random.Random(seed)
-    registers = (0, 1 + rng.randrange(5), 3, 0, 1, 0, 0, 0)
-    runner = dispute_mod.VmRunner(program, memory_size=64, initial_registers=registers)
-    trace = runner.run_trace(steps)
-    faulty = dispute_mod.FaultyAgent(trace, fault)
-    game = dispute_mod.dispute_open(
-        dispute_mod.GameParams(program=program, memory_size=64),
-        challenger=0xC,
-        defender=0xD,
-        claimed_final_state=faulty.state_hash(steps),
-        trace_length=steps,
-        agreed_start_hash=trace.hashes[0],
-    )
-    winner = dispute_mod.run_dispute(
-        game, defender_agent=faulty, challenger_agent=dispute_mod.HonestAgent(trace)
-    )
-    click.echo(f"{winner} wins, rounds={game.rounds}")
-    if winner != dispute_mod.CHALLENGER:
+    registers = (0, 1 + random.Random(seed).randrange(5), 3, 0, 1, 0, 0, 0)
+    game = dispute_mod.play_planted_fault(registers, steps, fault, challenger=0xC, defender=0xD)
+    click.echo(f"{game.winner} wins, rounds={game.rounds}")
+    if game.winner != dispute_mod.CHALLENGER:
         sys.exit(1)
 
 

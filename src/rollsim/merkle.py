@@ -1,9 +1,11 @@
 """Binary Merkle trees with inclusion proofs.
 
 Leaf and internal hashes are domain-separated (0x00 / 0x01 prefix) so a
-64-byte leaf cannot be replayed as an internal node. Odd level widths are
-padded by duplicating the last node. A proof's sides must spell out its leaf
-index, so a proof of one leaf cannot be relabelled as a proof of another.
+64-byte leaf cannot be replayed as an internal node. The leaf level is padded
+to the next power of two with zero nodes (32 zero bytes, the hash of no leaf),
+so no two leaf lists share a root and one rehash rule serves every width. A
+proof's sides must spell out its leaf index, so a proof of one leaf cannot be
+relabelled as a proof of another.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ HashFn = Callable[[bytes], bytes]
 
 LEAF_PREFIX = b"\x00"
 NODE_PREFIX = b"\x01"
+ZERO_NODE = bytes(32)
 
 
 class EmptyTree(ValueError):
@@ -77,11 +80,9 @@ class MerkleTree:
             return digests[blob]
 
         level = [digest(LEAF_PREFIX + leaf) for leaf in leaves]
+        level += [ZERO_NODE] * ((1 << (len(level) - 1).bit_length()) - len(level))
         self.levels: list[list[bytes]] = [level]
         while len(level) > 1:
-            if len(level) % 2:
-                level = level + [level[-1]]
-                self.levels[-1] = level
             level = [
                 digest(NODE_PREFIX + level[i] + level[i + 1]) for i in range(0, len(level), 2)
             ]
@@ -99,12 +100,7 @@ class MerkleTree:
     def update(self, leaves: Mapping[int, bytes]) -> None:
         """Set each ``index: leaf`` of ``leaves``, then rehash each node above
         them once, level by level up to the root.
-
-        Only for power-of-two leaf counts: with duplication padding, an odd
-        level's last node also sits in its padded copy, which would go stale.
         """
-        if self.leaf_count & (self.leaf_count - 1):
-            raise ValueError(f"update needs a power-of-two leaf count, not {self.leaf_count}")
         for index in leaves:
             self._check_index(index)
         bottom = self.levels[0]
@@ -126,11 +122,6 @@ class MerkleTree:
             siblings.append((level[sib], side))
             pos //= 2
         return MerkleProof(leaf_index=index, siblings=tuple(siblings))
-
-
-def build_root(leaves: Sequence[bytes], hash_fn: HashFn = keccak256) -> bytes:
-    """Root hash of ``leaves``; deterministic and order-sensitive."""
-    return MerkleTree(leaves, hash_fn).root
 
 
 def fold_proof(leaf: bytes, proof: MerkleProof, hash_fn: HashFn = keccak256) -> bytes:

@@ -151,25 +151,6 @@ class OptimismPortal:
         return self.deposit_transaction(**kwargs)
 
 
-def deposit_transaction(
-    portal: OptimismPortal,
-    caller: int,
-    caller_is_contract: bool,
-    to: int,
-    value: int,
-    gas_limit: int,
-    is_creation: bool,
-    data: bytes,
-    l2_basefee: int,
-    l1_basefee: int,
-    mint: int | None = None,
-) -> tuple[Event, int]:
-    return portal.deposit_transaction(
-        caller, caller_is_contract, to, value, gas_limit, is_creation, data,
-        l2_basefee, l1_basefee, mint=mint,
-    )
-
-
 def deposit_from_event(event: Event, l1_block_hash: bytes) -> DepositedTx:
     """Rebuild the L2 deposited transaction from its L1 event."""
     fields = rlp.decode(event.payload)

@@ -256,9 +256,6 @@ class VmRunner:
         """The state after the last executed instruction."""
         return self.trace.states[-1]
 
-    def instruction_at(self, pc: int) -> Instruction:
-        return fetch(self.program, pc)
-
     def step_witness(self) -> MemoryWitness:
         """Inclusion proofs for the cells the next instruction touches."""
         return self.trace.step_proof(self.trace.length).memory_witness
@@ -267,7 +264,7 @@ class VmRunner:
         """Execute the next instruction and record it raw; nothing is hashed."""
         trace = self.trace
         pc, regs = trace.pcs[-1], list(trace.registers[-1])
-        pc = execute(self.instruction_at(pc), pc, regs, trace, self.oracle, self.memory_size)
+        pc = execute(fetch(self.program, pc), pc, regs, trace, self.oracle, self.memory_size)
         trace.pcs.append(pc)
         trace.registers.append(tuple(regs))
 
@@ -588,3 +585,40 @@ def run_dispute(
         dispute_bisect(game, game.defender, defender_agent.state_hash(mid), now_fn())
         dispute_bisect(game, game.challenger, challenger_agent.state_hash(mid), now_fn())
     return dispute_step(game, challenger_agent.step_proof(game.lo))
+
+
+# --- the planted-fault game -----------------------------------------------------
+
+# The execution a planted-fault game disputes: a loop that adds, multiplies,
+# stores the product at a moving address and jumps back to 0 (r5 stays 0).
+FIXTURE_PROGRAM = (
+    Instruction(OP_ADD, 1, 2, 1),
+    Instruction(OP_MUL, 1, 2, 3),
+    Instruction(OP_STORE, 0, 3),
+    Instruction(OP_ADD, 0, 4, 0),
+    Instruction(OP_JUMPZ, 5, 0),
+)
+
+
+def play_planted_fault(
+    registers: tuple[int, ...], steps: int, fault: int, challenger: int, defender: int
+) -> DisputeGame:
+    """Record ``steps`` instructions of ``FIXTURE_PROGRAM`` from ``registers``
+    and play the game over them; return it settled.
+
+    The defender is a ``FaultyAgent`` whose claimed trace diverges at
+    ``fault``, the challenger an ``HonestAgent``.
+    """
+    program = list(FIXTURE_PROGRAM)
+    trace = VmRunner(program, initial_registers=registers).run_trace(steps)
+    faulty = FaultyAgent(trace, fault)
+    game = dispute_open(
+        GameParams(program=program),
+        challenger=challenger,
+        defender=defender,
+        claimed_final_state=faulty.state_hash(steps),
+        trace_length=steps,
+        agreed_start_hash=trace.hashes[0],
+    )
+    run_dispute(game, defender_agent=faulty, challenger_agent=HonestAgent(trace))
+    return game

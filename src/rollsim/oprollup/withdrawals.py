@@ -106,12 +106,6 @@ class L2OutputOracle:
         return slashed
 
 
-def propose_output(
-    oracle: L2OutputOracle, proposer: int, root: bytes, l2_block_number: int, stake: int
-) -> OutputProposal:
-    return oracle.propose(proposer, root, l2_block_number, stake)
-
-
 class WithdrawalPortal:
     """The finalization side of the portal: executes proven withdrawals."""
 
@@ -241,12 +235,3 @@ class LenderPool:
     def _on_finalized(self, withdrawal_hash: bytes, tx: WithdrawalTx, now: int) -> None:
         if withdrawal_hash in self.loans and withdrawal_hash not in self.closed:
             self.closed[withdrawal_hash] = now
-
-
-def fast_withdrawal(
-    attestation: OracleAttestation,
-    withdrawal: WithdrawalTx,
-    lender_pool: LenderPool,
-    now: int = 0,
-) -> Loan:
-    return lender_pool.fast_withdrawal(attestation, withdrawal, now)

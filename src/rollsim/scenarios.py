@@ -70,6 +70,13 @@ _WORKLOAD_KEYS = {
 # sums inside a 256-bit storage word
 _WORKLOAD_KEY_BITS = {"user": 160, "target": 160, "value": 128, "fee": 128, "gas_limit": 64}
 
+# upper bounds of the fields a run's length grows with: blocks mined to flush
+# the sequencing window, blocks per validity proof, and dispute trace steps;
+# at each bound a run of the CLI's default workload takes at most about a second
+MAX_WINDOW = 256
+MAX_PROOF_CADENCE_BLOCKS = 1024
+MAX_DISPUTE_STEPS = 1 << 18
+
 
 def _require_type(path: str, expected: type, value) -> None:
     """Raise ConfigError unless ``value`` is an ``expected``; a bool is no int."""
@@ -106,6 +113,8 @@ class ScenarioConfig:
         min_window = 2 if self.rollup == "optimistic" else 1
         if self.window < min_window:
             raise ConfigError(f"window: must be at least {min_window} for a {self.rollup} rollup")
+        if self.window > MAX_WINDOW:
+            raise ConfigError(f"window: must be at most {MAX_WINDOW}")
         # timestamps and fees are encoded as fixed-width words
         if not 1 <= self.block_time < 1 << 32:
             raise ConfigError("block_time: must lie in [1, 2^32) seconds")
@@ -115,8 +124,12 @@ class ScenarioConfig:
             raise ConfigError("dispute_period: must be non-negative")
         if self.max_frame_bytes < 1:
             raise ConfigError("max_frame_bytes: must be at least 1")
-        if self.proof_cadence_blocks < 1:
-            raise ConfigError("proof_cadence_blocks: must be at least 1")
+        if not 1 <= self.proof_cadence_blocks <= MAX_PROOF_CADENCE_BLOCKS:
+            raise ConfigError(
+                f"proof_cadence_blocks: must lie in [1, {MAX_PROOF_CADENCE_BLOCKS}]"
+            )
+        if not 1 <= self.dispute_steps <= MAX_DISPUTE_STEPS:
+            raise ConfigError(f"dispute_steps: must lie in [1, {MAX_DISPUTE_STEPS}]")
         if not 0 < self.fault_position <= self.dispute_steps:
             raise ConfigError("fault_position: must lie in [1, dispute_steps]")
         for name in ("field_prime", "group_order"):
@@ -224,22 +237,6 @@ def run(config: ScenarioConfig) -> RunReport:
 
 
 # --- optimistic --------------------------------------------------------------------
-
-
-def _dispute_fixture(config: ScenarioConfig):
-    """A VM execution standing in for the challenged block's trace."""
-    program = [
-        dispute_mod.Instruction(dispute_mod.OP_ADD, 1, 2, 1),
-        dispute_mod.Instruction(dispute_mod.OP_MUL, 1, 2, 3),
-        dispute_mod.Instruction(dispute_mod.OP_STORE, 0, 3),
-        dispute_mod.Instruction(dispute_mod.OP_ADD, 0, 4, 0),
-        dispute_mod.Instruction(dispute_mod.OP_JUMPZ, 5, 0),
-    ]
-    runner = dispute_mod.VmRunner(
-        program, memory_size=64, initial_registers=(0, 1, 3, 0, 1, 0, 0, 0)
-    )
-    trace = runner.run_trace(config.dispute_steps)
-    return program, trace
 
 
 def _run_optimistic(config: ScenarioConfig) -> RunReport:
@@ -359,20 +356,12 @@ def _run_optimistic(config: ScenarioConfig) -> RunReport:
             chain.pending_timestamp, chain.pending_block_number, "output_proposed",
             root=bad_root.hex(), fraudulent=True,
         )
-        program, trace = _dispute_fixture(config)
-        faulty = dispute_mod.FaultyAgent(trace, config.fault_position)
-        params = dispute_mod.GameParams(program=program, memory_size=64)
-        game = dispute_mod.dispute_open(
-            params,
-            challenger=challenger,
-            defender=proposer,
-            claimed_final_state=faulty.state_hash(trace.length),
-            trace_length=trace.length,
-            agreed_start_hash=trace.hashes[0],
+        # a VM execution standing in for the challenged block's trace
+        game = dispute_mod.play_planted_fault(
+            (0, 1, 3, 0, 1, 0, 0, 0), config.dispute_steps, config.fault_position,
+            challenger=challenger, defender=proposer,
         )
-        winner = dispute_mod.run_dispute(
-            game, defender_agent=faulty, challenger_agent=dispute_mod.HonestAgent(trace)
-        )
+        winner = game.winner
         slashed = 0
         if winner == dispute_mod.CHALLENGER:
             slashed = oracle.invalidate(tip)

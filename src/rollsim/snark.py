@@ -484,10 +484,6 @@ def zk_shift(proof: SnarkProof, delta: int, group: PairingGroup) -> SnarkProof:
     )
 
 
-def verify_shifted(vk: VerificationKey, proof: SnarkProof, group: PairingGroup) -> bool:
-    return verify(vk, proof, group)
-
-
 # --- end-to-end convenience --------------------------------------------------
 
 

@@ -183,24 +183,6 @@ class StarkNetCore:
         )
 
 
-def send_message_to_l2(
-    core: StarkNetCore,
-    caller: int,
-    to_address: int,
-    selector: int,
-    payload,
-    fee: int = 0,
-) -> bytes:
-    msg_hash, _ = core.send_message_to_l2(caller, to_address, selector, payload, fee)
-    return msg_hash
-
-
-def consume_message_from_l2(
-    core: StarkNetCore, from_address: int, payload, caller: int
-) -> bytes:
-    return core.consume_message_from_l2(from_address, payload, caller)
-
-
 # --- the L2 side ---------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -63,6 +64,17 @@ class TestDisputeDemo:
     def test_fault_bounds_checked(self, runner):
         result = runner.invoke(main, ["dispute-demo", "--steps", "8", "--fault", "9"])
         assert result.exit_code != 0
+
+    @pytest.mark.parametrize("steps, fault", [(8, 5), (1000, 999), (1024, 600)])
+    def test_demo_and_fraud_scenario_play_the_same_game(self, runner, steps, fault):
+        args = ["--steps", str(steps), "--fault", str(fault)]
+        demo = runner.invoke(main, ["dispute-demo", *args])
+        scenario = runner.invoke(main, ["simulate-op", "--fraud", *args, "--json"])
+        assert demo.exit_code == scenario.exit_code == 0
+        dispute = json.loads(scenario.output)["dispute"]
+        rounds = math.ceil(math.log2(steps))
+        assert demo.output == f"challenger wins, rounds={rounds}\n"
+        assert (dispute["winner"], dispute["rounds"]) == ("challenger", rounds)
 
 
 class TestSimulations:

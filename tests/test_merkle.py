@@ -10,7 +10,6 @@ from rollsim.merkle import (
     IndexOutOfRange,
     MerkleProof,
     MerkleTree,
-    build_root,
     fold_proof,
     hash_leaf,
     hash_node,
@@ -28,25 +27,30 @@ class TestBuildRoot:
         leaves = [b"B1", b"B2", b"B3", b"B4"]
         h = [hash_leaf(leaf) for leaf in leaves]
         expected = hash_node(hash_node(h[0], h[1]), hash_node(h[2], h[3]))
-        assert build_root(leaves) == expected
+        assert MerkleTree(leaves).root == expected
 
     def test_single_leaf(self):
-        assert build_root([b"only"]) == hash_leaf(b"only")
+        assert MerkleTree([b"only"]).root == hash_leaf(b"only")
 
-    def test_three_leaves_duplicate_last(self):
-        assert build_root([b"a", b"b", b"c"]) == build_root([b"a", b"b", b"c", b"c"])
+    def test_three_leaves_differ_from_duplicated_last(self):
+        # zero padding: [a, b, c] is not [a, b, c, c] (the CVE-2012-2459 shape)
+        three = MerkleTree([b"a", b"b", b"c"])
+        four = MerkleTree([b"a", b"b", b"c", b"c"])
+        assert three.root != four.root
+        assert verify_inclusion(four.root, b"c", four.prove(3))
+        assert not verify_inclusion(three.root, b"c", four.prove(3))
 
     def test_empty_raises(self):
         with pytest.raises(EmptyTree):
-            build_root([])
+            MerkleTree([])
 
     def test_permutation_sensitive(self):
-        assert build_root([b"a", b"b"]) != build_root([b"b", b"a"])
+        assert MerkleTree([b"a", b"b"]).root != MerkleTree([b"b", b"a"]).root
 
     def test_keccak_is_default(self):
         leaves = [b"x", b"y"]
         expected = keccak256(b"\x01" + keccak256(b"\x00x") + keccak256(b"\x00y"))
-        assert build_root(leaves) == expected
+        assert MerkleTree(leaves).root == expected
 
 
 class TestProofs:
@@ -114,9 +118,14 @@ class TestUpdate:
         # 3 leaves, then parents {0, 3}, {0, 1} and the root
         assert len(calls) == 3 + 2 + 2 + 1
 
-    def test_update_rejects_padded_width(self):
-        with pytest.raises(ValueError, match="power-of-two"):
-            MerkleTree([b"a", b"b", b"c"]).update({0: b"x"})
+    def test_update_matches_rebuild_at_padded_widths(self):
+        for width in (3, 5, 7):
+            leaves = [bytes([i]) for i in range(width)]
+            for i in range(width):
+                tree = MerkleTree(leaves, hash_fn=sha)
+                tree.update({i: b"new"})
+                rebuilt = MerkleTree(leaves[:i] + [b"new"] + leaves[i + 1:], hash_fn=sha)
+                assert tree.levels == rebuilt.levels, (width, i)
 
     def test_update_out_of_range(self):
         tree = MerkleTree([b"a", b"b"])
@@ -133,6 +142,14 @@ class TestBuildDeduplication:
         a, b = hash_leaf(b"a", sha), hash_leaf(b"b", sha)
         assert tree.root == hash_node(hash_node(a, a, sha), hash_node(b, a, sha), sha)
         assert len(calls) == len(set(calls)) == 5
+
+    def test_zero_padding_hashed_once_per_level(self):
+        calls = []
+        counted = lambda blob: calls.append(blob) or sha(blob)
+        MerkleTree([bytes([i]) for i in range(9)], hash_fn=counted)
+        # 16 slots: 9 leaves; then 4 + 1 mixed and 1 all-zero node, 2 + 1 + 1,
+        # 1 + 1, and the root
+        assert len(calls) == len(set(calls)) == 9 + 6 + 4 + 2 + 1
 
 
 class TestVerification:

@@ -9,6 +9,7 @@ from rollsim.oprollup.dispute import (
     BadStepProof,
     CHALLENGER,
     DEFENDER,
+    FIXTURE_PROGRAM,
     FaultyAgent,
     GameParams,
     HonestAgent,
@@ -21,7 +22,6 @@ from rollsim.oprollup.dispute import (
     OP_JUMPZ,
     OP_LOAD,
     OP_LOADPRE,
-    OP_MUL,
     OP_STORE,
     PreimageOracle,
     PreimageUnavailable,
@@ -32,20 +32,15 @@ from rollsim.oprollup.dispute import (
     dispute_open,
     dispute_step,
     dispute_timeout,
+    fetch,
+    play_planted_fault,
     run_dispute,
     vm_step,
 )
-from rollsim.scenarios import ScenarioConfig, _dispute_fixture
 
 
 def loop_program():
-    return [
-        Instruction(OP_ADD, 1, 2, 1),
-        Instruction(OP_MUL, 1, 2, 3),
-        Instruction(OP_STORE, 0, 3),
-        Instruction(OP_ADD, 0, 4, 0),
-        Instruction(OP_JUMPZ, 5, 0),
-    ]
+    return list(FIXTURE_PROGRAM)
 
 
 def make_runner(program=None, **kwargs):
@@ -147,7 +142,7 @@ class TestVmStep:
         runner.step()
         post = runner.state
         assert post == pre
-        assert runner.instruction_at(99).op == OP_HALT  # off-program pc halts
+        assert fetch(runner.program, 99).op == OP_HALT  # off-program pc halts
 
     def test_jumpz(self):
         runner = make_runner([Instruction(OP_JUMPZ, 5, 3)])  # r5 == 0: jump to 3
@@ -238,17 +233,8 @@ class TestLazyTrace:
 def _scenario_game(steps):
     """The fraud scenario's fixture and game: a fault at 600/1024 of the trace."""
     fault = steps * 600 // 1024
-    program, trace = _dispute_fixture(ScenarioConfig(dispute_steps=steps, fault_position=fault))
-    faulty = FaultyAgent(trace, fault)
-    game = dispute_open(
-        GameParams(program=program, memory_size=64),
-        challenger=0xC,
-        defender=0xD,
-        claimed_final_state=faulty.state_hash(steps),
-        trace_length=steps,
-        agreed_start_hash=trace.hashes[0],
-    )
-    return run_dispute(game, faulty, HonestAgent(trace))
+    game = play_planted_fault((0, 1, 3, 0, 1, 0, 0, 0), steps, fault, challenger=0xC, defender=0xD)
+    return game.winner
 
 
 class TestScenarioTrace:
@@ -266,7 +252,7 @@ class TestScenarioTrace:
         assert keccak_perms[0] <= 1_300  # 1,159 now, 39,585 eagerly
 
     def test_state_hashes_pinned(self):
-        _, trace = _dispute_fixture(ScenarioConfig(dispute_steps=1024))
+        trace = make_runner().run_trace(1024)
         assert keccak256(b"".join(trace.hashes)).hex() == (
             "851ca23d1747ae32f627207a415a70bca4451115f52e629e6a5eb3085db3c2fe"
         )

@@ -17,8 +17,6 @@ from rollsim.oprollup.withdrawals import (
     WithdrawalError,
     WithdrawalOracle,
     WithdrawalPortal,
-    fast_withdrawal,
-    propose_output,
 )
 
 PROPOSER = 0xA11CE
@@ -44,44 +42,44 @@ class TestProposals:
     def test_authorized_proposal_stored(self):
         chain = Chain()
         oracle = L2OutputOracle(chain, proposers={PROPOSER})
-        proposal = propose_output(oracle, PROPOSER, b"\x01" * 32, 7, oracle.min_stake)
+        proposal = oracle.propose(PROPOSER, b"\x01" * 32, 7, oracle.min_stake)
         assert oracle.get(7) == proposal
 
     def test_unauthorized_rejected(self):
         chain = Chain()
         oracle = L2OutputOracle(chain, proposers={PROPOSER})
         with pytest.raises(NotProposer):
-            propose_output(oracle, 0xBAD, b"\x01" * 32, 7, oracle.min_stake)
+            oracle.propose(0xBAD, b"\x01" * 32, 7, oracle.min_stake)
 
     def test_insufficient_stake(self):
         chain = Chain()
         oracle = L2OutputOracle(chain, proposers={PROPOSER})
         with pytest.raises(StakeTooLow):
-            propose_output(oracle, PROPOSER, b"\x01" * 32, 7, oracle.min_stake - 1)
+            oracle.propose(PROPOSER, b"\x01" * 32, 7, oracle.min_stake - 1)
 
     def test_rate_limit(self):
         chain = Chain()
         oracle = L2OutputOracle(chain, proposers={PROPOSER}, rate_limit=(10, 100))
         for i in range(10):
-            propose_output(oracle, PROPOSER, bytes([i]) * 32, i, oracle.min_stake)
+            oracle.propose(PROPOSER, bytes([i]) * 32, i, oracle.min_stake)
         with pytest.raises(ProposalRateLimited):
-            propose_output(oracle, PROPOSER, b"\xff" * 32, 99, oracle.min_stake)
+            oracle.propose(PROPOSER, b"\xff" * 32, 99, oracle.min_stake)
 
     def test_rate_limit_window_slides(self):
         chain = Chain()
         oracle = L2OutputOracle(chain, proposers={PROPOSER}, rate_limit=(2, 3))
-        propose_output(oracle, PROPOSER, b"\x01" * 32, 1, oracle.min_stake)
-        propose_output(oracle, PROPOSER, b"\x02" * 32, 2, oracle.min_stake)
+        oracle.propose(PROPOSER, b"\x01" * 32, 1, oracle.min_stake)
+        oracle.propose(PROPOSER, b"\x02" * 32, 2, oracle.min_stake)
         with pytest.raises(ProposalRateLimited):
-            propose_output(oracle, PROPOSER, b"\x03" * 32, 3, oracle.min_stake)
+            oracle.propose(PROPOSER, b"\x03" * 32, 3, oracle.min_stake)
         for _ in range(3):
             chain.mine_block()
-        propose_output(oracle, PROPOSER, b"\x04" * 32, 4, oracle.min_stake)
+        oracle.propose(PROPOSER, b"\x04" * 32, 4, oracle.min_stake)
 
     def test_invalidate_slashes_stake(self):
         chain = Chain()
         oracle = L2OutputOracle(chain, proposers={PROPOSER})
-        propose_output(oracle, PROPOSER, b"\x01" * 32, 7, oracle.min_stake)
+        oracle.propose(PROPOSER, b"\x01" * 32, 7, oracle.min_stake)
         slashed = oracle.invalidate(7)
         assert slashed == oracle.min_stake
         assert oracle.stakes[PROPOSER] == 0
@@ -209,7 +207,7 @@ class TestFastWithdrawals:
     def test_valid_attestation_funds_immediately(self):
         chain, portal, state, proof, proposal, attester, pool = self.make_pool()
         wtx = state.sent_withdrawals[0]
-        loan = fast_withdrawal(attester.attest(wtx.hash), wtx, pool, now=proposal.timestamp)
+        loan = pool.fast_withdrawal(attester.attest(wtx.hash), wtx, now=proposal.timestamp)
         assert chain.balance(wtx.sender) == loan.paid_out
         assert loan.paid_out == wtx.value - loan.interest
 
@@ -218,22 +216,22 @@ class TestFastWithdrawals:
         wtx = state.sent_withdrawals[0]
         forged = OracleAttestation("maker", wtx.hash, signature=b"\x00" * 32)
         with pytest.raises(UntrustedOracle):
-            fast_withdrawal(forged, wtx, pool)
+            pool.fast_withdrawal(forged, wtx, now=0)
         unknown = WithdrawalOracle("unknown", b"x").attest(wtx.hash)
         with pytest.raises(UntrustedOracle):
-            fast_withdrawal(unknown, wtx, pool)
+            pool.fast_withdrawal(unknown, wtx, now=0)
 
     def test_attestation_for_other_withdrawal(self):
         chain, portal, state, proof, proposal, attester, pool = self.make_pool()
         wtx = state.sent_withdrawals[0]
         other = attester.attest(keccak256(b"other"))
         with pytest.raises(AttestationMismatch):
-            fast_withdrawal(other, wtx, pool)
+            pool.fast_withdrawal(other, wtx, now=0)
 
     def test_loan_closes_at_real_finalization(self):
         chain, portal, state, proof, proposal, attester, pool = self.make_pool()
         wtx = state.sent_withdrawals[0]
-        loan = fast_withdrawal(attester.attest(wtx.hash), wtx, pool, now=proposal.timestamp)
+        loan = pool.fast_withdrawal(attester.attest(wtx.hash), wtx, now=proposal.timestamp)
         assert wtx.hash not in pool.closed
         wproof = state.withdrawal_proof(wtx.hash)
         close_time = proposal.timestamp + PERIOD

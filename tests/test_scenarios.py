@@ -5,13 +5,27 @@ import re
 
 import pytest
 
-from rollsim.scenarios import ConfigError, ScenarioConfig, run
+from rollsim.scenarios import (
+    MAX_DISPUTE_STEPS,
+    MAX_PROOF_CADENCE_BLOCKS,
+    MAX_WINDOW,
+    ConfigError,
+    ScenarioConfig,
+    run,
+)
 
 WORKLOAD = dict(
     deposits=[{"user": 0x100, "value": 10_000}],
     transfers=[{"user": 0x100, "target": 0x200, "value": 1_000}],
     withdrawals=[{"user": 0x200, "value": 700}],
 )
+
+# the config fields a run's length grows with, and their upper bounds
+_BOUNDS = {
+    "window": MAX_WINDOW,
+    "proof_cadence_blocks": MAX_PROOF_CADENCE_BLOCKS,
+    "dispute_steps": MAX_DISPUTE_STEPS,
+}
 
 
 class TestConfig:
@@ -65,6 +79,12 @@ class TestConfig:
     def test_field_prime_and_group_order_checked(self, payload, message):
         with pytest.raises(ConfigError, match=message):
             ScenarioConfig.from_json(payload)
+
+    @pytest.mark.parametrize("field, bound", _BOUNDS.items())
+    def test_run_length_fields_bounded_above(self, field, bound):
+        assert getattr(ScenarioConfig.from_json(json.dumps({field: bound})), field) == bound
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            ScenarioConfig.from_json(json.dumps({field: bound + 1}))
 
     def test_named_substreams_differ(self):
         config = ScenarioConfig(seed=5)
@@ -130,17 +150,48 @@ def _mutant(rng):
     return json.dumps(obj).replace(json.dumps(_DEEP), "[" * 3000 + "]" * 3000)
 
 
+def _above_bound(payload):
+    """The bounded fields of a mutant that hold an int above their bound."""
+    try:
+        obj = json.loads(payload)
+    except RecursionError:
+        return {}
+    return {
+        name: bound for name, bound in _BOUNDS.items()
+        if type(obj.get(name)) is int and obj[name] > bound
+    }
+
+
+def _valid_when_clamped(payload, above):
+    """True iff the mutant is a valid config with each field in ``above`` at its bound."""
+    obj = json.loads(payload)
+    obj.update(above)
+    try:
+        ScenarioConfig.from_json(json.dumps(obj))
+    except ConfigError:
+        return False
+    return True
+
+
 class TestConfigFuzz:
     def test_mutants_are_valid_or_name_their_field_path(self):
         rng = random.Random(2024)
         runs = []
+        named_bounds = 0
         for _ in range(400):
             payload = _mutant(rng)
+            above = _above_bound(payload)
             try:
                 config = ScenarioConfig.from_json(payload)
             except ConfigError as exc:
                 assert _FIELD_PATH.match(str(exc)), (str(exc), payload[:200])
+                # a mutant whose only fault is a field above its bound is
+                # rejected for that field
+                if above and _valid_when_clamped(payload, above):
+                    assert str(exc).startswith(tuple(f"{name}: " for name in above)), str(exc)
+                    named_bounds += 1
                 continue
+            assert not above, (above, payload[:200])
             assert ScenarioConfig.from_json(config.to_json()) == config
             # run cost grows with these fields, so only mutants near the
             # defaults run, which keeps the test to a few seconds
@@ -152,6 +203,7 @@ class TestConfigFuzz:
             if small and len(runs) < 8:
                 runs.append(config)
         assert len(runs) == 8
+        assert named_bounds, "no mutant exceeded a bound alone"
         for config in runs:
             run(config)  # a rejected action is a timeline event, never a raise
 

@@ -24,7 +24,6 @@ from rollsim.snark import (
     run_pipeline,
     setup,
     verify,
-    verify_shifted,
     witness,
     zk_shift,
 )
@@ -308,12 +307,12 @@ class TestZkShift:
             delta = rng.randrange(1, GROUP.order)
             shifted = zk_shift(self.proof, delta, GROUP)
             assert shifted.delta_applied
-            assert verify_shifted(self.crs.vk, shifted, GROUP)
+            assert verify(self.crs.vk, shifted, GROUP)
 
     def test_shifted_invalid_proof_rejects(self):
         bad = type(self.proof)(p=self.proof.p, p_shifted=self.proof.p_shifted, h=GROUP.encrypt(5))
         shifted = zk_shift(bad, 7777, GROUP)
-        assert not verify_shifted(self.crs.vk, shifted, GROUP)
+        assert not verify(self.crs.vk, shifted, GROUP)
 
     def test_zero_delta_rejected(self):
         with pytest.raises(DegenerateShift):

@@ -10,12 +10,10 @@ from rollsim.validityrollup.messaging import (
     NoHandler,
     StarkNetCore,
     ValidityL2State,
-    consume_message_from_l2,
     dispatch_l1_handler,
     l2_to_l1_message_hash,
     selector_from_name,
     send_message_to_l1,
-    send_message_to_l2,
     starkgate_withdraw_payload,
 )
 
@@ -50,8 +48,8 @@ class TestL1ToL2:
     def test_identical_sends_get_distinct_hashes(self):
         chain, core = make_core()
         sel = selector_from_name("deposit")
-        h1 = send_message_to_l2(core, L1_BRIDGE, L2_BRIDGE, sel, (1, 2), fee=5)
-        h2 = send_message_to_l2(core, L1_BRIDGE, L2_BRIDGE, sel, (1, 2), fee=5)
+        h1, _ = core.send_message_to_l2(L1_BRIDGE, L2_BRIDGE, sel, (1, 2), fee=5)
+        h2, _ = core.send_message_to_l2(L1_BRIDGE, L2_BRIDGE, sel, (1, 2), fee=5)
         assert h1 != h2  # nonce differs
         assert core.l1_to_l2_counters[h1] == 1
         assert core.l1_to_l2_counters[h2] == 1
@@ -63,7 +61,7 @@ class TestL1ToL2:
     def test_event_carries_fee(self):
         chain, core = make_core()
         sel = selector_from_name("deposit")
-        msg_hash = send_message_to_l2(core, L1_BRIDGE, L2_BRIDGE, sel, (3,), fee=777)
+        msg_hash, _ = core.send_message_to_l2(L1_BRIDGE, L2_BRIDGE, sel, (3,), fee=777)
         chain.mine_block()
         event = chain.events_in_block(0)[0]
         assert event.name == "LogMessageToL2"
@@ -73,7 +71,7 @@ class TestL1ToL2:
     def test_negative_fee_rejected(self):
         chain, core = make_core()
         with pytest.raises(ValueError):
-            send_message_to_l2(core, L1_BRIDGE, L2_BRIDGE, 1, (), fee=-1)
+            core.send_message_to_l2(L1_BRIDGE, L2_BRIDGE, 1, (), fee=-1)
 
 
 class TestHandlerDispatch:
@@ -131,26 +129,26 @@ class TestL2ToL1:
         l2 = ValidityL2State()
         send_message_to_l1(l2, L2_BRIDGE, L1_BRIDGE, payload)
         with pytest.raises(InvalidMessageToConsume, match="INVALID_MESSAGE_TO_CONSUME"):
-            consume_message_from_l2(core, L2_BRIDGE, payload, caller=L1_BRIDGE)
+            core.consume_message_from_l2(L2_BRIDGE, payload, caller=L1_BRIDGE)
 
     def test_consume_after_settlement_then_replay_fails(self):
         chain, core = make_core()
         payload = (1, 2, 3)
         msg_hash = l2_to_l1_message_hash(L2_BRIDGE, L1_BRIDGE, payload)
         core.l2_to_l1_counters[msg_hash] = 1  # as settlement would
-        assert consume_message_from_l2(core, L2_BRIDGE, payload, caller=L1_BRIDGE) == msg_hash
+        assert core.consume_message_from_l2(L2_BRIDGE, payload, caller=L1_BRIDGE) == msg_hash
         with pytest.raises(InvalidMessageToConsume):
-            consume_message_from_l2(core, L2_BRIDGE, payload, caller=L1_BRIDGE)
+            core.consume_message_from_l2(L2_BRIDGE, payload, caller=L1_BRIDGE)
 
     def test_counter_never_negative(self):
         chain, core = make_core()
         payload = (9,)
         msg_hash = l2_to_l1_message_hash(L2_BRIDGE, L1_BRIDGE, payload)
         core.l2_to_l1_counters[msg_hash] = 2
-        consume_message_from_l2(core, L2_BRIDGE, payload, caller=L1_BRIDGE)
-        consume_message_from_l2(core, L2_BRIDGE, payload, caller=L1_BRIDGE)
+        core.consume_message_from_l2(L2_BRIDGE, payload, caller=L1_BRIDGE)
+        core.consume_message_from_l2(L2_BRIDGE, payload, caller=L1_BRIDGE)
         with pytest.raises(InvalidMessageToConsume):
-            consume_message_from_l2(core, L2_BRIDGE, payload, caller=L1_BRIDGE)
+            core.consume_message_from_l2(L2_BRIDGE, payload, caller=L1_BRIDGE)
         assert core.l2_to_l1_counters[msg_hash] == 0
 
     def test_starkgate_payload_shape(self):
