@@ -35,19 +35,21 @@ def main():
     """Desk-scale rollup simulator and proof-system playground."""
 
 
-def _load_config(config_path: str | None, overrides: dict) -> ScenarioConfig:
-    if config_path is None:
-        config_path = os.environ.get(CONFIG_ENV_VAR)
-    if config_path:
-        with open(config_path) as fh:
-            config = ScenarioConfig.from_json(fh.read())
-        for key, value in overrides.items():
-            if value is not None:
-                setattr(config, key, value)
+def _load_config(config_path: str | None) -> ScenarioConfig:
+    config_path = config_path or os.environ.get(CONFIG_ENV_VAR)
+    if not config_path:
+        return ScenarioConfig()
+    with open(config_path) as fh:
+        return ScenarioConfig.from_json(fh.read())
+
+
+def _validated(config: ScenarioConfig) -> ScenarioConfig:
+    """Return ``config`` if it is valid; otherwise fail with its one-line ConfigError."""
+    try:
         config.validate()
-        return config
-    payload = {k: v for k, v in overrides.items() if v is not None}
-    return ScenarioConfig.from_json(json.dumps(payload))
+    except ConfigError as exc:
+        raise click.ClickException(str(exc))
+    return config
 
 
 def _emit_report(report, as_json: bool) -> None:
@@ -83,7 +85,7 @@ def _emit_report(report, as_json: bool) -> None:
 def run_cmd(config_path, as_json):
     """Run a scenario from a config file."""
     try:
-        config = _load_config(config_path, {})
+        config = _load_config(config_path)
     except ConfigError as exc:
         raise click.ClickException(str(exc))
     _emit_report(run_scenario(config), as_json)
@@ -111,7 +113,7 @@ def simulate_op(seed, fraud, steps, fault, as_json):
         seed=seed, rollup="optimistic", planted_fraud=fraud,
         dispute_steps=steps, fault_position=fault, **_DEFAULT_WORKLOAD,
     )
-    _emit_report(run_scenario(config), as_json)
+    _emit_report(run_scenario(_validated(config)), as_json)
 
 
 @main.command(name="simulate-validity")
@@ -120,7 +122,7 @@ def simulate_op(seed, fraud, steps, fault, as_json):
 def simulate_validity(seed, as_json):
     """Run the validity-rollup scenario: message in, prove, settle, consume."""
     config = ScenarioConfig(seed=seed, rollup="validity", **_DEFAULT_WORKLOAD)
-    _emit_report(run_scenario(config), as_json)
+    _emit_report(run_scenario(_validated(config)), as_json)
 
 
 @main.command(name="dispute-demo")
@@ -129,8 +131,7 @@ def simulate_validity(seed, as_json):
 @click.option("--seed", type=int, default=0, show_default=True)
 def dispute_demo(steps, fault, seed):
     """Play one bisection game with a planted fault and print the outcome."""
-    if not 1 <= fault <= steps:
-        raise click.ClickException("--fault must lie in [1, --steps]")
+    _validated(ScenarioConfig(dispute_steps=steps, fault_position=fault))
     registers = (0, 1 + random.Random(seed).randrange(5), 3, 0, 1, 0, 0, 0)
     game = dispute_mod.play_planted_fault(registers, steps, fault, challenger=0xC, defender=0xD)
     click.echo(f"{game.winner} wins, rounds={game.rounds}")

@@ -55,12 +55,6 @@ def chain_hash(blocks: list[L2Block]) -> bytes:
     return keccak256(b"".join(b.hash for b in blocks))
 
 
-@dataclass(frozen=True)
-class DerivationConfig:
-    portal_address: int = PORTAL_ADDRESS
-    inbox_address: int = BATCH_INBOX_ADDRESS
-
-
 def _attributes_tx(block, sequence_number: int) -> bytes:
     attrs = l1_attributes(block, sequence_number)
     return DepositedTx(
@@ -74,9 +68,7 @@ def _attributes_tx(block, sequence_number: int) -> bytes:
     ).encode()
 
 
-def derive(
-    l1_chain: Chain, window_w: int, config: DerivationConfig = DerivationConfig()
-) -> list[L2Block]:
+def derive(l1_chain: Chain, window_w: int) -> list[L2Block]:
     """Derive the full L2 chain for every epoch whose window is complete."""
     if window_w < 1:
         raise ValueError("sequencing window must span at least one block")
@@ -89,7 +81,7 @@ def derive(
     frame_arrivals: list[tuple[Frame, int, int]] = []  # (frame, block, arrival idx)
     for block in blocks:
         for tx in block.txs:
-            if tx.to != config.inbox_address or not tx.calldata:
+            if tx.to != BATCH_INBOX_ADDRESS or not tx.calldata:
                 continue
             try:
                 frames = parse_frames(tx.calldata)
@@ -128,7 +120,7 @@ def derive(
         deposits = [
             deposit_from_event(event, l1_block.hash)
             for event in l1_chain.events_in_block(epoch)
-            if event.address == config.portal_address and event.name == "TransactionDeposited"
+            if event.address == PORTAL_ADDRESS and event.name == "TransactionDeposited"
         ]
         seq = 0
         l2_blocks.append(

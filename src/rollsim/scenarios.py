@@ -20,7 +20,6 @@ from .oprollup import batching, dispute as dispute_mod
 from .oprollup.deposits import GUARANTEED_GAS_CAP, GuaranteedGasExhausted, OptimismPortal
 from .oprollup.derivation import (
     BATCH_INBOX_ADDRESS,
-    DerivationConfig,
     derive,
     execute_chain,
     transfer_tx,
@@ -196,19 +195,7 @@ class RunReport:
     invariant_violations: list[str]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "version": self.version,
-                "config_hash": self.config_hash,
-                "timeline": self.timeline,
-                "gas": self.gas,
-                "dispute": self.dispute,
-                "withdrawal_latencies": self.withdrawal_latencies,
-                "cost": self.cost,
-                "invariant_violations": self.invariant_violations,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     def report_hash(self) -> str:
         return keccak256(self.to_json().encode()).hex()
@@ -321,7 +308,7 @@ def _run_optimistic(config: ScenarioConfig) -> RunReport:
     for _ in range(config.window):
         chain.mine_block()  # flush the sequencing window
 
-    l2_blocks = derive(chain, config.window, DerivationConfig())
+    l2_blocks = derive(chain, config.window)
     executed = execute_chain(l2_blocks)
     timeline.log(
         chain.pending_timestamp, chain.pending_block_number, "derived",

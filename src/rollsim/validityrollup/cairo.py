@@ -1,10 +1,13 @@
 """A Cairo-style machine: field registers, write-once memory, hint-driven runner.
 
-Two views of the same semantics. The deterministic machine takes a step count,
-a memory function and a full state sequence and accepts iff every transition
-is valid; the nondeterministic machine takes a partial memory plus boundary
-registers and accepts iff some extension does. The runner produces inputs for
-both by executing bytecode, using hints to fill cells no deduction can reach.
+One interpreter, ``step``, decodes and executes each instruction; its
+assertions bind or check cells through whatever memory it is given. The runner
+runs it over a write-once memory that deduces the one cell an assertion
+determines, with hints filling cells no deduction can reach; it produces the
+full state sequence and the public partial memory. The deterministic checker
+runs the same ``step`` over a given, complete memory function, where every
+cell is known and an assertion only compares: it accepts a state sequence iff
+each transition is the one ``step`` computes.
 
 The instruction set is an algebraic RISC: equality assertions over field
 values (immediate, copy, add, mul), jumps, call/ret through fp, and an
@@ -163,6 +166,75 @@ def _instruction_addresses(state: CairoState, decoded: DecodedInstruction, prime
     return dst, a, b
 
 
+def step(state: CairoState, memory, prime: int = DEFAULT_PRIME) -> CairoState:
+    """Execute the instruction at ``state.pc`` and return the next state.
+
+    Each assertion binds the one cell it determines, or checks a cell that is
+    already bound, through ``memory[addr] = value``; ``addr in memory`` says
+    which cells count as known. Raises ValueError on an undecodable word,
+    MemoryContradiction on a failed assertion, InvalidAccess on a read of an
+    undefined cell and InsufficientHints when nothing determines a cell.
+    """
+    ins = decode_instruction(memory[state.pc])
+    dst, a, b = _instruction_addresses(state, ins, prime)
+    imm = (state.pc + 1) % prime
+    pc_next = (state.pc + ins.size) % prime
+    ap_next = (state.ap + (1 if ins.ap_inc else 0)) % prime
+    fp_next = state.fp
+    if ins.opcode == OP_ASSERT_EQ:
+        if a in memory:
+            memory[dst] = memory[a]
+        elif dst in memory:
+            memory[a] = memory[dst]
+        else:
+            raise InsufficientHints(f"neither side of [{dst}] = [{a}] is known")
+    elif ins.opcode == OP_ASSERT_EQ_IMM:
+        memory[dst] = memory[imm]
+    elif ins.opcode in (OP_ASSERT_ADD, OP_ASSERT_MUL):
+        _solve_binary_op(memory, ins.opcode, dst, a, b, prime)
+    elif ins.opcode == OP_JMP:
+        pc_next = memory[imm]
+    elif ins.opcode == OP_CALL:
+        memory[state.ap] = state.fp
+        memory[(state.ap + 1) % prime] = (state.pc + 2) % prime
+        pc_next = memory[imm]
+        ap_next = (state.ap + 2) % prime
+        fp_next = ap_next
+    elif ins.opcode == OP_RET:
+        pc_next = memory[(state.fp - 1) % prime]
+        fp_next = memory[(state.fp - 2) % prime]
+        ap_next = state.ap
+    elif ins.opcode == OP_ADVANCE_AP:
+        ap_next = (state.ap + memory[imm]) % prime
+    return CairoState(pc=pc_next, ap=ap_next, fp=fp_next)
+
+
+class _GivenMemory:
+    """A full memory function seen by the checker: every cell counts as known.
+
+    Nothing is deduced. Reading a cell the function does not define raises
+    InvalidAccess; an assignment compares the given value and raises
+    MemoryContradiction when they differ.
+    """
+
+    def __init__(self, cells):
+        self._cells = cells
+
+    def __contains__(self, addr: int) -> bool:
+        return True
+
+    def __getitem__(self, addr: int) -> int:
+        try:
+            return self._cells[addr]
+        except KeyError as exc:
+            raise InvalidAccess(addr) from exc
+
+    def __setitem__(self, addr: int, value: int) -> None:
+        given = self[addr]
+        if given != value:
+            raise MemoryContradiction(f"cell {addr} holds {given}, not {value}")
+
+
 def cairo_step_valid(
     state: CairoState,
     next_state: CairoState,
@@ -172,61 +244,12 @@ def cairo_step_valid(
     """Decide whether one transition follows the machine semantics.
 
     ``memory`` must define every address the instruction at ``state.pc``
-    touches (the memory is read-only; this function never writes).
+    touches, or InvalidAccess is raised; it is only read, never written.
     """
     try:
-        word = memory[state.pc]
-    except KeyError as exc:
-        raise InvalidAccess(state.pc) from exc
-    try:
-        ins = decode_instruction(word)
-    except ValueError:
+        return step(state, _GivenMemory(memory), prime) == next_state
+    except ValueError:  # an undecodable word or a failed assertion
         return False
-    dst, a, b = _instruction_addresses(state, ins, prime)
-
-    def cell(addr: int) -> int:
-        try:
-            return memory[addr]
-        except KeyError as exc:
-            raise InvalidAccess(addr) from exc
-
-    pc_next = (state.pc + ins.size) % prime
-    ap_next = (state.ap + (1 if ins.ap_inc else 0)) % prime
-    fp_next = state.fp
-    if ins.opcode == OP_ASSERT_EQ:
-        if cell(dst) != cell(a):
-            return False
-    elif ins.opcode == OP_ASSERT_EQ_IMM:
-        if cell(dst) != cell((state.pc + 1) % prime):
-            return False
-    elif ins.opcode == OP_ASSERT_ADD:
-        if cell(dst) != (cell(a) + cell(b)) % prime:
-            return False
-    elif ins.opcode == OP_ASSERT_MUL:
-        if cell(dst) != cell(a) * cell(b) % prime:
-            return False
-    elif ins.opcode == OP_JMP:
-        pc_next = cell((state.pc + 1) % prime)
-    elif ins.opcode == OP_CALL:
-        if cell(state.ap) != state.fp:
-            return False
-        if cell((state.ap + 1) % prime) != (state.pc + 2) % prime:
-            return False
-        pc_next = cell((state.pc + 1) % prime)
-        ap_next = (state.ap + 2) % prime
-        fp_next = ap_next
-    elif ins.opcode == OP_RET:
-        pc_next = cell((state.fp - 1) % prime)
-        fp_next = cell((state.fp - 2) % prime)
-        ap_next = state.ap
-    elif ins.opcode == OP_ADVANCE_AP:
-        ap_next = (state.ap + cell((state.pc + 1) % prime)) % prime
-        pc_next = (state.pc + 2) % prime
-    return (
-        next_state.pc == pc_next
-        and next_state.ap == ap_next
-        and next_state.fp == fp_next
-    )
 
 
 def deterministic_accept(
@@ -318,53 +341,13 @@ def run_program(
     state = CairoState(pc=pc_initial, ap=ap_initial, fp=ap_initial)
     states = [state]
 
-    def known(addr: int) -> bool:
-        return addr in memory
-
     for _ in range(max_steps):
         if state.pc == pc_final:
             break
         hint = program.hints.get((state.pc - prog_base) % prime)
         if hint is not None:
             hint(memory, state)
-        word = memory[state.pc]  # InvalidAccess if the program ran off its code
-        ins = decode_instruction(word)
-        dst, a, b = _instruction_addresses(state, ins, prime)
-        pc_next = (state.pc + ins.size) % prime
-        ap_next = (state.ap + (1 if ins.ap_inc else 0)) % prime
-        fp_next = state.fp
-
-        if ins.opcode == OP_ASSERT_EQ:
-            if known(dst) and known(a):
-                if memory[dst] != memory[a]:
-                    raise MemoryContradiction(f"[{dst}] = [{a}] fails")
-            elif known(a):
-                memory[dst] = memory[a]
-            elif known(dst):
-                memory[a] = memory[dst]
-            else:
-                raise InsufficientHints(f"neither side of [{dst}] = [{a}] is known")
-        elif ins.opcode == OP_ASSERT_EQ_IMM:
-            imm = memory[(state.pc + 1) % prime]
-            memory[dst] = imm  # binds or checks; contradiction raises
-        elif ins.opcode in (OP_ASSERT_ADD, OP_ASSERT_MUL):
-            _solve_binary_op(memory, ins.opcode, dst, a, b, prime)
-        elif ins.opcode == OP_JMP:
-            pc_next = memory[(state.pc + 1) % prime]
-        elif ins.opcode == OP_CALL:
-            memory[state.ap] = state.fp
-            memory[(state.ap + 1) % prime] = (state.pc + 2) % prime
-            pc_next = memory[(state.pc + 1) % prime]
-            ap_next = (state.ap + 2) % prime
-            fp_next = ap_next
-        elif ins.opcode == OP_RET:
-            pc_next = memory[(state.fp - 1) % prime]
-            fp_next = memory[(state.fp - 2) % prime]
-            ap_next = state.ap
-        elif ins.opcode == OP_ADVANCE_AP:
-            ap_next = (state.ap + memory[(state.pc + 1) % prime]) % prime
-            pc_next = (state.pc + 2) % prime
-        state = CairoState(pc=pc_next, ap=ap_next, fp=fp_next)
+        state = step(state, memory, prime)  # InvalidAccess if it ran off its code
         states.append(state)
     else:
         raise RuntimeError(f"program did not reach prog_end within {max_steps} steps")

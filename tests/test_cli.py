@@ -5,7 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from rollsim.cli import main
-from rollsim.scenarios import ScenarioConfig
+from rollsim.scenarios import MAX_DISPUTE_STEPS, ScenarioConfig
 
 
 @pytest.fixture
@@ -75,6 +75,30 @@ class TestDisputeDemo:
         rounds = math.ceil(math.log2(steps))
         assert demo.output == f"challenger wins, rounds={rounds}\n"
         assert (dispute["winner"], dispute["rounds"]) == ("challenger", rounds)
+
+
+class TestOutOfRangeTrace:
+    """simulate-op and dispute-demo share one bound on --steps and --fault."""
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (["simulate-op", "--fraud", "--steps", "300000"], "dispute_steps"),
+            (["simulate-op", "--fault", "0"], "fault_position"),
+            (["simulate-op", "--fraud", "--steps", "8", "--fault", "9"], "fault_position"),
+            (["dispute-demo", "--steps", "300000", "--fault", "600"], "dispute_steps"),
+            (["dispute-demo", "--steps", str(MAX_DISPUTE_STEPS + 1), "--fault", "1"], "dispute_steps"),
+            (["dispute-demo", "--steps", "0", "--fault", "0"], "dispute_steps"),
+            (["dispute-demo", "--steps", "8", "--fault", "9"], "fault_position"),
+        ],
+    )
+    def test_rejected_with_one_line_error(self, runner, args, field):
+        result = runner.invoke(main, args)
+        assert result.exit_code != 0
+        assert isinstance(result.exception, SystemExit)  # handled, no traceback
+        lines = result.output.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("Error: ") and field in lines[0]
 
 
 class TestSimulations:

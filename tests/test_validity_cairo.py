@@ -18,6 +18,7 @@ from rollsim.validityrollup.cairo import (
     OP_JMP,
     OP_RET,
     PartialMemory,
+    REG_FP,
     cairo_step_valid,
     decode_instruction,
     deterministic_accept,
@@ -217,6 +218,89 @@ class TestRunner:
         assert nd.steps == result.steps
         # the public partial memory is exactly the loaded bytecode
         assert nd.partial_memory == {1000 + i: w for i, w in enumerate(sqrt_program(25).bytecode)}
+
+
+def _every_opcode_program() -> CairoProgram:
+    """One straight run through all eight opcodes (ap = A, fp = A at entry).
+
+    [A] = 7, then [A+1] = [A] binds the destination from the operand and
+    [A+1] = [A+2] binds the operand from the destination; add and mul fill
+    [A+3] and [A+4]; ap advances by 5; a jump skips a dead word pair; a call
+    runs a callee that writes [fp] = 11 and returns to prog_end.
+    """
+    base = 300
+    bytecode = (
+        encode_instruction(OP_ASSERT_EQ_IMM, dst_off=0),                      # 0
+        7,
+        encode_instruction(OP_ASSERT_EQ, dst_off=1, a_off=0),                 # 2
+        encode_instruction(OP_ASSERT_EQ, dst_off=1, a_off=2),                 # 3
+        encode_instruction(OP_ASSERT_ADD, dst_off=3, a_off=0, b_off=1),       # 4
+        encode_instruction(OP_ASSERT_MUL, dst_off=4, a_off=2, b_off=3, b_base=REG_FP),  # 5
+        encode_instruction(OP_ADVANCE_AP),                                    # 6
+        5,
+        encode_instruction(OP_JMP),                                           # 8
+        base + 12,
+        encode_instruction(OP_ASSERT_EQ_IMM, dst_off=0),                      # 10: skipped
+        99,
+        encode_instruction(OP_CALL),                                          # 12
+        base + 15,
+        0,                                                                    # 14: prog_end
+        encode_instruction(OP_ASSERT_EQ_IMM, dst_off=0, dst_base=REG_FP, ap_inc=True),  # 15
+        11,
+        encode_instruction(OP_RET),                                           # 17
+    )
+    return CairoProgram(bytecode=bytecode, prog_start=0, prog_end=14)
+
+
+class TestRunnerCheckerParity:
+    """Every transition the runner emits is one the checker accepts, and only it."""
+
+    def _runs(self):
+        every = run_program(_every_opcode_program(), prog_base=300, ap_initial=500)
+        sqrt = run_program(sqrt_program(25), prog_base=1000, ap_initial=2000)
+        deduce = run_program(
+            CairoProgram(
+                bytecode=(
+                    encode_instruction(OP_ASSERT_EQ_IMM, dst_off=0),
+                    6,
+                    encode_instruction(OP_ASSERT_EQ_IMM, dst_off=1),
+                    42,
+                    encode_instruction(OP_ASSERT_MUL, dst_off=1, a_off=0, b_off=2),
+                    encode_instruction(OP_ASSERT_ADD, dst_off=1, a_off=3, b_off=2, ap_inc=True),
+                ),
+                prog_start=0,
+                prog_end=6,
+            ),
+            prog_base=0,
+            ap_initial=500,
+        )
+        return every, sqrt, deduce
+
+    def test_runs_execute_every_opcode(self):
+        opcodes = {
+            decode_instruction(result.memory[s.pc]).opcode
+            for result in self._runs()
+            for s in result.states[:-1]
+        }
+        assert opcodes == set(range(8))
+        every = self._runs()[0]
+        # both ASSERT_EQ deduction directions bound their cell, the jump
+        # skipped 99, and ret restored fp
+        assert [every.memory[500 + i] for i in range(5)] == [7, 7, 7, 14, 98]
+        assert every.memory[507] == 11
+        assert every.states[-1] == CairoState(pc=314, ap=508, fp=500)
+
+    def test_checker_accepts_every_transition_and_rejects_bumped_registers(self):
+        for result in self._runs():
+            assert deterministic_accept(result.steps, result.memory, result.states)
+            for s, s_next in zip(result.states, result.states[1:]):
+                assert cairo_step_valid(s, s_next, result.memory, P)
+                for bumped in (
+                    CairoState(pc=s_next.pc + 1, ap=s_next.ap, fp=s_next.fp),
+                    CairoState(pc=s_next.pc, ap=s_next.ap + 1, fp=s_next.fp),
+                    CairoState(pc=s_next.pc, ap=s_next.ap, fp=s_next.fp + 1),
+                ):
+                    assert not cairo_step_valid(s, bumped, result.memory, P)
 
 
 class TestMutationResistance:
