@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field
 
 from . import __version__
 from .algebra import PairingGroup, DEFAULT_PRIME, is_prime
@@ -157,7 +157,7 @@ class ScenarioConfig:
                         )
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, payload: str) -> "ScenarioConfig":
@@ -195,7 +195,7 @@ class RunReport:
     invariant_violations: list[str]
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
     def report_hash(self) -> str:
         return keccak256(self.to_json().encode()).hex()

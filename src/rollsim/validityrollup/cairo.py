@@ -212,26 +212,28 @@ def step(state: CairoState, memory, prime: int = DEFAULT_PRIME) -> CairoState:
 class _GivenMemory:
     """A full memory function seen by the checker: every cell counts as known.
 
-    Nothing is deduced. Reading a cell the function does not define raises
+    Nothing is deduced; addresses and values are read mod ``prime``, as in
+    ``PartialMemory``. Reading a cell the function does not define raises
     InvalidAccess; an assignment compares the given value and raises
     MemoryContradiction when they differ.
     """
 
-    def __init__(self, cells):
+    def __init__(self, cells, prime: int):
         self._cells = cells
+        self._prime = prime
 
     def __contains__(self, addr: int) -> bool:
         return True
 
     def __getitem__(self, addr: int) -> int:
         try:
-            return self._cells[addr]
+            return self._cells[addr % self._prime] % self._prime
         except KeyError as exc:
             raise InvalidAccess(addr) from exc
 
     def __setitem__(self, addr: int, value: int) -> None:
         given = self[addr]
-        if given != value:
+        if given != value % self._prime:
             raise MemoryContradiction(f"cell {addr} holds {given}, not {value}")
 
 
@@ -247,7 +249,7 @@ def cairo_step_valid(
     touches, or InvalidAccess is raised; it is only read, never written.
     """
     try:
-        return step(state, _GivenMemory(memory), prime) == next_state
+        return step(state, _GivenMemory(memory, prime), prime) == next_state
     except ValueError:  # an undecodable word or a failed assertion
         return False
 

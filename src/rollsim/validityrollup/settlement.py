@@ -1,20 +1,22 @@
 """Validity-proof settlement: prove a state transition, verify it on L1.
 
 The proof is the toy SNARK over a fixed two-gate digest-binding circuit: the
-prover feeds in a digest of (old root, published diff, bridged messages) and
-exposes the circuit output next to the proof; the L1 side recomputes the
-digest from what was actually submitted and rejects on any mismatch. The full
-machine-level check (the deterministic machine accepting the trace) runs in
-the prover and in test oracles, not inside the circuit.
+prover feeds in the transition digest and exposes the circuit output next to
+the proof; the L1 side recomputes the digest from what was actually submitted
+and rejects on any mismatch. The full machine-level check (the deterministic
+machine accepting the trace) runs in the prover and in test oracles, not
+inside the circuit.
+
+One commitment per transition. ``next_root`` hashes the old root and the
+published diff; the digest hashes that next root and the two message lists,
+each prefixed by its length as a 32-byte word. A diff word moved into a
+message list, or a message hash moved from one list to the other, changes the
+digest. The prover and the verifier each hash the diff once, in
+``next_root``; messages enter as their memoized hashes and are never rehashed
+from their fields.
 
 Settlement is atomic: the root update and every message-counter change land
 together or not at all.
-
-Messages are bound by digest: the transition digest covers each consumed
-L1-to-L2 message hash and the memoized ``hash`` of each sent ``L2ToL1Message``,
-which the prover, the verifier and the counter update read without rehashing
-the message fields. The verifier still recomputes the digest and the next root
-from what was submitted.
 """
 
 from __future__ import annotations
@@ -64,6 +66,10 @@ class ValidityProof:
     new_root: bytes
 
 
+def _word(n: int) -> bytes:
+    return n.to_bytes(32, "big")
+
+
 class SharpProver:
     """Shared prover: one circuit, one CRS, proofs for every transition."""
 
@@ -75,27 +81,21 @@ class SharpProver:
         self.qap = build_qap(self.r1cs)
         self.crs = setup(self.qap, group, rng)
 
-    def transition_digest(
-        self, old_root: bytes, diff_words: list[int], messages: SettlementMessages
-    ) -> int:
-        blob = old_root + diff_calldata_bytes(diff_words)
-        for msg_hash in messages.consumed_l1_to_l2:
-            blob += msg_hash
-        for message in messages.sent_l2_to_l1:
-            blob += message.hash
+    def transition_digest(self, new_root: bytes, messages: SettlementMessages) -> int:
+        consumed = messages.consumed_l1_to_l2
+        sent = [message.hash for message in messages.sent_l2_to_l1]
+        blob = b"".join(
+            [new_root, _word(len(consumed)), *consumed, _word(len(sent)), *sent]
+        )
         return int.from_bytes(keccak256(blob), "big") % self.group.order
-
-    def expected_output(self, digest: int) -> int:
-        return (digest * digest + digest) % self.group.order
 
     def prove_digest(self, digest: int) -> tuple[SnarkProof, int]:
         solution = witness(self.program, self.field, {"x": digest})
         return prove(self.crs, self.qap, solution), solution[-1].value
 
     def verify_digest(self, proof: SnarkProof, claimed_output: int, digest: int) -> bool:
-        if claimed_output != self.expected_output(digest):
-            return False
-        return verify(self.crs.vk, proof, self.group)
+        output = witness(self.program, self.field, {"x": digest})[-1].value
+        return claimed_output == output and verify(self.crs.vk, proof, self.group)
 
 
 def next_root(old_root: bytes, diff_words: list[int]) -> bytes:
@@ -120,14 +120,9 @@ def prove_transition(
         trace.steps, trace.memory, trace.states, trace.prime
     ):
         raise ValueError("trace is not accepted by the deterministic machine")
-    diff_words = encode_state_diff(diff)
-    digest = prover.transition_digest(old_root, diff_words, messages)
-    snark_proof, output = prover.prove_digest(digest)
-    return ValidityProof(
-        snark=snark_proof,
-        claimed_output=output,
-        new_root=next_root(old_root, diff_words),
-    )
+    new_root = next_root(old_root, encode_state_diff(diff))
+    snark_proof, output = prover.prove_digest(prover.transition_digest(new_root, messages))
+    return ValidityProof(snark=snark_proof, claimed_output=output, new_root=new_root)
 
 
 def settle(
@@ -142,10 +137,10 @@ def settle(
     Checks first, one commit at the end: the root history, both counter maps
     and the fee escrow move together.
     """
-    digest = prover.transition_digest(core.state_root, diff_words, messages)
+    expected_root = next_root(core.state_root, diff_words)
+    digest = prover.transition_digest(expected_root, messages)
     if not prover.verify_digest(proof.snark, proof.claimed_output, digest):
         raise ProofRejected("validity proof does not match the submitted data")
-    expected_root = next_root(core.state_root, diff_words)
     if proof.new_root != expected_root:
         raise StateMismatch(
             f"claimed root {proof.new_root.hex()} != recomputed {expected_root.hex()}"

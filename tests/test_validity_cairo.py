@@ -111,6 +111,32 @@ class TestStepValidity:
         assert not cairo_step_valid(s, CairoState(pc=103, ap=201, fp=200), memory)
         assert not cairo_step_valid(s, CairoState(pc=102, ap=201, fp=201), memory)
 
+    @pytest.mark.parametrize(
+        "word, cells, next_state",
+        [
+            # [ap] = [ap+1] over an unreduced copy of the same field value
+            (
+                encode_instruction(OP_ASSERT_EQ, dst_off=0, a_off=1),
+                {200: P + 7, 201: 7},
+                CairoState(pc=101, ap=200, fp=200),
+            ),
+            # a jump target given unreduced
+            (encode_instruction(OP_JMP), {101: P + 50}, CairoState(pc=50, ap=200, fp=200)),
+            # a call frame whose saved fp and return pc are given unreduced
+            (
+                encode_instruction(OP_CALL),
+                {101: 150, 200: P + 200, 201: P + 102},
+                CairoState(pc=150, ap=202, fp=202),
+            ),
+        ],
+        ids=["copy", "jump", "call"],
+    )
+    def test_one_verdict_per_field_memory(self, word, cells, next_state):
+        cells = {100: word, **cells}
+        s = CairoState(pc=100, ap=200, fp=200)
+        assert cairo_step_valid(s, next_state, cells)
+        assert cairo_step_valid(s, next_state, PartialMemory(P, cells))
+
 
 class TestDeterministicMachine:
     def test_zero_steps_accepts(self):

@@ -221,3 +221,45 @@ class TestProveAndSettle:
                 assert h in consumed  # only replays fail
             for counter in core.l1_to_l2_counters.values():
                 assert counter >= 0
+
+
+class TestTransitionCommitment:
+    """The digest binds the next root and length-framed message lists."""
+
+    def test_hash_moved_between_message_lists_changes_digest(self, prover):
+        _, core = make_core()
+        diff = simple_diff()
+        moved = L2ToL1Message(0x22, 0xD1, (0, 0xEE, 50, 0))
+        kept = L2ToL1Message(0x22, 0xD1, (0, 0xEE, 60, 0))
+        consumed = b"\x13" * 32
+        at_end_of_consumed = SettlementMessages(
+            consumed_l1_to_l2=(consumed, moved.hash), sent_l2_to_l1=(kept,)
+        )
+        at_front_of_sent = SettlementMessages(
+            consumed_l1_to_l2=(consumed,), sent_l2_to_l1=(moved, kept)
+        )
+        outputs = {
+            prove_transition(core.state_root, diff, None, prover, messages).claimed_output
+            for messages in (at_end_of_consumed, at_front_of_sent)
+        }
+        assert len(outputs) == 2
+
+    def test_diff_word_moved_into_consumed_list_rejected(self, prover):
+        _, core = make_core()
+        diff = simple_diff()
+        words = encode_state_diff(diff)
+        proof = prove_transition(core.state_root, diff, None, prover)
+        shifted = SettlementMessages(consumed_l1_to_l2=(words[-1].to_bytes(32, "big"),))
+        # the digest fails before the claimed root is even compared
+        with pytest.raises(ProofRejected):
+            settle(core, prover, proof, words[:-1], shifted)
+        assert len(core.root_history) == 1
+
+    def test_verify_digest_rejects_output_off_by_one(self, prover):
+        _, core = make_core()
+        messages = SettlementMessages(consumed_l1_to_l2=(b"\x13" * 32,))
+        proof = prove_transition(core.state_root, simple_diff(), None, prover, messages)
+        digest = prover.transition_digest(proof.new_root, messages)
+        assert prover.verify_digest(proof.snark, proof.claimed_output, digest)
+        for output in (proof.claimed_output - 1, proof.claimed_output + 1):
+            assert not prover.verify_digest(proof.snark, output, digest)
