@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .hashing import keccak256
 
@@ -64,30 +64,27 @@ class MerkleProof:
 
 
 class MerkleTree:
-    """A tree over raw leaf blobs."""
+    """A tree over raw leaf blobs.
+
+    The tree keeps a blob -> digest memo for as long as it lives: building
+    and ``update`` hash every leaf and node blob through it, so each distinct
+    blob is hashed once per tree. An all-zero memory of 2^k words costs
+    k + 1 hashes, and a cursor tree that moves back to contents it held
+    before rehashes nothing. The memo belongs to this tree only; a new tree
+    starts with an empty one.
+    """
 
     def __init__(self, leaves: Sequence[bytes], hash_fn: HashFn = keccak256):
         if not leaves:
             raise EmptyTree("cannot build a Merkle tree from zero leaves")
         self._hash_fn = hash_fn
-        # each distinct leaf or node blob is hashed once: an all-zero memory
-        # of 2^k words costs k + 1 hashes, not 2^(k+1) - 1
-        digests: dict[bytes, bytes] = {}
-
-        def digest(blob: bytes) -> bytes:
-            if blob not in digests:
-                digests[blob] = hash_fn(blob)
-            return digests[blob]
-
-        level = [digest(LEAF_PREFIX + leaf) for leaf in leaves]
-        level += [ZERO_NODE] * ((1 << (len(level) - 1).bit_length()) - len(level))
-        self.levels: list[list[bytes]] = [level]
-        while len(level) > 1:
-            level = [
-                digest(NODE_PREFIX + level[i] + level[i + 1]) for i in range(0, len(level), 2)
-            ]
-            self.levels.append(level)
+        self._digests: dict[bytes, bytes] = {}
+        width = 1 << (len(leaves) - 1).bit_length()
+        self.levels: list[list[bytes]] = [
+            [ZERO_NODE] * (width >> k) for k in range(width.bit_length())
+        ]
         self.leaf_count = len(leaves)
+        self._rehash(dict(enumerate(leaves)), range(width))
 
     @property
     def root(self) -> bytes:
@@ -97,20 +94,30 @@ class MerkleTree:
         if not 0 <= index < self.leaf_count:
             raise IndexOutOfRange(f"leaf index {index} out of range 0..{self.leaf_count - 1}")
 
+    def _digest(self, blob: bytes) -> bytes:
+        digest = self._digests.get(blob)
+        if digest is None:
+            digest = self._digests[blob] = self._hash_fn(blob)
+        return digest
+
+    def _rehash(self, leaves: Mapping[int, bytes], dirty: Iterable[int]) -> None:
+        """Set each ``index: leaf``, then rehash each node above the ``dirty``
+        leaf slots once, level by level up to the root."""
+        bottom = self.levels[0]
+        for index, leaf in leaves.items():
+            bottom[index] = self._digest(LEAF_PREFIX + leaf)
+        for below, above in zip(self.levels, self.levels[1:]):
+            dirty = {index // 2 for index in dirty}
+            for index in dirty:
+                above[index] = self._digest(NODE_PREFIX + below[2 * index] + below[2 * index + 1])
+
     def update(self, leaves: Mapping[int, bytes]) -> None:
         """Set each ``index: leaf`` of ``leaves``, then rehash each node above
         them once, level by level up to the root.
         """
         for index in leaves:
             self._check_index(index)
-        bottom = self.levels[0]
-        for index, leaf in leaves.items():
-            bottom[index] = hash_leaf(leaf, self._hash_fn)
-        dirty = set(leaves)
-        for below, above in zip(self.levels, self.levels[1:]):
-            dirty = {index // 2 for index in dirty}
-            for index in dirty:
-                above[index] = hash_node(below[2 * index], below[2 * index + 1], self._hash_fn)
+        self._rehash(leaves, leaves)
 
     def prove(self, index: int) -> MerkleProof:
         self._check_index(index)

@@ -38,14 +38,15 @@ def apply_l1_to_l2_alias(address: int) -> int:
     return (address + ALIAS_OFFSET) % ADDRESS_SPACE
 
 
-def source_hash(l1_block_hash: bytes, log_index: int) -> bytes:
+def source_hash(l1_block_digest: bytes, log_index: int) -> bytes:
     """Unique deposit origin: H(zero-word || H(l1_block_hash) || word(log_index)).
 
-    Without it, two deposits with identical fields would collide.
+    ``l1_block_digest`` is H(l1_block_hash), which every deposit and
+    attributes transaction of one L1 block shares, so the caller hashes it
+    once per block. Without the origin, two deposits with identical fields
+    would collide.
     """
-    return keccak256(
-        (0).to_bytes(32, "big") + keccak256(l1_block_hash) + log_index.to_bytes(32, "big")
-    )
+    return keccak256((0).to_bytes(32, "big") + l1_block_digest + log_index.to_bytes(32, "big"))
 
 
 @dataclass(frozen=True)
@@ -151,11 +152,12 @@ class OptimismPortal:
         return self.deposit_transaction(**kwargs)
 
 
-def deposit_from_event(event: Event, l1_block_hash: bytes) -> DepositedTx:
-    """Rebuild the L2 deposited transaction from its L1 event."""
+def deposit_from_event(event: Event, l1_block_digest: bytes) -> DepositedTx:
+    """Rebuild the L2 deposited transaction from its L1 event; the block
+    digest is as in ``source_hash``."""
     fields = rlp.decode(event.payload)
     return DepositedTx(
-        source_hash=source_hash(l1_block_hash, event.log_index),
+        source_hash=source_hash(l1_block_digest, event.log_index),
         from_address=rlp.decode_int(fields[0]),
         to_address=rlp.decode_int(fields[1]),
         mint=rlp.decode_int(fields[2]),

@@ -55,10 +55,10 @@ def chain_hash(blocks: list[L2Block]) -> bytes:
     return keccak256(b"".join(b.hash for b in blocks))
 
 
-def _attributes_tx(block, sequence_number: int) -> bytes:
+def _attributes_tx(block, block_digest: bytes, sequence_number: int) -> bytes:
     attrs = l1_attributes(block, sequence_number)
     return DepositedTx(
-        source_hash=source_hash(block.hash, 2**32 + sequence_number),
+        source_hash=source_hash(block_digest, 2**32 + sequence_number),
         from_address=L1_ATTRIBUTES_DEPOSITOR,
         to_address=L1_ATTRIBUTES_PREDEPLOY,
         mint=0,
@@ -117,8 +117,10 @@ def derive(l1_chain: Chain, window_w: int) -> list[L2Block]:
     l2_blocks: list[L2Block] = []
     for epoch in range(n_epochs):
         l1_block = blocks[epoch]
+        # every source hash of the epoch shares H(l1_block.hash)
+        block_digest = keccak256(l1_block.hash)
         deposits = [
-            deposit_from_event(event, l1_block.hash)
+            deposit_from_event(event, block_digest)
             for event in l1_chain.events_in_block(epoch)
             if event.address == PORTAL_ADDRESS and event.name == "TransactionDeposited"
         ]
@@ -130,7 +132,7 @@ def derive(l1_chain: Chain, window_w: int) -> list[L2Block]:
                 epoch_hash=l1_block.hash,
                 timestamp=l1_block.timestamp,
                 sequence_number=seq,
-                txs=(_attributes_tx(l1_block, seq), *(d.encode() for d in deposits)),
+                txs=(_attributes_tx(l1_block, block_digest, seq), *(d.encode() for d in deposits)),
             )
         )
         # batches for this epoch: correct epoch hash, frames inside the window
@@ -154,7 +156,7 @@ def derive(l1_chain: Chain, window_w: int) -> list[L2Block]:
                     epoch_hash=l1_block.hash,
                     timestamp=batch.timestamp,
                     sequence_number=seq,
-                    txs=(_attributes_tx(l1_block, seq), *batch.tx_list),
+                    txs=(_attributes_tx(l1_block, block_digest, seq), *batch.tx_list),
                 )
             )
     return l2_blocks
@@ -223,14 +225,17 @@ def execute_block(state: OpL2State, block: L2Block) -> OpL2State:
 class ExecutedChain:
     blocks: list[L2Block]
     state: OpL2State
-    roots_by_block: dict[int, "l2mod.OutputRootProof"]
+    output: "l2mod.OutputRootProof | None"  # the tip's; None for no blocks
 
 
 def execute_chain(blocks: list[L2Block]) -> ExecutedChain:
-    """Run all derived blocks, recording output-root preimages per block."""
+    """Run all derived blocks and build the output-root preimage of the tip.
+
+    The proposer posts one output root, at the tip, so no other block's
+    hash, state root or withdrawal root is computed.
+    """
     state = OpL2State()
-    roots: dict[int, l2mod.OutputRootProof] = {}
     for block in blocks:
         execute_block(state, block)
-        roots[block.number] = l2mod.output_root_proof(state, block.hash)
-    return ExecutedChain(blocks=blocks, state=state, roots_by_block=roots)
+    output = l2mod.output_root_proof(state, blocks[-1].hash) if blocks else None
+    return ExecutedChain(blocks=blocks, state=state, output=output)

@@ -19,8 +19,10 @@ interpreter, ``execute``. It reaches memory only through ``load(addr)`` and
 A game reads about log2(n) of a trace's n + 1 state hashes, so a trace hashes
 lazily. One cursor ``MemoryTree`` moves to a queried index by replaying the
 store log forward or undoing it backward, rehashing the moved cells in one
-batched pass; memory roots and state hashes are memoized per index, and step
-proofs are cut from the cursor.
+batched pass. The cursor hashes through its tree's digest memo, so a node
+blob it has held before costs nothing: moving back over replayed stores, or
+forward to memory it has seen, rehashes no node. Memory roots and state
+hashes are memoized per index, and step proofs are cut from the cursor.
 """
 
 from __future__ import annotations

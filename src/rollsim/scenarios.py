@@ -332,7 +332,7 @@ def _run_optimistic(config: ScenarioConfig) -> RunReport:
             )
 
     tip = l2_blocks[-1].number if l2_blocks else 0
-    honest_proof = executed.roots_by_block[tip]
+    honest_proof = executed.output
     honest_root = honest_proof.output_root
 
     dispute_report: dict = {"played": False}

@@ -212,29 +212,36 @@ def step(state: CairoState, memory, prime: int = DEFAULT_PRIME) -> CairoState:
 class _GivenMemory:
     """A full memory function seen by the checker: every cell counts as known.
 
-    Nothing is deduced; addresses and values are read mod ``prime``, as in
-    ``PartialMemory``. Reading a cell the function does not define raises
-    InvalidAccess; an assignment compares the given value and raises
+    Nothing is deduced. The cells are read into a ``PartialMemory`` once, so
+    a plain dict's addresses and values are reduced mod ``prime`` by the same
+    rule, and two keys equal mod ``prime`` that hold different values raise
+    MemoryContradiction here. Reading a cell the function does not define
+    raises InvalidAccess; an assignment compares the given value and raises
     MemoryContradiction when they differ.
     """
 
     def __init__(self, cells, prime: int):
+        if not (isinstance(cells, PartialMemory) and cells.prime == prime):
+            cells = PartialMemory(prime, cells)
         self._cells = cells
-        self._prime = prime
 
     def __contains__(self, addr: int) -> bool:
         return True
 
     def __getitem__(self, addr: int) -> int:
-        try:
-            return self._cells[addr % self._prime] % self._prime
-        except KeyError as exc:
-            raise InvalidAccess(addr) from exc
+        return self._cells[addr]
 
     def __setitem__(self, addr: int, value: int) -> None:
         given = self[addr]
-        if given != value % self._prime:
+        if given != value % self._cells.prime:
             raise MemoryContradiction(f"cell {addr} holds {given}, not {value}")
+
+
+def _follows(state: CairoState, next_state: CairoState, memory: _GivenMemory, prime: int) -> bool:
+    try:
+        return step(state, memory, prime) == next_state
+    except ValueError:  # an undecodable word or a failed assertion
+        return False
 
 
 def cairo_step_valid(
@@ -246,12 +253,14 @@ def cairo_step_valid(
     """Decide whether one transition follows the machine semantics.
 
     ``memory`` must define every address the instruction at ``state.pc``
-    touches, or InvalidAccess is raised; it is only read, never written.
+    touches, or InvalidAccess is raised; it is only read, never written. A
+    memory that binds one field address to two values is rejected.
     """
     try:
-        return step(state, _GivenMemory(memory, prime), prime) == next_state
-    except ValueError:  # an undecodable word or a failed assertion
+        given = _GivenMemory(memory, prime)
+    except MemoryContradiction:
         return False
+    return _follows(state, next_state, given, prime)
 
 
 def deterministic_accept(
@@ -260,12 +269,19 @@ def deterministic_accept(
     states: list[CairoState],
     prime: int = DEFAULT_PRIME,
 ) -> bool:
-    """Accept iff the T+1 states chain through valid transitions."""
+    """Accept iff the T+1 states chain through valid transitions.
+
+    The memory is read into one checker view for the whole trace.
+    """
     if len(states) != steps + 1:
+        return False
+    try:
+        given = _GivenMemory(memory, prime)
+    except MemoryContradiction:
         return False
     for i in range(steps):
         try:
-            if not cairo_step_valid(states[i], states[i + 1], memory, prime):
+            if not _follows(states[i], states[i + 1], given, prime):
                 return False
         except InvalidAccess:
             return False

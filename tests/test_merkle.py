@@ -127,6 +127,27 @@ class TestUpdate:
                 rebuilt = MerkleTree(leaves[:i] + [b"new"] + leaves[i + 1:], hash_fn=sha)
                 assert tree.levels == rebuilt.levels, (width, i)
 
+    def test_moving_back_rehashes_nothing(self):
+        calls = []
+        counted = lambda blob: calls.append(blob) or sha(blob)
+        leaves = [bytes([i]) for i in range(8)]
+        tree = MerkleTree(leaves, hash_fn=counted)
+        built = [list(level) for level in tree.levels]
+        tree.update({5: b"x"})
+        calls.clear()
+        tree.update({5: leaves[5]})
+        assert calls == []
+        assert tree.levels == built
+
+    def test_memo_lives_in_one_tree(self):
+        calls = []
+        counted = lambda blob: calls.append(blob) or sha(blob)
+        leaves = [bytes([i]) for i in range(8)]
+        MerkleTree(leaves, hash_fn=counted)
+        first = len(calls)
+        MerkleTree(leaves, hash_fn=counted)
+        assert len(calls) == 2 * first
+
     def test_update_out_of_range(self):
         tree = MerkleTree([b"a", b"b"])
         for index in (2, -1):

@@ -63,7 +63,7 @@ class TestSourceHash:
     def test_three_field_recipe(self):
         h = b"\xcc" * 32
         expected = keccak256(bytes(32) + keccak256(h) + (5).to_bytes(32, "big"))
-        assert source_hash(h, 5) == expected
+        assert source_hash(keccak256(h), 5) == expected
 
 
 class TestDepositTransaction:

@@ -193,6 +193,28 @@ class TestExecution:
         proof = state.withdrawal_proof(wtx.hash)
         assert verify_inclusion(state.withdrawal_root(), wtx.hash, proof)
 
+    def test_output_commits_the_tip(self):
+        from rollsim.oprollup.l2 import output_root_proof
+
+        chain = Chain()
+        portal = OptimismPortal(chain)
+        deposit(portal, user=0xA, value=500)
+        chain.mine_block()
+        b1 = chain.mine_block()
+        batch = Batch(
+            epoch_number=1, epoch_hash=b1.hash, parent_hash=bytes(32),
+            timestamp=b1.timestamp,
+            tx_list=(transfer_tx(0xA, 0xB, 100), withdraw_tx(0xA, 0xF, 50, 21_000)),
+        )
+        post_frames(chain, split_frames(build_channel([batch], timestamp=1, random=1), 1000))
+        chain.mine_block()
+        chain.mine_block()
+        blocks = derive(chain, window_w=2)
+        assert len(blocks) >= 3
+        executed = execute_chain(blocks)
+        assert executed.output == output_root_proof(executed.state, blocks[-1].hash)
+        assert executed.output.withdrawal_root == executed.state.withdrawal_root()
+
     def test_identical_withdrawals_get_distinct_hashes(self):
         from rollsim.oprollup.l2 import OpL2State, initiate_withdrawal
 

@@ -242,14 +242,16 @@ class TestScenarioTrace:
 
     def test_permutation_budget(self, keccak_perms):
         # recording hashes nothing; the game hashes about log2(n) states and
-        # moves one memory cursor to each (650 now, 2,721 with every state
-        # hashed eagerly and a replay per step proof)
+        # moves one memory cursor to each, whose tree rehashes no node blob
+        # it has hashed before (390 now, 650 when the cursor rehashed every
+        # moved node, 2,721 with every state hashed eagerly and a replay per
+        # step proof)
         assert _scenario_game(1024) == CHALLENGER
-        assert keccak_perms[0] <= 800
+        assert keccak_perms[0] <= 450
 
     def test_permutation_budget_grows_logarithmically(self, keccak_perms):
         assert _scenario_game(16_384) == CHALLENGER
-        assert keccak_perms[0] <= 1_300  # 1,159 now, 39,585 eagerly
+        assert keccak_perms[0] <= 1_000  # 905 now, 1,159 without the memo, 39,585 eagerly
 
     def test_state_hashes_pinned(self):
         trace = make_runner().run_trace(1024)

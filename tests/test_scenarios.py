@@ -1,10 +1,12 @@
 import copy
+import hashlib
 import json
 import random
 import re
 
 import pytest
 
+from rollsim import hashing
 from rollsim.scenarios import (
     MAX_DISPUTE_STEPS,
     MAX_PROOF_CADENCE_BLOCKS,
@@ -255,6 +257,37 @@ def funded_users(n, **overrides):
     )
 
 
+def wide_funded_users(n):
+    """``funded_users`` with 48-digit addresses and fixed-width values, as a
+    real L1 address space gives, so the state the output root commits is as
+    wide per user as in the benchmark's workloads."""
+    users = [10**47 + 7_919 * i for i in range(n)]
+    return ScenarioConfig(
+        rollup="optimistic",
+        deposits=[{"user": u, "value": 5_000_000} for u in users],
+        transfers=[
+            {"user": u, "target": users[(i + 1) % n], "value": 500_000}
+            for i, u in enumerate(users)
+        ],
+        withdrawals=[{"user": u, "value": 400_000} for u in users],
+    )
+
+
+def sha3_perms(monkeypatch):
+    """Put hashlib's SHA3-256 in for the Keccak sponge and count the
+    permutations the sponge would run, ``len // 136 + 1`` per call; read
+    ``[0]``. No control flow reads a digest value, so the counts are those of
+    Keccak at a fraction of the time. For sweeps only, never for reports."""
+    count = [0]
+
+    def sponge(data, domain):
+        count[0] += len(data) // 136 + 1
+        return hashlib.sha3_256(data).digest()
+
+    monkeypatch.setattr(hashing, "_sponge", sponge)
+    return count
+
+
 def _events(report, name):
     return [e for e in report.timeline if e["event"] == name]
 
@@ -280,6 +313,23 @@ class TestOptimisticScale:
         initiated = {lat["initiated_at"] for lat in report.withdrawal_latencies.values()}
         assert initiated == {4 * 12}
         assert keccak_perms[0] / 320 <= 1.5 * per_user_40
+
+    def test_permutation_budget_at_32_wide_users(self, keccak_perms):
+        assert run(wide_funded_users(32)).ok
+        # one output root, at the tip: 484 now, 827 when every L2 block
+        # hashed itself and committed its state and withdrawal roots
+        assert keccak_perms[0] <= 520
+
+    def test_per_user_permutations_flat_from_256_to_1024_users(self, monkeypatch):
+        perms = sha3_perms(monkeypatch)
+        per_user = {}
+        for n in (256, 1024):
+            perms[0] = 0
+            assert run(wide_funded_users(n)).ok
+            per_user[n] = perms[0] / n
+        # 17.43 and 19.33 now (1.11x; withdrawal proofs grow as log n);
+        # 29.28 and 34.73 (1.19x) with a state root per L2 block
+        assert per_user[1024] <= 1.12 * per_user[256]
 
     def test_unfunded_withdrawal_is_an_event(self):
         config = funded_users(3)

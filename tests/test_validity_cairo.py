@@ -120,6 +120,12 @@ class TestStepValidity:
                 {200: P + 7, 201: 7},
                 CairoState(pc=101, ap=200, fp=200),
             ),
+            # the copied cell's address given unreduced
+            (
+                encode_instruction(OP_ASSERT_EQ, dst_off=0, a_off=1),
+                {P + 200: 7, 201: 7},
+                CairoState(pc=101, ap=200, fp=200),
+            ),
             # a jump target given unreduced
             (encode_instruction(OP_JMP), {101: P + 50}, CairoState(pc=50, ap=200, fp=200)),
             # a call frame whose saved fp and return pc are given unreduced
@@ -129,13 +135,24 @@ class TestStepValidity:
                 CairoState(pc=150, ap=202, fp=202),
             ),
         ],
-        ids=["copy", "jump", "call"],
+        ids=["copy", "key", "jump", "call"],
     )
     def test_one_verdict_per_field_memory(self, word, cells, next_state):
         cells = {100: word, **cells}
         s = CairoState(pc=100, ap=200, fp=200)
         assert cairo_step_valid(s, next_state, cells)
         assert cairo_step_valid(s, next_state, PartialMemory(P, cells))
+        assert deterministic_accept(1, cells, [s, next_state])
+
+    def test_two_values_for_one_field_address_rejected(self):
+        word = encode_instruction(OP_ASSERT_EQ, dst_off=0, a_off=1)
+        # cell 200 alone would satisfy [ap] = [ap+1]; its alias P + 200 does not
+        cells = {100: word, P + 200: 8, 200: 7, 201: 7}
+        s, s_next = CairoState(pc=100, ap=200, fp=200), CairoState(pc=101, ap=200, fp=200)
+        with pytest.raises(MemoryContradiction):
+            PartialMemory(P, cells)
+        assert not cairo_step_valid(s, s_next, cells)
+        assert not deterministic_accept(1, cells, [s, s_next])
 
 
 class TestDeterministicMachine:
