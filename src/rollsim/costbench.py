@@ -70,15 +70,14 @@ class BloomFilter:
         return cls(m, k, seed)
 
     def _probes(self, element: bytes) -> Iterable[int]:
-        # h_i(x) = H1(x) + i*H2(x) mod m, with H2 forced odd so the probe
-        # sequence never degenerates
-        seed_bytes = self.seed.to_bytes(8, "big")
-        h1 = int.from_bytes(
-            hashlib.blake2b(element, key=seed_bytes + b"1", digest_size=8).digest(), "big"
-        )
-        h2 = int.from_bytes(
-            hashlib.blake2b(element, key=seed_bytes + b"2", digest_size=8).digest(), "big"
-        ) | 1
+        # h_i(x) = H1(x) + i*H2(x) mod m, with H1 and H2 the two halves of one
+        # keyed digest (Kirsch and Mitzenmacher, "Less Hashing, Same
+        # Performance", 2006) and H2 forced odd so the probe sequence never
+        # degenerates
+        key = self.seed.to_bytes(8, "big")
+        digest = hashlib.blake2b(element, key=key, digest_size=16).digest()
+        h1 = int.from_bytes(digest[:8], "big")
+        h2 = int.from_bytes(digest[8:], "big") | 1
         for i in range(self.k):
             yield (h1 + i * h2) % self.m
 

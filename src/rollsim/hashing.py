@@ -27,9 +27,25 @@ _RATE = 136  # bytes; capacity 512 bits, digest 256 bits
 
 
 def _keccak_f(state: list[int]) -> list[int]:
+    """Keccak-f[1600] over 25 lanes, lane x + 5y at index x + 5y.
+
+    Lanes 1, 2, 8, 12, 17 and 20 are held complemented between rounds (the
+    lane-complementing transform of the Keccak team's "Keccak implementation
+    overview", section 2.2). theta, rho and pi carry a fixed pattern of
+    complemented lanes into chi, which is written for that pattern with OR
+    and AND and hands the same six complemented lanes to the next round. chi
+    then needs one NOT per plane, written ``^ M``, in place of 25 ``~``, each
+    of which makes a negative int.
+    """
     (s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, s12,
      s13, s14, s15, s16, s17, s18, s19, s20, s21, s22, s23, s24) = state
     M = _M
+    s1 ^= M
+    s2 ^= M
+    s8 ^= M
+    s12 ^= M
+    s17 ^= M
+    s20 ^= M
     for rc in _ROUND_CONSTANTS:
         c0 = s0 ^ s5 ^ s10 ^ s15 ^ s20
         c1 = s1 ^ s6 ^ s11 ^ s16 ^ s21
@@ -91,34 +107,37 @@ def _keccak_f(state: list[int]) -> list[int]:
         b22 = (s14 << 39 | s14 >> 25) & M
         b13 = (s19 << 8 | s19 >> 56) & M
         b4 = (s24 << 14 | s24 >> 50) & M
-        s0 = b0 ^ (~b1 & b2)
-        s1 = b1 ^ (~b2 & b3)
-        s2 = b2 ^ (~b3 & b4)
-        s3 = b3 ^ (~b4 & b0)
-        s4 = b4 ^ (~b0 & b1)
-        s5 = b5 ^ (~b6 & b7)
-        s6 = b6 ^ (~b7 & b8)
-        s7 = b7 ^ (~b8 & b9)
-        s8 = b8 ^ (~b9 & b5)
-        s9 = b9 ^ (~b5 & b6)
-        s10 = b10 ^ (~b11 & b12)
-        s11 = b11 ^ (~b12 & b13)
-        s12 = b12 ^ (~b13 & b14)
-        s13 = b13 ^ (~b14 & b10)
-        s14 = b14 ^ (~b10 & b11)
-        s15 = b15 ^ (~b16 & b17)
-        s16 = b16 ^ (~b17 & b18)
-        s17 = b17 ^ (~b18 & b19)
-        s18 = b18 ^ (~b19 & b15)
-        s19 = b19 ^ (~b15 & b16)
-        s20 = b20 ^ (~b21 & b22)
-        s21 = b21 ^ (~b22 & b23)
-        s22 = b22 ^ (~b23 & b24)
-        s23 = b23 ^ (~b24 & b20)
-        s24 = b24 ^ (~b20 & b21)
+        s0 = b0 ^ (b1 | b2)
+        s1 = b1 ^ ((b2 ^ M) | b3)
+        s2 = b2 ^ (b3 & b4)
+        s3 = b3 ^ (b4 | b0)
+        s4 = b4 ^ (b0 & b1)
+        s5 = b5 ^ (b6 | b7)
+        s6 = b6 ^ (b7 & b8)
+        s7 = b7 ^ (b8 | (b9 ^ M))
+        s8 = b8 ^ (b9 | b5)
+        s9 = b9 ^ (b5 & b6)
+        n = b13 ^ M
+        s10 = b10 ^ (b11 | b12)
+        s11 = b11 ^ (b12 & b13)
+        s12 = b12 ^ (n & b14)
+        s13 = n ^ (b14 | b10)
+        s14 = b14 ^ (b10 & b11)
+        n = b18 ^ M
+        s15 = b15 ^ (b16 & b17)
+        s16 = b16 ^ (b17 | b18)
+        s17 = b17 ^ (n | b19)
+        s18 = n ^ (b19 & b15)
+        s19 = b19 ^ (b15 | b16)
+        n = b21 ^ M
+        s20 = b20 ^ (n & b22)
+        s21 = n ^ (b22 | b23)
+        s22 = b22 ^ (b23 & b24)
+        s23 = b23 ^ (b24 | b20)
+        s24 = b24 ^ (b20 & b21)
         s0 ^= rc
-    return [s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, s12,
-            s13, s14, s15, s16, s17, s18, s19, s20, s21, s22, s23, s24]
+    return [s0, s1 ^ M, s2 ^ M, s3, s4, s5, s6, s7, s8 ^ M, s9, s10, s11, s12 ^ M,
+            s13, s14, s15, s16, s17 ^ M, s18, s19, s20 ^ M, s21, s22, s23, s24]
 
 
 def keccak256(data: bytes) -> bytes:

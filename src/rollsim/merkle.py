@@ -6,6 +6,12 @@ to the next power of two with zero nodes (32 zero bytes, the hash of no leaf),
 so no two leaf lists share a root and one rehash rule serves every width. A
 proof's sides must spell out its leaf index, so a proof of one leaf cannot be
 relabelled as a proof of another.
+
+``DigestMemo`` is the one blob -> digest memo: a tree hashes through its own,
+and a verifier that checks many proofs of one tree passes its own as
+``hash_fn``, so the upper nodes the proofs share are hashed once. It is keyed
+by the whole preimage: every proof is still folded and compared with the
+root, and a tampered leaf, sibling or side makes a new blob, hashed afresh.
 """
 
 from __future__ import annotations
@@ -39,6 +45,25 @@ def hash_node(left: bytes, right: bytes, hash_fn: HashFn = keccak256) -> bytes:
     return hash_fn(NODE_PREFIX + left + right)
 
 
+class DigestMemo:
+    """A ``HashFn`` that runs ``hash_fn`` once per distinct blob it is given.
+
+    The memo lives as long as its owner (a tree or a portal) and is never
+    shared between owners, so no digest outlives one run. ``hash_fn`` is
+    read once, when the memo is made.
+    """
+
+    def __init__(self, hash_fn: HashFn = keccak256):
+        self._hash_fn = hash_fn
+        self._digests: dict[bytes, bytes] = {}
+
+    def __call__(self, blob: bytes) -> bytes:
+        digest = self._digests.get(blob)
+        if digest is None:
+            digest = self._digests[blob] = self._hash_fn(blob)
+        return digest
+
+
 @dataclass(frozen=True)
 class MerkleProof:
     """Sibling path from a leaf to the root; sides name the sibling position."""
@@ -66,8 +91,8 @@ class MerkleProof:
 class MerkleTree:
     """A tree over raw leaf blobs.
 
-    The tree keeps a blob -> digest memo for as long as it lives: building
-    and ``update`` hash every leaf and node blob through it, so each distinct
+    The tree keeps a ``DigestMemo`` for as long as it lives: building and
+    ``update`` hash every leaf and node blob through it, so each distinct
     blob is hashed once per tree. An all-zero memory of 2^k words costs
     k + 1 hashes, and a cursor tree that moves back to contents it held
     before rehashes nothing. The memo belongs to this tree only; a new tree
@@ -77,8 +102,7 @@ class MerkleTree:
     def __init__(self, leaves: Sequence[bytes], hash_fn: HashFn = keccak256):
         if not leaves:
             raise EmptyTree("cannot build a Merkle tree from zero leaves")
-        self._hash_fn = hash_fn
-        self._digests: dict[bytes, bytes] = {}
+        self._digest = DigestMemo(hash_fn)
         width = 1 << (len(leaves) - 1).bit_length()
         self.levels: list[list[bytes]] = [
             [ZERO_NODE] * (width >> k) for k in range(width.bit_length())
@@ -93,12 +117,6 @@ class MerkleTree:
     def _check_index(self, index: int) -> None:
         if not 0 <= index < self.leaf_count:
             raise IndexOutOfRange(f"leaf index {index} out of range 0..{self.leaf_count - 1}")
-
-    def _digest(self, blob: bytes) -> bytes:
-        digest = self._digests.get(blob)
-        if digest is None:
-            digest = self._digests[blob] = self._hash_fn(blob)
-        return digest
 
     def _rehash(self, leaves: Mapping[int, bytes], dirty: Iterable[int]) -> None:
         """Set each ``index: leaf``, then rehash each node above the ``dirty``

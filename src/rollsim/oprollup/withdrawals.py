@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dataclass_field
 
 from ..hashing import keccak256
 from ..l1sim import Chain
-from ..merkle import MerkleProof, verify_inclusion
+from ..merkle import DigestMemo, MerkleProof, verify_inclusion
 from .l2 import OutputRootProof, WithdrawalTx
 
 DISPUTE_PERIOD = 7 * 24 * 3600  # seconds
@@ -42,6 +42,14 @@ class UntrustedOracle(PermissionError):
 
 class AttestationMismatch(ValueError):
     """Attestation does not match any recorded withdrawal."""
+
+
+class LoanExists(ValueError):
+    """The withdrawal already has a fast-withdrawal loan."""
+
+
+class AlreadyFinalized(ValueError):
+    """The withdrawal was finalized, so no loan can close against it."""
 
 
 @dataclass(frozen=True)
@@ -107,11 +115,20 @@ class L2OutputOracle:
 
 
 class WithdrawalPortal:
-    """The finalization side of the portal: executes proven withdrawals."""
+    """The finalization side of the portal: executes proven withdrawals.
+
+    The portal folds every inclusion proof through one ``DigestMemo`` that
+    lives as long as the portal. The proofs of one withdrawal tree share
+    their upper nodes, so finalizing all n withdrawals hashes each of the
+    tree's about 2n blobs once. No check is skipped: each proof is still
+    folded level by level and compared with the proposal's withdrawal root,
+    and a tampered proof makes blobs the memo has not seen.
+    """
 
     def __init__(self, chain: Chain, oracle: L2OutputOracle, vault_balance: int = 10**24):
         self.chain = chain
         self.oracle = oracle
+        self._digest = DigestMemo()
         self.finalized: set[bytes] = set()
         self.vault_balance = vault_balance  # ETH escrowed by deposits
         self.on_finalize_hooks = []
@@ -137,7 +154,7 @@ class WithdrawalPortal:
             raise WithdrawalError("invalid output root proof")
         withdrawal_hash = tx.hash
         if not verify_inclusion(
-            output_root_proof.withdrawal_root, withdrawal_hash, withdrawal_proof
+            output_root_proof.withdrawal_root, withdrawal_hash, withdrawal_proof, self._digest
         ):
             raise WithdrawalError("invalid withdrawal inclusion proof")
         if withdrawal_hash in self.finalized:
@@ -192,6 +209,7 @@ class LenderPool:
 
     The loan closes automatically when the real finalization lands: the pool
     keeps the withdrawal value, so the borrower nets value minus interest.
+    Each withdrawal gets at most one loan, and only before it is finalized.
     """
 
     def __init__(
@@ -220,6 +238,10 @@ class LenderPool:
             raise UntrustedOracle(f"oracle {attestation.oracle_name!r} not trusted")
         if attestation.withdrawal_hash != withdrawal.hash:
             raise AttestationMismatch("attestation does not match the withdrawal")
+        if withdrawal.hash in self.loans:
+            raise LoanExists("withdrawal already has a loan")
+        if withdrawal.hash in self.portal.finalized:
+            raise AlreadyFinalized("withdrawal has already been finalized")
         interest = withdrawal.value * self.interest_rate_bps // 10_000
         loan = Loan(
             withdrawal_hash=withdrawal.hash,

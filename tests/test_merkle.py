@@ -6,6 +6,7 @@ import pytest
 
 from rollsim.hashing import keccak256
 from rollsim.merkle import (
+    DigestMemo,
     EmptyTree,
     IndexOutOfRange,
     MerkleProof,
@@ -248,6 +249,42 @@ class TestVerification:
         tree = MerkleTree([b"a", b"b"])
         (sibling, _), = tree.prove(0).siblings
         assert not verify_inclusion(tree.root, b"a", MerkleProof(0, ((sibling, "up"),)))
+
+    def test_memo_gives_the_verdicts_of_a_fresh_hash(self):
+        def flip(blob, pos):
+            return blob[:pos] + bytes([blob[pos] ^ 1]) + blob[pos + 1:]
+
+        def spell(index, siblings):
+            # the sides a proof of ``index`` must carry, over the same hashes
+            sides = ("left" if index >> level & 1 else "right" for level in range(len(siblings)))
+            return MerkleProof(index, tuple((h, side) for (h, _), side in zip(siblings, sides)))
+
+        rng = random.Random(10)
+        for n in (1, 3, 8):
+            leaves = [rng.randbytes(32) for _ in range(n)]
+            tree = MerkleTree(leaves)
+            memo = DigestMemo()
+            for i in range(n):  # warm the memo with every valid proof
+                assert verify_inclusion(tree.root, leaves[i], tree.prove(i), memo)
+            for i in range(n):
+                proof = tree.prove(i)
+                siblings = list(proof.siblings)
+                cases = [(tree.root, leaves[i], proof)]
+                for level, (h, side) in enumerate(siblings):
+                    pos = rng.randrange(32)
+                    other = "left" if side == "right" else "right"
+                    for mutant in ((flip(h, pos), side), (h, other)):
+                        mutated = siblings[:level] + [mutant] + siblings[level + 1:]
+                        cases.append((tree.root, leaves[i], MerkleProof(i, tuple(mutated))))
+                for j in range(1 << len(siblings)):
+                    if j != i:
+                        cases.append((tree.root, leaves[i], MerkleProof(j, proof.siblings)))
+                        cases.append((tree.root, leaves[i], spell(j, siblings)))
+                cases.append((tree.root, leaves[(i + 1) % n] + b"x", proof))
+                cases.append((flip(tree.root, rng.randrange(32)), leaves[i], proof))
+                verdicts = [verify_inclusion(*case, memo) for case in cases]
+                assert verdicts == [verify_inclusion(*case, keccak256) for case in cases]
+                assert verdicts == [True] + [False] * (len(cases) - 1), (n, i)
 
     def test_every_honest_proof_binds_its_index(self):
         for n in (1, 2, 3, 5, 8, 13):

@@ -6,9 +6,11 @@ from rollsim.hashing import keccak256
 from rollsim.l1sim import Chain
 from rollsim.oprollup.l2 import OpL2State, OutputRootProof, initiate_withdrawal, output_root_proof
 from rollsim.oprollup.withdrawals import (
+    AlreadyFinalized,
     AttestationMismatch,
     LenderPool,
     L2OutputOracle,
+    LoanExists,
     NotProposer,
     OracleAttestation,
     ProposalRateLimited,
@@ -179,6 +181,15 @@ class TestFinalization:
                 gas_available=wtx.gas_limit,
             )
 
+    def test_finalizing_a_tree_hashes_each_blob_once(self, keccak_perms):
+        chain, oracle, portal, state, hashes, proof, proposal = setup_rollup(n_withdrawals=8)
+        proofs = [state.withdrawal_proof(wtx.hash) for wtx in state.sent_withdrawals]
+        before = keccak_perms[0]
+        for wtx, wproof in zip(state.sent_withdrawals, proofs):
+            portal.finalize_withdrawal(wtx, 5, proof, wproof, now=proposal.timestamp + PERIOD)
+        # the 8 proofs fold 8 leaf blobs and share the tree's 7 node blobs
+        assert keccak_perms[0] - before == 8 + 7
+
     def test_adversarial_interleavings_never_double_finalize(self):
         # replay every ordering of (early call, on-time call, duplicate)
         for ordering in itertools.permutations(["early", "on_time", "dup"]):
@@ -239,3 +250,24 @@ class TestFastWithdrawals:
         assert pool.closed[wtx.hash] == close_time
         # borrower net: paid_out now vs value at finalization
         assert loan.principal - loan.paid_out == loan.interest
+
+    def test_replayed_attestation_pays_once(self):
+        chain, portal, state, proof, proposal, attester, pool = self.make_pool()
+        wtx = state.sent_withdrawals[0]
+        attestation = attester.attest(wtx.hash)
+        loan = pool.fast_withdrawal(attestation, wtx, now=proposal.timestamp)
+        with pytest.raises(LoanExists):
+            pool.fast_withdrawal(attestation, wtx, now=proposal.timestamp + 1)
+        assert chain.balance(wtx.sender) == loan.paid_out
+        assert pool.loans[wtx.hash] == loan
+
+    def test_finalized_withdrawal_gets_no_loan(self):
+        chain, portal, state, proof, proposal, attester, pool = self.make_pool()
+        wtx = state.sent_withdrawals[0]
+        wproof = state.withdrawal_proof(wtx.hash)
+        now = proposal.timestamp + PERIOD
+        portal.finalize_withdrawal(wtx, 5, proof, wproof, now=now)
+        with pytest.raises(AlreadyFinalized):
+            pool.fast_withdrawal(attester.attest(wtx.hash), wtx, now=now)
+        assert chain.balance(wtx.sender) == 0
+        assert pool.loans == {}
