@@ -40,7 +40,10 @@ class Batch:
 
     @classmethod
     def from_rlp_item(cls, item) -> "Batch":
-        if not isinstance(item, list) or len(item) != 5 or not isinstance(item[4], list):
+        if (
+            not isinstance(item, list) or len(item) != 5 or not isinstance(item[4], list)
+            or not all(isinstance(tx, bytes) for tx in item[4])
+        ):
             raise ValueError("batch item has the wrong shape")
         return cls(
             epoch_number=rlp.decode_int(item[0]),

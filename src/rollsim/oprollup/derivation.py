@@ -16,6 +16,7 @@ from ..hashing import keccak256, memoized_digest
 from ..l1sim import Chain, l1_attributes
 from .batching import Batch, Frame, parse_frames
 from .deposits import (
+    DEPOSIT_TX_PREFIX,
     DepositedTx,
     L1_ATTRIBUTES_DEPOSITOR,
     L1_ATTRIBUTES_PREDEPLOY,
@@ -135,7 +136,9 @@ def derive(l1_chain: Chain, window_w: int) -> list[L2Block]:
                 txs=(_attributes_tx(l1_block, block_digest, seq), *(d.encode() for d in deposits)),
             )
         )
-        # batches for this epoch: correct epoch hash, frames inside the window
+        # batches for this epoch: correct epoch hash, frames inside the window,
+        # and no empty or deposit-typed transaction, since deposits come only
+        # from portal events (the OP Stack's batch validity rules)
         epoch_batches = sorted(
             (
                 (batch, arrival)
@@ -144,6 +147,7 @@ def derive(l1_chain: Chain, window_w: int) -> list[L2Block]:
                 and batch.epoch_hash == l1_block.hash
                 and lo >= epoch
                 and hi < epoch + window_w
+                and all(tx and tx[0] != DEPOSIT_TX_PREFIX for tx in batch.tx_list)
             ),
             key=lambda pair: (pair[0].timestamp, pair[1]),
         )
@@ -184,10 +188,29 @@ def withdraw_tx(sender: int, target: int, value: int, gas_limit: int, data: byte
     ).encode()
 
 
-def execute_block(state: OpL2State, block: L2Block) -> OpL2State:
-    """Apply a derived block; invalid or failing transactions are skipped."""
-    from .deposits import DEPOSIT_TX_PREFIX
+# exclusive upper bound of each integer field of an L2 transaction, by kind
+_ADDRESS, _WORD = 1 << 160, 1 << 256
+_TX_FIELDS = {
+    "transfer": {"from": _ADDRESS, "to": _ADDRESS, "value": _WORD},
+    "withdraw": {"sender": _ADDRESS, "target": _ADDRESS, "value": _WORD, "gas_limit": _WORD},
+}
 
+
+def _well_formed(payload) -> bool:
+    """An object of a known kind whose integer fields are ints (no bools) in
+    range and, for a withdrawal, whose ``data`` is a string."""
+    kind = payload.get("kind") if isinstance(payload, dict) else None
+    if kind not in ("transfer", "withdraw"):  # a tuple, so an unhashable kind is no error
+        return False
+    for key, bound in _TX_FIELDS[kind].items():
+        value = payload.get(key)
+        if type(value) is not int or not 0 <= value < bound:
+            return False
+    return kind == "transfer" or isinstance(payload.get("data"), str)
+
+
+def execute_block(state: OpL2State, block: L2Block) -> OpL2State:
+    """Apply a derived block; malformed, invalid or failing transactions are skipped."""
     for tx in block.txs:
         if tx and tx[0] == DEPOSIT_TX_PREFIX:
             try:
@@ -197,9 +220,11 @@ def execute_block(state: OpL2State, block: L2Block) -> OpL2State:
             continue
         try:
             payload = json.loads(tx.decode())
-        except (ValueError, UnicodeDecodeError):
+        except (ValueError, RecursionError):  # the decoder recurses once per nesting level
             continue
-        kind = payload.get("kind")
+        if not _well_formed(payload):
+            continue
+        kind = payload["kind"]
         try:
             if kind == "transfer":
                 sender, to, value = payload["from"], payload["to"], payload["value"]
@@ -216,7 +241,7 @@ def execute_block(state: OpL2State, block: L2Block) -> OpL2State:
                     value=payload["value"],
                     data=bytes.fromhex(payload["data"]),
                 )
-        except (KeyError, ValueError):
+        except ValueError:  # an unfunded withdrawal or non-hex data
             continue
     return state
 

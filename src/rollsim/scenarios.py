@@ -20,6 +20,7 @@ from .oprollup import batching, dispute as dispute_mod
 from .oprollup.deposits import GUARANTEED_GAS_CAP, GuaranteedGasExhausted, OptimismPortal
 from .oprollup.derivation import (
     BATCH_INBOX_ADDRESS,
+    ExecutedChain,
     derive,
     execute_chain,
     transfer_tx,
@@ -34,10 +35,10 @@ from .oprollup.withdrawals import (
 )
 from .validityrollup.cairo import INSTRUCTION_BITS, run_program, sqrt_program
 from .validityrollup.messaging import (
+    HandlerAssertionError,
     StarkNetCore,
     ValidityL2State,
     dispatch_l1_handler,
-    selector_from_name,
     send_message_to_l1,
     starkgate_withdraw_payload,
 )
@@ -205,79 +206,114 @@ class RunReport:
         return not self.invariant_violations
 
 
-class _Timeline:
-    def __init__(self):
-        self.entries: list[dict] = []
+class _Run:
+    """What the phases of one run share: the config, the L1 chain, and the
+    timeline and invariant violations its report is built from."""
 
-    def log(self, time: int, block: int, event: str, **details) -> None:
-        entry = {"time": time, "block": block, "event": event}
-        entry.update({k: v for k, v in sorted(details.items())})
-        self.entries.append(entry)
+    def __init__(self, config: ScenarioConfig):
+        self.config = config
+        self.chain = Chain(basefee=config.basefee, block_time=config.block_time)
+        self.timeline: list[dict] = []
+        self.violations: list[str] = []
+
+    def log(self, event: str, time: int | None = None, **details) -> None:
+        """Record ``event`` in the pending block, at its timestamp unless ``time`` is given."""
+        entry = {"time": self.chain.pending_timestamp if time is None else time,
+                 "block": self.chain.pending_block_number, "event": event}
+        entry.update(sorted(details.items()))
+        self.timeline.append(entry)
+
+    def report(self, gas: dict, dispute: dict, withdrawal_latencies: dict, cost: dict) -> RunReport:
+        """The run's report; ``gas`` adds to the L1 block count and gas used."""
+        return RunReport(
+            version=__version__,
+            config_hash=self.config.config_hash(),
+            timeline=self.timeline,
+            gas={"l1_blocks": len(self.chain.blocks),
+                 "total_gas_used": sum(b.gas_used for b in self.chain.blocks), **gas},
+            dispute=dispute,
+            withdrawal_latencies=withdrawal_latencies,
+            cost=cost,
+            invariant_violations=self.violations,
+        )
 
 
 def run(config: ScenarioConfig) -> RunReport:
     """Execute a scenario; the report is a pure function of the config."""
     config.validate()
     if config.rollup == "optimistic":
-        return _run_optimistic(config)
-    return _run_validity(config)
+        return _run_optimistic(_Run(config))
+    return _run_validity(_Run(config))
 
 
 # --- optimistic --------------------------------------------------------------------
 
+_PROPOSER = 0xA11CE
+_CHALLENGER = 0xB0B
 
-def _run_optimistic(config: ScenarioConfig) -> RunReport:
-    timeline = _Timeline()
-    violations: list[str] = []
-    chain = Chain(basefee=config.basefee, block_time=config.block_time)
-    portal = OptimismPortal(chain)
-    proposer = 0xA11CE
-    challenger = 0xB0B
-    oracle = L2OutputOracle(
-        chain, proposers={proposer}, dispute_period=config.dispute_period
+
+def _run_optimistic(ctx: _Run) -> RunReport:
+    """Deposit, batch, derive and execute, dispute a planted fraud, propose and finalize."""
+    config = ctx.config
+    portal = OptimismPortal(ctx.chain)
+    oracle = L2OutputOracle(ctx.chain, proposers={_PROPOSER}, dispute_period=config.dispute_period)
+    wportal = WithdrawalPortal(ctx.chain, oracle)
+    # (sender, target, value, gas_limit) of each configured withdrawal
+    wanted = [
+        (w["user"], w.get("target", w["user"]), w["value"], w.get("gas_limit", 21_000))
+        for w in config.withdrawals
+    ]
+    epoch = _deposit(ctx, portal)
+    da_bytes = _batch(ctx, epoch, wanted)
+    executed, landed = _derive_and_execute(ctx, wanted)
+    tip = executed.blocks[-1].number if executed.blocks else 0
+    dispute = {"played": False}
+    if config.planted_fraud:
+        dispute = _dispute(ctx, oracle, tip, executed.output.output_root)
+    latencies = _propose_and_finalize(ctx, wportal, executed, landed, tip, epoch)
+    corpus = synthetic_batch_corpus(seed=config.seed + 7)
+    stats = compression_stats(corpus, group_size=len(corpus))
+    return ctx.report(
+        gas={"da_bytes_posted": da_bytes},
+        dispute=dispute,
+        withdrawal_latencies=latencies,
+        cost={
+            "corpus_raw_gas": stats.total_raw_gas,
+            "corpus_compressed_gas": stats.total_compressed_gas,
+            "corpus_gas_ratio": round(stats.gas_ratio, 6),
+        },
     )
-    wportal = WithdrawalPortal(chain, oracle)
 
-    # deposits through the portal from block 0 on; a deposit that would push
-    # the forming block past its guaranteed L2 gas goes into the next block
-    for dep in config.deposits:
+
+def _deposit(ctx: _Run, portal: OptimismPortal) -> int:
+    """Deposit from block 0 on; return the epoch, the empty block after the last deposit block."""
+    chain = ctx.chain
+    for dep in ctx.config.deposits:
+        # a deposit past the forming block's guaranteed L2 gas goes into the next block
         gas_limit = dep.get("gas_limit", 100_000)
         used = portal.guaranteed_gas_in_block(chain.pending_block_number)
         if used and used + gas_limit > GUARANTEED_GAS_CAP:
             chain.mine_block()
         try:
             _, burned = portal.deposit_transaction(
-                caller=dep["user"],
-                caller_is_contract=False,
-                to=dep["user"],
-                value=dep["value"],
-                gas_limit=gas_limit,
-                is_creation=False,
-                data=b"",
-                l2_basefee=1,
-                l1_basefee=config.basefee,
+                caller=dep["user"], caller_is_contract=False, to=dep["user"], value=dep["value"],
+                gas_limit=gas_limit, is_creation=False, data=b"", l2_basefee=1,
+                l1_basefee=ctx.config.basefee,
             )
         except GuaranteedGasExhausted as exc:  # more gas than a whole block guarantees
-            timeline.log(
-                chain.pending_timestamp, chain.pending_block_number, "deposit_rejected",
-                user=dep["user"], value=dep["value"], reason=str(exc),
-            )
+            ctx.log("deposit_rejected", user=dep["user"], value=dep["value"], reason=str(exc))
             continue
-        timeline.log(
-            chain.pending_timestamp, chain.pending_block_number, "deposit",
-            user=dep["user"], value=dep["value"], burned_gas=burned,
-        )
+        ctx.log("deposit", user=dep["user"], value=dep["value"], burned_gas=burned)
     chain.mine_block()
-    epoch = chain.pending_block_number  # the block after the last deposit block
+    epoch = chain.pending_block_number
     chain.mine_block()
+    return epoch
 
-    # sequencer: transfers and withdrawal initiations for that epoch
+
+def _batch(ctx: _Run, epoch: int, wanted: list[tuple]) -> int:
+    """Post the L2 transactions as shuffled frames of one channel; return the bytes posted."""
+    chain, config = ctx.chain, ctx.config
     txs = [transfer_tx(t["user"], t["target"], t["value"]) for t in config.transfers]
-    # (sender, target, value, gas_limit) of each configured withdrawal
-    wanted = [
-        (w["user"], w.get("target", w["user"]), w["value"], w.get("gas_limit", 21_000))
-        for w in config.withdrawals
-    ]
     txs += [withdraw_tx(*fields) for fields in wanted]
     da_bytes = 0
     if txs:
@@ -296,24 +332,20 @@ def _run_optimistic(config: ScenarioConfig) -> RunReport:
         order = list(range(len(frames)))
         config.rng("frames").shuffle(order)
         for i in order:
-            receipt = chain.submit_tx(
-                sender=0x5E9, to=BATCH_INBOX_ADDRESS, calldata=frames[i].encode()
-            )
-            da_bytes += len(frames[i].encode())
-            timeline.log(
-                chain.pending_timestamp, chain.pending_block_number, "frame_posted",
-                frame=frames[i].frame_number, gas=receipt.gas_used,
-            )
-    chain.mine_block()
-    for _ in range(config.window):
-        chain.mine_block()  # flush the sequencing window
+            calldata = frames[i].encode()
+            receipt = chain.submit_tx(sender=0x5E9, to=BATCH_INBOX_ADDRESS, calldata=calldata)
+            da_bytes += len(calldata)
+            ctx.log("frame_posted", frame=frames[i].frame_number, gas=receipt.gas_used)
+    for _ in range(1 + config.window):
+        chain.mine_block()  # the frames' block, then the sequencing window
+    return da_bytes
 
-    l2_blocks = derive(chain, config.window)
+
+def _derive_and_execute(ctx: _Run, wanted: list[tuple]) -> tuple[ExecutedChain, list[WithdrawalTx]]:
+    """Derive and execute the L2 chain; return it with the configured withdrawals it sent."""
+    l2_blocks = derive(ctx.chain, ctx.config.window)
     executed = execute_chain(l2_blocks)
-    timeline.log(
-        chain.pending_timestamp, chain.pending_block_number, "derived",
-        l2_blocks=len(l2_blocks),
-    )
+    ctx.log("derived", l2_blocks=len(l2_blocks))
     # L2 execution skips a withdrawal its sender cannot fund, so the sent
     # withdrawals are the configured ones in order, minus the skipped ones
     sent = iter(executed.state.sent_withdrawals)
@@ -326,96 +358,58 @@ def _run_optimistic(config: ScenarioConfig) -> RunReport:
             landed.append(candidate)
             candidate = next(sent, None)
         else:
-            timeline.log(
-                chain.pending_timestamp, chain.pending_block_number,
-                "withdrawal_not_initiated", user=fields[0], value=fields[2],
-            )
+            ctx.log("withdrawal_not_initiated", user=fields[0], value=fields[2])
+    return executed, landed
 
-    tip = l2_blocks[-1].number if l2_blocks else 0
-    honest_proof = executed.output
-    honest_root = honest_proof.output_root
 
-    dispute_report: dict = {"played": False}
-    if config.planted_fraud:
-        bad_root = keccak256(b"fraud" + honest_root)
-        oracle.propose(proposer, bad_root, tip, stake=oracle.min_stake)
-        timeline.log(
-            chain.pending_timestamp, chain.pending_block_number, "output_proposed",
-            root=bad_root.hex(), fraudulent=True,
-        )
-        # a VM execution standing in for the challenged block's trace
-        game = dispute_mod.play_planted_fault(
-            (0, 1, 3, 0, 1, 0, 0, 0), config.dispute_steps, config.fault_position,
-            challenger=challenger, defender=proposer,
-        )
-        winner = game.winner
-        slashed = 0
-        if winner == dispute_mod.CHALLENGER:
-            slashed = oracle.invalidate(tip)
-        else:
-            violations.append("dispute: honest challenger failed to win")
-        dispute_report = {
-            "played": True,
-            "winner": winner,
-            "rounds": game.rounds,
-            "stake_slashed": slashed,
-        }
-        timeline.log(
-            chain.pending_timestamp, chain.pending_block_number, "dispute_resolved",
-            winner=winner, rounds=game.rounds, stake_slashed=slashed,
-        )
-    proposal = oracle.propose(proposer, honest_root, tip, stake=oracle.min_stake)
-    timeline.log(
-        proposal.timestamp, chain.pending_block_number, "output_proposed",
-        root=honest_root.hex(), fraudulent=False,
+def _dispute(ctx: _Run, oracle: L2OutputOracle, tip: int, honest_root: bytes) -> dict:
+    """Propose a fraudulent output root and play the bisection game against it."""
+    bad_root = keccak256(b"fraud" + honest_root)
+    oracle.propose(_PROPOSER, bad_root, tip, stake=oracle.min_stake)
+    ctx.log("output_proposed", root=bad_root.hex(), fraudulent=True)
+    # a VM execution standing in for the challenged block's trace
+    game = dispute_mod.play_planted_fault(
+        (0, 1, 3, 0, 1, 0, 0, 0), ctx.config.dispute_steps, ctx.config.fault_position,
+        challenger=_CHALLENGER, defender=_PROPOSER,
     )
+    slashed = 0
+    if game.winner == dispute_mod.CHALLENGER:
+        slashed = oracle.invalidate(tip)
+    else:
+        ctx.violations.append("dispute: honest challenger failed to win")
+    ctx.log("dispute_resolved", winner=game.winner, rounds=game.rounds, stake_slashed=slashed)
+    return {"played": True, "winner": game.winner, "rounds": game.rounds, "stake_slashed": slashed}
 
+
+def _propose_and_finalize(
+    ctx: _Run, wportal: WithdrawalPortal, executed: ExecutedChain, landed: list[WithdrawalTx],
+    tip: int, epoch: int,
+) -> dict:
+    """Propose the honest root; finalize each withdrawal a second early (refused), then on time."""
+    output, oracle = executed.output, wportal.oracle
+    proposal = oracle.propose(_PROPOSER, output.output_root, tip, stake=oracle.min_stake)
+    ctx.log("output_proposed", root=output.output_root.hex(), fraudulent=False)
+    on_time = proposal.timestamp + ctx.config.dispute_period
+    initiated_at = ctx.chain.blocks[epoch].timestamp
     latencies: dict[str, dict] = {}
     for wtx in landed:
-        proof = executed.state.withdrawal_proof(wtx.hash)
-        early = proposal.timestamp + config.dispute_period - 1
+        proof, withdrawal = executed.state.withdrawal_proof(wtx.hash), wtx.hash.hex()
         try:
-            wportal.finalize_withdrawal(wtx, tip, honest_proof, proof, now=early)
-            violations.append("withdrawal finalized before the dispute period elapsed")
+            wportal.finalize_withdrawal(wtx, tip, output, proof, now=on_time - 1)
+            ctx.violations.append("withdrawal finalized before the dispute period elapsed")
         except WithdrawalError as exc:
-            timeline.log(early, chain.pending_block_number, "finalize_rejected",
-                         reason=str(exc), withdrawal=wtx.hash.hex())
-        on_time = proposal.timestamp + config.dispute_period
+            ctx.log("finalize_rejected", time=on_time - 1, reason=str(exc), withdrawal=withdrawal)
         try:
-            receipt = wportal.finalize_withdrawal(wtx, tip, honest_proof, proof, now=on_time)
+            receipt = wportal.finalize_withdrawal(wtx, tip, output, proof, now=on_time)
         except WithdrawalError as exc:
-            timeline.log(on_time, chain.pending_block_number, "finalize_rejected",
-                         reason=str(exc), withdrawal=wtx.hash.hex())
+            ctx.log("finalize_rejected", time=on_time, reason=str(exc), withdrawal=withdrawal)
             continue
-        timeline.log(on_time, chain.pending_block_number, "withdrawal_finalized",
-                     withdrawal=wtx.hash.hex(), value=receipt["value"])
-        latencies[wtx.hash.hex()] = {
-            "initiated_at": chain.blocks[epoch].timestamp,
-            "finalized_at": on_time,
-            "seconds": on_time - chain.blocks[epoch].timestamp,
+        ctx.log("withdrawal_finalized", time=on_time, withdrawal=withdrawal,
+                value=receipt["value"])
+        latencies[withdrawal] = {
+            "initiated_at": initiated_at, "finalized_at": on_time, "seconds": on_time - initiated_at,
         }
-
-    corpus = synthetic_batch_corpus(seed=config.seed + 7)
-    stats = compression_stats(corpus, group_size=len(corpus))
-    report = RunReport(
-        version=__version__,
-        config_hash=config.config_hash(),
-        timeline=timeline.entries,
-        gas={
-            "l1_blocks": len(chain.blocks),
-            "total_gas_used": sum(b.gas_used for b in chain.blocks),
-            "da_bytes_posted": da_bytes,
-        },
-        dispute=dispute_report,
-        withdrawal_latencies=latencies,
-        cost={
-            "corpus_raw_gas": stats.total_raw_gas,
-            "corpus_compressed_gas": stats.total_compressed_gas,
-            "corpus_gas_ratio": round(stats.gas_ratio, 6),
-        },
-        invariant_violations=violations,
-    )
-    return report
+    return latencies
 
 
 # --- validity ----------------------------------------------------------------------
@@ -442,113 +436,110 @@ class _StarkGateL1:
         return msg_hash
 
 
-def _run_validity(config: ScenarioConfig) -> RunReport:
-    timeline = _Timeline()
-    violations: list[str] = []
-    chain = Chain(basefee=config.basefee, block_time=config.block_time)
-    core = StarkNetCore(chain)
-    gate = _StarkGateL1(chain, core)
-    prover = SharpProver(PairingGroup(config.group_order), config.rng("snark-setup"))
+def register_bridge(l2: ValidityL2State) -> int:
+    """Register the L2 bridge's deposit handler, which only the L1 bridge may
+    call; return its selector. A user's balance is kept under their address."""
+
+    def deposit(from_address: int, user: int, amount: int) -> None:
+        if from_address != L1_BRIDGE_ADDRESS:
+            raise HandlerAssertionError(f"deposit from unexpected L1 contract {from_address:#x}")
+        l2.storage_write(L2_BRIDGE_ADDRESS, user, l2.storage_read(L2_BRIDGE_ADDRESS, user) + amount)
+
+    return l2.register_handler(L2_BRIDGE_ADDRESS, "deposit", deposit)
+
+
+def _run_validity(ctx: _Run) -> RunReport:
+    """Message and execute, prove and settle, consume."""
+    core = StarkNetCore(ctx.chain)
+    gate = _StarkGateL1(ctx.chain, core)
+    prover = SharpProver(PairingGroup(ctx.config.group_order), ctx.config.rng("snark-setup"))
     l2 = ValidityL2State()
+    withdrawals, initiated_block = _message_and_execute(ctx, core, l2)
+    diff, diff_words, settle_block = _prove_and_settle(ctx, core, prover, l2)
+    latencies = _consume(ctx, gate, withdrawals, initiated_block, settle_block)
+    cost = da_cost_comparison(DaScenario(diff=diff)) if diff.storage else None
+    return ctx.report(
+        gas={"diff_words_published": len(diff_words)},
+        dispute={"played": False},
+        withdrawal_latencies=latencies,
+        cost=json.loads(cost.to_json()) if cost else {},
+    )
 
-    balance_key = lambda user: user  # storage key for a user's bridged balance
 
-    def deposit_handler(from_address: int, user: int, amount: int) -> None:
-        assert from_address == L1_BRIDGE_ADDRESS, "deposit from unexpected L1 contract"
-        current = l2.storage_read(L2_BRIDGE_ADDRESS, balance_key(user))
-        l2.storage_write(L2_BRIDGE_ADDRESS, balance_key(user), current + amount)
-
-    deposit_selector = l2.register_handler(L2_BRIDGE_ADDRESS, "deposit", deposit_handler)
-
-    # deposits: L1 -> L2 messages with escrowed fees
+def _message_and_execute(ctx: _Run, core: StarkNetCore, l2: ValidityL2State) -> tuple[list, int]:
+    """Message the deposits to L2 and execute them and the workload; return the withdrawals sent."""
+    chain = ctx.chain
+    deposit_selector = register_bridge(l2)
     pending_messages = []
-    for dep in config.deposits:
+    for dep in ctx.config.deposits:
         msg_hash, message = core.send_message_to_l2(
-            caller=L1_BRIDGE_ADDRESS,
-            to_address=L2_BRIDGE_ADDRESS,
-            selector=deposit_selector,
-            payload=(dep["user"], dep["value"]),
-            fee=dep.get("fee", 10_000),
+            caller=L1_BRIDGE_ADDRESS, to_address=L2_BRIDGE_ADDRESS, selector=deposit_selector,
+            payload=(dep["user"], dep["value"]), fee=dep.get("fee", 10_000),
         )
         pending_messages.append(message)
-        timeline.log(chain.pending_timestamp, chain.pending_block_number,
-                     "message_to_l2", hash=msg_hash.hex(), value=dep["value"])
+        ctx.log("message_to_l2", hash=msg_hash.hex(), value=dep["value"])
     chain.mine_block()
 
-    # the sequencer executes the deposits and the L2 workload
     for message in pending_messages:
         dispatch_l1_handler(l2, message)
-    for t in config.transfers:
-        src = l2.storage_read(L2_BRIDGE_ADDRESS, balance_key(t["user"]))
+    for t in ctx.config.transfers:
+        src = l2.storage_read(L2_BRIDGE_ADDRESS, t["user"])
         if src < t["value"]:
             continue
-        l2.storage_write(L2_BRIDGE_ADDRESS, balance_key(t["user"]), src - t["value"])
-        dst = l2.storage_read(L2_BRIDGE_ADDRESS, balance_key(t["target"]))
-        l2.storage_write(L2_BRIDGE_ADDRESS, balance_key(t["target"]), dst + t["value"])
-    withdrawal_messages = []
+        l2.storage_write(L2_BRIDGE_ADDRESS, t["user"], src - t["value"])
+        dst = l2.storage_read(L2_BRIDGE_ADDRESS, t["target"])
+        l2.storage_write(L2_BRIDGE_ADDRESS, t["target"], dst + t["value"])
+    initiated = []
     initiated_block = chain.pending_block_number
-    for w in config.withdrawals:
-        balance = l2.storage_read(L2_BRIDGE_ADDRESS, balance_key(w["user"]))
+    for w in ctx.config.withdrawals:
+        balance = l2.storage_read(L2_BRIDGE_ADDRESS, w["user"])
         if balance < w["value"]:
-            timeline.log(chain.pending_timestamp, chain.pending_block_number,
-                         "withdrawal_not_initiated", user=w["user"], value=w["value"])
+            ctx.log("withdrawal_not_initiated", user=w["user"], value=w["value"])
             continue
-        l2.storage_write(L2_BRIDGE_ADDRESS, balance_key(w["user"]), balance - w["value"])
-        payload = tuple(starkgate_withdraw_payload(w.get("target", w["user"]), w["value"]))
+        l2.storage_write(L2_BRIDGE_ADDRESS, w["user"], balance - w["value"])
+        payload = starkgate_withdraw_payload(w.get("target", w["user"]), w["value"])
         send_message_to_l1(l2, L2_BRIDGE_ADDRESS, L1_BRIDGE_ADDRESS, payload)
-        withdrawal_messages.append((w, payload))
-        timeline.log(chain.pending_timestamp, chain.pending_block_number,
-                     "withdrawal_initiated", user=w["user"], value=w["value"])
-    for _ in range(config.proof_cadence_blocks - 1):
+        initiated.append(w)
+        ctx.log("withdrawal_initiated", user=w["user"], value=w["value"])
+    for _ in range(ctx.config.proof_cadence_blocks - 1):
         chain.mine_block()
+    return initiated, initiated_block
 
-    # prove and settle the accumulated transition
+
+def _prove_and_settle(ctx: _Run, core: StarkNetCore, prover: SharpProver, l2: ValidityL2State):
+    """Prove and settle the accumulated state diff; return it, its words and the settling block."""
     trace = run_program(
-        sqrt_program(25), prog_base=10_000, ap_initial=20_000, prime=config.field_prime
+        sqrt_program(25), prog_base=10_000, ap_initial=20_000, prime=ctx.config.field_prime
     )
     diff = l2.drain_pending_diff()
     diff_words = encode_state_diff(diff)
     messages = SettlementMessages(
-        consumed_l1_to_l2=tuple(l2.consumed_inbox),
-        sent_l2_to_l1=tuple(l2.outbox),
+        consumed_l1_to_l2=tuple(l2.consumed_inbox), sent_l2_to_l1=tuple(l2.outbox)
     )
     proof = prove_transition(core.state_root, diff, trace, prover, messages)
     new_root = settle(core, prover, proof, diff_words, messages)
-    settle_block = chain.pending_block_number
-    timeline.log(chain.pending_timestamp, settle_block, "proof_settled",
-                 root=new_root.hex(), diff_words=len(diff_words))
-    chain.mine_block()
+    settle_block = ctx.chain.pending_block_number
+    ctx.log("proof_settled", root=new_root.hex(), diff_words=len(diff_words))
+    ctx.chain.mine_block()
+    return diff, diff_words, settle_block
 
+
+def _consume(
+    ctx: _Run, gate: _StarkGateL1, withdrawals: list[dict], initiated_block: int, settle_block: int
+) -> dict:
+    """Consume each withdrawal on L1, which must succeed in the block after settlement."""
     latencies: dict[str, dict] = {}
-    for w, payload in withdrawal_messages:
-        recipient = w.get("target", w["user"])
-        msg_hash = gate.withdraw(w["value"], recipient)
-        consume_block = chain.pending_block_number
-        timeline.log(chain.pending_timestamp, consume_block, "withdrawal_consumed",
-                     hash=msg_hash.hex(), value=w["value"])
+    for w in withdrawals:
+        msg_hash = gate.withdraw(w["value"], w.get("target", w["user"]))
+        consume_block = ctx.chain.pending_block_number
+        ctx.log("withdrawal_consumed", hash=msg_hash.hex(), value=w["value"])
         if consume_block != settle_block + 1:
-            violations.append("withdrawal not consumable in the block after settlement")
+            ctx.violations.append("withdrawal not consumable in the block after settlement")
         latencies[msg_hash.hex()] = {
             "initiated_block": initiated_block,
             "consumed_block": consume_block,
             "blocks": consume_block - initiated_block,
-            "seconds": (consume_block - initiated_block) * config.block_time,
+            "seconds": (consume_block - initiated_block) * ctx.config.block_time,
         }
-    chain.mine_block()
-
-    cost_report = da_cost_comparison(DaScenario(diff=diff)) if diff.storage else None
-    report = RunReport(
-        version=__version__,
-        config_hash=config.config_hash(),
-        timeline=timeline.entries,
-        gas={
-            "l1_blocks": len(chain.blocks),
-            "total_gas_used": sum(b.gas_used for b in chain.blocks),
-            "diff_words_published": len(diff_words),
-        },
-        dispute={"played": False},
-        withdrawal_latencies=latencies,
-        cost=json.loads(cost_report.to_json()) if cost_report else {},
-        invariant_violations=violations,
-    )
-    return report
+    ctx.chain.mine_block()
+    return latencies

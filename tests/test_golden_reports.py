@@ -1,7 +1,8 @@
 """Report bytes pinned across processes.
 
 Each CLI scenario runs at its defaults in a fresh interpreter under two
-``PYTHONHASHSEED`` values; the printed report hash must equal the pin. A
+``PYTHONHASHSEED`` values, and once more under ``python -O``, which strips
+``assert`` statements; the printed report hash must equal the pin. A
 change that alters report bytes on purpose regenerates these pins and says
 why.
 """
@@ -24,11 +25,11 @@ GOLDEN = {
 }
 
 
-def _report_hash(args, hash_seed: str) -> str:
+def _report_hash(args, hash_seed: str, *interpreter_flags: str) -> str:
     env = dict(os.environ, PYTHONHASHSEED=hash_seed)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-m", "rollsim.cli", *args],
+        [sys.executable, *interpreter_flags, "-m", "rollsim.cli", *args],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     first = result.stdout.splitlines()[0]
@@ -39,3 +40,8 @@ def _report_hash(args, hash_seed: str) -> str:
 @pytest.mark.parametrize("args", sorted(GOLDEN), ids=" ".join)
 def test_report_hash_pinned_across_processes(args):
     assert [_report_hash(args, seed) for seed in ("1", "4242")] == [GOLDEN[args]] * 2
+
+
+@pytest.mark.parametrize("args", sorted(GOLDEN), ids=" ".join)
+def test_report_hash_pinned_without_asserts(args):
+    assert _report_hash(args, "1", "-O") == GOLDEN[args]

@@ -1,9 +1,13 @@
+import contextlib
 import dataclasses
 import hashlib
+import sys
 
 import pytest
+from click.testing import CliRunner
 
 from rollsim import hashing
+from rollsim.cli import main
 from rollsim.hashing import keccak256
 from rollsim.l1sim import L1Block, Tx
 from rollsim.oprollup.derivation import L2Block
@@ -43,8 +47,57 @@ class TestKnownAnswers:
         calls = []
         real = hashing._keccak_f
         monkeypatch.setattr(hashing, "_keccak_f", lambda s: calls.append(1) or real(s))
-        keccak256(_message(n))
-        assert len(calls) == n // 136 + 1
+        with hashing.counting() as count:
+            keccak256(_message(n))
+        assert count.perms == len(calls) == n // 136 + 1
+
+
+@contextlib.contextmanager
+def _keccak_f_calls():
+    """Count the calls of the real ``_keccak_f`` through a profile hook, an
+    oracle that replaces no function; read ``[0]``."""
+    code = hashing._keccak_f.__code__
+    calls = [0]
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(previous)
+
+
+class TestCounting:
+    @pytest.mark.parametrize(
+        "args", [["simulate-op", "--fraud"], ["simulate-validity"]], ids=" ".join
+    )
+    def test_counts_every_permutation_of_a_whole_run(self, args):
+        with _keccak_f_calls() as calls, hashing.counting() as count:
+            result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert count.perms == calls[0] > 0
+
+    def test_nothing_counted_outside_a_block(self):
+        with hashing.counting() as count:
+            pass
+        keccak256(_message(300))
+        assert count.perms == 0
+
+    def test_innermost_block_counts(self):
+        with hashing.counting() as outer:
+            keccak256(b"a")
+            with hashing.counting() as inner:
+                keccak256(_message(300))
+            keccak256(b"b")
+        assert (outer.perms, inner.perms) == (2, 3)
+
+    def test_stand_in_sponge_is_counted_alike(self, sha3_perms):
+        keccak256(_message(300))  # three started rate blocks
+        assert sha3_perms.perms == 3
 
 
 def _withdrawal():

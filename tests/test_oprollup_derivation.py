@@ -1,16 +1,22 @@
+import json
 import random
+
+import pytest
 
 from rollsim.l1sim import Chain
 from rollsim.oprollup.batching import Batch, build_channel, split_frames
-from rollsim.oprollup.deposits import OptimismPortal
+from rollsim.oprollup.deposits import DepositedTx, OptimismPortal
 from rollsim.oprollup.derivation import (
     BATCH_INBOX_ADDRESS,
+    L2Block,
     chain_hash,
     derive,
+    execute_block,
     execute_chain,
     transfer_tx,
     withdraw_tx,
 )
+from rollsim.oprollup.l2 import OpL2State
 
 
 def deposit(portal, user=0xAB, value=100):
@@ -101,6 +107,32 @@ class TestDerive:
         blocks = derive(chain, window_w=2)
         assert all(len(b.txs) == 1 or b.sequence_number == 0 for b in blocks)
         assert len([b for b in blocks if b.epoch_number == 0]) == 1
+
+    @pytest.mark.parametrize(
+        "bad_tx",
+        [
+            DepositedTx(source_hash=bytes(32), from_address=0xBAD, to_address=0xBAD,
+                        mint=10**21, value=0, data=b"", gas_limit=21_000).encode(),
+            b"",
+            [b"nested"],
+        ],
+        ids=["forged deposit", "empty", "not a byte string"],
+    )
+    def test_batch_with_a_deposit_or_malformed_tx_is_dropped(self, bad_tx):
+        # deposits enter L2 only from portal events; a batch that carries one
+        # would let anyone who posts to the inbox mint
+        chain = Chain()
+        OptimismPortal(chain)
+        b0 = chain.mine_block()
+        batch = Batch(
+            epoch_number=0, epoch_hash=b0.hash, parent_hash=bytes(32),
+            timestamp=b0.timestamp, tx_list=(transfer_tx(1, 2, 3), bad_tx),
+        )
+        post_frames(chain, split_frames(build_channel([batch], timestamp=1, random=1), 1000))
+        chain.mine_block()
+        blocks = derive(chain, window_w=2)
+        assert [b.sequence_number for b in blocks if b.epoch_number == 0] == [0]
+        assert execute_chain(blocks).state.balance(0xBAD) == 0
 
     def test_frame_arrival_order_irrelevant(self):
         rng = random.Random(0)
@@ -250,3 +282,34 @@ class TestExecution:
         assert attrs.number == 0
         assert attrs.hash == chain.blocks[0].hash
         assert attrs.sequence_number == 0
+
+
+def _payload(**fields) -> bytes:
+    return json.dumps(fields).encode()
+
+
+# (id, an L2 transaction execution must skip)
+MALFORMED_TXS = [
+    ("not an object", b"[1]"),
+    ("nested too deeply", b"[" * 100_000),
+    ("string value", _payload(kind="transfer", **{"from": 0xA, "to": 0xB, "value": "5"})),
+    ("bool value", _payload(kind="transfer", **{"from": 0xA, "to": 0xB, "value": True})),
+    ("negative transfer", transfer_tx(0xA, 0xB, -5)),
+    ("target beyond 160 bits", transfer_tx(0xA, 1 << 160, 5)),
+    ("negative withdrawal", withdraw_tx(0xA, 0xB, -3, 21_000)),
+    ("negative gas limit", withdraw_tx(0xA, 0xB, 3, -1)),
+    ("data not a string", _payload(kind="withdraw", sender=0xA, target=0xB, value=3,
+                                   gas_limit=21_000, data=5)),
+]
+
+
+@pytest.mark.parametrize("bad_tx", [tx for _, tx in MALFORMED_TXS],
+                         ids=[name for name, _ in MALFORMED_TXS])
+def test_malformed_payload_is_skipped(bad_tx):
+    state = OpL2State()
+    state.credit(0xA, 10)
+    block = L2Block(number=1, epoch_number=0, epoch_hash=bytes(32), timestamp=0,
+                    sequence_number=1, txs=(bad_tx, transfer_tx(0xA, 0xC, 1)))
+    execute_block(state, block)
+    assert state.balances == {0xA: 9, 0xC: 1}
+    assert state.sent_withdrawals == []

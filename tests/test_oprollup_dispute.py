@@ -187,13 +187,13 @@ class TestTraceReplay:
 class TestLazyTrace:
     def test_recording_hashes_nothing(self, keccak_perms):
         runner = make_runner()
-        built = keccak_perms[0]
+        built = keccak_perms.perms
         runner.run_trace(1024)
-        assert keccak_perms[0] == built
+        assert keccak_perms.perms == built
 
     def test_zero_memory_costs_one_hash_per_level(self, keccak_perms):
         MemoryTree([0] * 64)
-        assert keccak_perms[0] == 7
+        assert keccak_perms.perms == 7
 
     def test_queries_in_any_order_match_forward_order(self):
         # an 8-word memory keeps each random cursor jump to at most 15 hashes,
@@ -247,11 +247,11 @@ class TestScenarioTrace:
         # moved node, 2,721 with every state hashed eagerly and a replay per
         # step proof)
         assert _scenario_game(1024) == CHALLENGER
-        assert keccak_perms[0] <= 450
+        assert keccak_perms.perms <= 450
 
     def test_permutation_budget_grows_logarithmically(self, keccak_perms):
         assert _scenario_game(16_384) == CHALLENGER
-        assert keccak_perms[0] <= 1_000  # 905 now, 1,159 without the memo, 39,585 eagerly
+        assert keccak_perms.perms <= 1_000  # 905 now, 1,159 without the memo, 39,585 eagerly
 
     def test_state_hashes_pinned(self):
         trace = make_runner().run_trace(1024)

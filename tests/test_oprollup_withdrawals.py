@@ -184,11 +184,11 @@ class TestFinalization:
     def test_finalizing_a_tree_hashes_each_blob_once(self, keccak_perms):
         chain, oracle, portal, state, hashes, proof, proposal = setup_rollup(n_withdrawals=8)
         proofs = [state.withdrawal_proof(wtx.hash) for wtx in state.sent_withdrawals]
-        before = keccak_perms[0]
+        before = keccak_perms.perms
         for wtx, wproof in zip(state.sent_withdrawals, proofs):
             portal.finalize_withdrawal(wtx, 5, proof, wproof, now=proposal.timestamp + PERIOD)
         # the 8 proofs fold 8 leaf blobs and share the tree's 7 node blobs
-        assert keccak_perms[0] - before == 8 + 7
+        assert keccak_perms.perms - before == 8 + 7
 
     def test_adversarial_interleavings_never_double_finalize(self):
         # replay every ordering of (early call, on-time call, duplicate)

@@ -1,19 +1,25 @@
 import copy
-import hashlib
 import json
 import random
 import re
 
 import pytest
 
-from rollsim import hashing
 from rollsim.scenarios import (
+    L2_BRIDGE_ADDRESS,
     MAX_DISPUTE_STEPS,
     MAX_PROOF_CADENCE_BLOCKS,
     MAX_WINDOW,
     ConfigError,
     ScenarioConfig,
+    register_bridge,
     run,
+)
+from rollsim.validityrollup.messaging import (
+    HandlerAssertionError,
+    L1ToL2Message,
+    ValidityL2State,
+    dispatch_l1_handler,
 )
 
 WORKLOAD = dict(
@@ -273,21 +279,6 @@ def wide_funded_users(n):
     )
 
 
-def sha3_perms(monkeypatch):
-    """Put hashlib's SHA3-256 in for the Keccak sponge and count the
-    permutations the sponge would run, ``len // 136 + 1`` per call; read
-    ``[0]``. No control flow reads a digest value, so the counts are those of
-    Keccak at a fraction of the time. For sweeps only, never for reports."""
-    count = [0]
-
-    def sponge(data, domain):
-        count[0] += len(data) // 136 + 1
-        return hashlib.sha3_256(data).digest()
-
-    monkeypatch.setattr(hashing, "_sponge", sponge)
-    return count
-
-
 def _events(report, name):
     return [e for e in report.timeline if e["event"] == name]
 
@@ -297,12 +288,12 @@ class TestOptimisticScale:
         report = run(funded_users(80))
         assert report.ok
         # 689 now, 1,168 when each withdrawal proof was folded from scratch
-        assert keccak_perms[0] <= 750
+        assert keccak_perms.perms <= 750
 
     def test_320_users_spill_deposits_and_stay_linear(self, keccak_perms):
         report = run(funded_users(40))
-        per_user_40 = keccak_perms[0] / 40
-        keccak_perms[0] = 0
+        per_user_40 = keccak_perms.perms / 40
+        keccak_perms.perms = 0
         report = run(funded_users(320))
         assert report.ok
         assert len(_events(report, "withdrawal_finalized")) == 320
@@ -315,22 +306,21 @@ class TestOptimisticScale:
         assert initiated == {4 * 12}
         # 8.32 per user at 320 and 9.05 at 40 now; 16.32 and 14.03 when each
         # withdrawal proof was folded from scratch
-        assert keccak_perms[0] / 320 <= per_user_40
+        assert keccak_perms.perms / 320 <= per_user_40
 
     def test_permutation_budget_at_32_wide_users(self, keccak_perms):
         assert run(wide_funded_users(32)).ok
         # one output root, at the tip, and each proof node folded once: 355
         # now, 484 when each proof was folded from scratch, 827 when every L2
         # block hashed itself and committed its state and withdrawal roots
-        assert keccak_perms[0] <= 380
+        assert keccak_perms.perms <= 380
 
-    def test_per_user_permutations_flat_from_256_to_1024_users(self, monkeypatch):
-        perms = sha3_perms(monkeypatch)
+    def test_per_user_permutations_flat_from_256_to_1024_users(self, sha3_perms):
         per_user = {}
         for n in (256, 1024):
-            perms[0] = 0
+            sha3_perms.perms = 0
             assert run(wide_funded_users(n)).ok
-            per_user[n] = perms[0] / n
+            per_user[n] = sha3_perms.perms / n
         # 10.43 and 10.33 now (0.99x); 17.43 and 19.33 (1.11x) when each
         # withdrawal proof was folded from scratch, at log n + 1 hashes;
         # 29.28 and 34.73 (1.19x) with a state root per L2 block
@@ -375,16 +365,16 @@ def funded_validity_users(n):
 class TestValidityScale:
     def test_320_users_within_permutation_budget_and_linear(self, keccak_perms):
         run(funded_validity_users(40))
-        per_user_40 = keccak_perms[0] / 40
-        keccak_perms[0] = 0
+        per_user_40 = keccak_perms.perms / 40
+        keccak_perms.perms = 0
         report = run(funded_validity_users(320))
         assert report.ok
         assert len(_events(report, "withdrawal_consumed")) == 320
         # each message is hashed once per side and the diff once per side:
         # 2,795 now, 3,097 when the settlement digest rehashed the diff,
         # 5,657 when settlement rehashed every message from its fields
-        assert keccak_perms[0] <= 2_900
-        assert keccak_perms[0] / 320 <= 1.1 * per_user_40
+        assert keccak_perms.perms <= 2_900
+        assert keccak_perms.perms / 320 <= 1.1 * per_user_40
 
     def test_unfunded_withdrawal_is_an_event(self):
         config = funded_validity_users(3)
@@ -419,6 +409,15 @@ class TestValidityScenario:
         (val_latency,) = val.withdrawal_latencies.values()
         assert val_latency["seconds"] < opt_latency["seconds"] / 1000
 
+    def test_bridge_refuses_a_deposit_from_another_l1_address(self):
+        l2 = ValidityL2State()
+        message = L1ToL2Message(from_address=0xBAD, to_address=L2_BRIDGE_ADDRESS,
+                                selector=register_bridge(l2), payload=(0x100, 5), nonce=0, fee=0)
+        # raised, not asserted, so the guard holds under ``python -O`` too
+        with pytest.raises(HandlerAssertionError, match="0xbad"):
+            dispatch_l1_handler(l2, message)
+        assert l2.storage == {} and l2.consumed_inbox == []
+
 
 class TestDeterminism:
     def test_same_seed_same_report(self):
@@ -442,3 +441,4 @@ class TestDeterminism:
 
         assert payload["version"] == __version__
         assert payload["config_hash"] == config.config_hash()
+
