@@ -22,7 +22,7 @@ from .costbench import (
     synthetic_batch_corpus,
 )
 from .oprollup import dispute as dispute_mod
-from .scenarios import ConfigError, ScenarioConfig, run as run_scenario
+from .scenarios import ConfigError, PhaseCost, ScenarioConfig, run as run_scenario
 from .snark import run_pipeline
 from .validityrollup.statediff import MAINNET_DIFF_VECTOR, decode_state_diff
 
@@ -82,13 +82,21 @@ def _emit_report(report, as_json: bool) -> None:
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help=f"Scenario config JSON (default: ${CONFIG_ENV_VAR}).")
 @click.option("--json", "as_json", is_flag=True, help="Emit the full report as JSON.")
-def run_cmd(config_path, as_json):
+@click.option("--profile", is_flag=True,
+              help="Print Keccak-f permutations and wall time per phase on stderr.")
+def run_cmd(config_path, as_json, profile):
     """Run a scenario from a config file."""
     try:
         config = _load_config(config_path)
     except ConfigError as exc:
         raise click.ClickException(str(exc))
-    _emit_report(run_scenario(config), as_json)
+    phases: list[PhaseCost] | None = [] if profile else None
+    report = run_scenario(config, profile=phases)
+    if profile:
+        click.echo(f"{'phase':<22} {'keccak_perms':>12} {'wall_s':>10}", err=True)
+        for row in phases:
+            click.echo(f"{row.phase:<22} {row.perms:>12} {row.seconds:>10.4f}", err=True)
+    _emit_report(report, as_json)
 
 
 _DEFAULT_WORKLOAD = dict(

@@ -76,7 +76,6 @@ class OpL2State:
     withdrawal_nonce: int = 0
     sent_withdrawals: list[WithdrawalTx] = dataclass_field(default_factory=list)
     latest_attributes: L1Attributes | None = None
-    events: list[tuple[str, bytes]] = dataclass_field(default_factory=list)
     # (ledger length, tree over the ledger or None while it is empty,
     # withdrawal hash -> first index)
     _withdrawal_tree: tuple[int, MerkleTree | None, dict[bytes, int]] | None = (
@@ -164,7 +163,6 @@ def initiate_withdrawal(
     state.balances[sender] = state.balance(sender) - value
     state.sent_withdrawals.append(tx)
     state.withdrawal_nonce += 1
-    state.events.append(("WithdrawalInitiated", tx.hash))
     return tx.hash
 
 

@@ -7,11 +7,15 @@ keys, so regenerating a run yields byte-identical output.
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
 import random
 from dataclasses import dataclass, field as dataclass_field
+from time import perf_counter
+from typing import Iterator, NamedTuple
 
-from . import __version__
+from . import __version__, hashing
 from .algebra import PairingGroup, DEFAULT_PRIME, is_prime
 from .hashing import keccak256
 from .l1sim import Chain
@@ -178,7 +182,9 @@ class ScenarioConfig:
         return config
 
     def config_hash(self) -> str:
-        return keccak256(self.to_json().encode()).hex()
+        """FIPS-202 SHA3-256 of ``to_json()``: a provenance tag that no
+        simulated contract reads, so it stays off the model's Keccak-256."""
+        return hashlib.sha3_256(self.to_json().encode()).hexdigest()
 
     def rng(self, stream: str) -> random.Random:
         return random.Random(f"{self.seed}:{stream}")
@@ -199,22 +205,48 @@ class RunReport:
         return json.dumps(vars(self), sort_keys=True)
 
     def report_hash(self) -> str:
-        return keccak256(self.to_json().encode()).hex()
+        """FIPS-202 SHA3-256 of ``to_json()``, an identity tag like ``config_hash``."""
+        return hashlib.sha3_256(self.to_json().encode()).hexdigest()
 
     @property
     def ok(self) -> bool:
         return not self.invariant_violations
 
 
-class _Run:
-    """What the phases of one run share: the config, the L1 chain, and the
-    timeline and invariant violations its report is built from."""
+class PhaseCost(NamedTuple):
+    """One row of a run's profile: Keccak-f permutations and wall time of a phase."""
 
-    def __init__(self, config: ScenarioConfig):
+    phase: str
+    perms: int
+    seconds: float
+
+
+class _Run:
+    """What the phases of one run share: the config, the L1 chain, the
+    timeline and invariant violations its report is built from, and the
+    profile its phases append to, if one was asked for."""
+
+    def __init__(self, config: ScenarioConfig, profile: list[PhaseCost] | None = None):
         self.config = config
         self.chain = Chain(basefee=config.basefee, block_time=config.block_time)
         self.timeline: list[dict] = []
         self.violations: list[str] = []
+        self.profile = profile
+
+    @contextlib.contextmanager
+    def phase(self, name: str) -> Iterator[None]:
+        """Run the block as phase ``name``; with a profile, append its cost.
+
+        Without a profile this counts nothing, so an enclosing
+        ``hashing.counting()`` block sees every permutation of the run.
+        """
+        if self.profile is None:
+            yield
+            return
+        start = perf_counter()
+        with hashing.counting() as count:
+            yield
+        self.profile.append(PhaseCost(name, count.perms, perf_counter() - start))
 
     def log(self, event: str, time: int | None = None, **details) -> None:
         """Record ``event`` in the pending block, at its timestamp unless ``time`` is given."""
@@ -238,12 +270,17 @@ class _Run:
         )
 
 
-def run(config: ScenarioConfig) -> RunReport:
-    """Execute a scenario; the report is a pure function of the config."""
+def run(config: ScenarioConfig, profile: list[PhaseCost] | None = None) -> RunReport:
+    """Execute a scenario; the report is a pure function of the config.
+
+    Given a ``profile`` list, append one ``PhaseCost`` per phase and a last
+    one for building the report; their permutations sum to the run's.
+    """
     config.validate()
+    ctx = _Run(config, profile)
     if config.rollup == "optimistic":
-        return _run_optimistic(_Run(config))
-    return _run_validity(_Run(config))
+        return _run_optimistic(ctx)
+    return _run_validity(ctx)
 
 
 # --- optimistic --------------------------------------------------------------------
@@ -263,26 +300,32 @@ def _run_optimistic(ctx: _Run) -> RunReport:
         (w["user"], w.get("target", w["user"]), w["value"], w.get("gas_limit", 21_000))
         for w in config.withdrawals
     ]
-    epoch = _deposit(ctx, portal)
-    da_bytes = _batch(ctx, epoch, wanted)
-    executed, landed = _derive_and_execute(ctx, wanted)
+    with ctx.phase("deposit"):
+        epoch = _deposit(ctx, portal)
+    with ctx.phase("batch"):
+        da_bytes = _batch(ctx, epoch, wanted)
+    with ctx.phase("derive_and_execute"):
+        executed, landed = _derive_and_execute(ctx, wanted)
     tip = executed.blocks[-1].number if executed.blocks else 0
     dispute = {"played": False}
     if config.planted_fraud:
-        dispute = _dispute(ctx, oracle, tip, executed.output.output_root)
-    latencies = _propose_and_finalize(ctx, wportal, executed, landed, tip, epoch)
-    corpus = synthetic_batch_corpus(seed=config.seed + 7)
-    stats = compression_stats(corpus, group_size=len(corpus))
-    return ctx.report(
-        gas={"da_bytes_posted": da_bytes},
-        dispute=dispute,
-        withdrawal_latencies=latencies,
-        cost={
-            "corpus_raw_gas": stats.total_raw_gas,
-            "corpus_compressed_gas": stats.total_compressed_gas,
-            "corpus_gas_ratio": round(stats.gas_ratio, 6),
-        },
-    )
+        with ctx.phase("dispute"):
+            dispute = _dispute(ctx, oracle, tip, executed.output.output_root)
+    with ctx.phase("propose_and_finalize"):
+        latencies = _propose_and_finalize(ctx, wportal, executed, landed, tip, epoch)
+    with ctx.phase("report"):
+        corpus = synthetic_batch_corpus(seed=config.seed + 7)
+        stats = compression_stats(corpus, group_size=len(corpus))
+        return ctx.report(
+            gas={"da_bytes_posted": da_bytes},
+            dispute=dispute,
+            withdrawal_latencies=latencies,
+            cost={
+                "corpus_raw_gas": stats.total_raw_gas,
+                "corpus_compressed_gas": stats.total_compressed_gas,
+                "corpus_gas_ratio": round(stats.gas_ratio, 6),
+            },
+        )
 
 
 def _deposit(ctx: _Run, portal: OptimismPortal) -> int:
@@ -452,18 +495,21 @@ def _run_validity(ctx: _Run) -> RunReport:
     """Message and execute, prove and settle, consume."""
     core = StarkNetCore(ctx.chain)
     gate = _StarkGateL1(ctx.chain, core)
-    prover = SharpProver(PairingGroup(ctx.config.group_order), ctx.config.rng("snark-setup"))
     l2 = ValidityL2State()
-    withdrawals, initiated_block = _message_and_execute(ctx, core, l2)
-    diff, diff_words, settle_block = _prove_and_settle(ctx, core, prover, l2)
-    latencies = _consume(ctx, gate, withdrawals, initiated_block, settle_block)
-    cost = da_cost_comparison(DaScenario(diff=diff)) if diff.storage else None
-    return ctx.report(
-        gas={"diff_words_published": len(diff_words)},
-        dispute={"played": False},
-        withdrawal_latencies=latencies,
-        cost=json.loads(cost.to_json()) if cost else {},
-    )
+    with ctx.phase("message_and_execute"):
+        withdrawals, initiated_block = _message_and_execute(ctx, core, l2)
+    with ctx.phase("prove_and_settle"):
+        diff, diff_words, settle_block = _prove_and_settle(ctx, core, l2)
+    with ctx.phase("consume"):
+        latencies = _consume(ctx, gate, withdrawals, initiated_block, settle_block)
+    with ctx.phase("report"):
+        cost = da_cost_comparison(DaScenario(diff=diff)) if diff.storage else None
+        return ctx.report(
+            gas={"diff_words_published": len(diff_words)},
+            dispute={"played": False},
+            withdrawal_latencies=latencies,
+            cost=json.loads(cost.to_json()) if cost else {},
+        )
 
 
 def _message_and_execute(ctx: _Run, core: StarkNetCore, l2: ValidityL2State) -> tuple[list, int]:
@@ -506,8 +552,9 @@ def _message_and_execute(ctx: _Run, core: StarkNetCore, l2: ValidityL2State) -> 
     return initiated, initiated_block
 
 
-def _prove_and_settle(ctx: _Run, core: StarkNetCore, prover: SharpProver, l2: ValidityL2State):
+def _prove_and_settle(ctx: _Run, core: StarkNetCore, l2: ValidityL2State):
     """Prove and settle the accumulated state diff; return it, its words and the settling block."""
+    prover = SharpProver(PairingGroup(ctx.config.group_order), ctx.config.rng("snark-setup"))
     trace = run_program(
         sqrt_program(25), prog_base=10_000, ap_initial=20_000, prime=ctx.config.field_prime
     )

@@ -1,15 +1,26 @@
+import inspect
 import json
 import math
 
 import pytest
 from click.testing import CliRunner
 
+from rollsim import hashing
 from rollsim.cli import main
-from rollsim.scenarios import MAX_DISPUTE_STEPS, ScenarioConfig
+from rollsim.scenarios import MAX_DISPUTE_STEPS, ScenarioConfig, run as run_scenario
 
 
 @pytest.fixture
 def runner():
+    return CliRunner()
+
+
+@pytest.fixture
+def split_runner():
+    """A runner whose results keep stderr apart from stdout; click before 8.2
+    mixes the two unless told not to."""
+    if "mix_stderr" in inspect.signature(CliRunner).parameters:
+        return CliRunner(mix_stderr=False)
     return CliRunner()
 
 
@@ -149,6 +160,42 @@ class TestSimulations:
         result = runner.invoke(main, ["run", "--config", str(path)])
         assert result.exit_code != 0
         assert "rollup" in result.output
+
+
+class TestRunProfile:
+    @pytest.mark.parametrize(
+        "rollup, phases",
+        [
+            ("optimistic", ["deposit", "batch", "derive_and_execute", "dispute",
+                            "propose_and_finalize", "report"]),
+            ("validity", ["message_and_execute", "prove_and_settle", "consume", "report"]),
+        ],
+    )
+    def test_phases_on_stderr_sum_to_the_run(self, split_runner, tmp_path, rollup, phases):
+        config = ScenarioConfig(
+            rollup=rollup, planted_fraud=rollup == "optimistic", dispute_steps=64,
+            fault_position=40,
+            deposits=[{"user": 1, "value": 100}, {"user": 2, "value": 50}],
+            transfers=[{"user": 1, "target": 2, "value": 30}],
+            withdrawals=[{"user": 1, "value": 10}, {"user": 2, "value": 20}],
+        )
+        path = tmp_path / "scenario.json"
+        path.write_text(config.to_json())
+        for output in ([], ["--json"]):
+            plain = split_runner.invoke(main, ["run", "--config", str(path), *output])
+            profiled = split_runner.invoke(
+                main, ["run", "--config", str(path), "--profile", *output]
+            )
+            assert plain.exit_code == profiled.exit_code == 0
+            assert profiled.stdout == plain.stdout
+            assert plain.stderr == ""
+            header, *rows = (line.split() for line in profiled.stderr.splitlines())
+            assert header == ["phase", "keccak_perms", "wall_s"]
+            assert [row[0] for row in rows] == phases
+            assert all(float(row[2]) >= 0 for row in rows)
+        with hashing.counting() as total:
+            run_scenario(config)
+        assert sum(int(row[1]) for row in rows) == total.perms > 0
 
 
 class TestCostReport:

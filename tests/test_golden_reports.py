@@ -19,9 +19,9 @@ import rollsim
 SRC = Path(rollsim.__file__).resolve().parent.parent
 
 GOLDEN = {
-    ("simulate-op",): "b64263b86205fe0cd1ca422197c8a421282627a511fc818c4312b01908b8b42f",
-    ("simulate-op", "--fraud"): "9e059f803b487dd66e2df631561c3e5d5ece65e8feaafb20d5ef3a9d4d966bc9",
-    ("simulate-validity",): "486ff0c6c101cca9906961bb6eef321b3fc1125cabb159ea65fa56f2d9ed1c9e",
+    ("simulate-op",): "40ecdf187ae31251f18d185deedecb07ad36d274696bc7bd2f4a27b24027126c",
+    ("simulate-op", "--fraud"): "2009e79cf08040e854fb90c5898a75e467ecb78f0d80ea568dd264f3bb19ad10",
+    ("simulate-validity",): "dc6de18ebb4829b92142bcc29f8ee0092fd90d3ac3ab93349984e9b176c066dc",
 }
 
 
