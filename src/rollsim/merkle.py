@@ -4,14 +4,15 @@ Leaf and internal hashes are domain-separated (0x00 / 0x01 prefix) so a
 64-byte leaf cannot be replayed as an internal node. The leaf level is padded
 to the next power of two with zero nodes (32 zero bytes, the hash of no leaf),
 so no two leaf lists share a root and one rehash rule serves every width. A
-proof's sides must spell out its leaf index, so a proof of one leaf cannot be
-relabelled as a proof of another.
+proof is its leaf index and its sibling hashes: bit k of the index places the
+level-k sibling (1: on the left), and an index must fit in the path length, so
+a proof of one leaf cannot be relabelled as a proof of another.
 
 ``DigestMemo`` is the one blob -> digest memo: a tree hashes through its own,
 and a verifier that checks many proofs of one tree passes its own as
 ``hash_fn``, so the upper nodes the proofs share are hashed once. It is keyed
 by the whole preimage: every proof is still folded and compared with the
-root, and a tampered leaf, sibling or side makes a new blob, hashed afresh.
+root, and a tampered leaf, sibling or index makes a new blob, hashed afresh.
 """
 
 from __future__ import annotations
@@ -66,26 +67,19 @@ class DigestMemo:
 
 @dataclass(frozen=True)
 class MerkleProof:
-    """Sibling path from a leaf to the root; sides name the sibling position."""
+    """Sibling hashes from a leaf to the root; bit k of ``leaf_index`` is 1
+    exactly when the level-k sibling sits on the left."""
 
     leaf_index: int
-    siblings: tuple[tuple[bytes, str], ...]  # (hash, "left" | "right")
+    siblings: tuple[bytes, ...]
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "index": self.leaf_index,
-                "siblings": [{"hash": h.hex(), "side": side} for h, side in self.siblings],
-            }
-        )
+        return json.dumps({"index": self.leaf_index, "siblings": [h.hex() for h in self.siblings]})
 
     @classmethod
     def from_json(cls, payload: str) -> "MerkleProof":
         obj = json.loads(payload)
-        return cls(
-            leaf_index=obj["index"],
-            siblings=tuple((bytes.fromhex(s["hash"]), s["side"]) for s in obj["siblings"]),
-        )
+        return cls(leaf_index=obj["index"], siblings=tuple(map(bytes.fromhex, obj["siblings"])))
 
 
 class MerkleTree:
@@ -139,21 +133,16 @@ class MerkleTree:
 
     def prove(self, index: int) -> MerkleProof:
         self._check_index(index)
-        siblings = []
-        pos = index
-        for level in self.levels[:-1]:
-            sib = pos ^ 1
-            side = "left" if sib < pos else "right"
-            siblings.append((level[sib], side))
-            pos //= 2
-        return MerkleProof(leaf_index=index, siblings=tuple(siblings))
+        siblings = tuple(level[index >> k ^ 1] for k, level in enumerate(self.levels[:-1]))
+        return MerkleProof(leaf_index=index, siblings=siblings)
 
 
 def fold_proof(leaf: bytes, proof: MerkleProof, hash_fn: HashFn = keccak256) -> bytes:
-    """Recompute the root implied by ``leaf`` and the proof's sibling path."""
+    """Recompute the root implied by ``leaf`` and the proof's sibling path,
+    placing the level-k sibling by bit k of the leaf index."""
     acc = hash_leaf(leaf, hash_fn)
-    for sib, side in proof.siblings:
-        if side == "left":
+    for k, sib in enumerate(proof.siblings):
+        if proof.leaf_index >> k & 1:
             acc = hash_node(sib, acc, hash_fn)
         else:
             acc = hash_node(acc, sib, hash_fn)
@@ -163,16 +152,14 @@ def fold_proof(leaf: bytes, proof: MerkleProof, hash_fn: HashFn = keccak256) -> 
 def verify_inclusion(
     root: bytes, leaf: bytes, proof: MerkleProof, hash_fn: HashFn = keccak256
 ) -> bool:
-    """True iff the proof's path is the one of its ``leaf_index`` and folding
+    """True iff ``leaf_index`` names a leaf of the proof's path and folding
     ``leaf`` through it reproduces ``root``.
 
-    The sibling at level k sits on the left exactly when bit k of the index
-    is 1; an index with bits above the path length names no leaf.
+    The index places every sibling (bit k: level k), so an index with bits
+    above the path length names no leaf and is rejected: each proof has
+    exactly one label.
     """
     index = proof.leaf_index
     if not isinstance(index, int) or not 0 <= index < 1 << len(proof.siblings):
         return False
-    for level, (_, side) in enumerate(proof.siblings):
-        if side != ("left" if index >> level & 1 else "right"):
-            return False
     return fold_proof(leaf, proof, hash_fn) == root

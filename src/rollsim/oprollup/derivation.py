@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 from ..hashing import keccak256, memoized_digest
 from ..l1sim import Chain, l1_attributes
-from .batching import Batch, Frame, parse_frames
+from .batching import (
+    Batch,
+    ChannelIncomplete,
+    Frame,
+    assemble_channel_payload,
+    decode_channel_payload,
+    parse_frames,
+)
 from .deposits import (
     DEPOSIT_TX_PREFIX,
     DepositedTx,
@@ -78,42 +85,33 @@ def derive(l1_chain: Chain, window_w: int) -> list[L2Block]:
     if n_epochs <= 0:
         return []
 
-    # collect frames with the block number each landed in
-    frame_arrivals: list[tuple[Frame, int, int]] = []  # (frame, block, arrival idx)
+    # channel id -> (frames, the block each landed in), in first-seen order;
+    # blocks are walked in order, so the first and last landing blocks bound
+    # the channel's span
+    channels: dict[bytes, tuple[list[Frame], list[int]]] = {}
     for block in blocks:
         for tx in block.txs:
-            if tx.to != BATCH_INBOX_ADDRESS or not tx.calldata:
+            if tx.to != BATCH_INBOX_ADDRESS:
                 continue
             try:
                 frames = parse_frames(tx.calldata)
             except ValueError:
                 continue  # garbage in the inbox is ignored
             for frame in frames:
-                frame_arrivals.append((frame, block.number, len(frame_arrivals)))
+                channel_frames, landed = channels.setdefault(frame.channel_id, ([], []))
+                channel_frames.append(frame)
+                landed.append(block.number)
 
-    # channel id -> (frames, span of arrival blocks)
-    channels: dict[bytes, dict] = {}
-    for frame, block_number, arrival in frame_arrivals:
-        entry = channels.setdefault(
-            frame.channel_id, {"frames": [], "lo": block_number, "hi": block_number,
-                              "arrival": arrival}
-        )
-        entry["frames"].append(frame)
-        entry["lo"] = min(entry["lo"], block_number)
-        entry["hi"] = max(entry["hi"], block_number)
-        entry["arrival"] = min(entry["arrival"], arrival)
-
-    # decode complete channels into candidate batches
+    # decode complete channels into candidate batches; a channel's position
+    # ranks it by its first frame's arrival
     candidates: list[tuple[Batch, int, int, int]] = []  # (batch, lo, hi, arrival)
-    from .batching import ChannelIncomplete, assemble_channel_payload, decode_channel_payload
-
-    for entry in channels.values():
+    for arrival, (channel_frames, landed) in enumerate(channels.values()):
         try:
-            payload = assemble_channel_payload(entry["frames"])
+            payload = assemble_channel_payload(channel_frames)
         except ChannelIncomplete:
             continue
         for batch in decode_channel_payload(payload):
-            candidates.append((batch, entry["lo"], entry["hi"], entry["arrival"]))
+            candidates.append((batch, landed[0], landed[-1], arrival))
 
     l2_blocks: list[L2Block] = []
     for epoch in range(n_epochs):

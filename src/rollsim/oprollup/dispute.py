@@ -556,7 +556,6 @@ class FaultyAgent:
         self.fault_index = fault_index
         self.register = register
         self.delta = delta
-        self._hash_cache: dict[int, bytes] = {}
 
     def corrupted_state(self, index: int) -> VmState:
         honest = self.trace.states[index]
@@ -567,9 +566,7 @@ class FaultyAgent:
     def state_hash(self, index: int) -> bytes:
         if index < self.fault_index:
             return self.trace.hashes[index]
-        if index not in self._hash_cache:
-            self._hash_cache[index] = self.corrupted_state(index).hash()
-        return self._hash_cache[index]
+        return self.corrupted_state(index).hash()
 
     def step_proof(self, index: int) -> StepProof:
         return self.trace.step_proof(index)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 
@@ -58,10 +59,8 @@ class TestProofs:
     def test_four_leaf_proof_shape(self):
         tree = MerkleTree([b"B1", b"B2", b"B3", b"B4"])
         proof = tree.prove(1)
-        assert len(proof.siblings) == 2
-        # first sibling is h1 (left of index 1), second is h_{3,4} (right)
-        assert proof.siblings[0] == (hash_leaf(b"B1"), "left")
-        assert proof.siblings[1][1] == "right"
+        # h1, left of index 1 (bit 0 set), then h_{3,4}, right (bit 1 clear)
+        assert proof.siblings == (hash_leaf(b"B1"), hash_node(hash_leaf(b"B3"), hash_leaf(b"B4")))
 
     def test_single_leaf_empty_proof(self):
         tree = MerkleTree([b"solo"])
@@ -216,21 +215,20 @@ class TestVerification:
                 )
             else:  # flip a bit in one sibling
                 level = rng.randrange(len(proof.siblings))
-                sib, side = proof.siblings[level]
                 pos = rng.randrange(256)
                 sib = bytes(
                     b ^ (0x80 >> (pos % 8)) if i == pos // 8 else b
-                    for i, b in enumerate(sib)
+                    for i, b in enumerate(proof.siblings[level])
                 )
                 siblings = list(proof.siblings)
-                siblings[level] = (sib, side)
+                siblings[level] = sib
                 proof = MerkleProof(leaf_index=proof.leaf_index, siblings=tuple(siblings))
             if not verify_inclusion(root, leaf, proof, hash_fn=sha):
                 rejected += 1
         assert rejected == trials
 
     def test_relabelled_proof_rejected(self):
-        # cell 5's path claimed for index 0: the sides do not spell out 0
+        # cell 5's path claimed for index 0: the index places its siblings wrongly
         leaves = [bytes([i]) * 8 for i in range(8)]
         tree = MerkleTree(leaves)
         siblings = tree.prove(5).siblings
@@ -245,19 +243,9 @@ class TestVerification:
         for index in (5 + 8, 5 + 64, -3):
             assert not verify_inclusion(tree.root, leaves[5], MerkleProof(index, siblings))
 
-    def test_unknown_side_rejected(self):
-        tree = MerkleTree([b"a", b"b"])
-        (sibling, _), = tree.prove(0).siblings
-        assert not verify_inclusion(tree.root, b"a", MerkleProof(0, ((sibling, "up"),)))
-
     def test_memo_gives_the_verdicts_of_a_fresh_hash(self):
         def flip(blob, pos):
             return blob[:pos] + bytes([blob[pos] ^ 1]) + blob[pos + 1:]
-
-        def spell(index, siblings):
-            # the sides a proof of ``index`` must carry, over the same hashes
-            sides = ("left" if index >> level & 1 else "right" for level in range(len(siblings)))
-            return MerkleProof(index, tuple((h, side) for (h, _), side in zip(siblings, sides)))
 
         rng = random.Random(10)
         for n in (1, 3, 8):
@@ -270,16 +258,12 @@ class TestVerification:
                 proof = tree.prove(i)
                 siblings = list(proof.siblings)
                 cases = [(tree.root, leaves[i], proof)]
-                for level, (h, side) in enumerate(siblings):
-                    pos = rng.randrange(32)
-                    other = "left" if side == "right" else "right"
-                    for mutant in ((flip(h, pos), side), (h, other)):
-                        mutated = siblings[:level] + [mutant] + siblings[level + 1:]
-                        cases.append((tree.root, leaves[i], MerkleProof(i, tuple(mutated))))
+                for level, h in enumerate(siblings):
+                    mutated = siblings[:level] + [flip(h, rng.randrange(32))] + siblings[level + 1:]
+                    cases.append((tree.root, leaves[i], MerkleProof(i, tuple(mutated))))
                 for j in range(1 << len(siblings)):
                     if j != i:
                         cases.append((tree.root, leaves[i], MerkleProof(j, proof.siblings)))
-                        cases.append((tree.root, leaves[i], spell(j, siblings)))
                 cases.append((tree.root, leaves[(i + 1) % n] + b"x", proof))
                 cases.append((flip(tree.root, rng.randrange(32)), leaves[i], proof))
                 verdicts = [verify_inclusion(*case, memo) for case in cases]
@@ -309,8 +293,17 @@ class TestVerification:
 
 class TestSerialization:
     def test_json_round_trip(self):
-        tree = MerkleTree([b"a", b"b", b"c"])
-        proof = tree.prove(2)
-        restored = MerkleProof.from_json(proof.to_json())
-        assert restored == proof
-        assert verify_inclusion(tree.root, b"c", restored)
+        for n in range(1, 10):
+            leaves = [bytes([i]) * 3 for i in range(n)]
+            tree = MerkleTree(leaves, hash_fn=sha)
+            for i in range(n):
+                proof = tree.prove(i)
+                payload = proof.to_json()
+                # the index and the sibling hashes are the whole proof
+                assert json.loads(payload) == {
+                    "index": i,
+                    "siblings": [h.hex() for h in proof.siblings],
+                }
+                restored = MerkleProof.from_json(payload)
+                assert restored == proof
+                assert verify_inclusion(tree.root, leaves[i], restored, hash_fn=sha)
