@@ -58,7 +58,7 @@ DEFAULT_GAS_SCHEDULE = GasSchedule()
 
 def calldata_gas(data: bytes, schedule: GasSchedule = DEFAULT_GAS_SCHEDULE) -> int:
     """4 gas per zero byte, 16 per non-zero byte (EIP-2028 figures)."""
-    nonzero = sum(1 for b in data if b)
+    nonzero = len(data) - data.count(0)
     return (
         schedule.calldata_nonzero_byte * nonzero
         + schedule.calldata_zero_byte * (len(data) - nonzero)

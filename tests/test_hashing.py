@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import hashlib
+import random
 import sys
 
 import pytest
@@ -42,6 +43,19 @@ class TestKnownAnswers:
         ]
         assert mismatches == []
 
+    def test_sponge_matches_stdlib_sha3_on_random_messages(self):
+        # random content up to 700 bytes: up to six blocks, each boundary
+        # through 680 hit exactly and by one byte either side
+        rnd = random.Random(14)
+        lengths = [rnd.randrange(701) for _ in range(200)]
+        lengths += [n + k for n in (136, 272, 408, 544, 680) for k in (-1, 0, 1)] + [700]
+        messages = [rnd.randbytes(n) for n in lengths]
+        mismatches = [
+            len(m) for m in messages
+            if hashing._sponge(m, 0x06) != hashlib.sha3_256(m).digest()
+        ]
+        assert mismatches == []
+
     @pytest.mark.parametrize("n", [0, 1, 135, 136, 137, 271, 272, 420])
     def test_one_permutation_per_started_block(self, n, monkeypatch):
         calls = []
@@ -50,6 +64,93 @@ class TestKnownAnswers:
         with hashing.counting() as count:
             keccak256(_message(n))
         assert count.perms == len(calls) == n // 136 + 1
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _rotl(v: int, r: int) -> int:
+    return (v << r | v >> (64 - r)) & _MASK64
+
+
+def _rho_offsets() -> dict[tuple[int, int], int]:
+    """FIPS 202 Algorithm 2: the rotation of lane (x, y) by its walk index t."""
+    offsets = {(0, 0): 0}
+    x, y = 1, 0
+    for t in range(24):
+        offsets[x, y] = (t + 1) * (t + 2) // 2 % 64
+        x, y = y, (2 * x + 3 * y) % 5
+    return offsets
+
+
+def _rc(t: int) -> int:
+    """FIPS 202 Algorithm 5: bit t of the round-constant LFSR."""
+    r = 1
+    for _ in range(t % 255):
+        r <<= 1
+        if r & 0x100:
+            r ^= 0x171  # R[0], R[4], R[5], R[6] ^= R[8], then drop R[8]
+    return r & 1
+
+
+def _textbook_keccak_f(lanes: list[int]) -> list[int]:
+    """Keccak-f[1600] step by step as FIPS 202 section 3.2 writes it, over
+    A[x][y] = lane x + 5y, with the rho offsets and round constants derived
+    from their algorithms rather than copied from ``hashing``."""
+    rho = _rho_offsets()
+    a = [[lanes[x + 5 * y] for y in range(5)] for x in range(5)]
+    for ir in range(24):
+        c = [a[x][0] ^ a[x][1] ^ a[x][2] ^ a[x][3] ^ a[x][4] for x in range(5)]
+        d = [c[(x - 1) % 5] ^ _rotl(c[(x + 1) % 5], 1) for x in range(5)]
+        a = [[a[x][y] ^ d[x] for y in range(5)] for x in range(5)]  # theta
+        a = [[_rotl(a[x][y], rho[x, y]) for y in range(5)] for x in range(5)]  # rho
+        a = [[a[(x + 3 * y) % 5][x] for y in range(5)] for x in range(5)]  # pi
+        a = [[a[x][y] ^ (a[(x + 1) % 5][y] ^ _MASK64) & a[(x + 2) % 5][y]
+              for y in range(5)] for x in range(5)]  # chi
+        a[0][0] ^= sum(_rc(j + 7 * ir) << (2 ** j - 1) for j in range(7))  # iota
+    return [a[i % 5][i // 5] for i in range(25)]
+
+
+# XKCP KeccakF-1600-IntermediateValues: the all-zero state after one
+# permutation and after two, lanes in index order x + 5y
+_ZERO_ONCE = """
+    F1258F7940E1DDE7 84D5CCF933C0478A D598261EA65AA9EE BD1547306F80494D 8B284E056253D057
+    FF97A42D7F8E6FD4 90FEE5A0A44647C4 8C5BDA0CD6192E76 AD30A6F71B19059C 30935AB7D08FFC64
+    EB5AA93F2317D635 A9A6E6260D712103 81A57C16DBCF555F 43B831CD0347C826 01F22F1A11A5569F
+    05E5635A21D9AE61 64BEFEF28CC970F2 613670957BC46611 B87C5A554FD00ECB 8C3EE88A1CCF32C8
+    940C7922AE3A2614 1841F924A2C509E4 16F53526E70465C2 75F644E97F30A13B EAF1FF7B5CECA249
+"""
+_ZERO_TWICE = """
+    2D5C954DF96ECB3C 6A332CD07057B56D 093D8D1270D76B6C 8A20D9B25569D094 4F9C4F99E5E7F156
+    F957B9A2DA65FB38 85773DAE1275AF0D FAF4F247C3D810F7 1F1B9EE6F79A8759 E4FECC0FEE98B425
+    68CE61B6B9CE68A1 DEEA66C4BA8F974F 33C43D836EAFB1F5 E00654042719DBD9 7CF8A9F009831265
+    FD5449A6BF174743 97DDAD33D8994B40 48EAD5FC5D0BE774 E3B8C8EE55B7B03C 91A0226E649E42E9
+    900E3129E7BADD7B 202A9EC5FAA3CCE8 5B3402464E1C3DB6 609F4E62A44C1059 20D06CD26A8FBF5C
+"""
+
+
+def _lanes(text: str) -> list[int]:
+    return [int(word, 16) for word in text.split()]
+
+
+class TestPermutation:
+    def test_zero_state_intermediate_values(self):
+        once = hashing._keccak_f([0] * 25)
+        assert once == _textbook_keccak_f([0] * 25) == _lanes(_ZERO_ONCE)
+        assert hashing._keccak_f(once) == _lanes(_ZERO_TWICE)
+
+    def test_matches_textbook_reference(self):
+        # lane 1 is the lane rho rotates by 1, a right shift by 63: its
+        # one-bit states spend the most copy bits a rotation can
+        rnd = random.Random(1600)
+        states = [[rnd.getrandbits(64) for _ in range(25)] for _ in range(200)]
+        states.append([_MASK64] * 25)
+        states += [[0, 1 << i] + [0] * 23 for i in range(64)]
+        mismatches = [
+            i for i, state in enumerate(states)
+            if hashing._keccak_f(state) != _textbook_keccak_f(state)
+        ]
+        assert mismatches == []
 
 
 @contextlib.contextmanager

@@ -28,6 +28,17 @@ class TestCalldataGas:
     def test_empty(self):
         assert calldata_gas(b"") == 0
 
+    def test_bytearray(self):
+        assert calldata_gas(bytearray(b"\x00\x05\x00")) == 24
+
+    def test_mixed_pattern_matches_per_byte_count(self):
+        # the per-byte count calldata_gas used before it counted zeros in C
+        data = bytes((i * 37) % 5 * (i % 3) for i in range(1000))
+        for blob in (data, bytearray(data), data[1:], data[:-7]):
+            nonzero = sum(1 for b in blob if b)
+            assert 0 < nonzero < len(blob)
+            assert calldata_gas(blob) == 16 * nonzero + 4 * (len(blob) - nonzero)
+
     def test_monotone_under_append(self):
         data = b""
         last = 0
