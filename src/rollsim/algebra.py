@@ -182,15 +182,15 @@ class FieldElement:
     def __repr__(self) -> str:
         return f"{self.value}"
 
-    def as_rational(self, max_den: int = 64, max_num: int = 10**9) -> Fraction:
+    def as_rational(self) -> Fraction:
         """Map back to the small rational this residue most plausibly encodes.
 
-        Searches denominators 1..max_den for num/den with |num| <= max_num such
-        that num * den^-1 equals this element. Used to display field-encoded
-        QAP coefficients against their textbook fractional form.
+        Searches denominators 1..64 for num/den with |num| <= 10^9 such that
+        num * den^-1 equals this element. Used to display field-encoded QAP
+        coefficients against their textbook fractional form.
         """
-        p = self.field.prime
-        for den in range(1, max_den + 1):
+        p, max_num = self.field.prime, 10**9
+        for den in range(1, 65):
             num = (self.value * den) % p
             if num <= max_num:
                 return Fraction(num, den)
@@ -297,8 +297,8 @@ class Polynomial:
                 rem[shift + i] = rem[shift + i] - q * d
         return Polynomial(self.field, quot), Polynomial(self.field, rem)
 
-    def to_rationals(self, max_den: int = 64) -> tuple[Fraction, ...]:
-        return tuple(c.as_rational(max_den=max_den) for c in self.coeffs)
+    def to_rationals(self) -> tuple[Fraction, ...]:
+        return tuple(c.as_rational() for c in self.coeffs)
 
     def __repr__(self) -> str:
         if self.is_zero():

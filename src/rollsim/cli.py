@@ -217,7 +217,7 @@ def schnorr_demo(seed, small_group):
 @main.command(name="cost-report")
 @click.option("--corpus", "corpus_path", type=click.Path(exists=True), default=None,
               help="Hex-line batch corpus (default: the synthetic fixture).")
-@click.option("--group-size", type=int, default=10, show_default=True)
+@click.option("--group-size", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 def cost_report(corpus_path, group_size, as_json):
     """Three-way data-availability cost comparison plus compression stats."""
@@ -246,7 +246,7 @@ def cost_report(corpus_path, group_size, as_json):
               help="Also measure the FP rate by Monte Carlo (needs --seed).")
 @click.option("--seed", type=int, default=None,
               help="Mandatory with --empirical; drives the simulation.")
-@click.option("--queries", type=int, default=100_000, show_default=True)
+@click.option("--queries", type=click.IntRange(min=1), default=100_000, show_default=True)
 def bloom_calc(expected, tolerance, empirical, seed, queries):
     """Size a Bloom filter; optionally validate the rate empirically."""
     try:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dataclass_field
 from decimal import Decimal, ROUND_HALF_UP
 from typing import Iterable, Sequence
 
-from .l1sim import GasSchedule, DEFAULT_GAS_SCHEDULE, calldata_gas, sstore_gas, ZERO_TO_NONZERO
+from .l1sim import calldata_gas, sstore_gas, ZERO_TO_NONZERO
 from .validityrollup.statediff import StateDiff, diff_calldata_bytes, encode_state_diff
 
 
@@ -174,11 +174,7 @@ class CompressionStats:
         return self.total_compressed_gas / self.total_raw_gas
 
 
-def compression_stats(
-    corpus: Sequence[bytes],
-    group_size: int,
-    schedule: GasSchedule = DEFAULT_GAS_SCHEDULE,
-) -> CompressionStats:
+def compression_stats(corpus: Sequence[bytes], group_size: int) -> CompressionStats:
     """Compress the corpus in groups of ``group_size`` batches and price both forms.
 
     Ratios above 1 are reported as they come: incompressible input costs more
@@ -196,16 +192,14 @@ def compression_stats(
             GroupStats(
                 raw_bytes=len(blob),
                 compressed_bytes=len(compressed),
-                raw_gas=calldata_gas(blob, schedule),
-                compressed_gas=calldata_gas(compressed, schedule),
+                raw_gas=calldata_gas(blob),
+                compressed_gas=calldata_gas(compressed),
             )
         )
     return CompressionStats(group_size=group_size, groups=tuple(groups))
 
 
-def synthetic_batch_corpus(
-    n_batches: int = 10, txs_per_batch: int = 40, seed: int = 1337
-) -> list[bytes]:
+def synthetic_batch_corpus(n_batches: int = 10, seed: int = 1337) -> list[bytes]:
     """Deterministic transfer-shaped calldata: repetitive fields, zero padding.
 
     Stands in for real block data, which this package does not fetch; gives
@@ -218,7 +212,7 @@ def synthetic_batch_corpus(
     batches = []
     for _ in range(n_batches):
         txs = []
-        for _ in range(txs_per_batch):
+        for _ in range(40):  # transfers per batch
             sender = rng.choice(addresses)
             receiver = rng.choice(addresses)
             value = rng.randrange(10**6)
@@ -274,10 +268,7 @@ class DaScenario:
     """Inputs for the three-way data-availability cost comparison."""
 
     diff: StateDiff
-    cold: bool = True
     optimistic_batches: tuple[bytes, ...] = ()
-    proof_gas: int = REFERENCE_PROOF_GAS
-    proof_tx_count: int = REFERENCE_PROOF_TX_COUNT
 
 
 @dataclass(frozen=True)
@@ -333,22 +324,21 @@ class CostReport:
         return "\n".join(f"{label.ljust(width)}  {value}" for label, value in rows)
 
 
-def da_cost_comparison(
-    scenario: DaScenario, schedule: GasSchedule = DEFAULT_GAS_SCHEDULE
-) -> CostReport:
+def da_cost_comparison(scenario: DaScenario) -> CostReport:
     """Price the same storage writes on L1, as a state diff, and as batches.
+
+    Every L1 write is a cold zero-to-nonzero store, and the proof share
+    amortizes the published proof's gas over its transaction count.
 
     The optimistic stack carries no invalidity-proof share: in the honest
     equilibrium none are ever published.
     """
     write_count = sum(len(c.updates) for c in scenario.diff.storage)
-    l1_gas = sum(
-        sstore_gas(ZERO_TO_NONZERO, scenario.cold, schedule) for _ in range(write_count)
-    )
+    l1_gas = write_count * sstore_gas(ZERO_TO_NONZERO, cold=True)
     words = encode_state_diff(scenario.diff)
-    validity_gas = calldata_gas(diff_calldata_bytes(words), schedule)
+    validity_gas = calldata_gas(diff_calldata_bytes(words))
     if scenario.optimistic_batches:
-        stats = compression_stats(list(scenario.optimistic_batches), len(scenario.optimistic_batches), schedule)
+        stats = compression_stats(list(scenario.optimistic_batches), len(scenario.optimistic_batches))
         opt_raw, opt_comp = stats.total_raw_gas, stats.total_compressed_gas
     else:
         opt_raw = opt_comp = 0
@@ -356,7 +346,7 @@ def da_cost_comparison(
         l1_storage_gas=l1_gas,
         validity_calldata_gas=validity_gas,
         validity_proof_share=amortized_proof_cost(
-            scenario.proof_gas, scenario.proof_tx_count
+            REFERENCE_PROOF_GAS, REFERENCE_PROOF_TX_COUNT
         ),
         optimistic_raw_gas=opt_raw,
         optimistic_compressed_gas=opt_comp,

@@ -10,8 +10,7 @@ fee dynamics; one basefee, fixed block time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field as dataclass_field
-from typing import Mapping
+from dataclasses import dataclass
 
 from .hashing import keccak256, memoized_digest
 
@@ -27,41 +26,30 @@ class UnknownAddress(KeyError):
 
 # --- gas schedule -------------------------------------------------------------
 
+CALLDATA_ZERO_BYTE_GAS = 4  # EIP-2028
+CALLDATA_NONZERO_BYTE_GAS = 16
+
 ZERO_TO_NONZERO = "zero_to_nonzero"
 NONZERO_TO_NONZERO = "nonzero_to_nonzero"
 TO_ZERO = "to_zero"
 REWRITE_SAME = "rewrite_same"
 
-
-@dataclass(frozen=True)
-class GasSchedule:
-    """Calldata byte prices and the storage-write table.
-
-    Storage cells: {transition kind: (cold gas, warm gas)}. Writing a cell to
-    zero costs what the previous-value transition costs and flags a refund;
-    the refund amount itself is out of scope and stays a marker.
-    """
-
-    calldata_zero_byte: int = 4
-    calldata_nonzero_byte: int = 16
-    sstore_table: Mapping[str, tuple[int, int]] = dataclass_field(
-        default_factory=lambda: {
-            ZERO_TO_NONZERO: (22_100, 20_000),
-            NONZERO_TO_NONZERO: (5_000, 2_900),
-            REWRITE_SAME: (100, 100),
-        }
-    )
+# Storage writes, EIP-2929 figures: {transition kind: (cold gas, warm gas)}.
+# Writing a cell to zero costs what the previous-value transition costs and
+# flags a refund; the refund amount itself is out of scope and stays a marker.
+SSTORE_TABLE = {
+    ZERO_TO_NONZERO: (22_100, 20_000),
+    NONZERO_TO_NONZERO: (5_000, 2_900),
+    REWRITE_SAME: (100, 100),
+}
 
 
-DEFAULT_GAS_SCHEDULE = GasSchedule()
-
-
-def calldata_gas(data: bytes, schedule: GasSchedule = DEFAULT_GAS_SCHEDULE) -> int:
+def calldata_gas(data: bytes) -> int:
     """4 gas per zero byte, 16 per non-zero byte (EIP-2028 figures)."""
     nonzero = len(data) - data.count(0)
     return (
-        schedule.calldata_nonzero_byte * nonzero
-        + schedule.calldata_zero_byte * (len(data) - nonzero)
+        CALLDATA_NONZERO_BYTE_GAS * nonzero
+        + CALLDATA_ZERO_BYTE_GAS * (len(data) - nonzero)
     )
 
 
@@ -71,23 +59,19 @@ class StorageWriteCost:
     refund: bool  # marker only; the amount is not modeled
 
 
-def sstore_charge(
-    transition: str, cold: bool, schedule: GasSchedule = DEFAULT_GAS_SCHEDULE
-) -> StorageWriteCost:
+def sstore_charge(transition: str, cold: bool) -> StorageWriteCost:
     if transition == TO_ZERO:
         # previous value was nonzero; charge that row and mark the refund
-        base = schedule.sstore_table[NONZERO_TO_NONZERO]
+        base = SSTORE_TABLE[NONZERO_TO_NONZERO]
         return StorageWriteCost(gas=base[0] if cold else base[1], refund=True)
-    if transition not in schedule.sstore_table:
+    if transition not in SSTORE_TABLE:
         raise KeyError(f"unknown storage transition {transition!r}")
-    pair = schedule.sstore_table[transition]
+    pair = SSTORE_TABLE[transition]
     return StorageWriteCost(gas=pair[0] if cold else pair[1], refund=False)
 
 
-def sstore_gas(
-    transition: str, cold: bool, schedule: GasSchedule = DEFAULT_GAS_SCHEDULE
-) -> int:
-    return sstore_charge(transition, cold, schedule).gas
+def sstore_gas(transition: str, cold: bool) -> int:
+    return sstore_charge(transition, cold).gas
 
 
 # --- censorship economics ------------------------------------------------------
@@ -236,7 +220,7 @@ class TxContext:
             kind = TO_ZERO
         else:
             kind = NONZERO_TO_NONZERO
-        cost = sstore_charge(kind, cold, self.chain.gas_schedule)
+        cost = sstore_charge(kind, cold)
         self.chain._block_accessed.add(key)
         self.chain._block_dirty.add(key)
         self.chain.storage[addr][slot] = value
@@ -254,13 +238,9 @@ class Chain:
         self,
         basefee: int = 10 * 10**9,
         block_time: int = BLOCK_TIME,
-        gas_schedule: GasSchedule = DEFAULT_GAS_SCHEDULE,
-        genesis_time: int = 0,
     ):
         self.basefee = basefee
         self.block_time = block_time
-        self.gas_schedule = gas_schedule
-        self.genesis_time = genesis_time
         self.blocks: list[L1Block] = []
         self.balances: dict[int, int] = {}
         self.storage: dict[int, dict[int, int]] = {}
@@ -280,7 +260,7 @@ class Chain:
 
     @property
     def pending_timestamp(self) -> int:
-        return self.genesis_time + self.pending_block_number * self.block_time
+        return self.pending_block_number * self.block_time
 
     @property
     def head(self) -> L1Block:
@@ -324,7 +304,7 @@ class Chain:
         events roll back; calldata gas is still charged.
         """
         tx = Tx(sender=sender, to=to, calldata=bytes(calldata), value=value, call=call)
-        gas = TX_BASE_GAS + calldata_gas(tx.calldata, self.gas_schedule)
+        gas = TX_BASE_GAS + calldata_gas(tx.calldata)
         snapshot = (
             dict(self.balances),
             {a: dict(slots) for a, slots in self.storage.items()},
@@ -410,7 +390,6 @@ class Chain:
             {
                 "basefee": self.basefee,
                 "block_time": self.block_time,
-                "genesis_time": self.genesis_time,
                 "balances": {str(k): v for k, v in sorted(self.balances.items())},
                 "storage": {
                     str(a): {str(s): v for s, v in sorted(slots.items())}
@@ -452,11 +431,7 @@ class Chain:
     def restore_state(cls, payload: str) -> "Chain":
         """Rebuild a chain from a dump; block hashes recompute identically."""
         obj = json.loads(payload)
-        chain = cls(
-            basefee=obj["basefee"],
-            block_time=obj["block_time"],
-            genesis_time=obj["genesis_time"],
-        )
+        chain = cls(basefee=obj["basefee"], block_time=obj["block_time"])
         chain.balances = {int(k): v for k, v in obj["balances"].items()}
         chain.storage = {
             int(a): {int(s): v for s, v in slots.items()}

@@ -135,7 +135,7 @@ class OptimismPortal:
         from_address = apply_l1_to_l2_alias(caller) if caller_is_contract else caller
         if mint is None:
             mint = value
-        call_gas = TX_BASE_GAS + calldata_gas(data, self.chain.gas_schedule)
+        call_gas = TX_BASE_GAS + calldata_gas(data)
         burned = max(0, gas_limit * l2_basefee // l1_basefee - call_gas)
 
         payload = rlp.encode(

@@ -386,9 +386,10 @@ class VmTrace:
 class GameParams:
     program: list[Instruction]
     memory_size: int = 64
-    move_timeout: int = 3600
     oracle: PreimageOracle | None = None
 
+
+MOVE_TIMEOUT = 3600  # seconds a party has for each move
 
 PHASE_BISECT = "bisect"
 PHASE_STEP = "step"
@@ -449,7 +450,7 @@ def dispute_open(
         hi=trace_length,
         agreed_lo_hash=agreed_start_hash,
         defender_hi_claim=claimed_final_state,
-        deadline=now + params.move_timeout,
+        deadline=now + MOVE_TIMEOUT,
     )
     if game.hi - game.lo == 1:
         game.phase = PHASE_STEP
@@ -489,7 +490,7 @@ def dispute_bisect(
         if game.hi - game.lo == 1:
             game.phase = PHASE_STEP
             game.turn = CHALLENGER
-    game.deadline = now + game.params.move_timeout
+    game.deadline = now + MOVE_TIMEOUT
     return game
 
 
@@ -546,21 +547,19 @@ class HonestAgent:
 class FaultyAgent:
     """Claims the honest trace up to ``fault_index``, then a corrupted one.
 
-    The corruption bumps a register and recomputes hashes, so the first (and
-    only) invalid transition in the claimed trace is fault_index-1 ->
+    The corruption adds one to register 3 and recomputes hashes, so the first
+    (and only) invalid transition in the claimed trace is fault_index-1 ->
     fault_index: exactly the instruction the bisection must find.
     """
 
-    def __init__(self, trace: VmTrace, fault_index: int, register: int = 3, delta: int = 1):
+    def __init__(self, trace: VmTrace, fault_index: int):
         self.trace = trace
         self.fault_index = fault_index
-        self.register = register
-        self.delta = delta
 
     def corrupted_state(self, index: int) -> VmState:
         honest = self.trace.states[index]
         regs = list(honest.registers)
-        regs[self.register] = (regs[self.register] + self.delta) & WORD_MASK
+        regs[3] = (regs[3] + 1) & WORD_MASK
         return VmState(pc=honest.pc, registers=tuple(regs), memory_root=honest.memory_root)
 
     def state_hash(self, index: int) -> bytes:
@@ -572,17 +571,12 @@ class FaultyAgent:
         return self.trace.step_proof(index)
 
 
-def run_dispute(
-    game: DisputeGame,
-    defender_agent,
-    challenger_agent,
-    now_fn: Callable[[], int] = lambda: 0,
-) -> str:
-    """Drive a game to completion with both parties responding."""
+def run_dispute(game: DisputeGame, defender_agent, challenger_agent) -> str:
+    """Drive a game to completion with both parties responding at time 0."""
     while game.phase == PHASE_BISECT:
         mid = game.midpoint()
-        dispute_bisect(game, game.defender, defender_agent.state_hash(mid), now_fn())
-        dispute_bisect(game, game.challenger, challenger_agent.state_hash(mid), now_fn())
+        dispute_bisect(game, game.defender, defender_agent.state_hash(mid))
+        dispute_bisect(game, game.challenger, challenger_agent.state_hash(mid))
     return dispute_step(game, challenger_agent.step_proof(game.lo))
 
 

@@ -18,6 +18,8 @@ from .l2 import OutputRootProof, WithdrawalTx
 DISPUTE_PERIOD = 7 * 24 * 3600  # seconds
 FINALIZE_GAS_BUFFER = 20_000
 ORACLE_ADDRESS = 0x90000000000000000000000000000000000000A2
+LENDER_POOL_ADDRESS = 0x90000000000000000000000000000000000000A3
+LOAN_INTEREST_BPS = 50
 
 
 class NotProposer(PermissionError):
@@ -123,15 +125,17 @@ class WithdrawalPortal:
     tree's about 2n blobs once. No check is skipped: each proof is still
     folded level by level and compared with the proposal's withdrawal root,
     and a tampered proof makes blobs the memo has not seen.
+
+    A withdrawal pays its target unless ``payees`` names another address for
+    its hash, as a lender pool does for a withdrawal it advanced.
     """
 
-    def __init__(self, chain: Chain, oracle: L2OutputOracle, vault_balance: int = 10**24):
+    def __init__(self, chain: Chain, oracle: L2OutputOracle):
         self.chain = chain
         self.oracle = oracle
         self._digest = DigestMemo()
-        self.finalized: set[bytes] = set()
-        self.vault_balance = vault_balance  # ETH escrowed by deposits
-        self.on_finalize_hooks = []
+        self.finalized: dict[bytes, int] = {}  # hash -> finalization time
+        self.payees: dict[bytes, int] = {}
 
     def finalize_withdrawal(
         self,
@@ -161,13 +165,11 @@ class WithdrawalPortal:
             raise WithdrawalError("withdrawal has already been finalized")
         if gas_available < tx.gas_limit + FINALIZE_GAS_BUFFER:
             raise WithdrawalError("insufficient gas to finalize withdrawal")
-        self.finalized.add(withdrawal_hash)
-        self.vault_balance -= tx.value
-        self.chain.fund(tx.target, tx.value)
+        self.finalized[withdrawal_hash] = now
+        payee = self.payees.get(withdrawal_hash, tx.target)
+        self.chain.fund(payee, tx.value)
         self.chain._emit(ORACLE_ADDRESS, "WithdrawalFinalized", withdrawal_hash)
-        for hook in self.on_finalize_hooks:
-            hook(withdrawal_hash, tx, now)
-        return {"withdrawal_hash": withdrawal_hash, "target": tx.target, "value": tx.value}
+        return {"withdrawal_hash": withdrawal_hash, "payee": payee, "value": tx.value}
 
 
 # --- fast withdrawals ----------------------------------------------------------
@@ -207,23 +209,22 @@ class Loan:
 class LenderPool:
     """Advances withdrawal value immediately against an oracle attestation.
 
-    The loan closes automatically when the real finalization lands: the pool
-    keeps the withdrawal value, so the borrower nets value minus interest.
+    A loan makes the pool, at ``LENDER_POOL_ADDRESS``, the portal's payee for
+    its withdrawal. The loan closes when the real finalization lands and pays
+    the pool the withdrawal value, so the borrower nets value minus interest.
     Each withdrawal gets at most one loan, and only before it is finalized.
     """
 
-    def __init__(
-        self,
-        portal: WithdrawalPortal,
-        trusted_oracles: dict[str, bytes],
-        interest_rate_bps: int = 50,
-    ):
+    def __init__(self, portal: WithdrawalPortal, trusted_oracles: dict[str, bytes]):
         self.portal = portal
         self.trusted = dict(trusted_oracles)
-        self.interest_rate_bps = interest_rate_bps
         self.loans: dict[bytes, Loan] = {}
-        self.closed: dict[bytes, int] = {}  # hash -> close time
-        portal.on_finalize_hooks.append(self._on_finalized)
+
+    @property
+    def closed(self) -> dict[bytes, int]:
+        """Loans whose withdrawal has finalized: hash -> close time."""
+        finalized = self.portal.finalized
+        return {h: finalized[h] for h in self.loans if h in finalized}
 
     def fast_withdrawal(
         self,
@@ -242,7 +243,7 @@ class LenderPool:
             raise LoanExists("withdrawal already has a loan")
         if withdrawal.hash in self.portal.finalized:
             raise AlreadyFinalized("withdrawal has already been finalized")
-        interest = withdrawal.value * self.interest_rate_bps // 10_000
+        interest = withdrawal.value * LOAN_INTEREST_BPS // 10_000
         loan = Loan(
             withdrawal_hash=withdrawal.hash,
             principal=withdrawal.value,
@@ -251,9 +252,6 @@ class LenderPool:
             opened_at=now,
         )
         self.loans[withdrawal.hash] = loan
+        self.portal.payees[withdrawal.hash] = LENDER_POOL_ADDRESS
         self.portal.chain.fund(withdrawal.sender, loan.paid_out)
         return loan
-
-    def _on_finalized(self, withdrawal_hash: bytes, tx: WithdrawalTx, now: int) -> None:
-        if withdrawal_hash in self.loans and withdrawal_hash not in self.closed:
-            self.closed[withdrawal_hash] = now

@@ -51,10 +51,10 @@ class Transcript:
     def message(self, index: int) -> bytes:
         return self.entries[index][1]
 
-    def prefix_bytes(self, upto: int | None = None) -> bytes:
-        """Length-framed serialization of the first ``upto`` messages."""
+    def prefix_bytes(self) -> bytes:
+        """Length-framed serialization of every message so far."""
         chunks = []
-        for role, msg in self.entries[:upto]:
+        for role, msg in self.entries:
             role_b = role.encode()
             chunks.append(bytes([len(role_b)]) + role_b + len(msg).to_bytes(4, "big") + msg)
         return b"".join(chunks)

@@ -35,6 +35,23 @@ def encode(item) -> bytes:
     raise TypeError(f"cannot RLP-encode {type(item).__name__}")
 
 
+def _long_length(data: bytes, pos: int, ll: int, kind: str) -> tuple[int, int]:
+    """Read the ``ll``-byte length after the prefix at ``pos``.
+
+    Returns (payload start, payload length). A canonical long form has no
+    leading zero byte in its length and a length of at least 56.
+    """
+    start = pos + 1 + ll
+    if start > len(data):
+        raise RlpDecodingError("truncated length-of-length")
+    if data[pos + 1] == 0:
+        raise RlpDecodingError(f"long {kind} length has a leading zero byte")
+    length = int.from_bytes(data[pos + 1 : start], "big")
+    if length < 56:
+        raise RlpDecodingError(f"non-canonical long {kind} length")
+    return start, length
+
+
 def _decode_at(data: bytes, pos: int):
     if pos >= len(data):
         raise RlpDecodingError("truncated payload")
@@ -42,38 +59,21 @@ def _decode_at(data: bytes, pos: int):
     if prefix < 0x80:
         return bytes([prefix]), pos + 1
     if prefix < 0xB8:
-        length = prefix - 0x80
-        end = pos + 1 + length
+        start, length = pos + 1, prefix - 0x80
+    elif prefix < 0xC0:
+        start, length = _long_length(data, pos, prefix - 0xB7, "string")
+    elif prefix < 0xF8:
+        start, length = pos + 1, prefix - 0xC0
+    else:
+        start, length = _long_length(data, pos, prefix - 0xF7, "list")
+    end = start + length
+    if prefix < 0xC0:
         if end > len(data):
             raise RlpDecodingError("string runs past end of payload")
-        s = data[pos + 1 : end]
+        s = data[start:end]
         if length == 1 and s[0] < 0x80:
             raise RlpDecodingError("non-canonical single byte encoding")
         return s, end
-    if prefix < 0xC0:
-        ll = prefix - 0xB7
-        if pos + 1 + ll > len(data):
-            raise RlpDecodingError("truncated length-of-length")
-        length = int.from_bytes(data[pos + 1 : pos + 1 + ll], "big")
-        if length < 56:
-            raise RlpDecodingError("non-canonical long string length")
-        start = pos + 1 + ll
-        end = start + length
-        if end > len(data):
-            raise RlpDecodingError("string runs past end of payload")
-        return data[start:end], end
-    if prefix < 0xF8:
-        length = prefix - 0xC0
-        end = pos + 1 + length
-    else:
-        ll = prefix - 0xF7
-        if pos + 1 + ll > len(data):
-            raise RlpDecodingError("truncated length-of-length")
-        length = int.from_bytes(data[pos + 1 : pos + 1 + ll], "big")
-        if length < 56:
-            raise RlpDecodingError("non-canonical long list length")
-        end = pos + 1 + ll + length
-    start = pos + 1 + (0 if prefix < 0xF8 else prefix - 0xF7)
     if end > len(data):
         raise RlpDecodingError("list runs past end of payload")
     items = []

@@ -509,11 +509,10 @@ def run_pipeline(
     inputs: Mapping[str, int],
     group: PairingGroup,
     rng,
-    input_names: Sequence[str] | None = None,
 ) -> PipelineResult:
-    """Flatten, compile, solve, set up, prove and verify in one pass."""
-    names = tuple(input_names) if input_names is not None else tuple(sorted(inputs))
-    program = flatten(source, inputs=names)
+    """Flatten, compile, solve, set up, prove and verify in one pass; the
+    program takes the names of ``inputs`` in sorted order."""
+    program = flatten(source, inputs=tuple(sorted(inputs)))
     field = Field(group.order)
     r1cs = compile_r1cs(program, field)
     s = witness(program, field, inputs)

@@ -47,6 +47,7 @@ OP_ADVANCE_AP = 7
 
 _OFF_BIAS = 1 << 15
 INSTRUCTION_BITS = 56  # an instruction word must fit in one field element
+MAX_STEPS = 100_000  # run_program fails a run that has not ended by then
 _HAS_IMMEDIATE = {OP_ASSERT_EQ_IMM, OP_JMP, OP_CALL, OP_ADVANCE_AP}
 
 REG_AP = 0
@@ -338,7 +339,6 @@ def run_program(
     ap_initial: int,
     boundary: Mapping[int, int] | None = None,
     prime: int = DEFAULT_PRIME,
-    max_steps: int = 100_000,
 ) -> RunResult:
     """Execute bytecode loaded at ``prog_base``, filling memory as it goes.
 
@@ -359,7 +359,7 @@ def run_program(
     state = CairoState(pc=pc_initial, ap=ap_initial, fp=ap_initial)
     states = [state]
 
-    for _ in range(max_steps):
+    for _ in range(MAX_STEPS):
         if state.pc == pc_final:
             break
         hint = program.hints.get((state.pc - prog_base) % prime)
@@ -368,7 +368,7 @@ def run_program(
         state = step(state, memory, prime)  # InvalidAccess if it ran off its code
         states.append(state)
     else:
-        raise RuntimeError(f"program did not reach prog_end within {max_steps} steps")
+        raise RuntimeError(f"program did not reach prog_end within {MAX_STEPS} steps")
 
     steps = len(states) - 1
     public_memory = {prog_base + i: w for i, w in enumerate(program.bytecode)}

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
 from ..hashing import keccak256, memoized_digest
-from ..l1sim import Chain
+from ..l1sim import ZERO_HASH, Chain
 
 CORE_ADDRESS = 0x90000000000000000000000000000000000000C1
 SEQUENCER_ADDRESS = 0x90000000000000000000000000000000000000C2
@@ -115,7 +115,6 @@ class StarkNetCore:
         chain: Chain,
         address: int = CORE_ADDRESS,
         sequencer: int = SEQUENCER_ADDRESS,
-        genesis_root: bytes = b"\x00" * 32,
     ):
         self.chain = chain
         self.address = address
@@ -124,7 +123,7 @@ class StarkNetCore:
         self.l2_to_l1_counters: dict[bytes, int] = {}
         self.fee_escrow: dict[bytes, int] = {}
         self.message_nonce = 0
-        self.root_history: list[bytes] = [genesis_root]
+        self.root_history: list[bytes] = [ZERO_HASH]  # the genesis root
         self.settled_at_block: list[int] = [chain.pending_block_number]
         chain.register_contract(address, self)
 

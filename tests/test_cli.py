@@ -65,6 +65,14 @@ class TestBloomCalc:
         result = runner.invoke(main, ["bloom-calc", "-n", "10", "-p", "1.5"])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("queries", ["0", "-5"])
+    def test_queries_below_one_is_a_usage_error(self, runner, queries):
+        result = runner.invoke(main, ["bloom-calc", "-n", "10", "-p", "0.01", "--empirical",
+                                      "--seed", "1", "--queries", queries])
+        assert result.exit_code == 2
+        assert "--queries" in result.output
+        assert "empirical fp rate" not in result.output
+
 
 class TestDisputeDemo:
     def test_challenger_wins(self, runner):
@@ -218,6 +226,11 @@ class TestCostReport:
         save_corpus(path, synthetic_batch_corpus(n_batches=4))
         result = runner.invoke(main, ["cost-report", "--corpus", str(path), "--json"])
         assert result.exit_code == 0
+
+    def test_group_size_below_one_is_a_usage_error(self, runner):
+        result = runner.invoke(main, ["cost-report", "--json", "--group-size", "0"])
+        assert result.exit_code == 2
+        assert "--group-size" in result.output
 
 
 class TestUsage:

@@ -6,6 +6,7 @@ from rollsim.hashing import keccak256
 from rollsim.l1sim import Chain
 from rollsim.oprollup.l2 import OpL2State, OutputRootProof, initiate_withdrawal, output_root_proof
 from rollsim.oprollup.withdrawals import (
+    LENDER_POOL_ADDRESS,
     AlreadyFinalized,
     AttestationMismatch,
     LenderPool,
@@ -250,6 +251,17 @@ class TestFastWithdrawals:
         assert pool.closed[wtx.hash] == close_time
         # borrower net: paid_out now vs value at finalization
         assert loan.principal - loan.paid_out == loan.interest
+
+    def test_finalization_pays_the_pool_not_the_target(self):
+        chain, portal, state, proof, proposal, attester, pool = self.make_pool()
+        wtx = state.sent_withdrawals[0]
+        loan = pool.fast_withdrawal(attester.attest(wtx.hash), wtx, now=proposal.timestamp)
+        wproof = state.withdrawal_proof(wtx.hash)
+        receipt = portal.finalize_withdrawal(wtx, 5, proof, wproof, now=proposal.timestamp + PERIOD)
+        assert receipt["payee"] == LENDER_POOL_ADDRESS
+        assert chain.balance(wtx.sender) == loan.paid_out
+        assert chain.balance(LENDER_POOL_ADDRESS) == wtx.value == 100
+        assert chain.balance(wtx.target) == 0
 
     def test_replayed_attestation_pays_once(self):
         chain, portal, state, proof, proposal, attester, pool = self.make_pool()

@@ -64,6 +64,26 @@ class TestDecode:
         with pytest.raises(rlp.RlpDecodingError):
             rlp.decode(b"\x81\x05")
 
+    @pytest.mark.parametrize(
+        "data, reason",
+        [
+            (b"\xb9\x00\x38" + b"x" * 56, "leading zero"),
+            (b"\xf9\x00" + rlp.encode([b"y" * 55])[1:], "leading zero"),
+            (b"\xb8\x37" + b"x" * 55, "non-canonical long string"),
+            (b"\xf8\x37" + rlp.encode([b"y" * 54])[1:], "non-canonical long list"),
+            (b"\xb9\x01", "truncated length-of-length"),
+            (b"\xf9\x01", "truncated length-of-length"),
+        ],
+        ids=[
+            "string-leading-zero", "list-leading-zero",
+            "string-below-56", "list-below-56",
+            "string-truncated-length", "list-truncated-length",
+        ],
+    )
+    def test_non_canonical_long_length_rejected(self, data, reason):
+        with pytest.raises(rlp.RlpDecodingError, match=reason):
+            rlp.decode(data)
+
     def test_decode_int(self):
         assert rlp.decode_int(rlp.decode(rlp.encode(77))) == 77
         assert rlp.decode_int(b"") == 0
