@@ -1,4 +1,7 @@
-"""Command-line entry points: scenario runs, demos, and report generators."""
+"""Command-line entry points: scenario runs, demos, and report generators.
+
+Each subcommand imports the modules it runs, so a start-up loads only those.
+"""
 
 from __future__ import annotations
 
@@ -6,25 +9,14 @@ import json
 import os
 import random
 import sys
+from typing import TYPE_CHECKING
 
 import click
 
 from . import __version__
-from .algebra import DEFAULT_PRIME, PairingGroup
-from .costbench import (
-    BloomFilter,
-    DaScenario,
-    bloom_params,
-    da_cost_comparison,
-    fp_rate,
-    load_corpus,
-    compression_stats,
-    synthetic_batch_corpus,
-)
-from .oprollup import dispute as dispute_mod
-from .scenarios import ConfigError, PhaseCost, ScenarioConfig, run as run_scenario
-from .snark import run_pipeline
-from .validityrollup.statediff import MAINNET_DIFF_VECTOR, decode_state_diff
+
+if TYPE_CHECKING:
+    from .scenarios import ScenarioConfig
 
 CONFIG_ENV_VAR = "ROLLSIM_CONFIG"
 
@@ -36,6 +28,8 @@ def main():
 
 
 def _load_config(config_path: str | None) -> ScenarioConfig:
+    from .scenarios import ScenarioConfig
+
     config_path = config_path or os.environ.get(CONFIG_ENV_VAR)
     if not config_path:
         return ScenarioConfig()
@@ -45,6 +39,8 @@ def _load_config(config_path: str | None) -> ScenarioConfig:
 
 def _validated(config: ScenarioConfig) -> ScenarioConfig:
     """Return ``config`` if it is valid; otherwise fail with its one-line ConfigError."""
+    from .scenarios import ConfigError
+
     try:
         config.validate()
     except ConfigError as exc:
@@ -86,6 +82,8 @@ def _emit_report(report, as_json: bool) -> None:
               help="Print Keccak-f permutations and wall time per phase on stderr.")
 def run_cmd(config_path, as_json, profile):
     """Run a scenario from a config file."""
+    from .scenarios import ConfigError, PhaseCost, run as run_scenario
+
     try:
         config = _load_config(config_path)
     except ConfigError as exc:
@@ -117,6 +115,8 @@ _DEFAULT_WORKLOAD = dict(
 @click.option("--json", "as_json", is_flag=True)
 def simulate_op(seed, fraud, steps, fault, as_json):
     """Run the optimistic-rollup scenario: deposit, batch, derive, withdraw."""
+    from .scenarios import ScenarioConfig, run as run_scenario
+
     config = ScenarioConfig(
         seed=seed, rollup="optimistic", planted_fraud=fraud,
         dispute_steps=steps, fault_position=fault, **_DEFAULT_WORKLOAD,
@@ -129,6 +129,8 @@ def simulate_op(seed, fraud, steps, fault, as_json):
 @click.option("--json", "as_json", is_flag=True)
 def simulate_validity(seed, as_json):
     """Run the validity-rollup scenario: message in, prove, settle, consume."""
+    from .scenarios import ScenarioConfig, run as run_scenario
+
     config = ScenarioConfig(seed=seed, rollup="validity", **_DEFAULT_WORKLOAD)
     _emit_report(run_scenario(_validated(config)), as_json)
 
@@ -139,6 +141,9 @@ def simulate_validity(seed, as_json):
 @click.option("--seed", type=int, default=0, show_default=True)
 def dispute_demo(steps, fault, seed):
     """Play one bisection game with a planted fault and print the outcome."""
+    from .oprollup import dispute as dispute_mod
+    from .scenarios import ScenarioConfig
+
     _validated(ScenarioConfig(dispute_steps=steps, fault_position=fault))
     registers = (0, 1 + random.Random(seed).randrange(5), 3, 0, 1, 0, 0, 0)
     game = dispute_mod.play_planted_fault(registers, steps, fault, challenger=0xC, defender=0xD)
@@ -153,6 +158,9 @@ def dispute_demo(steps, fault, seed):
 @click.option("--seed", type=int, default=0, show_default=True)
 def snark_demo(input_value, seed):
     """Run the full pipeline on x*x*x + 8 and print every intermediate."""
+    from .algebra import DEFAULT_PRIME, PairingGroup
+    from .snark import run_pipeline
+
     group = PairingGroup(DEFAULT_PRIME)
     result = run_pipeline("x*x*x + 8", {"x": input_value}, group, random.Random(seed))
     click.echo("flattened program:")
@@ -221,8 +229,25 @@ def schnorr_demo(seed, small_group):
 @click.option("--json", "as_json", is_flag=True)
 def cost_report(corpus_path, group_size, as_json):
     """Three-way data-availability cost comparison plus compression stats."""
+    from .costbench import (
+        DaScenario,
+        compression_stats,
+        da_cost_comparison,
+        load_corpus,
+        synthetic_batch_corpus,
+    )
+    from .validityrollup.statediff import MAINNET_DIFF_VECTOR, decode_state_diff
+
     diff = decode_state_diff(MAINNET_DIFF_VECTOR)
-    corpus = load_corpus(corpus_path) if corpus_path else synthetic_batch_corpus()
+    if corpus_path:
+        try:
+            corpus = load_corpus(corpus_path)
+        except ValueError as exc:  # a line that is not hex, or bytes that are not text
+            raise click.BadParameter(f"{corpus_path}: {exc}", param_hint="'--corpus'")
+        if not corpus:
+            raise click.BadParameter(f"{corpus_path} holds no batch", param_hint="'--corpus'")
+    else:
+        corpus = synthetic_batch_corpus()
     report = da_cost_comparison(DaScenario(diff=diff, optimistic_batches=tuple(corpus)))
     if as_json:
         payload = json.loads(report.to_json())
@@ -249,6 +274,8 @@ def cost_report(corpus_path, group_size, as_json):
 @click.option("--queries", type=click.IntRange(min=1), default=100_000, show_default=True)
 def bloom_calc(expected, tolerance, empirical, seed, queries):
     """Size a Bloom filter; optionally validate the rate empirically."""
+    from .costbench import BloomFilter, bloom_params, fp_rate
+
     try:
         m, k = bloom_params(expected, tolerance)
     except ValueError as exc:

@@ -228,7 +228,9 @@ def execute_block(state: OpL2State, block: L2Block) -> OpL2State:
                 sender, to, value = payload["from"], payload["to"], payload["value"]
                 if state.balance(sender) < value:
                     continue
-                state.balances[sender] -= value
+                # a zero-value transfer passes the check from an account
+                # that has no entry yet, which credit creates
+                state.credit(sender, -value)
                 state.credit(to, value)
             elif kind == "withdraw":
                 initiate_withdrawal(

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Mapping
 
 from ..algebra import DEFAULT_PRIME
+from . import INSTRUCTION_BITS
 
 
 class InvalidAccess(KeyError):
@@ -46,7 +47,6 @@ OP_RET = 6
 OP_ADVANCE_AP = 7
 
 _OFF_BIAS = 1 << 15
-INSTRUCTION_BITS = 56  # an instruction word must fit in one field element
 MAX_STEPS = 100_000  # run_program fails a run that has not ended by then
 _HAS_IMMEDIATE = {OP_ASSERT_EQ_IMM, OP_JMP, OP_CALL, OP_ADVANCE_AP}
 

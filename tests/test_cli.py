@@ -227,6 +227,17 @@ class TestCostReport:
         result = runner.invoke(main, ["cost-report", "--corpus", str(path), "--json"])
         assert result.exit_code == 0
 
+    @pytest.mark.parametrize("content", ["", "\n", "zz\n", "00ff\nzz\n"],
+                             ids=["empty", "blank", "not-hex", "second-line-not-hex"])
+    @pytest.mark.parametrize("as_json", [[], ["--json"]], ids=["text", "json"])
+    def test_unusable_corpus_is_a_usage_error(self, runner, tmp_path, content, as_json):
+        path = tmp_path / "corpus.hex"
+        path.write_text(content)
+        result = runner.invoke(main, ["cost-report", "--corpus", str(path), *as_json])
+        assert result.exit_code == 2
+        assert "Invalid value for '--corpus'" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
     def test_group_size_below_one_is_a_usage_error(self, runner):
         result = runner.invoke(main, ["cost-report", "--json", "--group-size", "0"])
         assert result.exit_code == 2

@@ -7,13 +7,11 @@ import re
 import pytest
 
 from rollsim.scenarios import (
-    L2_BRIDGE_ADDRESS,
     MAX_DISPUTE_STEPS,
     MAX_PROOF_CADENCE_BLOCKS,
     MAX_WINDOW,
     ConfigError,
     ScenarioConfig,
-    register_bridge,
     run,
 )
 from rollsim.validityrollup.messaging import (
@@ -22,6 +20,7 @@ from rollsim.validityrollup.messaging import (
     ValidityL2State,
     dispatch_l1_handler,
 )
+from rollsim.validityrollup.scenario import L2_BRIDGE_ADDRESS, register_bridge
 
 WORKLOAD = dict(
     deposits=[{"user": 0x100, "value": 10_000}],
@@ -247,6 +246,13 @@ class TestOptimisticScenario:
         report = run(ScenarioConfig(rollup="optimistic", **WORKLOAD))
         rejected = [e for e in report.timeline if e["event"] == "finalize_rejected"]
         assert rejected and rejected[0]["reason"] == "proposal is not yet finalized"
+
+    def test_zero_value_transfer_from_an_account_never_funded(self):
+        # 0 < 0 passes the funds check for a sender with no L2 balance entry
+        transfers = [{"user": 1, "target": 2, "value": 0}]
+        report = run(ScenarioConfig(rollup="optimistic", transfers=transfers))
+        assert report.ok
+        assert _events(report, "derived")[0]["l2_blocks"] > 0
 
 
 def funded_users(n, **overrides):
