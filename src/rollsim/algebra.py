@@ -485,7 +485,3 @@ class TargetElement:
 
     def __repr__(self) -> str:
         return f"TargetElement(order={self._group.order})"
-
-
-def pairing(a: GroupElement, b: GroupElement) -> TargetElement:
-    return a._group.pairing(a, b)

@@ -230,7 +230,6 @@ def schnorr_demo(seed, small_group):
 def cost_report(corpus_path, group_size, as_json):
     """Three-way data-availability cost comparison plus compression stats."""
     from .costbench import (
-        DaScenario,
         compression_stats,
         da_cost_comparison,
         load_corpus,
@@ -248,7 +247,7 @@ def cost_report(corpus_path, group_size, as_json):
             raise click.BadParameter(f"{corpus_path} holds no batch", param_hint="'--corpus'")
     else:
         corpus = synthetic_batch_corpus()
-    report = da_cost_comparison(DaScenario(diff=diff, optimistic_batches=tuple(corpus)))
+    report = da_cost_comparison(diff, optimistic_batches=corpus)
     if as_json:
         payload = json.loads(report.to_json())
         grouped = compression_stats(corpus, group_size)

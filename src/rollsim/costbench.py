@@ -62,7 +62,6 @@ class BloomFilter:
         self.k = k
         self.seed = seed
         self.bits = bytearray((m + 7) // 8)
-        self.inserted = 0
 
     @classmethod
     def for_expected(cls, n: int, p: float, seed: int = 0) -> "BloomFilter":
@@ -84,7 +83,6 @@ class BloomFilter:
     def insert(self, element: bytes) -> None:
         for bit in self._probes(element):
             self.bits[bit // 8] |= 1 << (bit % 8)
-        self.inserted += 1
 
     def query(self, element: bytes) -> bool:
         """True = maybe-present, False = definitely-absent."""
@@ -264,14 +262,6 @@ def overwrite_amortization(single_write_gas: int, overwrites: int) -> Decimal:
 
 
 @dataclass(frozen=True)
-class DaScenario:
-    """Inputs for the three-way data-availability cost comparison."""
-
-    diff: StateDiff
-    optimistic_batches: tuple[bytes, ...] = ()
-
-
-@dataclass(frozen=True)
 class CostReport:
     """Raw gas figures per stack; every ratio is a derived property."""
 
@@ -324,7 +314,9 @@ class CostReport:
         return "\n".join(f"{label.ljust(width)}  {value}" for label, value in rows)
 
 
-def da_cost_comparison(scenario: DaScenario) -> CostReport:
+def da_cost_comparison(
+    diff: StateDiff, optimistic_batches: Sequence[bytes] = ()
+) -> CostReport:
     """Price the same storage writes on L1, as a state diff, and as batches.
 
     Every L1 write is a cold zero-to-nonzero store, and the proof share
@@ -333,12 +325,12 @@ def da_cost_comparison(scenario: DaScenario) -> CostReport:
     The optimistic stack carries no invalidity-proof share: in the honest
     equilibrium none are ever published.
     """
-    write_count = sum(len(c.updates) for c in scenario.diff.storage)
+    write_count = sum(len(c.updates) for c in diff.storage)
     l1_gas = write_count * sstore_gas(ZERO_TO_NONZERO, cold=True)
-    words = encode_state_diff(scenario.diff)
+    words = encode_state_diff(diff)
     validity_gas = calldata_gas(diff_calldata_bytes(words))
-    if scenario.optimistic_batches:
-        stats = compression_stats(list(scenario.optimistic_batches), len(scenario.optimistic_batches))
+    if optimistic_batches:
+        stats = compression_stats(optimistic_batches, len(optimistic_batches))
         opt_raw, opt_comp = stats.total_raw_gas, stats.total_compressed_gas
     else:
         opt_raw = opt_comp = 0

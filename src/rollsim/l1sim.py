@@ -190,7 +190,6 @@ class TxContext:
         self.block_number = chain.pending_block_number
         self.timestamp = chain.pending_timestamp
         self.gas_used = 0
-        self.refund_markers = 0
 
     @property
     def caller(self) -> int:
@@ -225,8 +224,6 @@ class TxContext:
         self.chain._block_dirty.add(key)
         self.chain.storage[addr][slot] = value
         self.gas_used += cost.gas
-        if cost.refund:
-            self.refund_markers += 1
         return cost.gas
 
 
@@ -385,7 +382,7 @@ class Chain:
 
     def dump_state(self) -> str:
         """JSON snapshot of all chain data; handler calls are not serialized
-        (they have already executed), so contracts re-register on restore."""
+        (they have already executed)."""
         return json.dumps(
             {
                 "basefee": self.basefee,
@@ -426,45 +423,3 @@ class Chain:
             },
             sort_keys=True,
         )
-
-    @classmethod
-    def restore_state(cls, payload: str) -> "Chain":
-        """Rebuild a chain from a dump; block hashes recompute identically."""
-        obj = json.loads(payload)
-        chain = cls(basefee=obj["basefee"], block_time=obj["block_time"])
-        chain.balances = {int(k): v for k, v in obj["balances"].items()}
-        chain.storage = {
-            int(a): {int(s): v for s, v in slots.items()}
-            for a, slots in obj["storage"].items()
-        }
-        parent = ZERO_HASH
-        for record in obj["blocks"]:
-            block = L1Block(
-                number=record["number"],
-                timestamp=record["timestamp"],
-                basefee=record["basefee"],
-                parent_hash=parent,
-                txs=tuple(
-                    Tx(
-                        sender=t["sender"],
-                        to=t["to"],
-                        calldata=bytes.fromhex(t["calldata"]),
-                        value=t["value"],
-                    )
-                    for t in record["txs"]
-                ),
-                gas_used=record["gas_used"],
-            )
-            chain.blocks.append(block)
-            parent = block.hash
-        chain.events = [
-            Event(
-                address=e["address"],
-                name=e["name"],
-                payload=bytes.fromhex(e["payload"]),
-                block_number=e["block"],
-                log_index=e["log_index"],
-            )
-            for e in obj["events"]
-        ]
-        return chain

@@ -42,7 +42,7 @@ class Batch:
     def from_rlp_item(cls, item) -> "Batch":
         if (
             not isinstance(item, list) or len(item) != 5 or not isinstance(item[4], list)
-            or not all(isinstance(tx, bytes) for tx in item[4])
+            or not all(isinstance(field, bytes) for field in (*item[:4], *item[4]))
         ):
             raise ValueError("batch item has the wrong shape")
         return cls(
@@ -196,14 +196,10 @@ def decode_channel_payload(payload: bytes) -> list[Batch]:
 
 def reassemble(frames: Iterable[Frame]) -> list[Batch]:
     """Group frames by channel and decode every complete channel's batches."""
-    channels: dict[bytes, list[Frame]] = {}
-    order: list[bytes] = []
+    channels: dict[bytes, list[Frame]] = {}  # in first-seen order
     for frame in frames:
-        if frame.channel_id not in channels:
-            order.append(frame.channel_id)
         channels.setdefault(frame.channel_id, []).append(frame)
     batches: list[Batch] = []
-    for channel_id in order:
-        payload = assemble_channel_payload(channels[channel_id])
-        batches.extend(decode_channel_payload(payload))
+    for channel_frames in channels.values():
+        batches.extend(decode_channel_payload(assemble_channel_payload(channel_frames)))
     return batches

@@ -79,7 +79,7 @@ class DepositedTx:
     def decode(cls, blob: bytes) -> "DepositedTx":
         if not blob or blob[0] != DEPOSIT_TX_PREFIX:
             raise ValueError("not a deposited-transaction payload")
-        fields = rlp.decode(blob[1:])
+        fields = rlp.decode_fields(blob[1:], 7)
         return cls(
             source_hash=fields[0],
             from_address=rlp.decode_int(fields[1]),
@@ -114,7 +114,6 @@ class OptimismPortal:
         data: bytes,
         l2_basefee: int,
         l1_basefee: int,
-        mint: int | None = None,
     ) -> tuple[Event, int]:
         """Record a deposit, emit its event, and burn gas for the L2 execution.
 
@@ -133,13 +132,12 @@ class OptimismPortal:
         self._guaranteed_by_block[block] = used + gas_limit
 
         from_address = apply_l1_to_l2_alias(caller) if caller_is_contract else caller
-        if mint is None:
-            mint = value
         call_gas = TX_BASE_GAS + calldata_gas(data)
         burned = max(0, gas_limit * l2_basefee // l1_basefee - call_gas)
 
+        # the fields are from, to, mint, value: a deposit mints what it carries
         payload = rlp.encode(
-            [from_address, to, mint, value, gas_limit, int(is_creation), data]
+            [from_address, to, value, value, gas_limit, int(is_creation), data]
         )
         event = self.chain._emit(self.address, "TransactionDeposited", payload)
         return event, burned
@@ -155,7 +153,7 @@ class OptimismPortal:
 def deposit_from_event(event: Event, l1_block_digest: bytes) -> DepositedTx:
     """Rebuild the L2 deposited transaction from its L1 event; the block
     digest is as in ``source_hash``."""
-    fields = rlp.decode(event.payload)
+    fields = rlp.decode_fields(event.payload, 7)
     return DepositedTx(
         source_hash=source_hash(l1_block_digest, event.log_index),
         from_address=rlp.decode_int(fields[0]),

@@ -59,10 +59,6 @@ class L2Block:
         )
 
 
-def chain_hash(blocks: list[L2Block]) -> bytes:
-    return keccak256(b"".join(b.hash for b in blocks))
-
-
 def _attributes_tx(block, block_digest: bytes, sequence_number: int) -> bytes:
     attrs = l1_attributes(block, sequence_number)
     return DepositedTx(
@@ -118,21 +114,10 @@ def derive(l1_chain: Chain, window_w: int) -> list[L2Block]:
         l1_block = blocks[epoch]
         # every source hash of the epoch shares H(l1_block.hash)
         block_digest = keccak256(l1_block.hash)
-        deposits = [
-            deposit_from_event(event, block_digest)
+        deposit_txs = tuple(
+            deposit_from_event(event, block_digest).encode()
             for event in l1_chain.events_in_block(epoch)
             if event.address == PORTAL_ADDRESS and event.name == "TransactionDeposited"
-        ]
-        seq = 0
-        l2_blocks.append(
-            L2Block(
-                number=len(l2_blocks),
-                epoch_number=epoch,
-                epoch_hash=l1_block.hash,
-                timestamp=l1_block.timestamp,
-                sequence_number=seq,
-                txs=(_attributes_tx(l1_block, block_digest, seq), *(d.encode() for d in deposits)),
-            )
         )
         # batches for this epoch: correct epoch hash, frames inside the window,
         # and no empty or deposit-typed transaction, since deposits come only
@@ -149,16 +134,18 @@ def derive(l1_chain: Chain, window_w: int) -> list[L2Block]:
             ),
             key=lambda pair: (pair[0].timestamp, pair[1]),
         )
-        for batch, _ in epoch_batches:
-            seq += 1
+        # sequence number 0 carries the deposits, each later block one batch
+        bodies = [(l1_block.timestamp, deposit_txs)]
+        bodies += [(batch.timestamp, batch.tx_list) for batch, _ in epoch_batches]
+        for seq, (timestamp, txs) in enumerate(bodies):
             l2_blocks.append(
                 L2Block(
                     number=len(l2_blocks),
                     epoch_number=epoch,
                     epoch_hash=l1_block.hash,
-                    timestamp=batch.timestamp,
+                    timestamp=timestamp,
                     sequence_number=seq,
-                    txs=(_attributes_tx(l1_block, block_digest, seq), *batch.tx_list),
+                    txs=(_attributes_tx(l1_block, block_digest, seq), *txs),
                 )
             )
     return l2_blocks

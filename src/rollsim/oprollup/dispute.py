@@ -258,10 +258,6 @@ class VmRunner:
         """The state after the last executed instruction."""
         return self.trace.states[-1]
 
-    def step_witness(self) -> MemoryWitness:
-        """Inclusion proofs for the cells the next instruction touches."""
-        return self.trace.step_proof(self.trace.length).memory_witness
-
     def step(self) -> None:
         """Execute the next instruction and record it raw; nothing is hashed."""
         trace = self.trace

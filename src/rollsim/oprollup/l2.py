@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dataclass_field
 
+from .. import rlp
 from ..hashing import keccak256, memoized_digest
 from ..l1sim import L1Attributes
 from ..merkle import MerkleProof, MerkleTree
@@ -178,18 +179,14 @@ def output_root_proof(state: OpL2State, l2_block_hash: bytes) -> OutputRootProof
 # attribute registration payloads (the L1-attributes deposited transaction)
 
 def encode_attributes(attrs: L1Attributes) -> bytes:
-    from .. import rlp
-
     return rlp.encode(
         [attrs.number, attrs.timestamp, attrs.basefee, attrs.hash, attrs.sequence_number]
     )
 
 
 def _decode_attributes(data: bytes) -> L1Attributes | None:
-    from .. import rlp
-
     try:
-        fields = rlp.decode(data)
+        fields = rlp.decode_fields(data, 5)
         return L1Attributes(
             number=rlp.decode_int(fields[0]),
             timestamp=rlp.decode_int(fields[1]),
@@ -197,5 +194,5 @@ def _decode_attributes(data: bytes) -> L1Attributes | None:
             hash=fields[3],
             sequence_number=rlp.decode_int(fields[4]),
         )
-    except Exception:
+    except ValueError:
         return None

@@ -16,6 +16,7 @@ from ..merkle import DigestMemo, MerkleProof, verify_inclusion
 from .l2 import OutputRootProof, WithdrawalTx
 
 DISPUTE_PERIOD = 7 * 24 * 3600  # seconds
+MIN_STAKE = 10**18  # the least a proposer stakes on an output root
 FINALIZE_GAS_BUFFER = 20_000
 ORACLE_ADDRESS = 0x90000000000000000000000000000000000000A2
 LENDER_POOL_ADDRESS = 0x90000000000000000000000000000000000000A3
@@ -69,7 +70,6 @@ class L2OutputOracle:
 
     chain: Chain
     proposers: set[int]
-    min_stake: int = 10**18
     dispute_period: int = DISPUTE_PERIOD
     rate_limit: tuple[int, int] = (10, 100)  # max proposals per window of L1 blocks
     proposals: dict[int, OutputProposal] = dataclass_field(default_factory=dict)
@@ -81,8 +81,8 @@ class L2OutputOracle:
     ) -> OutputProposal:
         if proposer not in self.proposers:
             raise NotProposer(f"{proposer:#x} is not an authorized proposer")
-        if stake < self.min_stake:
-            raise StakeTooLow(f"stake {stake} below minimum {self.min_stake}")
+        if stake < MIN_STAKE:
+            raise StakeTooLow(f"stake {stake} below minimum {MIN_STAKE}")
         max_count, window = self.rate_limit
         now_block = self.chain.pending_block_number
         recent = [b for b in self._proposal_blocks if b > now_block - window]

@@ -88,10 +88,25 @@ def _decode_at(data: bytes, pos: int):
 
 def decode(data: bytes):
     """Decode a single RLP item; bytes stay bytes (callers re-interpret ints)."""
-    item, end = _decode_at(bytes(data), 0)
+    try:
+        item, end = _decode_at(bytes(data), 0)
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise RlpDecodingError("lists nested too deeply") from None
     if end != len(data):
         raise RlpDecodingError(f"{len(data) - end} trailing bytes after RLP item")
     return item
+
+
+def decode_fields(data: bytes, count: int) -> list[bytes]:
+    """Decode an RLP list of exactly ``count`` byte strings."""
+    fields = decode(data)
+    if not (
+        isinstance(fields, list)
+        and len(fields) == count
+        and all(isinstance(f, bytes) for f in fields)
+    ):
+        raise RlpDecodingError(f"not a list of {count} byte strings")
+    return fields
 
 
 def decode_int(data: bytes) -> int:

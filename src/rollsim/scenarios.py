@@ -38,6 +38,7 @@ from .oprollup.l2 import WithdrawalTx
 from .oprollup.withdrawals import (
     DISPUTE_PERIOD,
     L2OutputOracle,
+    MIN_STAKE,
     WithdrawalError,
     WithdrawalPortal,
 )
@@ -399,7 +400,7 @@ def _derive_and_execute(ctx: _Run, wanted: list[tuple]) -> tuple[ExecutedChain, 
 def _dispute(ctx: _Run, oracle: L2OutputOracle, tip: int, honest_root: bytes) -> dict:
     """Propose a fraudulent output root and play the bisection game against it."""
     bad_root = keccak256(b"fraud" + honest_root)
-    oracle.propose(_PROPOSER, bad_root, tip, stake=oracle.min_stake)
+    oracle.propose(_PROPOSER, bad_root, tip, stake=MIN_STAKE)
     ctx.log("output_proposed", root=bad_root.hex(), fraudulent=True)
     # a VM execution standing in for the challenged block's trace
     game = dispute_mod.play_planted_fault(
@@ -421,7 +422,7 @@ def _propose_and_finalize(
 ) -> dict:
     """Propose the honest root; finalize each withdrawal a second early (refused), then on time."""
     output, oracle = executed.output, wportal.oracle
-    proposal = oracle.propose(_PROPOSER, output.output_root, tip, stake=oracle.min_stake)
+    proposal = oracle.propose(_PROPOSER, output.output_root, tip, stake=MIN_STAKE)
     ctx.log("output_proposed", root=output.output_root.hex(), fraudulent=False)
     on_time = proposal.timestamp + ctx.config.dispute_period
     initiated_at = ctx.chain.blocks[epoch].timestamp

@@ -26,7 +26,6 @@ from .algebra import (
     GroupElement,
     PairingGroup,
     Polynomial,
-    pairing,
     poly_interpolate,
 )
 
@@ -439,12 +438,14 @@ def prove(crs: CRS, qap: QAP, s: Sequence[FieldElement]) -> SnarkProof:
 
 def roots_check(vk: VerificationKey, proof: SnarkProof, group: PairingGroup) -> bool:
     """The divisibility check alone: e(g^p, g) == e(g^Z(r), g^h)."""
-    return pairing(proof.p, group.generator) == pairing(vk.z_encrypted, proof.h)
+    return group.pairing(proof.p, group.generator) == group.pairing(vk.z_encrypted, proof.h)
 
 
 def shift_check(vk: VerificationKey, proof: SnarkProof, group: PairingGroup) -> bool:
     """The knowledge check: e(g^p, g^alpha) == e(g^p', g)."""
-    return pairing(proof.p, vk.alpha_encrypted) == pairing(proof.p_shifted, group.generator)
+    return group.pairing(proof.p, vk.alpha_encrypted) == group.pairing(
+        proof.p_shifted, group.generator
+    )
 
 
 def verify(vk: VerificationKey, proof: SnarkProof, group: PairingGroup) -> bool:

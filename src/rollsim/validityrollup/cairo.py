@@ -337,7 +337,6 @@ def run_program(
     program: CairoProgram,
     prog_base: int,
     ap_initial: int,
-    boundary: Mapping[int, int] | None = None,
     prime: int = DEFAULT_PRIME,
 ) -> RunResult:
     """Execute bytecode loaded at ``prog_base``, filling memory as it goes.
@@ -351,8 +350,6 @@ def run_program(
     memory = PartialMemory(prime)
     for i, word in enumerate(program.bytecode):
         memory[prog_base + i] = word
-    for addr, value in (boundary or {}).items():
-        memory[addr] = value
 
     pc_initial = (prog_base + program.prog_start) % prime
     pc_final = (prog_base + program.prog_end) % prime
@@ -372,7 +369,6 @@ def run_program(
 
     steps = len(states) - 1
     public_memory = {prog_base + i: w for i, w in enumerate(program.bytecode)}
-    public_memory.update(boundary or {})
     return RunResult(
         steps=steps,
         memory=memory,

@@ -26,9 +26,6 @@ SEQUENCER_ADDRESS = 0x90000000000000000000000000000000000000C2
 
 SELECTOR_MASK = (1 << 250) - 1  # keccak output masked into the field
 
-L1_TO_L2 = "l1_to_l2"
-L2_TO_L1 = "l2_to_l1"
-
 
 class EmptyName(ValueError):
     """Selectors are derived from non-empty ASCII names."""
@@ -50,15 +47,6 @@ def selector_from_name(name: str) -> int:
     if not name or not name.isascii():
         raise EmptyName(f"selector names must be non-empty ASCII, got {name!r}")
     return int.from_bytes(keccak256(name.encode("ascii")), "big") & SELECTOR_MASK
-
-
-@dataclass(frozen=True)
-class L2Message:
-    """Counter snapshot for one message hash."""
-
-    message_hash: bytes
-    direction: str
-    counter: int
 
 
 @dataclass(frozen=True)
@@ -171,15 +159,6 @@ class StarkNetCore:
         self.l2_to_l1_counters[msg_hash] -= 1
         self.chain._emit(self.address, "ConsumedMessageToL1", msg_hash)
         return msg_hash
-
-    def message_status(self, msg_hash: bytes, direction: str) -> L2Message:
-        counters = (
-            self.l1_to_l2_counters if direction == L1_TO_L2 else self.l2_to_l1_counters
-        )
-        return L2Message(
-            message_hash=msg_hash, direction=direction,
-            counter=counters.get(msg_hash, 0),
-        )
 
 
 # --- the L2 side ---------------------------------------------------------------

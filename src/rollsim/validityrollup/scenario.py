@@ -11,7 +11,7 @@ import json
 from typing import TYPE_CHECKING
 
 from ..algebra import PairingGroup
-from ..costbench import DaScenario, da_cost_comparison
+from ..costbench import da_cost_comparison
 from ..l1sim import Chain
 from .cairo import run_program, sqrt_program
 from .messaging import (
@@ -79,7 +79,7 @@ def run_validity(ctx: _Run) -> RunReport:
     with ctx.phase("consume"):
         latencies = _consume(ctx, gate, withdrawals, initiated_block, settle_block)
     with ctx.phase("report"):
-        cost = da_cost_comparison(DaScenario(diff=diff)) if diff.storage else None
+        cost = da_cost_comparison(diff) if diff.storage else None
         return ctx.report(
             gas={"diff_words_published": len(diff_words)},
             dispute={"played": False},

@@ -7,7 +7,6 @@ from rollsim.costbench import (
     AddressCache,
     BloomFilter,
     CacheError,
-    DaScenario,
     InvalidTolerance,
     NoTransactions,
     amortized_proof_cost,
@@ -177,7 +176,7 @@ class TestCompression:
 class TestDaComparison:
     def test_reference_scenario(self):
         diff = decode_state_diff(MAINNET_DIFF_VECTOR)
-        report = da_cost_comparison(DaScenario(diff=diff))
+        report = da_cost_comparison(diff)
         assert report.write_count == 10
         assert report.l1_storage_gas == 221_000
         assert report.validity_calldata_gas == 9240
@@ -186,7 +185,7 @@ class TestDaComparison:
 
     def test_ratios_recomputed_not_stored(self):
         diff = decode_state_diff(MAINNET_DIFF_VECTOR)
-        report = da_cost_comparison(DaScenario(diff=diff))
+        report = da_cost_comparison(diff)
         assert "validity_ratio_percent" not in report.__dict__  # property, not field
         assert report.validity_ratio_percent == (
             100.0 * report.validity_calldata_gas / report.l1_storage_gas
@@ -195,14 +194,14 @@ class TestDaComparison:
     def test_optimistic_side_uses_compression(self):
         diff = decode_state_diff(MAINNET_DIFF_VECTOR)
         corpus = tuple(synthetic_batch_corpus(n_batches=4))
-        report = da_cost_comparison(DaScenario(diff=diff, optimistic_batches=corpus))
+        report = da_cost_comparison(diff, optimistic_batches=corpus)
         assert 0 < report.optimistic_compressed_gas < report.optimistic_raw_gas
 
     def test_report_serializations(self):
         import json
 
         diff = decode_state_diff(MAINNET_DIFF_VECTOR)
-        report = da_cost_comparison(DaScenario(diff=diff))
+        report = da_cost_comparison(diff)
         payload = json.loads(report.to_json())
         assert payload["l1_storage_gas"] == 221_000
         text = report.to_text()

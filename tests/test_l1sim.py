@@ -200,25 +200,3 @@ class TestAttributes:
         assert l1_attributes(block, 0).sequence_number == 0
         assert l1_attributes(block, 2).sequence_number == 2
 
-
-class TestDumpRestore:
-    def test_round_trip_preserves_everything(self):
-        chain = Chain()
-        chain.register_contract(0xC0, SlotWriter())
-        chain.fund(0xAA, 99)
-        for i in range(3):
-            chain.submit_tx(0x1, 0xC0, calldata=b"\x01\x02", call=("set_slot", {"slot": i, "value": i}))
-            chain.mine_block()
-        restored = Chain.restore_state(chain.dump_state())
-        assert restored.dump_state() == chain.dump_state()
-        assert [b.hash for b in restored.blocks] == [b.hash for b in chain.blocks]
-        assert restored.balances == chain.balances
-        assert restored.storage == chain.storage
-        assert restored.events == chain.events
-
-    def test_restored_chain_supports_derivation_reads(self):
-        chain = Chain()
-        chain.submit_tx(0x5E9, 0xB1, calldata=b"frame-bytes")
-        chain.mine_block()
-        restored = Chain.restore_state(chain.dump_state())
-        assert restored.blocks[0].txs[0].calldata == b"frame-bytes"

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rollsim import rlp
 from rollsim.oprollup.batching import (
     Batch,
     ChannelIncomplete,
@@ -120,6 +121,14 @@ class TestChannelRoundTrip:
         import zlib
 
         assert decode_channel_payload(zlib.compress(b"\xf9\xff\xff")) == []
+
+    @pytest.mark.parametrize("field", range(4))
+    def test_batch_with_a_list_for_a_scalar_field_is_dropped(self, field):
+        import zlib
+
+        item = [b"", b"\x01" * 32, b"\x02" * 32, b"", [b"tx"]]
+        item[field] = []
+        assert decode_channel_payload(zlib.compress(rlp.encode([item]))) == []
 
     def test_two_channels_interleaved(self):
         rng = random.Random(6)

@@ -83,7 +83,7 @@ class TestVmStep:
     def test_store_updates_root(self):
         runner = make_runner([Instruction(OP_STORE, 0, 3)],
                              initial_registers=(5, 0, 0, 42, 0, 0, 0, 0))
-        witness = runner.step_witness()
+        witness = runner.trace.step_proof(runner.trace.length).memory_witness
         post = vm_step(runner.state, Instruction(OP_STORE, 0, 3), witness, memory_size=64)
         # oracle: rebuild the tree with the new word
         words = [0] * 64
@@ -97,7 +97,7 @@ class TestVmStep:
 
     def test_wrong_witness_rejected(self):
         runner = make_runner([Instruction(OP_LOAD, 0, 1)])
-        witness = runner.step_witness()
+        witness = runner.trace.step_proof(runner.trace.length).memory_witness
         addr = next(iter(witness))
         value, proof = witness[addr]
         witness[addr] = (value + 1, proof)
@@ -114,7 +114,8 @@ class TestVmStep:
         witness = {0: (15, MerkleProof(leaf_index=0, siblings=siblings))}
         with pytest.raises(BadStepProof):
             vm_step(runner.state, load, witness, memory_size=64)
-        post = vm_step(runner.state, load, runner.step_witness(), memory_size=64)
+        witness = runner.trace.step_proof(runner.trace.length).memory_witness
+        post = vm_step(runner.state, load, witness, memory_size=64)
         assert post.registers[1] == 10
 
     def test_loadpre(self):

@@ -12,6 +12,7 @@ from rollsim.oprollup.withdrawals import (
     LenderPool,
     L2OutputOracle,
     LoanExists,
+    MIN_STAKE,
     NotProposer,
     OracleAttestation,
     ProposalRateLimited,
@@ -37,7 +38,7 @@ def setup_rollup(n_withdrawals=1):
         for i in range(n_withdrawals)
     ]
     proof = output_root_proof(state, l2_block_hash=b"\x22" * 32)
-    proposal = oracle.propose(PROPOSER, proof.output_root, 5, stake=oracle.min_stake)
+    proposal = oracle.propose(PROPOSER, proof.output_root, 5, stake=MIN_STAKE)
     return chain, oracle, portal, state, hashes, proof, proposal
 
 
@@ -45,46 +46,46 @@ class TestProposals:
     def test_authorized_proposal_stored(self):
         chain = Chain()
         oracle = L2OutputOracle(chain, proposers={PROPOSER})
-        proposal = oracle.propose(PROPOSER, b"\x01" * 32, 7, oracle.min_stake)
+        proposal = oracle.propose(PROPOSER, b"\x01" * 32, 7, MIN_STAKE)
         assert oracle.get(7) == proposal
 
     def test_unauthorized_rejected(self):
         chain = Chain()
         oracle = L2OutputOracle(chain, proposers={PROPOSER})
         with pytest.raises(NotProposer):
-            oracle.propose(0xBAD, b"\x01" * 32, 7, oracle.min_stake)
+            oracle.propose(0xBAD, b"\x01" * 32, 7, MIN_STAKE)
 
     def test_insufficient_stake(self):
         chain = Chain()
         oracle = L2OutputOracle(chain, proposers={PROPOSER})
         with pytest.raises(StakeTooLow):
-            oracle.propose(PROPOSER, b"\x01" * 32, 7, oracle.min_stake - 1)
+            oracle.propose(PROPOSER, b"\x01" * 32, 7, MIN_STAKE - 1)
 
     def test_rate_limit(self):
         chain = Chain()
         oracle = L2OutputOracle(chain, proposers={PROPOSER}, rate_limit=(10, 100))
         for i in range(10):
-            oracle.propose(PROPOSER, bytes([i]) * 32, i, oracle.min_stake)
+            oracle.propose(PROPOSER, bytes([i]) * 32, i, MIN_STAKE)
         with pytest.raises(ProposalRateLimited):
-            oracle.propose(PROPOSER, b"\xff" * 32, 99, oracle.min_stake)
+            oracle.propose(PROPOSER, b"\xff" * 32, 99, MIN_STAKE)
 
     def test_rate_limit_window_slides(self):
         chain = Chain()
         oracle = L2OutputOracle(chain, proposers={PROPOSER}, rate_limit=(2, 3))
-        oracle.propose(PROPOSER, b"\x01" * 32, 1, oracle.min_stake)
-        oracle.propose(PROPOSER, b"\x02" * 32, 2, oracle.min_stake)
+        oracle.propose(PROPOSER, b"\x01" * 32, 1, MIN_STAKE)
+        oracle.propose(PROPOSER, b"\x02" * 32, 2, MIN_STAKE)
         with pytest.raises(ProposalRateLimited):
-            oracle.propose(PROPOSER, b"\x03" * 32, 3, oracle.min_stake)
+            oracle.propose(PROPOSER, b"\x03" * 32, 3, MIN_STAKE)
         for _ in range(3):
             chain.mine_block()
-        oracle.propose(PROPOSER, b"\x04" * 32, 4, oracle.min_stake)
+        oracle.propose(PROPOSER, b"\x04" * 32, 4, MIN_STAKE)
 
     def test_invalidate_slashes_stake(self):
         chain = Chain()
         oracle = L2OutputOracle(chain, proposers={PROPOSER})
-        oracle.propose(PROPOSER, b"\x01" * 32, 7, oracle.min_stake)
+        oracle.propose(PROPOSER, b"\x01" * 32, 7, MIN_STAKE)
         slashed = oracle.invalidate(7)
-        assert slashed == oracle.min_stake
+        assert slashed == MIN_STAKE
         assert oracle.stakes[PROPOSER] == 0
         assert 7 not in oracle.proposals
 

@@ -84,6 +84,24 @@ class TestDecode:
         with pytest.raises(rlp.RlpDecodingError, match=reason):
             rlp.decode(data)
 
+    def test_deep_nesting_rejected(self):
+        item = b"\xc0"
+        for _ in range(5000):  # far past the interpreter's recursion limit
+            item = rlp._encode_length(len(item), 0xC0) + item
+        with pytest.raises(rlp.RlpDecodingError, match="nested too deeply"):
+            rlp.decode(item)
+
+    def test_decode_fields(self):
+        assert rlp.decode_fields(rlp.encode([b"dog", 5]), 2) == [b"dog", b"\x05"]
+
+    @pytest.mark.parametrize(
+        "item", [b"ab", [b"a"], [b"a", b"b", b"c"], [b"a", []]],
+        ids=["string", "too-few", "too-many", "nested-list"],
+    )
+    def test_decode_fields_rejects_other_shapes(self, item):
+        with pytest.raises(rlp.RlpDecodingError, match="not a list of 2 byte strings"):
+            rlp.decode_fields(rlp.encode(item), 2)
+
     def test_decode_int(self):
         assert rlp.decode_int(rlp.decode(rlp.encode(77))) == 77
         assert rlp.decode_int(b"") == 0

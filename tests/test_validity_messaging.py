@@ -5,7 +5,6 @@ from rollsim.l1sim import Chain
 from rollsim.validityrollup.messaging import (
     EmptyName,
     InvalidMessageToConsume,
-    L1_TO_L2,
     L2ToL1Message,
     NoHandler,
     StarkNetCore,
@@ -56,7 +55,7 @@ class TestL1ToL2:
 
     def test_unsent_message_counter_zero(self):
         chain, core = make_core()
-        assert core.message_status(b"\x00" * 32, L1_TO_L2).counter == 0
+        assert core.l1_to_l2_counters.get(b"\x00" * 32, 0) == 0
 
     def test_event_carries_fee(self):
         chain, core = make_core()
