@@ -79,7 +79,8 @@ def _emit_report(report, as_json: bool) -> None:
               help=f"Scenario config JSON (default: ${CONFIG_ENV_VAR}).")
 @click.option("--json", "as_json", is_flag=True, help="Emit the full report as JSON.")
 @click.option("--profile", is_flag=True,
-              help="Print Keccak-f permutations and wall time per phase on stderr.")
+              help="Print Keccak-f permutations, those run packed, and wall time per "
+                   "phase on stderr.")
 def run_cmd(config_path, as_json, profile):
     """Run a scenario from a config file."""
     from .scenarios import ConfigError, PhaseCost, run as run_scenario
@@ -91,9 +92,10 @@ def run_cmd(config_path, as_json, profile):
     phases: list[PhaseCost] | None = [] if profile else None
     report = run_scenario(config, profile=phases)
     if profile:
-        click.echo(f"{'phase':<22} {'keccak_perms':>12} {'wall_s':>10}", err=True)
+        click.echo(f"{'phase':<22} {'keccak_perms':>12} {'packed':>8} {'wall_s':>10}", err=True)
         for row in phases:
-            click.echo(f"{row.phase:<22} {row.perms:>12} {row.seconds:>10.4f}", err=True)
+            click.echo(f"{row.phase:<22} {row.perms:>12} {row.packed:>8} {row.seconds:>10.4f}",
+                       err=True)
     _emit_report(report, as_json)
 
 

@@ -22,6 +22,37 @@ bit 0 of each copy; seven copies are the fewest that carry three rounds, and
 three rounds divide 24. The bits above the good ones are never read into the
 low lane within a group, so rho needs no mask; the lanes are masked back to
 64 bits once, on return.
+
+Many inputs at once. ``prefetch(blobs)`` hashes a batch of blobs ahead
+through ``_keccak_f_packed``, the ``KeccakP-1600-times{N}`` interface of the
+Keccak team's XKCP in SWAR form ("Keccak implementation overview", Bertoni et
+al.). Lane i of N states is one int whose bits ``[64k, 64k + 64)`` are lane i
+of state k, so XOR, AND, OR and the ``^ MM`` complements (MM: all ones over
+the N slots) act on every slot in one operation. Stacked copies do not carry
+over, since a right shift of a packed int pulls the next slot's bits in, so a
+rotation by r is ``(x << r & H) | (x >> (64 - r) & L)``, where H holds bits
+``[r, 64)`` and L bits ``[0, r)`` of every slot: H drops what each slot
+pushes into the next one, and L keeps only what each slot's own top bits wrap
+round to. The 48 masks of the 24 rotations, MM and the round constants
+replicated to N slots depend on N; ``_packed_constants`` builds them on the
+first use of a width.
+
+A blob alone stays on ``_keccak_f``: on a shared 2-core x86 host the packed
+sponge took 313 µs for one state against the scalar one's 234, and 160, 99 and
+16 µs per state at widths 2, 3 and 64. So blobs that absorb the same number
+of blocks go through the packed kernel when there are at least
+``_CROSSOVER = 2`` of them, in chunks of at most ``_CHUNK = 64`` slots: the
+cost per state flattens past a few dozen slots (about 10 µs from 256 on), and
+a 64-slot lane is a 512-byte int.
+
+The digests are handed out through ``keccak256``: inside the ``prefetch``
+block, ``keccak256(blob)`` returns the ready digest and counts its
+permutations there, as if it had run them. So ``counting()``, a wrapper that
+counts ``keccak256`` calls, and every pinned permutation count read the same
+numbers with or without a prefetch; a function returning many digests at once
+would run permutations that such a wrapper never sees. A blob that was not
+prefetched is hashed for real, so a caller always gets the digest of what it
+passed, tampered or not.
 """
 
 from __future__ import annotations
@@ -31,7 +62,7 @@ import contextvars
 import functools
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 _M = (1 << 64) - 1
 
@@ -53,6 +84,14 @@ _ROUND_GROUPS = tuple(
     for i in range(0, len(_ROUND_CONSTANTS), _GROUP)
 )
 
+# rho's rotation offsets, theta's 1 among them, in the order of the packed
+# kernel's (H, L) mask pairs
+_ROTATIONS = (1, 2, 3, 6, 8, 10, 14, 15, 18, 20, 21, 25, 27, 28, 36, 39, 41, 43, 44, 45,
+              55, 56, 61, 62)
+
+_CHUNK = 64  # most slots in one packed permutation
+_CROSSOVER = 2  # fewest same-length blobs that go through the packed kernel
+
 _RATE = 136  # bytes; capacity 512 bits, digest 256 bits
 _ABSORB = struct.Struct("<17Q")  # one rate block as 17 little-endian lanes
 _SQUEEZE = struct.Struct("<4Q")  # the digest from lanes 0-3
@@ -69,6 +108,7 @@ class PermutationCount:
     """Keccak-f permutations run inside one ``counting()`` block."""
 
     perms: int = 0
+    packed: int = 0  # of ``perms``, those run in slots of the packed kernel
 
 
 _count: contextvars.ContextVar[PermutationCount | None] = contextvars.ContextVar(
@@ -80,8 +120,10 @@ _count: contextvars.ContextVar[PermutationCount | None] = contextvars.ContextVar
 def counting() -> Iterator[PermutationCount]:
     """Count the Keccak-f permutations ``keccak256`` runs inside the block.
 
-    Read ``.perms`` of the yielded count, during the block or after it.
-    Nothing is counted outside a block. Blocks nest by shadowing: the
+    Read ``.perms`` of the yielded count, during the block or after it, and
+    ``.packed``, those of them that ran in slots of the packed kernel; a
+    prefetched digest is counted when ``keccak256`` hands it out. Nothing is
+    counted outside a block. Blocks nest by shadowing: the
     innermost block counts, and permutations counted there are not added to
     an enclosing block. The count lives in a ``contextvars.ContextVar``, so
     it follows the current thread or asyncio task.
@@ -239,16 +281,153 @@ def _keccak_f(state: list[int]) -> list[int]:
             s22 & M, s23 & M, s24 & M]
 
 
+@functools.lru_cache(maxsize=16)
+def _packed_constants(slots: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The packed kernel's constants at width ``slots``, built on first use.
+
+    Masks: all ones over every slot, then for each rotation r of
+    ``_ROTATIONS`` the pair (H, L): bits ``[r, 64)`` and bits ``[0, r)`` of
+    every slot. Round constants: each of the 24 replicated to every slot.
+    """
+    rep = int.from_bytes((b"\x01" + bytes(7)) * slots, "little")  # 1 at bit 0 of each slot
+    ones = _M * rep
+    masks = [ones]
+    for r in _ROTATIONS:
+        low = ((1 << r) - 1) * rep
+        masks += (ones ^ low, low)
+    return tuple(masks), tuple(rc * rep for rc in _ROUND_CONSTANTS)
+
+
+def _keccak_f_packed(state: list[int], slots: int) -> list[int]:
+    """Keccak-f[1600] over ``slots`` states at once: bits ``[64k, 64k + 64)``
+    of ``state[i]`` hold lane i of state k (see the module docstring).
+
+    The steps are ``_keccak_f``'s, lane-complementing chi included, with each
+    rotation written as two shifts, two slot masks and an OR, and the round
+    constants and the ``^ MM`` complements replicated to every slot.
+    """
+    (s0, s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, s12,
+     s13, s14, s15, s16, s17, s18, s19, s20, s21, s22, s23, s24) = state
+    masks, round_constants = _packed_constants(slots)
+    (MM, H1, L1, H2, L2, H3, L3, H6, L6, H8, L8, H10, L10, H14, L14, H15, L15, H18, L18,
+     H20, L20, H21, L21, H25, L25, H27, L27, H28, L28, H36, L36, H39, L39, H41, L41,
+     H43, L43, H44, L44, H45, L45, H55, L55, H56, L56, H61, L61, H62, L62) = masks
+    s1 ^= MM
+    s2 ^= MM
+    s8 ^= MM
+    s12 ^= MM
+    s17 ^= MM
+    s20 ^= MM
+    for rc in round_constants:
+        c0 = s0 ^ s5 ^ s10 ^ s15 ^ s20
+        c1 = s1 ^ s6 ^ s11 ^ s16 ^ s21
+        c2 = s2 ^ s7 ^ s12 ^ s17 ^ s22
+        c3 = s3 ^ s8 ^ s13 ^ s18 ^ s23
+        c4 = s4 ^ s9 ^ s14 ^ s19 ^ s24
+        d0 = c4 ^ (c1 << 1 & H1) ^ (c1 >> 63 & L1)
+        d1 = c0 ^ (c2 << 1 & H1) ^ (c2 >> 63 & L1)
+        d2 = c1 ^ (c3 << 1 & H1) ^ (c3 >> 63 & L1)
+        d3 = c2 ^ (c4 << 1 & H1) ^ (c4 >> 63 & L1)
+        d4 = c3 ^ (c0 << 1 & H1) ^ (c0 >> 63 & L1)
+        s0 ^= d0
+        s1 ^= d1
+        s2 ^= d2
+        s3 ^= d3
+        s4 ^= d4
+        s5 ^= d0
+        s6 ^= d1
+        s7 ^= d2
+        s8 ^= d3
+        s9 ^= d4
+        s10 ^= d0
+        s11 ^= d1
+        s12 ^= d2
+        s13 ^= d3
+        s14 ^= d4
+        s15 ^= d0
+        s16 ^= d1
+        s17 ^= d2
+        s18 ^= d3
+        s19 ^= d4
+        s20 ^= d0
+        s21 ^= d1
+        s22 ^= d2
+        s23 ^= d3
+        s24 ^= d4
+        b0 = s0
+        b16 = (s5 << 36 & H36) | (s5 >> 28 & L36)
+        b7 = (s10 << 3 & H3) | (s10 >> 61 & L3)
+        b23 = (s15 << 41 & H41) | (s15 >> 23 & L41)
+        b14 = (s20 << 18 & H18) | (s20 >> 46 & L18)
+        b10 = (s1 << 1 & H1) | (s1 >> 63 & L1)
+        b1 = (s6 << 44 & H44) | (s6 >> 20 & L44)
+        b17 = (s11 << 10 & H10) | (s11 >> 54 & L10)
+        b8 = (s16 << 45 & H45) | (s16 >> 19 & L45)
+        b24 = (s21 << 2 & H2) | (s21 >> 62 & L2)
+        b20 = (s2 << 62 & H62) | (s2 >> 2 & L62)
+        b11 = (s7 << 6 & H6) | (s7 >> 58 & L6)
+        b2 = (s12 << 43 & H43) | (s12 >> 21 & L43)
+        b18 = (s17 << 15 & H15) | (s17 >> 49 & L15)
+        b9 = (s22 << 61 & H61) | (s22 >> 3 & L61)
+        b5 = (s3 << 28 & H28) | (s3 >> 36 & L28)
+        b21 = (s8 << 55 & H55) | (s8 >> 9 & L55)
+        b12 = (s13 << 25 & H25) | (s13 >> 39 & L25)
+        b3 = (s18 << 21 & H21) | (s18 >> 43 & L21)
+        b19 = (s23 << 56 & H56) | (s23 >> 8 & L56)
+        b15 = (s4 << 27 & H27) | (s4 >> 37 & L27)
+        b6 = (s9 << 20 & H20) | (s9 >> 44 & L20)
+        b22 = (s14 << 39 & H39) | (s14 >> 25 & L39)
+        b13 = (s19 << 8 & H8) | (s19 >> 56 & L8)
+        b4 = (s24 << 14 & H14) | (s24 >> 50 & L14)
+        s0 = b0 ^ (b1 | b2) ^ rc
+        s1 = b1 ^ ((b2 ^ MM) | b3)
+        s2 = b2 ^ (b3 & b4)
+        s3 = b3 ^ (b4 | b0)
+        s4 = b4 ^ (b0 & b1)
+        s5 = b5 ^ (b6 | b7)
+        s6 = b6 ^ (b7 & b8)
+        s7 = b7 ^ (b8 | (b9 ^ MM))
+        s8 = b8 ^ (b9 | b5)
+        s9 = b9 ^ (b5 & b6)
+        n = b13 ^ MM
+        s10 = b10 ^ (b11 | b12)
+        s11 = b11 ^ (b12 & b13)
+        s12 = b12 ^ (n & b14)
+        s13 = n ^ (b14 | b10)
+        s14 = b14 ^ (b10 & b11)
+        n = b18 ^ MM
+        s15 = b15 ^ (b16 & b17)
+        s16 = b16 ^ (b17 | b18)
+        s17 = b17 ^ (n | b19)
+        s18 = n ^ (b19 & b15)
+        s19 = b19 ^ (b15 | b16)
+        n = b21 ^ MM
+        s20 = b20 ^ (n & b22)
+        s21 = n ^ (b22 | b23)
+        s22 = b22 ^ (b23 & b24)
+        s23 = b23 ^ (b24 | b20)
+        s24 = b24 ^ (b20 & b21)
+    return [s0, s1 ^ MM, s2 ^ MM, s3, s4, s5, s6, s7, s8 ^ MM, s9, s10, s11, s12 ^ MM, s13,
+            s14, s15, s16, s17 ^ MM, s18, s19, s20 ^ MM, s21, s22, s23, s24]
+
+
 def keccak256(data: bytes) -> bytes:
     """Return the 32-byte Keccak-256 digest of ``data``.
 
-    The permutations are counted here, not in ``_sponge``, so a stand-in
-    sponge swapped in for sweeps is counted the same way.
+    Inside a ``prefetch`` block, a blob the block computed ahead is handed
+    out ready, once per time it was prefetched; any other blob is hashed
+    here. The permutations are counted here either way, not in the sponges,
+    so a stand-in sponge swapped in for sweeps is counted the same way.
     """
+    scope = _scope.get()
+    ready = scope.take(bytes(data)) if scope is not None else None
     count = _count.get()
     if count is not None:
-        count.perms += _blocks(len(data))
-    return _sponge(data, 0x01)
+        blocks = _blocks(len(data))
+        count.perms += blocks
+        if ready is not None and ready[1]:
+            count.packed += blocks
+    return ready[0] if ready is not None else _sponge(data, 0x01)
 
 
 def _sponge(data: bytes, domain: int) -> bytes:
@@ -269,6 +448,118 @@ def _sponge(data: bytes, domain: int) -> bytes:
             state[j] ^= lanes[j]
         state = _keccak_f(state)
     return _SQUEEZE.pack(*state[:4])
+
+
+def _sponge_many(blobs: list[bytes], domain: int) -> list[tuple[bytes, bool]]:
+    """``_sponge`` of each blob, in order, each with whether the packed
+    kernel made it.
+
+    Blobs that absorb the same number of blocks form a group. A group of at
+    least ``_CROSSOVER`` blobs is split into the fewest near-equal chunks of
+    at most ``_CHUNK``, each one ``_packed_sponge``; a smaller group goes
+    through ``_sponge`` one blob at a time. Every chunk of a packed group
+    holds at least ``_CHUNK // 2 >= _CROSSOVER`` blobs.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, blob in enumerate(blobs):
+        groups.setdefault(_blocks(len(blob)), []).append(i)
+    out = [None] * len(blobs)
+    for blocks, members in groups.items():
+        if len(members) < _CROSSOVER:
+            for i in members:
+                out[i] = _sponge(blobs[i], domain), False
+            continue
+        chunks = -(-len(members) // _CHUNK)
+        for c in range(chunks):
+            chunk = members[c * len(members) // chunks:(c + 1) * len(members) // chunks]
+            for i, digest in zip(chunk, _packed_sponge([blobs[i] for i in chunk], blocks, domain)):
+                out[i] = digest, True
+    return out
+
+
+def _packed_sponge(blobs: list[bytes], blocks: int, domain: int) -> list[bytes]:
+    """``_sponge`` of blobs that each absorb ``blocks`` blocks, through one
+    ``_keccak_f_packed`` per block with blob k in slot k.
+
+    The padded blobs lie end to end in one buffer, read as 64-bit words, so
+    lane j of block b of every blob is one strided slice of it; its bytes,
+    read little-endian, are that lane's packed int. The digests come out the
+    same way: the four squeezed lanes are written into every fourth word of
+    one buffer, which then holds the digests end to end.
+    """
+    slots = len(blobs)
+    width = blocks * _RATE
+    padded = bytearray(slots * width)
+    for k, blob in enumerate(blobs):
+        off = k * width
+        padded[off:off + len(blob)] = blob
+        padded[off + len(blob)] = domain
+        padded[off + width - 1] |= 0x80
+    words = memoryview(padded).cast("Q")
+    stride = blocks * 17
+    state = [0] * 25
+    for b in range(blocks):
+        for j in range(17):
+            state[j] ^= int.from_bytes(words[b * 17 + j::stride].tobytes(), "little")
+        state = _keccak_f_packed(state, slots)
+    digests = bytearray(32 * slots)
+    out = memoryview(digests).cast("Q")
+    for j in range(4):
+        out[j::4] = memoryview(state[j].to_bytes(8 * slots, "little")).cast("Q")
+    return [bytes(digests[off:off + 32]) for off in range(0, 32 * slots, 32)]
+
+
+class Prefetched:
+    """The digests one ``prefetch`` block computed, each kept for as many
+    reads as the blob was prefetched."""
+
+    def __init__(self, blobs: list[bytes]):
+        self._ready: dict[bytes, tuple[bytes, bool]] = {}  # digest, made packed
+        self._left: dict[bytes, int] = {}  # reads left
+        for blob, ready in zip(blobs, _sponge_many(blobs, 0x01)):
+            self._ready[blob] = ready
+            self._left[blob] = self._left.get(blob, 0) + 1
+
+    def take(self, blob: bytes) -> tuple[bytes, bool] | None:
+        """The digest of ``blob`` and whether the packed kernel made it, if
+        a read of it is left; the read is used up."""
+        left = self._left.get(blob)
+        if not left:
+            return None
+        self._left[blob] = left - 1
+        return self._ready[blob]
+
+    @property
+    def unread(self) -> int:
+        """Prefetched digests no ``keccak256`` call has read yet."""
+        return sum(self._left.values())
+
+
+_scope: contextvars.ContextVar[Prefetched | None] = contextvars.ContextVar(
+    "keccak_prefetch", default=None
+)
+
+
+@contextlib.contextmanager
+def prefetch(blobs: Iterable[bytes]) -> Iterator[Prefetched]:
+    """Hash ``blobs`` together now, and hand each digest out through
+    ``keccak256`` inside the block.
+
+    Each occurrence of a blob is one slot of the sponge and one read, so a
+    blob listed twice is hashed twice, and every permutation run here is
+    counted once, by the ``keccak256`` call that reads it. A blob that was
+    not prefetched, or is read more often than it was listed, is hashed by
+    that call as usual, so a caller gets the digest of what it asked for and
+    never a stale one. Blocks nest by shadowing, like ``counting()``: only
+    the innermost block's digests are handed out. The yielded ``Prefetched``
+    tells what was left unread.
+    """
+    scope = Prefetched([bytes(blob) for blob in blobs])
+    token = _scope.set(scope)
+    try:
+        yield scope
+    finally:
+        _scope.reset(token)
 
 
 def memoized_digest(compute: Callable[[object], bytes]) -> property:

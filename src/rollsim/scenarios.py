@@ -204,10 +204,12 @@ class RunReport:
 
 
 class PhaseCost(NamedTuple):
-    """One row of a run's profile: Keccak-f permutations and wall time of a phase."""
+    """One row of a run's profile: Keccak-f permutations and wall time of a
+    phase; ``packed`` of the permutations ran in slots of the packed kernel."""
 
     phase: str
     perms: int
+    packed: int
     seconds: float
 
 
@@ -236,7 +238,7 @@ class _Run:
         start = perf_counter()
         with hashing.counting() as count:
             yield
-        self.profile.append(PhaseCost(name, count.perms, perf_counter() - start))
+        self.profile.append(PhaseCost(name, count.perms, count.packed, perf_counter() - start))
 
     def log(self, event: str, time: int | None = None, **details) -> None:
         """Record ``event`` in the pending block, at its timestamp unless ``time`` is given."""

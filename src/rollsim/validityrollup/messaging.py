@@ -10,7 +10,10 @@ message is hashed once per side. An L1-to-L2 message is hashed when L1 sends
 it; handler dispatch and settlement reuse that digest. An L2-to-L1 message is
 hashed when the L2 sends it; settlement binds that same digest. On L1,
 ``consume_message_from_l2`` hashes the raw payload its caller submits: that is
-the core contract's own check and trusts no precomputed digest.
+the core contract's own check and trusts no precomputed digest. A scenario may
+prefetch those hashes (``hashing.prefetch``) when it knows the payloads ahead;
+a prefetched digest is handed out only for the exact preimage it was computed
+from, so a tampered payload is still hashed as submitted.
 """
 
 from __future__ import annotations
@@ -70,16 +73,22 @@ class L1ToL2Message:
         )
 
 
-def l2_to_l1_message_hash(
-    from_address: int, to_address: int, payload: tuple[int, ...]
-) -> bytes:
-    """H(from_address, consumer, payload length, payload)."""
-    return keccak256(
+def l2_to_l1_preimage(from_address: int, to_address: int, payload) -> bytes:
+    """(from_address, consumer, payload length, payload) as 32-byte words:
+    what ``l2_to_l1_message_hash`` hashes, so a caller can prefetch it."""
+    return (
         from_address.to_bytes(32, "big")
         + to_address.to_bytes(32, "big")
         + len(payload).to_bytes(32, "big")
         + b"".join(w.to_bytes(32, "big") for w in payload)
     )
+
+
+def l2_to_l1_message_hash(
+    from_address: int, to_address: int, payload: tuple[int, ...]
+) -> bytes:
+    """H(from_address, consumer, payload length, payload)."""
+    return keccak256(l2_to_l1_preimage(from_address, to_address, payload))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,11 @@
 ``scenarios.run`` imports this module only for a validity config, so an
 optimistic run never loads the validity stack (messaging, the Cairo-style
 machine, settlement and the SNARK it proves with).
+
+Two sites know every preimage before their loop runs: the L2 sending the
+withdrawal messages, and L1 consuming them. Each prefetches its message hashes
+(``hashing.prefetch``), in its own phase and on its own side, so the hashes
+run many to a packed permutation and no side reads a digest the other made.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING
 
+from .. import hashing
 from ..algebra import PairingGroup
 from ..costbench import da_cost_comparison
 from ..l1sim import Chain
@@ -19,6 +25,7 @@ from .messaging import (
     StarkNetCore,
     ValidityL2State,
     dispatch_l1_handler,
+    l2_to_l1_preimage,
     send_message_to_l1,
     starkgate_withdraw_payload,
 )
@@ -111,7 +118,7 @@ def _message_and_execute(ctx: _Run, core: StarkNetCore, l2: ValidityL2State) -> 
         l2.storage_write(L2_BRIDGE_ADDRESS, t["user"], src - t["value"])
         dst = l2.storage_read(L2_BRIDGE_ADDRESS, t["target"])
         l2.storage_write(L2_BRIDGE_ADDRESS, t["target"], dst + t["value"])
-    initiated = []
+    initiated, payloads = [], []
     initiated_block = chain.pending_block_number
     for w in ctx.config.withdrawals:
         balance = l2.storage_read(L2_BRIDGE_ADDRESS, w["user"])
@@ -119,10 +126,14 @@ def _message_and_execute(ctx: _Run, core: StarkNetCore, l2: ValidityL2State) -> 
             ctx.log("withdrawal_not_initiated", user=w["user"], value=w["value"])
             continue
         l2.storage_write(L2_BRIDGE_ADDRESS, w["user"], balance - w["value"])
-        payload = starkgate_withdraw_payload(w.get("target", w["user"]), w["value"])
-        send_message_to_l1(l2, L2_BRIDGE_ADDRESS, L1_BRIDGE_ADDRESS, payload)
+        payloads.append(starkgate_withdraw_payload(w.get("target", w["user"]), w["value"]))
         initiated.append(w)
         ctx.log("withdrawal_initiated", user=w["user"], value=w["value"])
+    # the L2 sends every withdrawal message; each preimage is known by now
+    preimages = [l2_to_l1_preimage(L2_BRIDGE_ADDRESS, L1_BRIDGE_ADDRESS, p) for p in payloads]
+    with hashing.prefetch(preimages):
+        for payload in payloads:
+            send_message_to_l1(l2, L2_BRIDGE_ADDRESS, L1_BRIDGE_ADDRESS, payload)
     for _ in range(ctx.config.proof_cadence_blocks - 1):
         chain.mine_block()
     return initiated, initiated_block
@@ -150,19 +161,38 @@ def _prove_and_settle(ctx: _Run, core: StarkNetCore, l2: ValidityL2State):
 def _consume(
     ctx: _Run, gate: _StarkGateL1, withdrawals: list[dict], initiated_block: int, settle_block: int
 ) -> dict:
-    """Consume each withdrawal on L1, which must succeed in the block after settlement."""
+    """Consume each withdrawal on L1, which must succeed in the block after settlement.
+
+    Each withdrawal gets its own latency entry, under its message hash; equal
+    withdrawals send equal messages, so the n-th consume of one hash, n >= 2,
+    is keyed ``<hash>#<n>``.
+    """
     latencies: dict[str, dict] = {}
-    for w in withdrawals:
-        msg_hash = gate.withdraw(w["value"], w.get("target", w["user"]))
-        consume_block = ctx.chain.pending_block_number
-        ctx.log("withdrawal_consumed", hash=msg_hash.hex(), value=w["value"])
-        if consume_block != settle_block + 1:
-            ctx.violations.append("withdrawal not consumable in the block after settlement")
-        latencies[msg_hash.hex()] = {
-            "initiated_block": initiated_block,
-            "consumed_block": consume_block,
-            "blocks": consume_block - initiated_block,
-            "seconds": (consume_block - initiated_block) * ctx.config.block_time,
-        }
+    consumed: dict[str, int] = {}
+    # the core hashes each payload the bridge submits; all are known by now
+    preimages = [
+        l2_to_l1_preimage(
+            L2_BRIDGE_ADDRESS, gate.address,
+            starkgate_withdraw_payload(w.get("target", w["user"]), w["value"]),
+        )
+        for w in withdrawals
+    ]
+    with hashing.prefetch(preimages):
+        for w in withdrawals:
+            msg_hash = gate.withdraw(w["value"], w.get("target", w["user"]))
+            consume_block = ctx.chain.pending_block_number
+            ctx.log("withdrawal_consumed", hash=msg_hash.hex(), value=w["value"])
+            if consume_block != settle_block + 1:
+                ctx.violations.append("withdrawal not consumable in the block after settlement")
+            key = msg_hash.hex()
+            consumed[key] = consumed.get(key, 0) + 1
+            if consumed[key] > 1:
+                key += f"#{consumed[key]}"
+            latencies[key] = {
+                "initiated_block": initiated_block,
+                "consumed_block": consume_block,
+                "blocks": consume_block - initiated_block,
+                "seconds": (consume_block - initiated_block) * ctx.config.block_time,
+            }
     ctx.chain.mine_block()
     return latencies

@@ -12,12 +12,20 @@ def keccak_perms():
         yield count
 
 
+def _sha3(data):
+    return hashlib.sha3_256(data).digest()
+
+
 @pytest.fixture
 def sha3_perms(monkeypatch):
-    """Puts hashlib's SHA3-256 in for the Keccak sponge and counts as
-    ``keccak_perms`` does; read ``sha3_perms.perms``. No control flow reads a
-    digest value, so the counts are those of Keccak at a fraction of the
-    time. For sweeps only, never for reports."""
-    monkeypatch.setattr(hashing, "_sponge", lambda data, domain: hashlib.sha3_256(data).digest())
+    """Puts hashlib's SHA3-256 in for the Keccak sponge, the batched one
+    included, and counts as ``keccak_perms`` does; read ``sha3_perms.perms``.
+    Both sponges are replaced, so a run never mixes SHA3 and Keccak digests.
+    No control flow reads a digest value, so the counts are those of Keccak
+    at a fraction of the time. For sweeps only, never for reports."""
+    monkeypatch.setattr(hashing, "_sponge", lambda data, domain: _sha3(data))
+    monkeypatch.setattr(
+        hashing, "_sponge_many", lambda blobs, domain: [(_sha3(b), False) for b in blobs]
+    )
     with hashing.counting() as count:
         yield count

@@ -198,12 +198,17 @@ class TestRunProfile:
             assert profiled.stdout == plain.stdout
             assert plain.stderr == ""
             header, *rows = (line.split() for line in profiled.stderr.splitlines())
-            assert header == ["phase", "keccak_perms", "wall_s"]
+            assert header == ["phase", "keccak_perms", "packed", "wall_s"]
             assert [row[0] for row in rows] == phases
-            assert all(float(row[2]) >= 0 for row in rows)
+            assert all(float(row[3]) >= 0 for row in rows)
         with hashing.counting() as total:
             run_scenario(config)
         assert sum(int(row[1]) for row in rows) == total.perms > 0
+        # the validity bridge hashes its two withdrawal messages (two blocks
+        # each) together when the L2 sends them and again when L1 consumes them
+        packed = {row[0]: int(row[2]) for row in rows if int(row[2])}
+        assert packed == ({"message_and_execute": 4, "consume": 4} if rollup == "validity" else {})
+        assert sum(packed.values()) == total.packed
 
 
 class TestCostReport:

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import random
 import sys
+import types
 
 import pytest
 from click.testing import CliRunner
@@ -10,10 +11,20 @@ from click.testing import CliRunner
 from rollsim import hashing
 from rollsim.cli import main
 from rollsim.hashing import keccak256
-from rollsim.l1sim import L1Block, Tx
+from rollsim.l1sim import Chain, L1Block, Tx
 from rollsim.oprollup.derivation import L2Block
 from rollsim.oprollup.l2 import OutputRootProof, WithdrawalTx
-from rollsim.validityrollup.messaging import L1ToL2Message, L2ToL1Message
+from rollsim.scenarios import ScenarioConfig, run
+from rollsim.validityrollup.messaging import (
+    InvalidMessageToConsume,
+    L1ToL2Message,
+    L2ToL1Message,
+    StarkNetCore,
+    l2_to_l1_preimage,
+)
+
+EMPTY_DIGEST = "c5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470"
+ABC_DIGEST = "4e03657aea45a94fc7d47ba826c8d667c0d1e6e33a64a036ec44f58fa12d6c45"
 
 
 def _message(n: int) -> bytes:
@@ -22,14 +33,10 @@ def _message(n: int) -> bytes:
 
 class TestKnownAnswers:
     def test_empty(self):
-        assert keccak256(b"").hex() == (
-            "c5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470"
-        )
+        assert keccak256(b"").hex() == EMPTY_DIGEST
 
     def test_abc(self):
-        assert keccak256(b"abc").hex() == (
-            "4e03657aea45a94fc7d47ba826c8d667c0d1e6e33a64a036ec44f58fa12d6c45"
-        )
+        assert keccak256(b"abc").hex() == ABC_DIGEST
 
     def test_sponge_matches_stdlib_sha3_at_every_length(self):
         # SHA3-256 is the same sponge (permutation, rate, pad10*1) with domain
@@ -153,23 +160,96 @@ class TestPermutation:
         assert mismatches == []
 
 
+def _pack(states: list[list[int]]) -> list[int]:
+    """Lane i of state k into bits [64k, 64k + 64) of lane i."""
+    return [sum(state[i] << 64 * k for k, state in enumerate(states)) for i in range(25)]
+
+
+def _unpack(lanes: list[int], slots: int) -> list[list[int]]:
+    return [[lane >> 64 * k & _MASK64 for lane in lanes] for k in range(slots)]
+
+
+class TestPackedPermutation:
+    @pytest.mark.parametrize(
+        "slots", [1, 2, 3, 4, hashing._CHUNK - 1, hashing._CHUNK, hashing._CHUNK + 1, 320]
+    )
+    def test_every_slot_matches_scalar_and_textbook(self, slots):
+        rnd = random.Random(slots)
+        states = [[rnd.getrandbits(64) for _ in range(25)] for _ in range(slots)]
+        # all ones beside all zeros beside top bits only: a rotation mask that
+        # let a bit cross into the next slot would show in a neighbour
+        edges = [[_MASK64] * 25, [0] * 25, [1 << 63] * 25]
+        states[:len(edges)] = edges[:slots]
+        out = hashing._keccak_f_packed(_pack(states), slots)
+        assert all(lane >> 64 * slots == 0 for lane in out)  # no bits past the last slot
+        got = _unpack(out, slots)
+        assert [k for k in range(slots) if got[k] != hashing._keccak_f(states[k])] == []
+        assert [k for k in range(slots) if got[k] != _textbook_keccak_f(states[k])] == []
+
+    def test_zero_states_intermediate_values(self):
+        once = hashing._keccak_f_packed([0] * 25, 3)
+        assert _unpack(once, 3) == [_lanes(_ZERO_ONCE)] * 3
+        assert _unpack(hashing._keccak_f_packed(once, 3), 3) == [_lanes(_ZERO_TWICE)] * 3
+
+
+class TestBatchedSponge:
+    def test_matches_stdlib_sha3_at_every_length_in_one_call(self):
+        # one to four blocks in one call: groups of 136, 136, 136 and 13
+        # blobs, the first three split into chunks
+        messages = [_message(n) for n in range(421)]
+        got = hashing._sponge_many(messages, 0x06)
+        assert [digest for digest, _ in got] == [hashlib.sha3_256(m).digest() for m in messages]
+        assert all(packed for _, packed in got)
+
+    def test_keccak_known_answers_inside_a_batch(self):
+        blobs = [b"", b"abc", _message(50), _message(135)]
+        got = hashing._sponge_many(blobs, 0x01)
+        assert got[:2] == [(bytes.fromhex(EMPTY_DIGEST), True), (bytes.fromhex(ABC_DIGEST), True)]
+        with hashing.prefetch(blobs), hashing.counting() as count:
+            assert keccak256(b"").hex() == EMPTY_DIGEST
+            assert keccak256(b"abc").hex() == ABC_DIGEST
+        assert (count.perms, count.packed) == (2, 2)
+
+    def test_a_blob_alone_at_its_length_stays_scalar(self, monkeypatch):
+        monkeypatch.setattr(hashing, "_keccak_f_packed", lambda state, slots: pytest.fail("packed"))
+        blobs = [_message(n) for n in (3, 140, 300)]  # one, two and three blocks
+        got = hashing._sponge_many(blobs, 0x06)
+        assert got == [(hashlib.sha3_256(m).digest(), False) for m in blobs]
+
+
 @contextlib.contextmanager
-def _keccak_f_calls():
-    """Count the calls of the real ``_keccak_f`` through a profile hook, an
-    oracle that replaces no function; read ``[0]``."""
-    code = hashing._keccak_f.__code__
-    calls = [0]
+def _permuted_slots():
+    """Count the states the real kernels permute through a profile hook, an
+    oracle that replaces no function: one per ``_keccak_f`` call, and
+    ``slots`` per ``_keccak_f_packed`` call; read ``.total`` and ``.packed``."""
+    scalar = hashing._keccak_f.__code__
+    packed = hashing._keccak_f_packed.__code__
+    seen = types.SimpleNamespace(total=0, packed=0)
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code is code:
-            calls[0] += 1
+        if event == "call":
+            if frame.f_code is scalar:
+                seen.total += 1
+            elif frame.f_code is packed:
+                seen.total += frame.f_locals["slots"]
+                seen.packed += frame.f_locals["slots"]
 
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        yield calls
+        yield seen
     finally:
         sys.setprofile(previous)
+
+
+def _validity_users(n: int) -> ScenarioConfig:
+    """n users each deposit and withdraw on the validity rollup."""
+    users = [0x1000 + i for i in range(n)]
+    return ScenarioConfig(
+        rollup="validity",
+        deposits=[{"user": u, "value": 10_000} for u in users],
+        withdrawals=[{"user": u, "value": 700} for u in users],
+    )
 
 
 class TestCounting:
@@ -177,10 +257,19 @@ class TestCounting:
         "args", [["simulate-op", "--fraud"], ["simulate-validity"]], ids=" ".join
     )
     def test_counts_every_permutation_of_a_whole_run(self, args):
-        with _keccak_f_calls() as calls, hashing.counting() as count:
+        with _permuted_slots() as slots, hashing.counting() as count:
             result = CliRunner().invoke(main, args)
         assert result.exit_code == 0, result.output
-        assert count.perms == calls[0] > 0
+        assert count.perms == slots.total > 0
+
+    def test_counts_every_permuted_slot_of_a_batched_run(self):
+        # 320 withdrawal messages, two blocks each, hashed together once when
+        # the L2 sends them and once when L1 consumes them
+        with _permuted_slots() as slots, hashing.counting() as count:
+            report = run(_validity_users(320))
+        assert report.ok
+        assert count.perms == slots.total > 0
+        assert count.packed == slots.packed == 2 * 320 * 2
 
     def test_nothing_counted_outside_a_block(self):
         with hashing.counting() as count:
@@ -199,6 +288,82 @@ class TestCounting:
     def test_stand_in_sponge_is_counted_alike(self, sha3_perms):
         keccak256(_message(300))  # three started rate blocks
         assert sha3_perms.perms == 3
+
+    def test_stand_in_replaces_the_batched_sponge_too(self, sha3_perms, monkeypatch):
+        monkeypatch.setattr(hashing, "_keccak_f_packed", lambda state, slots: pytest.fail("packed"))
+        monkeypatch.setattr(hashing, "_keccak_f", lambda state: pytest.fail("scalar"))
+        assert run(_validity_users(320)).ok
+        assert sha3_perms.perms > 0 and sha3_perms.packed == 0
+        blob = _message(10)
+        with hashing.prefetch([blob, blob]):
+            ready = keccak256(blob)
+        assert ready == keccak256(blob) == hashlib.sha3_256(blob).digest()
+
+
+class TestPrefetch:
+    def test_repeated_blob_is_read_right_each_time(self):
+        blob, other = _message(200), _message(150)  # two blocks each
+        expected, expected_other = hashing._sponge(blob, 0x01), hashing._sponge(other, 0x01)
+        with _permuted_slots() as slots, hashing.counting() as count:
+            with hashing.prefetch([blob, blob, other]) as scope:
+                assert keccak256(blob) == keccak256(blob) == expected
+                assert scope.unread == 1
+                assert keccak256(other) == expected_other
+                assert scope.unread == 0
+                assert keccak256(blob) == expected  # read more often than listed: hashed
+        assert count.perms == slots.total == 8
+        assert count.packed == slots.packed == 6
+
+    def test_identical_withdrawals_are_two_slots_per_side(self):
+        config = ScenarioConfig(
+            rollup="validity", deposits=[{"user": 1, "value": 100}],
+            withdrawals=[{"user": 1, "value": 10}, {"user": 1, "value": 10}],
+        )
+        with _permuted_slots() as slots, hashing.counting() as count:
+            report = run(config)
+        assert report.ok and len(report.withdrawal_latencies) == 2
+        assert count.perms == slots.total
+        assert count.packed == slots.packed == 2 * 2 * 2
+
+    def test_tampered_consume_is_hashed_and_refused(self):
+        core = StarkNetCore(Chain())
+        payload, other = (0, 0xEE, 50, 0), (0, 0xEF, 60, 0)
+        honest = l2_to_l1_preimage(0x22, 0xD1, payload)
+        core.l2_to_l1_counters[keccak256(honest)] = 1
+        with hashing.prefetch([honest, l2_to_l1_preimage(0x22, 0xD1, other)]) as scope:
+            with hashing.counting() as count:
+                with pytest.raises(InvalidMessageToConsume):
+                    core.consume_message_from_l2(0x22, (0, 0xEE, 51, 0), caller=0xD1)
+            assert (scope.unread, count.perms, count.packed) == (2, 2, 0)
+            with hashing.counting() as count:
+                core.consume_message_from_l2(0x22, payload, caller=0xD1)
+            assert (scope.unread, count.perms, count.packed) == (1, 2, 2)
+        assert core.l2_to_l1_counters[keccak256(honest)] == 0
+
+    def test_no_digest_left_unread_when_a_scope_closes(self, monkeypatch):
+        # an unread digest is work the model did not ask for
+        real, scopes = hashing.prefetch, []
+
+        @contextlib.contextmanager
+        def watched(blobs):
+            with real(blobs) as scope:
+                listed = scope.unread
+                yield scope
+            scopes.append((listed, scope.unread))
+
+        monkeypatch.setattr(hashing, "prefetch", watched)
+        assert run(_validity_users(320)).ok
+        assert scopes == [(320, 0), (320, 0)]
+
+    def test_scopes_nest_by_shadowing(self):
+        outer_blob, inner_blob = _message(20), _message(30)
+        with hashing.prefetch([outer_blob]) as outer:
+            with hashing.prefetch([inner_blob]) as inner:
+                keccak256(outer_blob)
+                keccak256(inner_blob)
+            assert (outer.unread, inner.unread) == (1, 0)
+            keccak256(outer_blob)
+        assert outer.unread == 0
 
 
 def _withdrawal():

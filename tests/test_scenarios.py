@@ -414,6 +414,19 @@ class TestValidityScenario:
         report = run(ScenarioConfig(rollup="validity", **WORKLOAD))
         assert report.cost["l1_storage_gas"] > 0
 
+    def test_identical_withdrawals_each_get_a_latency_entry(self):
+        config = ScenarioConfig(
+            rollup="validity", deposits=[{"user": 1, "value": 100}],
+            withdrawals=[{"user": 1, "value": 10}, {"user": 1, "value": 10}],
+        )
+        report = run(config)
+        assert report.ok
+        first, second = _events(report, "withdrawal_consumed")
+        assert first["hash"] == second["hash"]  # equal withdrawals, equal messages
+        assert sorted(report.withdrawal_latencies) == [first["hash"], first["hash"] + "#2"]
+        config.rollup = "optimistic"
+        assert len(run(config).withdrawal_latencies) == 2
+
     def test_much_faster_than_optimistic_twin(self):
         opt = run(ScenarioConfig(rollup="optimistic", **WORKLOAD))
         val = run(ScenarioConfig(rollup="validity", **WORKLOAD))
