@@ -270,7 +270,7 @@ def cost_report(corpus_path, group_size, as_json):
               help="Target false-positive rate in (0, 1).")
 @click.option("--empirical", is_flag=True,
               help="Also measure the FP rate by Monte Carlo (needs --seed).")
-@click.option("--seed", type=int, default=None,
+@click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=None,
               help="Mandatory with --empirical; drives the simulation.")
 @click.option("--queries", type=click.IntRange(min=1), default=100_000, show_default=True)
 def bloom_calc(expected, tolerance, empirical, seed, queries):

@@ -58,6 +58,8 @@ class BloomFilter:
     def __init__(self, m: int, k: int, seed: int = 0):
         if m < 1 or k < 1:
             raise ValueError("m and k must be at least 1")
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {seed}")  # the 8-byte blake2b key
         self.m = m
         self.k = k
         self.seed = seed

@@ -10,10 +10,15 @@ message is hashed once per side. An L1-to-L2 message is hashed when L1 sends
 it; handler dispatch and settlement reuse that digest. An L2-to-L1 message is
 hashed when the L2 sends it; settlement binds that same digest. On L1,
 ``consume_message_from_l2`` hashes the raw payload its caller submits: that is
-the core contract's own check and trusts no precomputed digest. A scenario may
-prefetch those hashes (``hashing.prefetch``) when it knows the payloads ahead;
-a prefetched digest is handed out only for the exact preimage it was computed
-from, so a tampered payload is still hashed as submitted.
+the core contract's own check and trusts no precomputed digest.
+
+A scenario may prefetch any of these hashes (``hashing.prefetch``) when it
+knows the messages ahead, and ``l1_to_l2_preimage`` and ``l2_to_l1_preimage``
+build what each direction hashes. ``send_message_to_l2`` assigns the nonce
+itself, from ``message_nonce``, so a caller that prefetches L1 sends predicts
+the nonces from that counter. A prefetched digest is handed out only for the
+exact preimage it was computed from: a tampered payload or a mispredicted
+nonce costs one real hash, never a wrong digest.
 """
 
 from __future__ import annotations
@@ -64,13 +69,25 @@ class L1ToL2Message:
     @memoized_digest
     def hash(self) -> bytes:
         return keccak256(
-            self.from_address.to_bytes(32, "big")
-            + self.to_address.to_bytes(32, "big")
-            + self.selector.to_bytes(32, "big")
-            + len(self.payload).to_bytes(32, "big")
-            + b"".join(w.to_bytes(32, "big") for w in self.payload)
-            + self.nonce.to_bytes(32, "big")
+            l1_to_l2_preimage(
+                self.from_address, self.to_address, self.selector, self.payload, self.nonce
+            )
         )
+
+
+def l1_to_l2_preimage(
+    from_address: int, to_address: int, selector: int, payload, nonce: int
+) -> bytes:
+    """(from_address, to_address, selector, payload length, payload, nonce) as
+    32-byte words: what ``L1ToL2Message.hash`` hashes, so a caller can prefetch it."""
+    return (
+        from_address.to_bytes(32, "big")
+        + to_address.to_bytes(32, "big")
+        + selector.to_bytes(32, "big")
+        + len(payload).to_bytes(32, "big")
+        + b"".join(w.to_bytes(32, "big") for w in payload)
+        + nonce.to_bytes(32, "big")
+    )
 
 
 def l2_to_l1_preimage(from_address: int, to_address: int, payload) -> bytes:

@@ -4,10 +4,13 @@
 optimistic run never loads the validity stack (messaging, the Cairo-style
 machine, settlement and the SNARK it proves with).
 
-Two sites know every preimage before their loop runs: the L2 sending the
-withdrawal messages, and L1 consuming them. Each prefetches its message hashes
-(``hashing.prefetch``), in its own phase and on its own side, so the hashes
-run many to a packed permutation and no side reads a digest the other made.
+Three sites know every preimage before their loop runs: L1 sending the
+deposit messages, the L2 sending the withdrawal messages, and L1 consuming
+them. Each prefetches its message hashes (``hashing.prefetch``), in its own
+phase and on its own side, so the hashes run many to a packed permutation and
+no side reads a digest the other made. The payloads come from the config; the
+deposits' nonces are the core's ``message_nonce`` read once before the sends,
+counting up by one per send, which is how ``send_message_to_l2`` assigns them.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .messaging import (
     StarkNetCore,
     ValidityL2State,
     dispatch_l1_handler,
+    l1_to_l2_preimage,
     l2_to_l1_preimage,
     send_message_to_l1,
     starkgate_withdraw_payload,
@@ -100,13 +104,23 @@ def _message_and_execute(ctx: _Run, core: StarkNetCore, l2: ValidityL2State) -> 
     chain = ctx.chain
     deposit_selector = register_bridge(l2)
     pending_messages = []
-    for dep in ctx.config.deposits:
-        msg_hash, message = core.send_message_to_l2(
-            caller=L1_BRIDGE_ADDRESS, to_address=L2_BRIDGE_ADDRESS, selector=deposit_selector,
-            payload=(dep["user"], dep["value"]), fee=dep.get("fee", 10_000),
+    # L1 sends every deposit message; send_message_to_l2 numbers them from here
+    first = core.message_nonce
+    preimages = [
+        l1_to_l2_preimage(
+            L1_BRIDGE_ADDRESS, L2_BRIDGE_ADDRESS, deposit_selector,
+            (dep["user"], dep["value"]), first + i,
         )
-        pending_messages.append(message)
-        ctx.log("message_to_l2", hash=msg_hash.hex(), value=dep["value"])
+        for i, dep in enumerate(ctx.config.deposits)
+    ]
+    with hashing.prefetch(preimages):
+        for dep in ctx.config.deposits:
+            msg_hash, message = core.send_message_to_l2(
+                caller=L1_BRIDGE_ADDRESS, to_address=L2_BRIDGE_ADDRESS, selector=deposit_selector,
+                payload=(dep["user"], dep["value"]), fee=dep.get("fee", 10_000),
+            )
+            pending_messages.append(message)
+            ctx.log("message_to_l2", hash=msg_hash.hex(), value=dep["value"])
     chain.mine_block()
 
     for message in pending_messages:

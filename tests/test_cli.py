@@ -65,6 +65,21 @@ class TestBloomCalc:
         result = runner.invoke(main, ["bloom-calc", "-n", "10", "-p", "1.5"])
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_the_key_range_is_a_usage_error(self, runner, seed):
+        # the seed keys the filter's 8-byte blake2b probes
+        result = runner.invoke(main, ["bloom-calc", "-n", "10", "-p", "0.01", "--empirical",
+                                      "--seed", seed])
+        assert result.exit_code == 2
+        assert "--seed" in result.output
+        assert "empirical fp rate" not in result.output
+
+    def test_largest_seed_runs(self, runner):
+        result = runner.invoke(main, ["bloom-calc", "-n", "10", "-p", "0.01", "--empirical",
+                                      "--seed", str(2**64 - 1), "--queries", "10"])
+        assert result.exit_code == 0, result.output
+        assert "empirical fp rate" in result.output
+
     @pytest.mark.parametrize("queries", ["0", "-5"])
     def test_queries_below_one_is_a_usage_error(self, runner, queries):
         result = runner.invoke(main, ["bloom-calc", "-n", "10", "-p", "0.01", "--empirical",
@@ -204,10 +219,11 @@ class TestRunProfile:
         with hashing.counting() as total:
             run_scenario(config)
         assert sum(int(row[1]) for row in rows) == total.perms > 0
-        # the validity bridge hashes its two withdrawal messages (two blocks
-        # each) together when the L2 sends them and again when L1 consumes them
+        # the validity bridge hashes its two deposit messages together when L1
+        # sends them, and its two withdrawal messages together when the L2
+        # sends them and again when L1 consumes them; each is two blocks
         packed = {row[0]: int(row[2]) for row in rows if int(row[2])}
-        assert packed == ({"message_and_execute": 4, "consume": 4} if rollup == "validity" else {})
+        assert packed == ({"message_and_execute": 8, "consume": 4} if rollup == "validity" else {})
         assert sum(packed.values()) == total.packed
 
 

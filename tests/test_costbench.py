@@ -74,6 +74,19 @@ class TestBloomFilter:
         hits = sum(1 for i in range(20_000) if bloom.query(b"absent-%d" % i))
         assert 0.005 <= hits / 20_000 <= 0.02
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_key_range_is_refused(self, seed):
+        # the seed is the 8-byte blake2b key of every probe
+        with pytest.raises(ValueError, match="seed"):
+            BloomFilter(1024, 3, seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            BloomFilter.for_expected(10, 0.01, seed=seed)
+
+    def test_largest_seed_probes(self):
+        bloom = BloomFilter(1024, 3, seed=2**64 - 1)
+        bloom.insert(b"member")
+        assert bloom.query(b"member")
+
     def test_bits_only_ever_set(self):
         bloom = BloomFilter(256, 4, seed=4)
         popcounts = []

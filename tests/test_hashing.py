@@ -20,6 +20,7 @@ from rollsim.validityrollup.messaging import (
     L1ToL2Message,
     L2ToL1Message,
     StarkNetCore,
+    l1_to_l2_preimage,
     l2_to_l1_preimage,
 )
 
@@ -263,13 +264,14 @@ class TestCounting:
         assert count.perms == slots.total > 0
 
     def test_counts_every_permuted_slot_of_a_batched_run(self):
-        # 320 withdrawal messages, two blocks each, hashed together once when
-        # the L2 sends them and once when L1 consumes them
+        # 320 deposit messages hashed together when L1 sends them, and 320
+        # withdrawal messages hashed together when the L2 sends them and again
+        # when L1 consumes them; every message is two blocks
         with _permuted_slots() as slots, hashing.counting() as count:
             report = run(_validity_users(320))
         assert report.ok
         assert count.perms == slots.total > 0
-        assert count.packed == slots.packed == 2 * 320 * 2
+        assert count.packed == slots.packed == 3 * 320 * 2
 
     def test_nothing_counted_outside_a_block(self):
         with hashing.counting() as count:
@@ -353,7 +355,53 @@ class TestPrefetch:
 
         monkeypatch.setattr(hashing, "prefetch", watched)
         assert run(_validity_users(320)).ok
-        assert scopes == [(320, 0), (320, 0)]
+        assert scopes == [(320, 0), (320, 0), (320, 0)]
+
+    @pytest.mark.parametrize("nonce", [0, 2**255])
+    def test_l1_to_l2_hash_reads_its_prefetched_preimage(self, nonce):
+        # payloads of 0 to 6 words: 2-block preimages up to 3 words, 3-block ones
+        # from 4, so both block counts run packed in one prefetch
+        messages = [
+            L1ToL2Message(from_address=0xD1, to_address=0x22, selector=5,
+                          payload=tuple(range(0x70, 0x70 + n)), nonce=nonce + n, fee=10)
+            for n in range(7)
+        ]
+        words = [(m.from_address, m.to_address, m.selector, len(m.payload), *m.payload, m.nonce)
+                 for m in messages]
+        expected = [hashing._sponge(b"".join(w.to_bytes(32, "big") for w in ws), 0x01)
+                    for ws in words]
+        preimages = [
+            l1_to_l2_preimage(m.from_address, m.to_address, m.selector, m.payload, m.nonce)
+            for m in messages
+        ]
+        assert sorted({hashing._blocks(len(p)) for p in preimages}) == [2, 3]
+        with hashing.counting() as count, hashing.prefetch(preimages) as scope:
+            assert [m.hash for m in messages] == expected
+            assert scope.unread == 0
+        assert [keccak256(p) for p in preimages] == expected
+        assert count.perms == count.packed == 4 * 2 + 3 * 3
+
+    def test_mispredicted_l1_nonce_is_hashed_for_real(self):
+        # the prefetch numbers the sends from one past the core's next nonce,
+        # so no send finds its preimage: each is hashed as sent, never packed
+        sends = [dict(caller=0xD1, to_address=0x22, selector=5, payload=(0x1000 + i, 100))
+                 for i in range(4)]
+        plain = StarkNetCore(Chain())
+        expected = [plain.send_message_to_l2(**send)[0] for send in sends]
+        core = StarkNetCore(Chain())
+        off = core.message_nonce + 1
+        preimages = [l1_to_l2_preimage(0xD1, 0x22, 5, send["payload"], off + i)
+                     for i, send in enumerate(sends)]
+        with hashing.counting() as count, hashing.prefetch(preimages) as scope:
+            sent = [core.send_message_to_l2(**send) for send in sends]
+        misses = sum(
+            l1_to_l2_preimage(m.from_address, m.to_address, m.selector, m.payload, m.nonce)
+            not in preimages
+            for _, m in sent
+        )
+        assert [msg_hash for msg_hash, _ in sent] == expected
+        assert scope.unread == misses == len(sends)
+        assert (count.perms, count.packed) == (2 * len(sends), 0)
 
     def test_scopes_nest_by_shadowing(self):
         outer_blob, inner_blob = _message(20), _message(30)
