@@ -282,7 +282,7 @@ def bloom_calc(expected, tolerance, empirical, seed, queries):
     except ValueError as exc:
         raise click.ClickException(str(exc))
     click.echo(f"m={m} k={k}")
-    click.echo(f"predicted fp rate: {fp_rate(m, k, expected):.6f}")
+    click.echo(f"predicted fp rate: {fp_rate(m, k, expected):.3g}")
     if empirical:
         if seed is None:
             raise click.ClickException("--empirical requires --seed")
@@ -293,7 +293,7 @@ def bloom_calc(expected, tolerance, empirical, seed, queries):
         hits = sum(
             1 for i in range(queries) if bloom.query(b"absent-%d" % rng.randrange(2**48))
         )
-        click.echo(f"empirical fp rate: {hits / queries:.6f} over {queries} queries")
+        click.echo(f"empirical fp rate: {hits / queries:.3g} over {queries} queries")
 
 
 if __name__ == "__main__":

@@ -53,6 +53,13 @@ numbers with or without a prefetch; a function returning many digests at once
 would run permutations that such a wrapper never sees. A blob that was not
 prefetched is hashed for real, so a caller always gets the digest of what it
 passed, tampered or not.
+
+A caller whose next preimage contains a digest the scope holds can look that
+digest up (``Prefetched.digest``) and hash the next preimage into the same
+scope (``Prefetched.add``). The look-up reads nothing and counts nothing, and
+hides no permutations: the looked-up blob was listed, so its permutations are
+counted when ``keccak256`` reads it, and a test checks that no scope of a
+whole run closes with a digest unread.
 """
 
 from __future__ import annotations
@@ -511,14 +518,26 @@ def _packed_sponge(blobs: list[bytes], blocks: int, domain: int) -> list[bytes]:
 
 class Prefetched:
     """The digests one ``prefetch`` block computed, each kept for as many
-    reads as the blob was prefetched."""
+    reads as the blob was listed."""
 
-    def __init__(self, blobs: list[bytes]):
-        self._ready: dict[bytes, tuple[bytes, bool]] = {}  # digest, made packed
-        self._left: dict[bytes, int] = {}  # reads left
-        for blob, ready in zip(blobs, _sponge_many(blobs, 0x01)):
-            self._ready[blob] = ready
-            self._left[blob] = self._left.get(blob, 0) + 1
+    def __init__(self, blobs: Iterable[bytes]):
+        self._ready: dict[bytes, bytes] = {}  # digest
+        self._left: dict[bytes, list[bool]] = {}  # per unread listing: made packed
+        self.add(blobs)
+
+    def add(self, blobs: Iterable[bytes]) -> None:
+        """Hash ``blobs`` together now and hold their digests here, as for
+        the blobs listed at entry: each occurrence is one slot and one read,
+        counted when ``keccak256`` reads it."""
+        blobs = [bytes(blob) for blob in blobs]
+        for blob, (digest, packed) in zip(blobs, _sponge_many(blobs, 0x01)):
+            self._ready[blob] = digest
+            self._left.setdefault(blob, []).append(packed)
+
+    def digest(self, blob: bytes) -> bytes:
+        """The digest this scope computed for ``blob``, without using up a
+        read or counting anything; ``KeyError`` if it never listed ``blob``."""
+        return self._ready[bytes(blob)]
 
     def take(self, blob: bytes) -> tuple[bytes, bool] | None:
         """The digest of ``blob`` and whether the packed kernel made it, if
@@ -526,13 +545,12 @@ class Prefetched:
         left = self._left.get(blob)
         if not left:
             return None
-        self._left[blob] = left - 1
-        return self._ready[blob]
+        return self._ready[blob], left.pop()
 
     @property
     def unread(self) -> int:
-        """Prefetched digests no ``keccak256`` call has read yet."""
-        return sum(self._left.values())
+        """Listed digests no ``keccak256`` call has read yet."""
+        return sum(map(len, self._left.values()))
 
 
 _scope: contextvars.ContextVar[Prefetched | None] = contextvars.ContextVar(
@@ -552,9 +570,11 @@ def prefetch(blobs: Iterable[bytes]) -> Iterator[Prefetched]:
     that call as usual, so a caller gets the digest of what it asked for and
     never a stale one. Blocks nest by shadowing, like ``counting()``: only
     the innermost block's digests are handed out. The yielded ``Prefetched``
-    tells what was left unread.
+    tells what was left unread, looks up a digest it holds without reading
+    it (``digest``), and hashes blobs that are known only inside the block
+    into it (``add``).
     """
-    scope = Prefetched([bytes(blob) for blob in blobs])
+    scope = Prefetched(blobs)
     token = _scope.set(scope)
     try:
         yield scope

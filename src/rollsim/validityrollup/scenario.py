@@ -4,13 +4,16 @@
 optimistic run never loads the validity stack (messaging, the Cairo-style
 machine, settlement and the SNARK it proves with).
 
-Three sites know every preimage before their loop runs: L1 sending the
-deposit messages, the L2 sending the withdrawal messages, and L1 consuming
-them. Each prefetches its message hashes (``hashing.prefetch``), in its own
-phase and on its own side, so the hashes run many to a packed permutation and
-no side reads a digest the other made. The payloads come from the config; the
+Four sites know every preimage before they hash: L1 sending the deposit
+messages, the L2 sending the withdrawal messages, settlement, and L1
+consuming the withdrawals. Each prefetches its hashes (``hashing.prefetch``)
+in its own phase, so the hashes run many to a packed permutation and no side
+reads a digest the other made. The payloads come from the config; the
 deposits' nonces are the core's ``message_nonce`` read once before the sends,
 counting up by one per send, which is how ``send_message_to_l2`` assigns them.
+Settlement lists the prover's and the verifier's sponge of each preimage as
+two slots: first the next root's, then the transition's, which is built from
+the looked-up root digest and added to the open scope.
 """
 
 from __future__ import annotations
@@ -36,8 +39,10 @@ from .messaging import (
 from .settlement import (
     SettlementMessages,
     SharpProver,
+    next_root_preimage,
     prove_transition,
     settle,
+    transition_preimage,
 )
 from .statediff import encode_state_diff
 
@@ -164,8 +169,14 @@ def _prove_and_settle(ctx: _Run, core: StarkNetCore, l2: ValidityL2State):
     messages = SettlementMessages(
         consumed_l1_to_l2=tuple(l2.consumed_inbox), sent_l2_to_l1=tuple(l2.outbox)
     )
-    proof = prove_transition(core.state_root, diff, trace, prover, messages)
-    new_root = settle(core, prover, proof, diff_words, messages)
+    # the prover and the verifier each hash the next root's preimage, then the
+    # transition's, which holds that root: one two-slot sponge per pair
+    root_preimage = next_root_preimage(core.state_root, diff_words)
+    with hashing.prefetch([root_preimage, root_preimage]) as scope:
+        transition = transition_preimage(scope.digest(root_preimage), messages)
+        scope.add([transition, transition])
+        proof = prove_transition(core.state_root, diff, trace, prover, messages)
+        new_root = settle(core, prover, proof, diff_words, messages)
     settle_block = ctx.chain.pending_block_number
     ctx.log("proof_settled", root=new_root.hex(), diff_words=len(diff_words))
     ctx.chain.mine_block()

@@ -15,6 +15,14 @@ digest. The prover and the verifier each hash the diff once, in
 ``next_root``; messages enter as their memoized hashes and are never rehashed
 from their fields.
 
+``next_root_preimage`` and ``transition_preimage`` build what the two
+sponges hash, so a caller that knows a transition ahead can prefetch both
+(``hashing.prefetch``). Each side still hashes once: the prover's and the
+verifier's sponge of each preimage are two slots of one packed sponge, and
+each side reads its own slot. A digest is handed out only for a byte-equal
+preimage, once per slot, so a verifier given a tampered diff or a forged
+message list misses the prefetch and hashes what it was given.
+
 Settlement is atomic: the root update and every message-counter change land
 together or not at all.
 """
@@ -82,12 +90,8 @@ class SharpProver:
         self.crs = setup(self.qap, group, rng)
 
     def transition_digest(self, new_root: bytes, messages: SettlementMessages) -> int:
-        consumed = messages.consumed_l1_to_l2
-        sent = [message.hash for message in messages.sent_l2_to_l1]
-        blob = b"".join(
-            [new_root, _word(len(consumed)), *consumed, _word(len(sent)), *sent]
-        )
-        return int.from_bytes(keccak256(blob), "big") % self.group.order
+        digest = keccak256(transition_preimage(new_root, messages))
+        return int.from_bytes(digest, "big") % self.group.order
 
     def prove_digest(self, digest: int) -> tuple[SnarkProof, int]:
         solution = witness(self.program, self.field, {"x": digest})
@@ -98,8 +102,23 @@ class SharpProver:
         return claimed_output == output and verify(self.crs.vk, proof, self.group)
 
 
+def next_root_preimage(old_root: bytes, diff_words: list[int]) -> bytes:
+    """The old root, then the published diff: what ``next_root`` hashes, so a
+    caller can prefetch it."""
+    return old_root + diff_calldata_bytes(diff_words)
+
+
 def next_root(old_root: bytes, diff_words: list[int]) -> bytes:
-    return keccak256(old_root + diff_calldata_bytes(diff_words))
+    return keccak256(next_root_preimage(old_root, diff_words))
+
+
+def transition_preimage(new_root: bytes, messages: SettlementMessages) -> bytes:
+    """The next root, then each message list prefixed by its length as a
+    word: what ``SharpProver.transition_digest`` hashes, so a caller can
+    prefetch it. Sent messages enter as their memoized hashes."""
+    consumed = messages.consumed_l1_to_l2
+    sent = [message.hash for message in messages.sent_l2_to_l1]
+    return b"".join([new_root, _word(len(consumed)), *consumed, _word(len(sent)), *sent])
 
 
 def prove_transition(

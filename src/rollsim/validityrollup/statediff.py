@@ -76,6 +76,13 @@ def encode_state_diff(diff: StateDiff) -> list[int]:
 
 
 def decode_state_diff(words: list[int]) -> StateDiff:
+    # counts are read before the words they count are checked: a negative
+    # update count would move the cursor backwards, and a negative header
+    # would make [-1, 0] decode to the empty diff, whose encoding is [0, 0]
+    for i, w in enumerate(words):
+        if not 0 <= w < WORD_LIMIT:
+            raise MalformedDiff(f"word {i} ({w}) outside 256-bit range")
+
     def take(cursor: int, count: int = 1) -> tuple[list[int], int]:
         if cursor + count > len(words):
             raise MalformedDiff(f"truncated at word {cursor}, need {count} more")

@@ -54,6 +54,18 @@ class TestBloomCalc:
         result = runner.invoke(main, ["bloom-calc", "-n", "1000", "-p", "0.001"])
         assert "m=14377 k=9" in result.output
 
+    @pytest.mark.parametrize("tolerance", ["1e-9", "1e-12", "0.01"])
+    def test_predicted_rate_keeps_three_significant_digits(self, runner, tolerance):
+        # a fixed six decimals printed any rate below 5e-7 as 0.000000
+        from rollsim.costbench import bloom_params, fp_rate
+
+        result = runner.invoke(main, ["bloom-calc", "-n", "1000", "-p", tolerance])
+        assert result.exit_code == 0, result.output
+        printed = float(result.output.splitlines()[1].removeprefix("predicted fp rate: "))
+        m, k = bloom_params(1000, float(tolerance))
+        assert printed > 0
+        assert printed == pytest.approx(fp_rate(m, k, 1000), rel=5e-3)
+
     def test_empirical_requires_seed(self, runner):
         result = runner.invoke(
             main, ["bloom-calc", "-n", "100", "-p", "0.01", "--empirical"]
@@ -221,9 +233,12 @@ class TestRunProfile:
         assert sum(int(row[1]) for row in rows) == total.perms > 0
         # the validity bridge hashes its two deposit messages together when L1
         # sends them, and its two withdrawal messages together when the L2
-        # sends them and again when L1 consumes them; each is two blocks
+        # sends them and again when L1 consumes them; each is two blocks.
+        # Settlement hashes the prover's and the verifier's next root (three
+        # blocks) as one pair and their transition digest (two blocks) as another
         packed = {row[0]: int(row[2]) for row in rows if int(row[2])}
-        assert packed == ({"message_and_execute": 8, "consume": 4} if rollup == "validity" else {})
+        expected = {"message_and_execute": 8, "prove_and_settle": 10, "consume": 4}
+        assert packed == (expected if rollup == "validity" else {})
         assert sum(packed.values()) == total.packed
 
 

@@ -266,12 +266,14 @@ class TestCounting:
     def test_counts_every_permuted_slot_of_a_batched_run(self):
         # 320 deposit messages hashed together when L1 sends them, and 320
         # withdrawal messages hashed together when the L2 sends them and again
-        # when L1 consumes them; every message is two blocks
+        # when L1 consumes them; every message is two blocks. Settlement runs
+        # its four 152-block sponges as two packed pairs: the prover's and the
+        # verifier's next root, then their transition digest
         with _permuted_slots() as slots, hashing.counting() as count:
             report = run(_validity_users(320))
         assert report.ok
         assert count.perms == slots.total > 0
-        assert count.packed == slots.packed == 3 * 320 * 2
+        assert count.packed == slots.packed == 3 * 320 * 2 + 4 * 152
 
     def test_nothing_counted_outside_a_block(self):
         with hashing.counting() as count:
@@ -325,7 +327,9 @@ class TestPrefetch:
             report = run(config)
         assert report.ok and len(report.withdrawal_latencies) == 2
         assert count.perms == slots.total
-        assert count.packed == slots.packed == 2 * 2 * 2
+        # per side, two two-block message slots; settlement's prover and
+        # verifier each read a two-block next root and a two-block transition
+        assert count.packed == slots.packed == 2 * 2 * 2 + 2 * 2 + 2 * 2
 
     def test_tampered_consume_is_hashed_and_refused(self):
         core = StarkNetCore(Chain())
@@ -343,7 +347,9 @@ class TestPrefetch:
         assert core.l2_to_l1_counters[keccak256(honest)] == 0
 
     def test_no_digest_left_unread_when_a_scope_closes(self, monkeypatch):
-        # an unread digest is work the model did not ask for
+        # an unread digest is work the model did not ask for. ``listed`` is read
+        # at entry, so it misses the blobs settlement adds to its open scope;
+        # ``unread == 0`` at exit covers those as well
         real, scopes = hashing.prefetch, []
 
         @contextlib.contextmanager
@@ -355,7 +361,9 @@ class TestPrefetch:
 
         monkeypatch.setattr(hashing, "prefetch", watched)
         assert run(_validity_users(320)).ok
-        assert scopes == [(320, 0), (320, 0), (320, 0)]
+        # deposit sends, withdrawal sends, settlement (two root slots listed at
+        # entry, two transition slots added), consumes
+        assert scopes == [(320, 0), (320, 0), (2, 0), (320, 0)]
 
     @pytest.mark.parametrize("nonce", [0, 2**255])
     def test_l1_to_l2_hash_reads_its_prefetched_preimage(self, nonce):
@@ -402,6 +410,26 @@ class TestPrefetch:
         assert [msg_hash for msg_hash, _ in sent] == expected
         assert scope.unread == misses == len(sends)
         assert (count.perms, count.packed) == (2 * len(sends), 0)
+
+    def test_digest_looks_up_without_a_read_and_added_blobs_run_packed(self):
+        listed, added = _message(200), _message(300)  # two and three blocks
+        expected, expected_added = hashing._sponge(listed, 0x01), hashing._sponge(added, 0x01)
+        with _permuted_slots() as slots, hashing.counting() as count:
+            with hashing.prefetch([listed, listed]) as scope:
+                assert scope.digest(listed) == expected
+                assert (scope.unread, count.perms, count.packed) == (2, 0, 0)
+                with pytest.raises(KeyError):
+                    scope.digest(added)
+                # the added pair runs packed; ``listed`` alone at its length does not
+                scope.add([added, listed, added])
+                assert (slots.total, slots.packed) == (2 * 2 + 2 * 3 + 2, 2 * 2 + 2 * 3)
+                assert scope.digest(added) == expected_added
+                assert (scope.unread, count.perms, count.packed) == (5, 0, 0)
+                assert keccak256(added) == keccak256(added) == expected_added
+                assert [keccak256(listed) for _ in range(3)] == [expected] * 3
+                assert scope.unread == 0
+        assert count.perms == slots.total
+        assert count.packed == slots.packed
 
     def test_scopes_nest_by_shadowing(self):
         outer_blob, inner_blob = _message(20), _message(30)

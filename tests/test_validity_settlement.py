@@ -1,10 +1,12 @@
+import contextlib
 import random
 
 import pytest
 
+from rollsim import hashing
 from rollsim.algebra import DEFAULT_PRIME, PairingGroup
 from rollsim.l1sim import Chain
-from rollsim.validityrollup import messaging
+from rollsim.validityrollup import messaging, settlement
 from rollsim.validityrollup.cairo import CairoState, run_program, sqrt_program
 from rollsim.validityrollup.messaging import (
     L2ToL1Message,
@@ -263,3 +265,114 @@ class TestTransitionCommitment:
         assert prover.verify_digest(proof.snark, proof.claimed_output, digest)
         for output in (proof.claimed_output - 1, proof.claimed_output + 1):
             assert not prover.verify_digest(proof.snark, output, digest)
+
+
+def _word(n: int) -> bytes:
+    return n.to_bytes(32, "big")
+
+
+class TestPreimages:
+    """Each settlement sponge hashes what its preimage function returns."""
+
+    @pytest.mark.parametrize(
+        "diff, blocks",
+        [(StateDiff(deployments=(), storage=()), 1), (simple_diff(), 3)],
+        ids=["empty diff", "one contract"],
+    )
+    def test_next_root_hashes_its_preimage(self, diff, blocks):
+        old_root = bytes(range(32))
+        words = encode_state_diff(diff)
+        expected = old_root + b"".join(_word(w) for w in words)
+        assert settlement.next_root_preimage(old_root, words) == expected
+        assert hashing._blocks(len(expected)) == blocks
+        assert next_root(old_root, words) == hashing._sponge(expected, 0x01)
+
+    @pytest.mark.parametrize(
+        "consumed, payloads",
+        [((), ()), ((b"\x13" * 32,), ()), ((), ((0, 0xEE, 50, 0),)),
+         ((b"\x13" * 32, b"\x14" * 32), ((0, 0xEE, 50, 0), (0, 0xEF, 60, 0)))],
+        ids=["empty lists", "consumed only", "sent only", "both"],
+    )
+    def test_transition_digest_hashes_its_preimage(self, prover, consumed, payloads):
+        new_root = b"\x42" * 32
+        sent = tuple(L2ToL1Message(0x22, 0xD1, payload) for payload in payloads)
+        messages = SettlementMessages(consumed_l1_to_l2=consumed, sent_l2_to_l1=sent)
+        sent_hashes = [l2_to_l1_message_hash(0x22, 0xD1, payload) for payload in payloads]
+        expected = b"".join(
+            [new_root, _word(len(consumed)), *consumed, _word(len(sent_hashes)), *sent_hashes]
+        )
+        assert settlement.transition_preimage(new_root, messages) == expected
+        digest = int.from_bytes(hashing._sponge(expected, 0x01), "big") % GROUP.order
+        assert prover.transition_digest(new_root, messages) == digest
+
+
+@contextlib.contextmanager
+def _settlement_pair(old_root: bytes, words: list[int], messages: SettlementMessages):
+    """The scope a validity run settles in: the prover's and the verifier's
+    next root as two slots, then their transition digest as two more."""
+    root = settlement.next_root_preimage(old_root, words)
+    with hashing.prefetch([root, root]) as scope:
+        transition = settlement.transition_preimage(scope.digest(root), messages)
+        scope.add([transition, transition])
+        yield scope
+
+
+class TestPrefetchedSettlement:
+    """Prover and verifier read their own slots; the verifier still hashes
+    what it was given, so a tampered submission misses and is refused."""
+
+    def test_honest_pair_reads_every_slot_packed(self, prover):
+        _, core = make_core()
+        diff = simple_diff()
+        words = encode_state_diff(diff)
+        messages = SettlementMessages(sent_l2_to_l1=(L2ToL1Message(0x22, 0xD1, (0, 0xEE, 50, 0)),))
+        _, plain = make_core()
+        plain_proof = prove_transition(plain.state_root, diff, None, prover, messages)
+        expected = settle(plain, prover, plain_proof, words, messages)
+        pair = _settlement_pair(core.state_root, words, messages)
+        with hashing.counting() as count, pair as scope:
+            assert scope.unread == 4
+            proof = prove_transition(core.state_root, diff, None, prover, messages)
+            assert settle(core, prover, proof, words, messages) == expected
+            assert scope.unread == 0
+        # per side, a three-block next root and a one-block transition
+        assert count.perms == count.packed == 2 * (3 + 1)
+
+    def test_tampered_diff_misses_and_is_refused(self, prover):
+        _, core = make_core()
+        diff = simple_diff()
+        words = encode_state_diff(diff)
+        tampered = encode_state_diff(simple_diff(value=999))
+        with _settlement_pair(core.state_root, words, SettlementMessages()) as scope:
+            proof = prove_transition(core.state_root, diff, None, prover)
+            with hashing.counting() as count:
+                with pytest.raises(ProofRejected):
+                    settle(core, prover, proof, tampered)
+            # the verifier's root and transition slots are both left unread
+            assert scope.unread == 2
+            assert (count.perms, count.packed) == (3 + 1, 0)
+            assert len(core.root_history) == 1
+            with hashing.counting() as count:
+                settle(core, prover, proof, words)
+            assert (scope.unread, count.perms, count.packed) == (0, 3 + 1, 3 + 1)
+
+    def test_forged_message_list_misses_and_is_refused(self, prover):
+        _, core = make_core()
+        diff = simple_diff()
+        words = encode_state_diff(diff)
+        proven = SettlementMessages(sent_l2_to_l1=(L2ToL1Message(0x22, 0xD1, (0, 0xEE, 50, 0)),))
+        forged = SettlementMessages(sent_l2_to_l1=(L2ToL1Message(0x22, 0xD1, (0, 0xEE, 5000, 0)),))
+        forged.sent_l2_to_l1[0].hash  # sent when the L2 built it, as in a run
+        with _settlement_pair(core.state_root, words, proven) as scope:
+            proof = prove_transition(core.state_root, diff, None, prover, proven)
+            with hashing.counting() as count:
+                with pytest.raises(ProofRejected):
+                    settle(core, prover, proof, words, forged)
+            # the diff is honest, so the verifier's next root is its own slot;
+            # its transition preimage holds a forged hash and misses
+            assert (scope.unread, count.perms, count.packed) == (1, 3 + 1, 3)
+            assert core.l2_to_l1_counters == {} and len(core.root_history) == 1
+            with hashing.counting() as count:
+                settle(core, prover, proof, words, proven)
+            # the verifier's root slot is spent, so its root is hashed for real
+            assert (scope.unread, count.perms, count.packed) == (0, 3 + 1, 1)

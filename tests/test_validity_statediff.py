@@ -96,6 +96,23 @@ class TestEncoding:
         with pytest.raises(MalformedDiff):
             encode_state_diff(diff)
 
+    @pytest.mark.parametrize(
+        "words, index",
+        [
+            ([-1, 0], 0),  # decoded to the empty diff, whose encoding is [0, 0]
+            ([0, 1, 5, -1], 3),  # a negative update count moved the cursor back
+            ([0, 1, 5, 1, 7, 2**256], 5),
+        ],
+    )
+    def test_word_outside_256_bits_rejected_before_parsing(self, words, index):
+        with pytest.raises(MalformedDiff, match=rf"^word {index} \(-?\d+\) outside 256-bit range"):
+            decode_state_diff(words)
+
+    def test_largest_word_decodes(self):
+        top = 2**256 - 1
+        diff = decode_state_diff([0, 1, top, 1, top, top])
+        assert diff.storage == (ContractStorageDiff(top, ((top, top),)),)
+
     def test_oversized_word_rejected(self):
         diff = StateDiff(
             deployments=(),
