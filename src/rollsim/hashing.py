@@ -60,6 +60,13 @@ scope (``Prefetched.add``). The look-up reads nothing and counts nothing, and
 hides no permutations: the looked-up blob was listed, so its permutations are
 counted when ``keccak256`` reads it, and a test checks that no scope of a
 whole run closes with a digest unread.
+
+The two kinds of block nest differently. A ``counting()`` block counts every
+permutation run inside it, nested ``counting()`` blocks included, so a run
+that counts its own phases still shows its whole count to a caller that
+counts around it. A ``prefetch`` block shadows the one around it: only the
+innermost scope hands out digests, so each scope is read by the code it was
+opened for.
 """
 
 from __future__ import annotations
@@ -130,10 +137,13 @@ def counting() -> Iterator[PermutationCount]:
     Read ``.perms`` of the yielded count, during the block or after it, and
     ``.packed``, those of them that ran in slots of the packed kernel; a
     prefetched digest is counted when ``keccak256`` hands it out. Nothing is
-    counted outside a block. Blocks nest by shadowing: the
-    innermost block counts, and permutations counted there are not added to
-    an enclosing block. The count lives in a ``contextvars.ContextVar``, so
-    it follows the current thread or asyncio task.
+    counted outside a block. A block counts every permutation run inside it,
+    nested blocks included: an inner block counts only its own, and adds
+    them to the block it was opened in when it closes, also when it closes
+    on an exception, so an enclosing block read while an inner one is still
+    open does not yet include it. The count lives in a
+    ``contextvars.ContextVar``, so it follows the current thread or asyncio
+    task.
     """
     count = PermutationCount()
     token = _count.set(count)
@@ -141,6 +151,10 @@ def counting() -> Iterator[PermutationCount]:
         yield count
     finally:
         _count.reset(token)
+        outer = _count.get()
+        if outer is not None:
+            outer.perms += count.perms
+            outer.packed += count.packed
 
 
 def _keccak_f(state: list[int]) -> list[int]:
@@ -568,11 +582,17 @@ def prefetch(blobs: Iterable[bytes]) -> Iterator[Prefetched]:
     counted once, by the ``keccak256`` call that reads it. A blob that was
     not prefetched, or is read more often than it was listed, is hashed by
     that call as usual, so a caller gets the digest of what it asked for and
-    never a stale one. Blocks nest by shadowing, like ``counting()``: only
-    the innermost block's digests are handed out. The yielded ``Prefetched``
-    tells what was left unread, looks up a digest it holds without reading
-    it (``digest``), and hashes blobs that are known only inside the block
-    into it (``add``).
+    never a stale one.
+
+    This is the one kind of block that nests by shadowing (``counting()``
+    blocks add into the block around them): inside an inner ``prefetch``
+    block only its own digests are handed out, so each scope is read only by
+    the code it was opened around, and its ``unread`` speaks for that code
+    alone.
+
+    The yielded ``Prefetched`` tells what was left unread, looks up a digest
+    it holds without reading it (``digest``), and hashes blobs that are known
+    only inside the block into it (``add``).
     """
     scope = Prefetched(blobs)
     token = _scope.set(scope)

@@ -15,8 +15,21 @@ from typing import Iterable, Sequence
 from .. import rlp
 
 
+# frame numbers are a uint16 on the wire, so a channel holds at most 2^16 frames
+MAX_FRAMES = 1 << 16
+
+
 class ChannelIncomplete(ValueError):
     """Frames are missing; the channel cannot be reassembled yet."""
+
+
+class TooManyFrames(ValueError):
+    """A channel needs more frames than a uint16 frame number can count."""
+
+    def __init__(self, frames: int):
+        super().__init__(f"channel needs {frames} frames, more than the {MAX_FRAMES} "
+                         "a uint16 frame number counts")
+        self.frames = frames
 
 
 @dataclass(frozen=True)
@@ -133,13 +146,19 @@ def build_channel(batches: Sequence[Batch], timestamp: int = 0, random: int = 0)
 
 
 def split_frames(channel: Channel, max_frame_bytes: int) -> list[Frame]:
-    """Chunk a channel payload into frames numbered from zero."""
+    """Chunk a channel payload into frames numbered from zero.
+
+    Raises ``TooManyFrames`` when the chunks would number more than
+    ``MAX_FRAMES``, before building any frame.
+    """
     if max_frame_bytes < 1:
         raise ValueError("max_frame_bytes must be at least 1")
     chunks = [
         channel.payload[i : i + max_frame_bytes]
         for i in range(0, len(channel.payload), max_frame_bytes)
     ] or [b""]
+    if len(chunks) > MAX_FRAMES:
+        raise TooManyFrames(len(chunks))
     return [
         Frame(
             channel_id=channel.channel_id,

@@ -21,8 +21,9 @@ lazily. One cursor ``MemoryTree`` moves to a queried index by replaying the
 store log forward or undoing it backward, rehashing the moved cells in one
 batched pass. The cursor hashes through its tree's digest memo, so a node
 blob it has held before costs nothing: moving back over replayed stores, or
-forward to memory it has seen, rehashes no node. Memory roots and state
-hashes are memoized per index, and step proofs are cut from the cursor.
+forward to memory it has seen, rehashes no node, so a memory root needs no
+memo of its own. State hashes are memoized per index, and step proofs are
+cut from the cursor.
 """
 
 from __future__ import annotations
@@ -317,7 +318,6 @@ class VmTrace:
         # the cursor holds memory with the first _cursor_stores stores applied
         self._cursor = MemoryTree(list(initial_memory))
         self._cursor_stores = 0
-        self._roots: dict[int, bytes] = {}
         self._hashes: dict[int, bytes] = {}
         self.states = _PerIndex(self, self._state)
         self.hashes = _PerIndex(self, self._state_hash)
@@ -350,10 +350,8 @@ class VmTrace:
         return self._cursor
 
     def _state(self, index: int) -> VmState:
-        root = self._roots.get(index)
-        if root is None:
-            root = self._roots[index] = self._memory_at(index).root
-        return VmState(pc=self.pcs[index], registers=self.registers[index], memory_root=root)
+        return VmState(pc=self.pcs[index], registers=self.registers[index],
+                       memory_root=self._memory_at(index).root)
 
     def _state_hash(self, index: int) -> bytes:
         digest = self._hashes.get(index)

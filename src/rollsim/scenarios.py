@@ -227,18 +227,15 @@ class _Run:
 
     @contextlib.contextmanager
     def phase(self, name: str) -> Iterator[None]:
-        """Run the block as phase ``name``; with a profile, append its cost.
-
-        Without a profile this counts nothing, so an enclosing
-        ``hashing.counting()`` block sees every permutation of the run.
-        """
-        if self.profile is None:
-            yield
-            return
+        """Run the block as phase ``name`` inside its own ``hashing.counting()``
+        block, and append its cost to the profile, if one was asked for. The
+        phase's count adds into any block around the run, so an enclosing
+        count sees every permutation, profiled or not."""
         start = perf_counter()
         with hashing.counting() as count:
             yield
-        self.profile.append(PhaseCost(name, count.perms, count.packed, perf_counter() - start))
+        if self.profile is not None:
+            self.profile.append(PhaseCost(name, count.perms, count.packed, perf_counter() - start))
 
     def log(self, event: str, time: int | None = None, **details) -> None:
         """Record ``event`` in the pending block, at its timestamp unless ``time`` is given."""
@@ -348,7 +345,10 @@ def _deposit(ctx: _Run, portal: OptimismPortal) -> int:
 
 
 def _batch(ctx: _Run, epoch: int, wanted: list[tuple]) -> int:
-    """Post the L2 transactions as shuffled frames of one channel; return the bytes posted."""
+    """Post the L2 transactions as shuffled frames of one channel; return the bytes posted.
+
+    A channel that needs more frames than a frame number can count is
+    logged as ``batch_rejected`` and nothing is posted."""
     chain, config = ctx.chain, ctx.config
     txs = [transfer_tx(t["user"], t["target"], t["value"]) for t in config.transfers]
     txs += [withdraw_tx(*fields) for fields in wanted]
@@ -365,7 +365,11 @@ def _batch(ctx: _Run, epoch: int, wanted: list[tuple]) -> int:
             [batch], timestamp=chain.blocks[epoch].timestamp,
             random=config.rng("channel").randrange(2**64),
         )
-        frames = batching.split_frames(channel, config.max_frame_bytes)
+        try:
+            frames = batching.split_frames(channel, config.max_frame_bytes)
+        except batching.TooManyFrames as exc:
+            ctx.log("batch_rejected", frames=exc.frames, reason=str(exc))
+            frames = []
         order = list(range(len(frames)))
         config.rng("frames").shuffle(order)
         for i in order:

@@ -1,6 +1,8 @@
 import contextlib
 import dataclasses
 import hashlib
+import importlib.util
+import pathlib
 import random
 import sys
 import types
@@ -243,6 +245,15 @@ def _permuted_slots():
         sys.setprofile(previous)
 
 
+def _bench_workloads() -> types.ModuleType:
+    """The benchmark's workload module, ``bench/workloads.py``, loaded by path."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _validity_users(n: int) -> ScenarioConfig:
     """n users each deposit and withdraw on the validity rollup."""
     users = [0x1000 + i for i in range(n)]
@@ -281,13 +292,41 @@ class TestCounting:
         keccak256(_message(300))
         assert count.perms == 0
 
-    def test_innermost_block_counts(self):
+    def test_inner_block_adds_into_enclosing(self):
         with hashing.counting() as outer:
             keccak256(b"a")
             with hashing.counting() as inner:
                 keccak256(_message(300))
             keccak256(b"b")
-        assert (outer.perms, inner.perms) == (2, 3)
+        assert (outer.perms, inner.perms) == (5, 3)
+
+    def test_inner_block_adds_its_count_on_an_exception(self):
+        with hashing.counting() as outer:
+            with pytest.raises(KeyError), hashing.counting() as inner:
+                keccak256(_message(300))
+                raise KeyError
+        assert (outer.perms, inner.perms) == (3, 3)
+
+    def test_open_inner_block_is_not_yet_in_the_enclosing_one(self):
+        with hashing.counting() as outer:
+            keccak256(b"a")
+            with hashing.counting() as inner:
+                keccak256(_message(300))
+                assert (outer.perms, inner.perms) == (1, 3)
+            assert outer.perms == 4
+
+    @pytest.mark.parametrize("workload", ["op-withdrawals", "op-fraud-trace", "validity-messages"])
+    def test_profiled_run_adds_into_enclosing_block(self, workload):
+        config = _bench_workloads().WORKLOADS[workload].config(1)
+        rows = []
+        with hashing.counting() as profiled:
+            assert run(config, profile=rows).ok
+        with hashing.counting() as plain:
+            run(config)
+        summed = (sum(row.perms for row in rows), sum(row.packed for row in rows))
+        assert (profiled.perms, profiled.packed) == summed == (plain.perms, plain.packed)
+        assert profiled.perms > 0
+        assert (profiled.packed > 0) == (workload == "validity-messages")
 
     def test_stand_in_sponge_is_counted_alike(self, sha3_perms):
         keccak256(_message(300))  # three started rate blocks
@@ -440,6 +479,20 @@ class TestPrefetch:
             assert (outer.unread, inner.unread) == (1, 0)
             keccak256(outer_blob)
         assert outer.unread == 0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_run_without_handing_out_a_digest_reports_the_same(self, seed, monkeypatch):
+        # a prefetched digest that differs from what keccak256 would compute
+        # changes the report or the count here, whichever site listed it
+        config = dataclasses.replace(_validity_users(32), seed=seed)
+        with hashing.counting() as batched:
+            report = run(config)
+        monkeypatch.setattr(hashing.Prefetched, "take", lambda self, blob: None)
+        with hashing.counting() as hashed:
+            unbatched = run(config)
+        assert report.ok and batched.packed > 0
+        assert unbatched.report_hash() == report.report_hash()
+        assert (hashed.perms, hashed.packed) == (batched.perms, 0)
 
 
 def _withdrawal():

@@ -4,9 +4,12 @@ import pytest
 
 from rollsim import rlp
 from rollsim.oprollup.batching import (
+    MAX_FRAMES,
     Batch,
+    Channel,
     ChannelIncomplete,
     Frame,
+    TooManyFrames,
     assemble_channel_payload,
     build_channel,
     decode_channel_payload,
@@ -63,6 +66,17 @@ class TestFrameWire:
         )
         with pytest.raises(ValueError):
             Frame.decode(frame.encode()[:-2])
+
+
+class TestFrameLimit:
+    def test_a_uint16_frame_number_bounds_the_frames_of_a_channel(self):
+        fits = Channel(timestamp=1, random=2, payload=bytes(MAX_FRAMES))
+        frames = split_frames(fits, 1)
+        assert MAX_FRAMES == 65_536 == len(frames)
+        assert Frame.decode(frames[-1].encode())[0] == frames[-1]
+        with pytest.raises(TooManyFrames, match="65537 frames") as raised:
+            split_frames(Channel(timestamp=1, random=2, payload=bytes(MAX_FRAMES + 1)), 1)
+        assert raised.value.frames == MAX_FRAMES + 1
 
 
 class TestChannelRoundTrip:

@@ -348,6 +348,25 @@ class TestOptimisticScale:
         finalized = _events(report, "withdrawal_finalized")
         assert [e["value"] for e in finalized] == [700, 700, 700]
 
+    def test_channel_past_65536_frames_is_rejected_not_raised(self, sha3_perms):
+        # at one byte per frame, 900 users' channel needs more than 2^16 frames
+        rng = random.Random(3)
+        users = [rng.randrange(2**159, 2**160) for _ in range(900)]
+        config = ScenarioConfig(
+            max_frame_bytes=1,
+            deposits=[{"user": u, "value": 10**6} for u in users],
+            transfers=[{"user": u, "target": users[(i + 1) % 900], "value": rng.randrange(10**5)}
+                       for i, u in enumerate(users)],
+            withdrawals=[{"user": u, "value": rng.randrange(10**5)} for u in users],
+        )
+        report = run(config)
+        assert report.ok
+        (rejected,) = _events(report, "batch_rejected")
+        assert rejected["frames"] > 65_536 and "uint16" in rejected["reason"]
+        assert _events(report, "frame_posted") == []
+        assert len(_events(report, "withdrawal_not_initiated")) == 900
+        assert report.gas["da_bytes_posted"] == 0
+
     def test_oversized_deposit_is_rejected_not_raised(self):
         config = funded_users(2)
         config.deposits.insert(0, {"user": 0x77, "value": 1, "gas_limit": 9_000_000})
