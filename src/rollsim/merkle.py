@@ -87,9 +87,9 @@ class MerkleTree:
 
     The tree keeps a ``DigestMemo`` for as long as it lives: building and
     ``update`` hash every leaf and node blob through it, so each distinct
-    blob is hashed once per tree. An all-zero memory of 2^k words costs
-    k + 1 hashes, and a cursor tree that moves back to contents it held
-    before rehashes nothing. The memo belongs to this tree only; a new tree
+    blob is hashed once per tree. A tree of 2^k equal leaves costs k + 1
+    hashes (an all-zero dispute memory of 64 words, 16 leaves, costs 5), and
+    a cursor tree that moves back to contents it held before rehashes nothing. The memo belongs to this tree only; a new tree
     starts with an empty one.
     """
 

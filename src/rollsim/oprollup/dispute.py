@@ -14,16 +14,26 @@ interpreter, ``execute``. It reaches memory only through ``load(addr)`` and
 * off-chain (``VmRunner.step``): over the raw words at the head of a
   ``VmTrace``, which logs each store and hashes nothing;
 * on-chain (``vm_step``): over witnessed cells, each checked against the
-  current root, with a STORE folding the new root through the cell's proof.
+  current root, with a STORE folding the new root through the proof of the
+  leaf that holds the cell.
+
+Memory is Merkleized as Cannon does it: a leaf is 32 bytes, four consecutive
+big-endian 64-bit words, so word ``addr`` sits in leaf ``addr // 4`` at byte
+``8 * (addr % 4)``. With its 0x00 prefix a leaf blob is 33 bytes, one
+Keccak-f permutation. A memory of n >= 4 words has n / 4 leaves, so a full
+rebuild costs n / 2 - 1 hashes; one or two words pad one leaf with zeros. A
+memory witness is the whole leaf holding the cell plus that leaf's proof; a
+STORE folds the leaf with only its slot replaced, so its three neighbours
+stay.
 
 A game reads about log2(n) of a trace's n + 1 state hashes, so a trace hashes
 lazily. One cursor ``MemoryTree`` moves to a queried index by replaying the
-store log forward or undoing it backward, rehashing the moved cells in one
-batched pass. The cursor hashes through its tree's digest memo, so a node
-blob it has held before costs nothing: moving back over replayed stores, or
-forward to memory it has seen, rehashes no node, so a memory root needs no
-memo of its own. State hashes are memoized per index, and step proofs are
-cut from the cursor.
+store log forward or undoing it backward, rehashing each touched leaf and
+each node above them once, in one batched pass. The cursor hashes through
+its tree's digest memo, so a node blob it has held before costs nothing:
+moving back over replayed stores, or forward to memory it has seen, rehashes
+no node, so a memory root needs no memo of its own. State hashes are memoized
+per index, and step proofs are cut from the cursor.
 """
 
 from __future__ import annotations
@@ -57,7 +67,7 @@ class BadStepProof(ValueError):
 
 
 class IllegalInstruction(ValueError):
-    """Unknown opcode."""
+    """Unknown opcode, or a register operand outside [0, NUM_REGISTERS)."""
 
 
 class NotYourTurn(PermissionError):
@@ -116,52 +126,84 @@ class VmState:
         )
 
 
+WORDS_PER_LEAF = 4  # a 32-byte memory leaf holds four words, as in Cannon
+LEAF_BYTES = 8 * WORDS_PER_LEAF
+
+
 def _word_bytes(word: int) -> bytes:
     return word.to_bytes(8, "big")
 
 
 class MemoryTree(MerkleTree):
-    """Memory as a Merkle tree over a power-of-two array of words."""
+    """Memory as a Merkle tree over a power-of-two array of words, four
+    words to a 32-byte leaf; fewer than four words pad one leaf with zeros."""
 
     def __init__(self, words: list[int]):
         if not words or len(words) & (len(words) - 1):
             raise ValueError("memory size must be a power of two")
-        super().__init__([_word_bytes(w) for w in words])
         self.words = list(words)
+        leaves = -(-len(words) // WORDS_PER_LEAF)
+        super().__init__([self.leaf(index) for index in range(leaves)])
+
+    def leaf(self, index: int) -> bytes:
+        """Leaf ``index``: words ``4 * index`` to ``4 * index + 3``, zero past the end."""
+        start = index * WORDS_PER_LEAF
+        chunk = b"".join(map(_word_bytes, self.words[start:start + WORDS_PER_LEAF]))
+        return chunk.ljust(LEAF_BYTES, b"\x00")
 
     def update(self, words: Mapping[int, int]) -> None:
-        """Write each ``addr: word`` of ``words``; rehash each node above them once."""
-        super().update({addr: _word_bytes(word) for addr, word in words.items()})
+        """Write each ``addr: word`` of ``words``; rehash each touched leaf
+        and each node above them once."""
         for addr, word in words.items():
             self.words[addr] = word
+        touched = {addr // WORDS_PER_LEAF for addr in words}
+        super().update({index: self.leaf(index) for index in touched})
 
 
-MemoryWitness = dict[int, tuple[int, MerkleProof]]
+# word address -> (the 32-byte leaf holding it, that leaf's proof)
+MemoryWitness = dict[int, tuple[bytes, MerkleProof]]
 
 
 class _WitnessedMemory:
-    """Cells proven against ``root``; a STORE folds the new root."""
+    """Cells proven against ``root``, each through the leaf that holds it;
+    a STORE folds the new root."""
 
     def __init__(self, witness: MemoryWitness, root: bytes):
         self.witness = witness
         self.root = root
 
-    def _proven(self, addr: int) -> tuple[int, MerkleProof]:
+    def _proven(self, addr: int) -> tuple[bytes, MerkleProof]:
         if addr not in self.witness:
             raise BadStepProof(f"no witness for memory cell {addr}")
-        value, proof = self.witness[addr]
-        if proof.leaf_index != addr or not verify_inclusion(
-            self.root, _word_bytes(value), proof
+        leaf, proof = self.witness[addr]
+        if not isinstance(leaf, bytes) or len(leaf) != LEAF_BYTES:
+            raise BadStepProof(f"witness for cell {addr} is not a {LEAF_BYTES}-byte leaf")
+        if proof.leaf_index != addr // WORDS_PER_LEAF or not verify_inclusion(
+            self.root, leaf, proof
         ):
             raise BadStepProof(f"witness for cell {addr} fails against the memory root")
-        return value, proof
+        return leaf, proof
 
     def load(self, addr: int) -> int:
-        return self._proven(addr)[0]
+        slot = 8 * (addr % WORDS_PER_LEAF)
+        return int.from_bytes(self._proven(addr)[0][slot:slot + 8], "big")
 
     def update(self, addr: int, word: int) -> None:
-        _, proof = self._proven(addr)
-        self.root = fold_proof(_word_bytes(word), proof)
+        leaf, proof = self._proven(addr)
+        slot = 8 * (addr % WORDS_PER_LEAF)
+        self.root = fold_proof(leaf[:slot] + _word_bytes(word) + leaf[slot + 8:], proof)
+
+
+# the operand fields each opcode reads as register numbers; JUMPZ's b is a pc
+_REGISTER_OPERANDS = {
+    OP_ADD: ("a", "b", "c"),
+    OP_MUL: ("a", "b", "c"),
+    OP_LOAD: ("a", "c"),
+    OP_STORE: ("a", "b"),
+    OP_JUMPZ: ("a",),
+    OP_LOADPRE: ("c",),
+    OP_HALT: (),
+}
 
 
 def fetch(program: list[Instruction], pc: int) -> Instruction:
@@ -182,8 +224,17 @@ def execute(
     """Apply ``instr`` to ``regs`` (in place) and ``memory``; return the next pc.
 
     ``memory`` is any object with ``load(addr)`` and ``update(addr, word)``.
+    An unknown opcode or a register operand outside [0, NUM_REGISTERS)
+    raises ``IllegalInstruction`` before anything is changed.
     """
     op = instr.op
+    fields = _REGISTER_OPERANDS.get(op)
+    if fields is None:
+        raise IllegalInstruction(op)
+    for field in fields:
+        register = getattr(instr, field)
+        if not (isinstance(register, int) and 0 <= register < NUM_REGISTERS):
+            raise IllegalInstruction(f"{op} register operand {field}={register!r}")
     if op == OP_ADD:
         regs[instr.c] = (regs[instr.a] + regs[instr.b]) & WORD_MASK
     elif op == OP_MUL:
@@ -202,8 +253,6 @@ def execute(
         regs[instr.c] = int.from_bytes(preimage[:8].ljust(8, b"\x00"), "big")
     elif op == OP_HALT:
         return pc
-    else:
-        raise IllegalInstruction(op)
     return pc + 1
 
 
@@ -246,12 +295,20 @@ class VmRunner:
         self.program = list(program)
         self.memory_size = memory_size
         self.oracle = oracle
-        words = list(initial_memory) if initial_memory else [0] * memory_size
+        words = [0] * memory_size if initial_memory is None else list(initial_memory)
         if len(words) != memory_size:
             raise ValueError(
                 f"initial_memory has {len(words)} words, memory_size is {memory_size}"
             )
-        registers = tuple(initial_registers or (0,) * NUM_REGISTERS)
+        registers = (0,) * NUM_REGISTERS if initial_registers is None else tuple(initial_registers)
+        if len(registers) != NUM_REGISTERS:
+            raise ValueError(
+                f"initial_registers has {len(registers)} registers, not {NUM_REGISTERS}"
+            )
+        for name, values in (("register", registers), ("memory word", words)):
+            for index, value in enumerate(values):
+                if not (isinstance(value, int) and 0 <= value <= WORD_MASK):
+                    raise ValueError(f"{name} {index} is {value!r}, not in [0, 2^64)")
         self.trace = VmTrace(self.program, memory_size, registers, words)
 
     @property
@@ -369,7 +426,8 @@ class VmTrace:
         if instr.op in (OP_LOAD, OP_STORE):
             addr = pre.registers[instr.a] % self.memory_size
             memory = self._memory_at(index)
-            witness[addr] = (memory.words[addr], memory.prove(addr))
+            leaf = addr // WORDS_PER_LEAF
+            witness[addr] = (memory.leaf(leaf), memory.prove(leaf))
         return StepProof(pre_state=pre, memory_witness=witness)
 
 

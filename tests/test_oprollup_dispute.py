@@ -99,24 +99,65 @@ class TestVmStep:
         runner = make_runner([Instruction(OP_LOAD, 0, 1)])
         witness = runner.trace.step_proof(runner.trace.length).memory_witness
         addr = next(iter(witness))
-        value, proof = witness[addr]
-        witness[addr] = (value + 1, proof)
+        leaf, proof = witness[addr]
+        slot = 8 * (addr % 4)
+        word = int.from_bytes(leaf[slot:slot + 8], "big")
+        witness[addr] = (leaf[:slot] + (word + 1).to_bytes(8, "big") + leaf[slot + 8:], proof)
         with pytest.raises(BadStepProof):
             vm_step(runner.state, Instruction(OP_LOAD, 0, 1), witness, memory_size=64)
 
     def test_relabelled_witness_rejected(self):
-        # cell 5's proof passed off as cell 0's would make the LOAD read 15
+        # leaf 1 (words 4..7) passed off as leaf 0 would make the LOAD of
+        # cell 0 read word 4, which is 15
         words = [0] * 64
-        words[0], words[5] = 10, 15
+        words[0], words[4] = 10, 15
         load = Instruction(OP_LOAD, a=0, c=1)  # r1 = memory[r0], with r0 == 0
         runner = make_runner([load], initial_memory=words)
-        siblings = MemoryTree(words).prove(5).siblings
-        witness = {0: (15, MerkleProof(leaf_index=0, siblings=siblings))}
-        with pytest.raises(BadStepProof):
-            vm_step(runner.state, load, witness, memory_size=64)
+        tree = MemoryTree(words)
+        relabelled = MerkleProof(leaf_index=0, siblings=tree.prove(1).siblings)
+        for proof in (relabelled, tree.prove(1)):
+            with pytest.raises(BadStepProof):
+                vm_step(runner.state, load, {0: (tree.leaf(1), proof)}, memory_size=64)
         witness = runner.trace.step_proof(runner.trace.length).memory_witness
         post = vm_step(runner.state, load, witness, memory_size=64)
         assert post.registers[1] == 10
+
+    @pytest.mark.parametrize("length", [31, 33])
+    def test_leaf_of_wrong_length_rejected(self, length):
+        load = Instruction(OP_LOAD, a=0, c=1)
+        runner = make_runner([load], initial_registers=(5, 0, 0, 0, 0, 0, 0, 0))
+        witness = runner.trace.step_proof(runner.trace.length).memory_witness
+        leaf, proof = witness[5]
+        witness[5] = (leaf[:length].ljust(length, b"\x00"), proof)
+        with pytest.raises(BadStepProof, match="32-byte leaf"):
+            vm_step(runner.state, load, witness, memory_size=64)
+
+    def test_wrong_neighbouring_word_rejected(self):
+        # the loaded word is right, but a word beside it in the leaf is not
+        words = list(range(100, 164))
+        load = Instruction(OP_LOAD, a=0, c=1)
+        runner = make_runner([load], initial_registers=(5,) + (0,) * 7, initial_memory=words)
+        witness = runner.trace.step_proof(runner.trace.length).memory_witness
+        leaf, proof = witness[5]
+        assert leaf[8:16] == (105).to_bytes(8, "big")  # cell 5 is slot 1 of leaf 1
+        witness[5] = (leaf[:16] + (999).to_bytes(8, "big") + leaf[24:], proof)
+        with pytest.raises(BadStepProof):
+            vm_step(runner.state, load, witness, memory_size=64)
+
+    def test_store_keeps_its_neighbours(self):
+        words = list(range(100, 164))
+        store = Instruction(OP_STORE, a=0, b=3)  # memory[r0] = r3
+        for addr in (4, 5, 6, 7):  # every slot of leaf 1
+            runner = make_runner(
+                [store], initial_registers=(addr, 0, 0, 42, 0, 0, 0, 0), initial_memory=words
+            )
+            witness = runner.trace.step_proof(runner.trace.length).memory_witness
+            post = vm_step(runner.state, store, witness, memory_size=64)
+            updated = list(words)
+            updated[addr] = 42
+            assert post.memory_root == MemoryTree(updated).root, addr
+            runner.step()
+            assert runner.state.memory_root == post.memory_root, addr
 
     def test_loadpre(self):
         oracle = PreimageOracle()
@@ -137,6 +178,25 @@ class TestVmStep:
         with pytest.raises(IllegalInstruction):
             vm_step(runner.state, Instruction("NOPE"), {}, memory_size=64)
 
+    @pytest.mark.parametrize(
+        "instr",
+        [
+            Instruction(OP_ADD, 0, 0, 8),
+            Instruction(OP_ADD, -1, 0, 0),
+            Instruction(OP_STORE, 0, 8),
+            Instruction(OP_LOAD, 9, 0, 1),
+            Instruction(OP_JUMPZ, 8, 0),
+            Instruction(OP_LOADPRE, c=-1, key=b"\x00" * 32),
+        ],
+    )
+    def test_register_operand_out_of_range(self, instr):
+        runner = make_runner([instr])
+        with pytest.raises(IllegalInstruction, match="register operand"):
+            vm_step(runner.state, instr, {}, memory_size=64)
+        with pytest.raises(IllegalInstruction, match="register operand"):
+            runner.step()
+        assert runner.trace.length == 0 and runner.trace.stores == []
+
     def test_halt_is_fixpoint(self):
         runner = make_runner([Instruction(OP_HALT)])
         pre = runner.state
@@ -154,6 +214,57 @@ class TestVmStep:
     def test_initial_memory_must_match_memory_size(self):
         with pytest.raises(ValueError, match="initial_memory"):
             make_runner([Instruction(OP_STORE, 0, 3)], initial_memory=[0] * 32)
+
+    @pytest.mark.parametrize("registers", [(), (0, 1, 3), (0,) * 9])
+    def test_initial_registers_must_number_eight(self, registers):
+        with pytest.raises(ValueError, match="initial_registers"):
+            make_runner(initial_registers=registers)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"initial_registers": (0, 1, 3, -1, 1, 0, 0, 0)}, "register 3"),
+            ({"initial_registers": (0, 1, 3, 0, 1, 0, 0, 1 << 64)}, "register 7"),
+            ({"initial_registers": (0, 1.5, 3, 0, 1, 0, 0, 0)}, "register 1"),
+            ({"initial_memory": [0] * 63 + [1 << 64]}, "memory word 63"),
+            ({"initial_memory": [0, -1] + [0] * 62}, "memory word 1"),
+        ],
+    )
+    def test_words_outside_64_bits_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            make_runner(**kwargs)
+
+
+class TestMemoryRoot:
+    """Known answers for the memory root, written without ``MemoryTree``."""
+
+    @staticmethod
+    def words_bytes(*words):
+        return b"".join(w.to_bytes(8, "big") for w in words)
+
+    def test_eight_words_make_two_leaves(self):
+        words = [3, 1 << 63, 0, 7, (1 << 64) - 1, 42, 5, 9]
+        left = keccak256(b"\x00" + self.words_bytes(*words[:4]))
+        right = keccak256(b"\x00" + self.words_bytes(*words[4:]))
+        assert MemoryTree(words).root == keccak256(b"\x01" + left + right)
+
+    @pytest.mark.parametrize("words", [[0xAB], [0xAB, 0xCD]])
+    def test_one_or_two_words_pad_one_leaf(self, words):
+        leaf = self.words_bytes(*words, *[0] * (4 - len(words)))
+        assert len(leaf) == 32
+        assert MemoryTree(words).root == keccak256(b"\x00" + leaf)
+
+    @pytest.mark.parametrize("size", [0, 3, 12])
+    def test_size_must_be_a_power_of_two(self, size):
+        with pytest.raises(ValueError, match="power of two"):
+            MemoryTree([0] * size)
+
+    def test_update_rehashes_each_touched_leaf_once(self, keccak_perms):
+        tree = MemoryTree(list(range(64)))
+        built = keccak_perms.perms
+        tree.update({4: 1, 5: 2, 6: 3, 7: 4})  # all in leaf 1: one leaf, four nodes
+        assert keccak_perms.perms - built == 5
+        assert tree.root == MemoryTree([0, 1, 2, 3, 1, 2, 3, 4] + list(range(8, 64))).root
 
 
 class TestTraceReplay:
@@ -193,12 +304,13 @@ class TestLazyTrace:
         assert keccak_perms.perms == built
 
     def test_zero_memory_costs_one_hash_per_level(self, keccak_perms):
-        MemoryTree([0] * 64)
-        assert keccak_perms.perms == 7
+        MemoryTree([0] * 64)  # 16 leaves of four words
+        assert keccak_perms.perms == 5
 
     def test_queries_in_any_order_match_forward_order(self):
-        # an 8-word memory keeps each random cursor jump to at most 15 hashes,
-        # and each cell is stored to several times, so undo must stack
+        # an 8-word memory (two leaves) keeps each random cursor jump to at
+        # most 3 hashes, and each cell is stored to several times, so undo
+        # must stack
         forward = make_runner(memory_size=8).run_trace(256)
         states = [forward.states[i] for i in range(257)]
         hashes = [forward.hashes[i] for i in range(257)]
@@ -244,20 +356,21 @@ class TestScenarioTrace:
     def test_permutation_budget(self, keccak_perms):
         # recording hashes nothing; the game hashes about log2(n) states and
         # moves one memory cursor to each, whose tree rehashes no node blob
-        # it has hashed before (390 now, 650 when the cursor rehashed every
-        # moved node, 2,721 with every state hashed eagerly and a replay per
-        # step proof)
+        # it has hashed before (135 now, 390 with one leaf per word, 650 when
+        # the cursor rehashed every moved node, 2,721 with every state hashed
+        # eagerly and a replay per step proof)
         assert _scenario_game(1024) == CHALLENGER
-        assert keccak_perms.perms <= 450
+        assert keccak_perms.perms <= 155
 
     def test_permutation_budget_grows_logarithmically(self, keccak_perms):
         assert _scenario_game(16_384) == CHALLENGER
-        assert keccak_perms.perms <= 1_000  # 905 now, 1,159 without the memo, 39,585 eagerly
+        # 265 now, 905 with one leaf per word, 1,159 without the memo, 39,585 eagerly
+        assert keccak_perms.perms <= 290
 
     def test_state_hashes_pinned(self):
         trace = make_runner().run_trace(1024)
         assert keccak256(b"".join(trace.hashes)).hex() == (
-            "851ca23d1747ae32f627207a415a70bca4451115f52e629e6a5eb3085db3c2fe"
+            "a086c21e0a562665ad39182d7400b4ffda0ae3e8273d568808814b380c62cd6b"
         )
 
 
