@@ -6,7 +6,6 @@ Each subcommand imports the modules it runs, so a start-up loads only those.
 from __future__ import annotations
 
 import json
-import os
 import random
 import sys
 from typing import TYPE_CHECKING
@@ -28,13 +27,16 @@ def main():
 
 
 def _load_config(config_path: str | None) -> ScenarioConfig:
-    from .scenarios import ScenarioConfig
+    from .scenarios import ConfigError, ScenarioConfig
 
-    config_path = config_path or os.environ.get(CONFIG_ENV_VAR)
-    if not config_path:
+    if config_path is None:
         return ScenarioConfig()
-    with open(config_path) as fh:
-        return ScenarioConfig.from_json(fh.read())
+    try:
+        with open(config_path, encoding="utf-8") as fh:
+            payload = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config: not UTF-8 ({exc})") from exc
+    return ScenarioConfig.from_json(payload)
 
 
 def _validated(config: ScenarioConfig) -> ScenarioConfig:
@@ -75,7 +77,8 @@ def _emit_report(report, as_json: bool) -> None:
 
 
 @main.command(name="run")
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None,
+@click.option("--config", "config_path", envvar=CONFIG_ENV_VAR,
+              type=click.Path(exists=True, dir_okay=False), default=None,
               help=f"Scenario config JSON (default: ${CONFIG_ENV_VAR}).")
 @click.option("--json", "as_json", is_flag=True, help="Emit the full report as JSON.")
 @click.option("--profile", is_flag=True,
@@ -225,8 +228,8 @@ def schnorr_demo(seed, small_group):
 
 
 @main.command(name="cost-report")
-@click.option("--corpus", "corpus_path", type=click.Path(exists=True), default=None,
-              help="Hex-line batch corpus (default: the synthetic fixture).")
+@click.option("--corpus", "corpus_path", type=click.Path(exists=True, dir_okay=False),
+              default=None, help="Hex-line batch corpus (default: the synthetic fixture).")
 @click.option("--group-size", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--json", "as_json", is_flag=True)
 def cost_report(corpus_path, group_size, as_json):

@@ -94,6 +94,8 @@ class BloomFilter:
 # --- address cache -----------------------------------------------------------------
 
 CACHE_CAPACITY = (1 << 32) - 1
+ADDRESS_BYTES = 20
+CACHE_KEY_BYTES = 4
 
 
 class CacheError(ValueError):
@@ -128,9 +130,9 @@ class AddressCache:
         return self.value_to_key.get(value, 0)
 
 
-def cache_calldata_savings(full_bytes: int = 20, key_bytes: int = 4) -> float:
-    """Fraction of argument calldata saved by passing the cache key instead."""
-    return 1.0 - key_bytes / full_bytes
+def cache_calldata_savings() -> float:
+    """Fraction of an address argument's calldata saved by passing its cache key instead."""
+    return 1.0 - CACHE_KEY_BYTES / ADDRESS_BYTES
 
 
 # --- compression statistics ----------------------------------------------------------

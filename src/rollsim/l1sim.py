@@ -259,10 +259,6 @@ class Chain:
     def pending_timestamp(self) -> int:
         return self.pending_block_number * self.block_time
 
-    @property
-    def head(self) -> L1Block:
-        return self.blocks[-1]
-
     # -- contracts and accounts -----------------------------------------------
 
     def register_contract(self, address: int, handler: object) -> None:

@@ -152,14 +152,16 @@ def fold_proof(leaf: bytes, proof: MerkleProof, hash_fn: HashFn = keccak256) -> 
 def verify_inclusion(
     root: bytes, leaf: bytes, proof: MerkleProof, hash_fn: HashFn = keccak256
 ) -> bool:
-    """True iff ``leaf_index`` names a leaf of the proof's path and folding
-    ``leaf`` through it reproduces ``root``.
+    """True iff ``siblings`` is a tuple of ``bytes``, ``leaf_index`` names a
+    leaf of that path and folding ``leaf`` through it reproduces ``root``.
 
     The index places every sibling (bit k: level k), so an index with bits
     above the path length names no leaf and is rejected: each proof has
     exactly one label.
     """
-    index = proof.leaf_index
-    if not isinstance(index, int) or not 0 <= index < 1 << len(proof.siblings):
+    index, siblings = proof.leaf_index, proof.siblings
+    if not (isinstance(siblings, tuple) and all(isinstance(sib, bytes) for sib in siblings)):
+        return False
+    if not isinstance(index, int) or not 0 <= index < 1 << len(siblings):
         return False
     return fold_proof(leaf, proof, hash_fn) == root

@@ -21,10 +21,11 @@ Memory is Merkleized as Cannon does it: a leaf is 32 bytes, four consecutive
 big-endian 64-bit words, so word ``addr`` sits in leaf ``addr // 4`` at byte
 ``8 * (addr % 4)``. With its 0x00 prefix a leaf blob is 33 bytes, one
 Keccak-f permutation. A memory of n >= 4 words has n / 4 leaves, so a full
-rebuild costs n / 2 - 1 hashes; one or two words pad one leaf with zeros. A
-memory witness is the whole leaf holding the cell plus that leaf's proof; a
-STORE folds the leaf with only its slot replaced, so its three neighbours
-stay.
+rebuild costs n / 2 - 1 hashes; one or two words pad one leaf with zeros.
+Only LOAD and STORE reach memory, one cell each, so a ``StepProof`` is the
+pre-state plus, for those two, the whole leaf holding the cell and that
+leaf's proof; a STORE folds the leaf with only its slot replaced, so its
+three neighbours stay.
 
 A game reads about log2(n) of a trace's n + 1 state hashes, so a trace hashes
 lazily. One cursor ``MemoryTree`` moves to a queried index by replaying the
@@ -63,7 +64,7 @@ class PreimageUnavailable(KeyError):
 
 
 class BadStepProof(ValueError):
-    """Memory witness or pre-state does not check out against the root."""
+    """A step proof's leaf, Merkle proof or pre-state does not check out."""
 
 
 class IllegalInstruction(ValueError):
@@ -160,28 +161,32 @@ class MemoryTree(MerkleTree):
         super().update({index: self.leaf(index) for index in touched})
 
 
-# word address -> (the 32-byte leaf holding it, that leaf's proof)
-MemoryWitness = dict[int, tuple[bytes, MerkleProof]]
+@dataclass(frozen=True)
+class StepProof:
+    """The pre-state of one instruction and, for a LOAD or STORE, the 32-byte
+    ``leaf`` holding the cell it touches and that leaf's ``proof``; both are
+    ``None`` for any other instruction."""
+
+    pre_state: VmState
+    leaf: bytes | None
+    proof: MerkleProof | None
 
 
 class _WitnessedMemory:
-    """Cells proven against ``root``, each through the leaf that holds it;
-    a STORE folds the new root."""
+    """The one cell a step proof proves against ``root``, through the leaf
+    that holds it; a STORE folds the new root."""
 
-    def __init__(self, witness: MemoryWitness, root: bytes):
-        self.witness = witness
-        self.root = root
+    def __init__(self, step_proof: StepProof):
+        self.step_proof = step_proof
+        self.root = step_proof.pre_state.memory_root
 
     def _proven(self, addr: int) -> tuple[bytes, MerkleProof]:
-        if addr not in self.witness:
-            raise BadStepProof(f"no witness for memory cell {addr}")
-        leaf, proof = self.witness[addr]
+        leaf, proof = self.step_proof.leaf, self.step_proof.proof
         if not isinstance(leaf, bytes) or len(leaf) != LEAF_BYTES:
-            raise BadStepProof(f"witness for cell {addr} is not a {LEAF_BYTES}-byte leaf")
-        if proof.leaf_index != addr // WORDS_PER_LEAF or not verify_inclusion(
-            self.root, leaf, proof
-        ):
-            raise BadStepProof(f"witness for cell {addr} fails against the memory root")
+            raise BadStepProof(f"no {LEAF_BYTES}-byte leaf for memory cell {addr}")
+        if not (isinstance(proof, MerkleProof) and proof.leaf_index == addr // WORDS_PER_LEAF
+                and verify_inclusion(self.root, leaf, proof)):
+            raise BadStepProof(f"no proof of memory cell {addr} against the memory root")
         return leaf, proof
 
     def load(self, addr: int) -> int:
@@ -257,28 +262,23 @@ def execute(
 
 
 def vm_step(
-    pre: VmState,
+    step_proof: StepProof,
     instruction: Instruction,
-    memory_witness: MemoryWitness | None = None,
     oracle: PreimageOracle | None = None,
     memory_size: int = 64,
 ) -> VmState:
-    """Execute a single instruction against proven memory cells.
+    """Execute a single instruction on ``step_proof.pre_state``.
 
-    Every cell the instruction reads or writes must come with an inclusion
-    proof against ``pre.memory_root``; a store's new root is derived by
-    folding the updated leaf through the same path.
+    A LOAD or STORE reads its cell from the proof's leaf, which must be
+    proven into ``pre_state.memory_root``; a STORE's new root is derived by
+    folding the updated leaf through the same proof. A missing or malformed
+    leaf or proof raises ``BadStepProof``.
     """
-    memory = _WitnessedMemory(memory_witness or {}, pre.memory_root)
+    pre = step_proof.pre_state
+    memory = _WitnessedMemory(step_proof)
     regs = list(pre.registers)
     pc = execute(instruction, pre.pc, regs, memory, oracle, memory_size)
     return VmState(pc=pc, registers=tuple(regs), memory_root=memory.root)
-
-
-@dataclass(frozen=True)
-class StepProof:
-    pre_state: VmState
-    memory_witness: MemoryWitness
 
 
 class VmRunner:
@@ -417,18 +417,17 @@ class VmTrace:
         return digest
 
     def step_proof(self, index: int) -> StepProof:
-        """Pre-state and memory witness for instruction ``index``."""
+        """Pre-state for instruction ``index``, with the leaf and proof of
+        the cell it touches if it is a LOAD or STORE."""
         if not 0 <= index <= self.length:
             raise IndexError(f"trace index {index} out of range")
         pre = self._state(index)
         instr = fetch(self.program, pre.pc)
-        witness: MemoryWitness = {}
-        if instr.op in (OP_LOAD, OP_STORE):
-            addr = pre.registers[instr.a] % self.memory_size
-            memory = self._memory_at(index)
-            leaf = addr // WORDS_PER_LEAF
-            witness[addr] = (memory.leaf(leaf), memory.prove(leaf))
-        return StepProof(pre_state=pre, memory_witness=witness)
+        if instr.op not in (OP_LOAD, OP_STORE):
+            return StepProof(pre, None, None)
+        leaf = pre.registers[instr.a] % self.memory_size // WORDS_PER_LEAF
+        memory = self._memory_at(index)
+        return StepProof(pre, memory.leaf(leaf), memory.prove(leaf))
 
 
 # --- the game -----------------------------------------------------------------
@@ -558,9 +557,8 @@ def dispute_step(game: DisputeGame, step_proof: StepProof) -> str:
     if pre.hash() != game.agreed_lo_hash:
         raise BadStepProof("pre-state does not match the agreed state")
     post = vm_step(
-        pre,
+        step_proof,
         fetch(game.params.program, pre.pc),
-        step_proof.memory_witness,
         game.params.oracle,
         game.params.memory_size,
     )

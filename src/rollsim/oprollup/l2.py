@@ -149,8 +149,8 @@ def initiate_withdrawal(
     gas_limit: int,
     value: int,
     data: bytes,
-) -> bytes:
-    """Queue an L2-to-L1 message; returns the withdrawal hash."""
+) -> WithdrawalTx:
+    """Queue an L2-to-L1 message; returns the ``WithdrawalTx`` it queued."""
     if state.balance(sender) < value:
         raise InsufficientFunds(f"{sender:#x} holds {state.balance(sender)} < {value}")
     tx = WithdrawalTx(
@@ -164,7 +164,7 @@ def initiate_withdrawal(
     state.balances[sender] = state.balance(sender) - value
     state.sent_withdrawals.append(tx)
     state.withdrawal_nonce += 1
-    return tx.hash
+    return tx
 
 
 def output_root_proof(state: OpL2State, l2_block_hash: bytes) -> OutputRootProof:

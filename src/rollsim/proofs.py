@@ -109,18 +109,16 @@ def freivalds_verify(
 ASCII_ALPHABET = 128
 
 
-def fingerprint(
-    message: bytes, r: FieldElement, alphabet_size: int = ASCII_ALPHABET
-) -> FieldElement:
+def fingerprint(message: bytes, r: FieldElement) -> FieldElement:
     """Evaluate the message's coefficient polynomial at ``r``: sum a_i * r^(i-1)."""
     field = r.field
     n = len(message)
-    if field.prime < max(alphabet_size, n * n):
+    if field.prime < max(ASCII_ALPHABET, n * n):
         raise FieldTooSmall(
-            f"prime {field.prime} < max(alphabet {alphabet_size}, n^2 = {n * n})"
+            f"prime {field.prime} < max(alphabet {ASCII_ALPHABET}, n^2 = {n * n})"
         )
-    if any(sym >= alphabet_size for sym in message):
-        raise FieldTooSmall(f"message symbol outside alphabet of size {alphabet_size}")
+    if any(sym >= ASCII_ALPHABET for sym in message):
+        raise FieldTooSmall(f"message symbol outside alphabet of size {ASCII_ALPHABET}")
     acc = field.zero
     power = field.one
     for sym in message:
@@ -129,16 +127,14 @@ def fingerprint(
     return acc
 
 
-def fingerprint_equal_protocol(
-    a: bytes, b: bytes, rng, field: Field, alphabet_size: int = ASCII_ALPHABET
-) -> ProtocolOutcome:
+def fingerprint_equal_protocol(a: bytes, b: bytes, rng, field: Field) -> ProtocolOutcome:
     """One-round equality test exchanging exactly two field elements (r, v)."""
     transcript = Transcript()
     r = field.random(rng)
-    v = fingerprint(a, r, alphabet_size)
+    v = fingerprint(a, r)
     transcript.append("alice", r.value.to_bytes(32, "big"))
     transcript.append("alice", v.value.to_bytes(32, "big"))
-    accepted = fingerprint(b, r, alphabet_size) == v
+    accepted = fingerprint(b, r) == v
     transcript.append("bob", b"EQUAL" if accepted else b"NON-EQUAL")
     return ProtocolOutcome(accepted=accepted, transcript=transcript)
 

@@ -197,6 +197,39 @@ class TestSimulations:
         assert "rollup" in result.output
 
 
+class TestFileInputs:
+    """A config or corpus path that names no file, or a config that is not
+    UTF-8, ends in a one-line error; no exception escapes to print a
+    traceback."""
+
+    @pytest.mark.parametrize(
+        "args, config_env, message",
+        [
+            (["run", "--config", "{dir}"], None, "is a directory"),
+            (["run"], "{dir}/missing.json", "does not exist"),
+            (["run"], "{dir}", "is a directory"),
+            (["cost-report", "--corpus", "{dir}"], None, "is a directory"),
+        ],
+        ids=["config-dir", "env-missing", "env-dir", "corpus-dir"],
+    )
+    def test_path_that_is_no_file_is_a_usage_error(self, runner, tmp_path, args, config_env,
+                                                     message):
+        args = [arg.format(dir=tmp_path) for arg in args]
+        env = {"ROLLSIM_CONFIG": config_env and config_env.format(dir=tmp_path)}
+        result = runner.invoke(main, args, env=env)
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.exit_code == 2
+        assert message in result.output
+
+    def test_config_not_utf8_is_a_config_error(self, runner, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(b'{"rollup": "\xff"}')
+        result = runner.invoke(main, ["run", "--config", str(path)])
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: config: not UTF-8")
+
+
 class TestRunProfile:
     @pytest.mark.parametrize(
         "rollup, phases",

@@ -136,7 +136,7 @@ class TestAddressCache:
         assert cache.lookup(42) == 1
 
     def test_savings_are_80_percent(self):
-        assert cache_calldata_savings(20, 4) == pytest.approx(0.8)
+        assert cache_calldata_savings() == pytest.approx(0.8)
 
 
 class TestAmortization:

@@ -243,6 +243,18 @@ class TestVerification:
         for index in (5 + 8, 5 + 64, -3):
             assert not verify_inclusion(tree.root, leaves[5], MerkleProof(index, siblings))
 
+    @pytest.mark.parametrize(
+        "siblings",
+        [None, (7,), ("00" * 32,), (b"\x00" * 32, 7), "list"],
+        ids=["none", "int", "str", "int-after-bytes", "list"],
+    )
+    def test_siblings_not_a_tuple_of_bytes_rejected(self, siblings):
+        leaves = [bytes([i]) * 8 for i in range(4)]
+        tree = MerkleTree(leaves)
+        if siblings == "list":  # the right hashes, but not as a tuple
+            siblings = list(tree.prove(0).siblings)
+        assert not verify_inclusion(tree.root, leaves[0], MerkleProof(0, siblings))
+
     def test_memo_gives_the_verdicts_of_a_fresh_hash(self):
         def flip(blob, pos):
             return blob[:pos] + bytes([blob[pos] ^ 1]) + blob[pos + 1:]

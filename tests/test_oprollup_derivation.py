@@ -252,15 +252,15 @@ class TestExecution:
 
         state = OpL2State()
         state.credit(0xA, 100)
-        h1 = initiate_withdrawal(state, 0xA, 0xB, 21_000, 10, b"")
-        h2 = initiate_withdrawal(state, 0xA, 0xB, 21_000, 10, b"")
+        h1 = initiate_withdrawal(state, 0xA, 0xB, 21_000, 10, b"").hash
+        h2 = initiate_withdrawal(state, 0xA, 0xB, 21_000, 10, b"").hash
         assert h1 != h2  # nonce differs
 
     def test_zero_value_withdrawal_valid(self):
         from rollsim.oprollup.l2 import OpL2State, initiate_withdrawal
 
         state = OpL2State()
-        assert initiate_withdrawal(state, 0xA, 0xB, 21_000, 0, b"")
+        assert initiate_withdrawal(state, 0xA, 0xB, 21_000, 0, b"").hash
 
     def test_insufficient_funds(self):
         import pytest

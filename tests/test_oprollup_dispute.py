@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -75,7 +76,7 @@ class TestVmStep:
     def test_add(self):
         runner = make_runner([Instruction(OP_ADD, 1, 2, 3)])
         pre = runner.state
-        post = vm_step(pre, Instruction(OP_ADD, 1, 2, 3), {}, memory_size=64)
+        post = vm_step(StepProof(pre, None, None), Instruction(OP_ADD, 1, 2, 3), memory_size=64)
         assert post.registers[3] == pre.registers[1] + pre.registers[2]
         assert post.pc == pre.pc + 1
         assert post.memory_root == pre.memory_root
@@ -83,8 +84,8 @@ class TestVmStep:
     def test_store_updates_root(self):
         runner = make_runner([Instruction(OP_STORE, 0, 3)],
                              initial_registers=(5, 0, 0, 42, 0, 0, 0, 0))
-        witness = runner.trace.step_proof(runner.trace.length).memory_witness
-        post = vm_step(runner.state, Instruction(OP_STORE, 0, 3), witness, memory_size=64)
+        step = runner.trace.step_proof(runner.trace.length)
+        post = vm_step(step, Instruction(OP_STORE, 0, 3), memory_size=64)
         # oracle: rebuild the tree with the new word
         words = [0] * 64
         words[5] = 42
@@ -93,18 +94,19 @@ class TestVmStep:
     def test_load_requires_witness(self):
         runner = make_runner([Instruction(OP_LOAD, 0, 1)])
         with pytest.raises(BadStepProof):
-            vm_step(runner.state, Instruction(OP_LOAD, 0, 1), {}, memory_size=64)
+            vm_step(StepProof(runner.state, None, None), Instruction(OP_LOAD, 0, 1),
+                    memory_size=64)
 
     def test_wrong_witness_rejected(self):
         runner = make_runner([Instruction(OP_LOAD, 0, 1)])
-        witness = runner.trace.step_proof(runner.trace.length).memory_witness
-        addr = next(iter(witness))
-        leaf, proof = witness[addr]
+        step = runner.trace.step_proof(runner.trace.length)
+        addr = runner.state.registers[0]
         slot = 8 * (addr % 4)
-        word = int.from_bytes(leaf[slot:slot + 8], "big")
-        witness[addr] = (leaf[:slot] + (word + 1).to_bytes(8, "big") + leaf[slot + 8:], proof)
+        word = int.from_bytes(step.leaf[slot:slot + 8], "big")
+        step = replace(step, leaf=step.leaf[:slot] + (word + 1).to_bytes(8, "big")
+                       + step.leaf[slot + 8:])
         with pytest.raises(BadStepProof):
-            vm_step(runner.state, Instruction(OP_LOAD, 0, 1), witness, memory_size=64)
+            vm_step(step, Instruction(OP_LOAD, 0, 1), memory_size=64)
 
     def test_relabelled_witness_rejected(self):
         # leaf 1 (words 4..7) passed off as leaf 0 would make the LOAD of
@@ -117,32 +119,30 @@ class TestVmStep:
         relabelled = MerkleProof(leaf_index=0, siblings=tree.prove(1).siblings)
         for proof in (relabelled, tree.prove(1)):
             with pytest.raises(BadStepProof):
-                vm_step(runner.state, load, {0: (tree.leaf(1), proof)}, memory_size=64)
-        witness = runner.trace.step_proof(runner.trace.length).memory_witness
-        post = vm_step(runner.state, load, witness, memory_size=64)
+                vm_step(StepProof(runner.state, tree.leaf(1), proof), load, memory_size=64)
+        post = vm_step(runner.trace.step_proof(runner.trace.length), load, memory_size=64)
         assert post.registers[1] == 10
 
     @pytest.mark.parametrize("length", [31, 33])
     def test_leaf_of_wrong_length_rejected(self, length):
         load = Instruction(OP_LOAD, a=0, c=1)
         runner = make_runner([load], initial_registers=(5, 0, 0, 0, 0, 0, 0, 0))
-        witness = runner.trace.step_proof(runner.trace.length).memory_witness
-        leaf, proof = witness[5]
-        witness[5] = (leaf[:length].ljust(length, b"\x00"), proof)
+        step = runner.trace.step_proof(runner.trace.length)
+        step = replace(step, leaf=step.leaf[:length].ljust(length, b"\x00"))
         with pytest.raises(BadStepProof, match="32-byte leaf"):
-            vm_step(runner.state, load, witness, memory_size=64)
+            vm_step(step, load, memory_size=64)
 
     def test_wrong_neighbouring_word_rejected(self):
         # the loaded word is right, but a word beside it in the leaf is not
         words = list(range(100, 164))
         load = Instruction(OP_LOAD, a=0, c=1)
         runner = make_runner([load], initial_registers=(5,) + (0,) * 7, initial_memory=words)
-        witness = runner.trace.step_proof(runner.trace.length).memory_witness
-        leaf, proof = witness[5]
+        step = runner.trace.step_proof(runner.trace.length)
+        leaf = step.leaf
         assert leaf[8:16] == (105).to_bytes(8, "big")  # cell 5 is slot 1 of leaf 1
-        witness[5] = (leaf[:16] + (999).to_bytes(8, "big") + leaf[24:], proof)
+        step = replace(step, leaf=leaf[:16] + (999).to_bytes(8, "big") + leaf[24:])
         with pytest.raises(BadStepProof):
-            vm_step(runner.state, load, witness, memory_size=64)
+            vm_step(step, load, memory_size=64)
 
     def test_store_keeps_its_neighbours(self):
         words = list(range(100, 164))
@@ -151,8 +151,7 @@ class TestVmStep:
             runner = make_runner(
                 [store], initial_registers=(addr, 0, 0, 42, 0, 0, 0, 0), initial_memory=words
             )
-            witness = runner.trace.step_proof(runner.trace.length).memory_witness
-            post = vm_step(runner.state, store, witness, memory_size=64)
+            post = vm_step(runner.trace.step_proof(runner.trace.length), store, memory_size=64)
             updated = list(words)
             updated[addr] = 42
             assert post.memory_root == MemoryTree(updated).root, addr
@@ -176,7 +175,7 @@ class TestVmStep:
     def test_illegal_instruction(self):
         runner = make_runner()
         with pytest.raises(IllegalInstruction):
-            vm_step(runner.state, Instruction("NOPE"), {}, memory_size=64)
+            vm_step(StepProof(runner.state, None, None), Instruction("NOPE"), memory_size=64)
 
     @pytest.mark.parametrize(
         "instr",
@@ -192,7 +191,7 @@ class TestVmStep:
     def test_register_operand_out_of_range(self, instr):
         runner = make_runner([instr])
         with pytest.raises(IllegalInstruction, match="register operand"):
-            vm_step(runner.state, instr, {}, memory_size=64)
+            vm_step(StepProof(runner.state, None, None), instr, memory_size=64)
         with pytest.raises(IllegalInstruction, match="register operand"):
             runner.step()
         assert runner.trace.length == 0 and runner.trace.stores == []
@@ -235,6 +234,57 @@ class TestVmStep:
             make_runner(**kwargs)
 
 
+def _one_step_game(instr):
+    """A one-instruction trace of ``instr`` over 64 distinct words, the game
+    over it (already at its step, the defender claiming the honest result)
+    and the memory's tree."""
+    words = list(range(100, 164))
+    trace = make_runner([instr], initial_registers=(0,) * 8, initial_memory=words).run_trace(1)
+    game = dispute_open(GameParams(program=[instr]), challenger=0xC, defender=0xD,
+                        claimed_final_state=trace.hashes[1], trace_length=1,
+                        agreed_start_hash=trace.hashes[0])
+    return trace, game, MemoryTree(words)
+
+
+# each turns the honest step proof for cell 0 into one of the wrong shape
+_MALFORMED = {
+    "no-proof": lambda step, tree: replace(step, proof=None),
+    "not-a-merkle-proof": lambda step, tree: replace(step, proof=(0, step.proof.siblings)),
+    "int-sibling": lambda step, tree: replace(
+        step, proof=MerkleProof(0, (7,) + step.proof.siblings[1:])),
+    "siblings-none": lambda step, tree: replace(step, proof=MerkleProof(0, None)),
+    "31-byte-leaf": lambda step, tree: replace(step, leaf=step.leaf[:31]),
+    "33-byte-leaf": lambda step, tree: replace(step, leaf=step.leaf + b"\x00"),
+    "another-leafs-proof": lambda step, tree: replace(
+        step, leaf=tree.leaf(1), proof=tree.prove(1)),
+}
+
+_MEMORY_OPS = [Instruction(OP_LOAD, a=0, c=1), Instruction(OP_STORE, a=0, b=1)]
+
+
+class TestMalformedStepProof:
+    """A step proof of the wrong shape is refused with ``BadStepProof`` by
+    the step and by the game, never with another error."""
+
+    @pytest.mark.parametrize("instr", _MEMORY_OPS, ids=lambda instr: instr.op)
+    def test_honest_step_proof_settles(self, instr):
+        trace, game, _ = _one_step_game(instr)
+        step = trace.step_proof(0)
+        assert vm_step(step, instr).hash() == trace.hashes[1]
+        assert dispute_step(game, step) == DEFENDER
+
+    @pytest.mark.parametrize("instr", _MEMORY_OPS, ids=lambda instr: instr.op)
+    @pytest.mark.parametrize("mutation", list(_MALFORMED))
+    def test_refused(self, instr, mutation):
+        trace, game, tree = _one_step_game(instr)
+        bad = _MALFORMED[mutation](trace.step_proof(0), tree)
+        with pytest.raises(BadStepProof):
+            vm_step(bad, instr)
+        with pytest.raises(BadStepProof):
+            dispute_step(game, bad)
+        assert game.winner is None
+
+
 class TestMemoryRoot:
     """Known answers for the memory root, written without ``MemoryTree``."""
 
@@ -275,12 +325,7 @@ class TestTraceReplay:
         for index in range(64):
             proof = trace.step_proof(index)
             assert proof.pre_state.hash() == trace.hashes[index]
-            post = vm_step(
-                proof.pre_state,
-                trace.program[proof.pre_state.pc],
-                proof.memory_witness,
-                memory_size=64,
-            )
+            post = vm_step(proof, trace.program[proof.pre_state.pc], memory_size=64)
             runner.step()
             assert runner.state.hash() == post.hash() == trace.hashes[index + 1], index
 
@@ -324,12 +369,7 @@ class TestLazyTrace:
             if index < 256:
                 proof = trace.step_proof(index)
                 assert proof == proofs[index], index
-                post = vm_step(
-                    proof.pre_state,
-                    trace.program[proof.pre_state.pc],
-                    proof.memory_witness,
-                    memory_size=8,
-                )
+                post = vm_step(proof, trace.program[proof.pre_state.pc], memory_size=8)
                 assert post.hash() == hashes[index + 1], index
 
     def test_runner_state_follows_the_trace(self):

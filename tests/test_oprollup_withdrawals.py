@@ -4,6 +4,7 @@ import pytest
 
 from rollsim.hashing import keccak256
 from rollsim.l1sim import Chain
+from rollsim.merkle import MerkleProof
 from rollsim.oprollup.l2 import OpL2State, OutputRootProof, initiate_withdrawal, output_root_proof
 from rollsim.oprollup.withdrawals import (
     LENDER_POOL_ADDRESS,
@@ -34,7 +35,7 @@ def setup_rollup(n_withdrawals=1):
     state = OpL2State()
     state.credit(0xFA, 10_000)
     hashes = [
-        initiate_withdrawal(state, 0xFA, 0xD0, 21_000, 100 + i, b"")
+        initiate_withdrawal(state, 0xFA, 0xD0, 21_000, 100 + i, b"").hash
         for i in range(n_withdrawals)
     ]
     proof = output_root_proof(state, l2_block_hash=b"\x22" * 32)
@@ -163,6 +164,14 @@ class TestFinalization:
         wrong = state.withdrawal_proof(state.sent_withdrawals[1].hash)
         with pytest.raises(WithdrawalError, match="invalid withdrawal inclusion proof"):
             portal.finalize_withdrawal(wtx, 5, proof, wrong, now=proposal.timestamp + PERIOD)
+
+    @pytest.mark.parametrize("siblings", [None, (7,), ("00" * 32,)], ids=["none", "int", "str"])
+    def test_malformed_inclusion_proof(self, siblings):
+        chain, oracle, portal, state, hashes, proof, proposal = setup_rollup()
+        wtx = state.sent_withdrawals[0]
+        malformed = MerkleProof(0, siblings)
+        with pytest.raises(WithdrawalError, match="invalid withdrawal inclusion proof"):
+            portal.finalize_withdrawal(wtx, 5, proof, malformed, now=proposal.timestamp + PERIOD)
 
     def test_double_finalize_rejected(self):
         chain, oracle, portal, state, hashes, proof, proposal = setup_rollup()
