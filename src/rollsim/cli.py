@@ -11,6 +11,7 @@ import sys
 from typing import TYPE_CHECKING
 
 import click
+from click.core import ParameterSource
 
 from . import __version__
 
@@ -77,17 +78,24 @@ def _emit_report(report, as_json: bool) -> None:
 
 
 @main.command(name="run")
-@click.option("--config", "config_path", envvar=CONFIG_ENV_VAR,
-              type=click.Path(exists=True, dir_okay=False), default=None,
-              help=f"Scenario config JSON (default: ${CONFIG_ENV_VAR}).")
+@click.option("--config", "config_path", envvar=CONFIG_ENV_VAR, type=click.Path(),
+              default=None, help=f"Scenario config JSON (default: ${CONFIG_ENV_VAR}).")
 @click.option("--json", "as_json", is_flag=True, help="Emit the full report as JSON.")
 @click.option("--profile", is_flag=True,
               help="Print Keccak-f permutations, those run packed, and wall time per "
                    "phase on stderr.")
-def run_cmd(config_path, as_json, profile):
+@click.pass_context
+def run_cmd(ctx, config_path, as_json, profile):
     """Run a scenario from a config file."""
     from .scenarios import ConfigError, PhaseCost, run as run_scenario
 
+    if config_path is not None:  # checked here, where click can say where the path came from
+        try:
+            click.Path(exists=True, dir_okay=False).convert(config_path, None, ctx)
+        except click.BadParameter as exc:
+            from_env = ctx.get_parameter_source("config_path") is ParameterSource.ENVIRONMENT
+            exc.param_hint = f"'--config' (from ${CONFIG_ENV_VAR})" if from_env else "'--config'"
+            raise
     try:
         config = _load_config(config_path)
     except ConfigError as exc:

@@ -294,8 +294,11 @@ class Chain:
         """Execute a transaction in the forming block and return its receipt.
 
         A handler exception reverts the transaction: balances, storage and
-        events roll back; calldata gas is still charged.
+        events roll back; calldata gas is still charged. A ``value`` outside
+        [0, 2^256) or an address outside [0, 2^160) raises ``ValueError``.
         """
+        if not (0 <= value < 1 << 256 and 0 <= sender < 1 << 160 and 0 <= to < 1 << 160):
+            raise ValueError(f"no block can encode a tx of value {value} from {sender} to {to}")
         tx = Tx(sender=sender, to=to, calldata=bytes(calldata), value=value, call=call)
         gas = TX_BASE_GAS + calldata_gas(tx.calldata)
         snapshot = (

@@ -2,7 +2,8 @@
 
 A channel is the ZLIB compression of an RLP-encoded batch sequence; frames
 chunk a channel so it fits into L1 transactions and may land in any order.
-Decompression starts only once every frame of a channel is present.
+``read_channels``, which derivation runs on the batch inbox, is where frames
+become batches again, each channel once every one of its frames is present.
 """
 
 from __future__ import annotations
@@ -213,12 +214,25 @@ def decode_channel_payload(payload: bytes) -> list[Batch]:
     return batches
 
 
-def reassemble(frames: Iterable[Frame]) -> list[Batch]:
-    """Group frames by channel and decode every complete channel's batches."""
-    channels: dict[bytes, list[Frame]] = {}  # in first-seen order
-    for frame in frames:
-        channels.setdefault(frame.channel_id, []).append(frame)
-    batches: list[Batch] = []
-    for channel_frames in channels.values():
-        batches.extend(decode_channel_payload(assemble_channel_payload(channel_frames)))
-    return batches
+def read_channels(calldata: Iterable[tuple[bytes, int]]) -> list[tuple[list[Batch], int, int]]:
+    """Read batches out of ``(calldata, L1 block number)`` pairs in landing order.
+
+    Calldata that is not frames is skipped; frames group by channel id in
+    first-seen order. A complete channel gives (its batches, the first and
+    last block its frames landed in); an incomplete channel gives nothing."""
+    channels: dict[bytes, list[tuple[Frame, int]]] = {}  # frames with their blocks
+    for blob, block_number in calldata:
+        try:
+            frames = parse_frames(blob)
+        except ValueError:
+            continue
+        for frame in frames:
+            channels.setdefault(frame.channel_id, []).append((frame, block_number))
+    read = []
+    for landed in channels.values():
+        try:
+            payload = assemble_channel_payload(frame for frame, _ in landed)
+        except ChannelIncomplete:
+            continue
+        read.append((decode_channel_payload(payload), landed[0][1], landed[-1][1]))
+    return read

@@ -94,11 +94,11 @@ class DepositedTx:
 class OptimismPortal:
     """L1 entry point for deposits; tracks per-block guaranteed gas."""
 
-    def __init__(self, chain: Chain, address: int = PORTAL_ADDRESS):
+    def __init__(self, chain: Chain):
         self.chain = chain
-        self.address = address
+        self.address = PORTAL_ADDRESS  # derivation reads deposits from this address only
         self._guaranteed_by_block: dict[int, int] = {}
-        chain.register_contract(address, self)
+        chain.register_contract(self.address, self)
 
     def guaranteed_gas_in_block(self, block_number: int) -> int:
         return self._guaranteed_by_block.get(block_number, 0)

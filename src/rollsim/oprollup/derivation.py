@@ -3,8 +3,9 @@
 Each L1 block number n is an epoch. An epoch's first L2 block carries the
 L1-attributes transaction and every portal deposit from block n; further L2
 blocks come from sequencer batches whose channel frames all landed inside the
-sequencing window [n, n+w). Epochs are only derived once their window has
-fully arrived, so transaction ordering inside a window is never revised.
+sequencing window [n, n+w), as ``batching.read_channels`` reads them off the
+batch inbox. Epochs are only derived once their window has fully arrived, so
+transaction ordering inside a window is never revised.
 """
 
 from __future__ import annotations
@@ -14,14 +15,7 @@ from dataclasses import dataclass
 
 from ..hashing import keccak256, memoized_digest
 from ..l1sim import Chain, l1_attributes
-from .batching import (
-    Batch,
-    ChannelIncomplete,
-    Frame,
-    assemble_channel_payload,
-    decode_channel_payload,
-    parse_frames,
-)
+from .batching import read_channels
 from .deposits import (
     DEPOSIT_TX_PREFIX,
     DepositedTx,
@@ -81,33 +75,12 @@ def derive(l1_chain: Chain, window_w: int) -> list[L2Block]:
     if n_epochs <= 0:
         return []
 
-    # channel id -> (frames, the block each landed in), in first-seen order;
-    # blocks are walked in order, so the first and last landing blocks bound
-    # the channel's span
-    channels: dict[bytes, tuple[list[Frame], list[int]]] = {}
-    for block in blocks:
-        for tx in block.txs:
-            if tx.to != BATCH_INBOX_ADDRESS:
-                continue
-            try:
-                frames = parse_frames(tx.calldata)
-            except ValueError:
-                continue  # garbage in the inbox is ignored
-            for frame in frames:
-                channel_frames, landed = channels.setdefault(frame.channel_id, ([], []))
-                channel_frames.append(frame)
-                landed.append(block.number)
-
-    # decode complete channels into candidate batches; a channel's position
-    # ranks it by its first frame's arrival
-    candidates: list[tuple[Batch, int, int, int]] = []  # (batch, lo, hi, arrival)
-    for arrival, (channel_frames, landed) in enumerate(channels.values()):
-        try:
-            payload = assemble_channel_payload(channel_frames)
-        except ChannelIncomplete:
-            continue
-        for batch in decode_channel_payload(payload):
-            candidates.append((batch, landed[0], landed[-1], arrival))
+    # a channel's place in the reader's output ranks it by its first frame's arrival
+    inbox = [(tx.calldata, block.number) for block in blocks for tx in block.txs
+             if tx.to == BATCH_INBOX_ADDRESS]
+    candidates = [(batch, lo, hi, arrival)
+                  for arrival, (batches, lo, hi) in enumerate(read_channels(inbox))
+                  for batch in batches]
 
     l2_blocks: list[L2Block] = []
     for epoch in range(n_epochs):

@@ -211,6 +211,17 @@ _REGISTER_OPERANDS = {
 }
 
 
+def _check_operands(instr: Instruction) -> None:
+    """Refuse an unknown opcode or a register operand outside [0, NUM_REGISTERS)."""
+    fields = _REGISTER_OPERANDS.get(instr.op)
+    if fields is None:
+        raise IllegalInstruction(instr.op)
+    for field in fields:
+        register = getattr(instr, field)
+        if not (isinstance(register, int) and 0 <= register < NUM_REGISTERS):
+            raise IllegalInstruction(f"{instr.op} register operand {field}={register!r}")
+
+
 def fetch(program: list[Instruction], pc: int) -> Instruction:
     """The instruction at ``pc``; an off-program pc is HALT."""
     if 0 <= pc < len(program):
@@ -232,14 +243,8 @@ def execute(
     An unknown opcode or a register operand outside [0, NUM_REGISTERS)
     raises ``IllegalInstruction`` before anything is changed.
     """
+    _check_operands(instr)
     op = instr.op
-    fields = _REGISTER_OPERANDS.get(op)
-    if fields is None:
-        raise IllegalInstruction(op)
-    for field in fields:
-        register = getattr(instr, field)
-        if not (isinstance(register, int) and 0 <= register < NUM_REGISTERS):
-            raise IllegalInstruction(f"{op} register operand {field}={register!r}")
     if op == OP_ADD:
         regs[instr.c] = (regs[instr.a] + regs[instr.b]) & WORD_MASK
     elif op == OP_MUL:
@@ -418,11 +423,12 @@ class VmTrace:
 
     def step_proof(self, index: int) -> StepProof:
         """Pre-state for instruction ``index``, with the leaf and proof of
-        the cell it touches if it is a LOAD or STORE."""
+        the cell it touches if it is a LOAD or STORE; refuses what ``execute`` does."""
         if not 0 <= index <= self.length:
             raise IndexError(f"trace index {index} out of range")
         pre = self._state(index)
         instr = fetch(self.program, pre.pc)
+        _check_operands(instr)
         if instr.op not in (OP_LOAD, OP_STORE):
             return StepProof(pre, None, None)
         leaf = pre.registers[instr.a] % self.memory_size // WORDS_PER_LEAF

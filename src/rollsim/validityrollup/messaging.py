@@ -124,22 +124,17 @@ class L2ToL1Message:
 class StarkNetCore:
     """The L1 core contract: message counters, fee escrow, root history."""
 
-    def __init__(
-        self,
-        chain: Chain,
-        address: int = CORE_ADDRESS,
-        sequencer: int = SEQUENCER_ADDRESS,
-    ):
+    def __init__(self, chain: Chain):
         self.chain = chain
-        self.address = address
-        self.sequencer = sequencer
+        self.address = CORE_ADDRESS
+        self.sequencer = SEQUENCER_ADDRESS
         self.l1_to_l2_counters: dict[bytes, int] = {}
         self.l2_to_l1_counters: dict[bytes, int] = {}
         self.fee_escrow: dict[bytes, int] = {}
         self.message_nonce = 0
         self.root_history: list[bytes] = [ZERO_HASH]  # the genesis root
         self.settled_at_block: list[int] = [chain.pending_block_number]
-        chain.register_contract(address, self)
+        chain.register_contract(self.address, self)
 
     @property
     def state_root(self) -> bytes:

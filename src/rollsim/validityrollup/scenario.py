@@ -56,11 +56,11 @@ L2_BRIDGE_ADDRESS = 0x2222
 class _StarkGateL1:
     """L1 side of the token bridge; anyone can finalize any withdrawal."""
 
-    def __init__(self, chain: Chain, core: StarkNetCore, address: int = L1_BRIDGE_ADDRESS):
+    def __init__(self, chain: Chain, core: StarkNetCore):
         self.chain = chain
         self.core = core
-        self.address = address
-        chain.register_contract(address, self)
+        self.address = L1_BRIDGE_ADDRESS  # the L2 bridge's handler accepts no other sender
+        chain.register_contract(self.address, self)
 
     def withdraw(self, amount: int, recipient: int) -> bytes:
         payload = tuple(starkgate_withdraw_payload(recipient, amount))

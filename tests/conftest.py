@@ -1,4 +1,7 @@
 import hashlib
+import importlib.util
+import pathlib
+import sys
 
 import pytest
 
@@ -29,3 +32,13 @@ def sha3_perms(monkeypatch):
     )
     with hashing.counting() as count:
         yield count
+
+
+@pytest.fixture(scope="session")
+def bench_workloads():
+    """The benchmark's workload module, ``bench/workloads.py``, loaded by path."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

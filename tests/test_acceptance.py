@@ -34,7 +34,7 @@ from rollsim.l1sim import (
     sstore_gas,
 )
 from rollsim.oprollup import dispute as dispute_mod
-from rollsim.oprollup.batching import Batch, build_channel, reassemble, split_frames
+from rollsim.oprollup.batching import Batch, build_channel, read_channels, split_frames
 from rollsim.proofs import (
     SMALL_SCHNORR_GROUP,
     SchnorrKeyPair,
@@ -329,7 +329,8 @@ def test_criterion_08_data_availability_round_trips():
             )
             frames = split_frames(channel, rng.randrange(1, 80))
             rng.shuffle(frames)
-            assert reassemble(frames) == batches
+            landing = [(frame.encode(), block) for block, frame in enumerate(frames)]
+            assert read_channels(landing) == [(batches, 0, len(frames) - 1)]
         for _ in range(100):
             diff = random_diff(rng)
             assert decode_state_diff(encode_state_diff(diff)) == diff

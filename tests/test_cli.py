@@ -220,6 +220,8 @@ class TestFileInputs:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert result.exit_code == 2
         assert message in result.output
+        # a path read from the environment names the variable it came from
+        assert ("$ROLLSIM_CONFIG" in result.output) == (config_env is not None)
 
     def test_config_not_utf8_is_a_config_error(self, runner, tmp_path):
         path = tmp_path / "scenario.json"

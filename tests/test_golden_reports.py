@@ -2,7 +2,9 @@
 
 Each CLI scenario runs at its defaults in a fresh interpreter under two
 ``PYTHONHASHSEED`` values, and once more under ``python -O``, which strips
-``assert`` statements; the printed report hash must equal the pin. A
+``assert`` statements; the printed report hash must equal the pin. The
+benchmark's workloads are pinned at seed 1 in this process: their runs post
+many frames, shuffled, and ``op-fraud-trace`` plays the dispute game. A
 change that alters report bytes on purpose regenerates these pins and says
 why.
 """
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import rollsim
+from rollsim.scenarios import run
 
 SRC = Path(rollsim.__file__).resolve().parent.parent
 
@@ -22,6 +25,12 @@ GOLDEN = {
     ("simulate-op",): "40ecdf187ae31251f18d185deedecb07ad36d274696bc7bd2f4a27b24027126c",
     ("simulate-op", "--fraud"): "2009e79cf08040e854fb90c5898a75e467ecb78f0d80ea568dd264f3bb19ad10",
     ("simulate-validity",): "dc6de18ebb4829b92142bcc29f8ee0092fd90d3ac3ab93349984e9b176c066dc",
+}
+
+WORKLOAD_GOLDEN = {
+    "op-withdrawals": "a6863fc838d536eb1ee044195a04670d01aec0ab5efb1525eecfdce1f74f8957",
+    "op-fraud-trace": "a23d2426b9d064f183749d0ff494ee1cb5c5dc53e7b9fdacbe54ed12a946af32",
+    "validity-messages": "bc94efb4b515da394c2eb516b0bae1e00f5a7bd8d3ecf939396723b17521f83d",
 }
 
 
@@ -45,3 +54,9 @@ def test_report_hash_pinned_across_processes(args):
 @pytest.mark.parametrize("args", sorted(GOLDEN), ids=" ".join)
 def test_report_hash_pinned_without_asserts(args):
     assert _report_hash(args, "1", "-O") == GOLDEN[args]
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_GOLDEN))
+def test_benchmark_workload_report_hash_pinned(bench_workloads, workload):
+    config = bench_workloads.WORKLOADS[workload].config(1)
+    assert run(config).report_hash() == WORKLOAD_GOLDEN[workload]

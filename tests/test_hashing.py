@@ -1,8 +1,6 @@
 import contextlib
 import dataclasses
 import hashlib
-import importlib.util
-import pathlib
 import random
 import sys
 import types
@@ -245,15 +243,6 @@ def _permuted_slots():
         sys.setprofile(previous)
 
 
-def _bench_workloads() -> types.ModuleType:
-    """The benchmark's workload module, ``bench/workloads.py``, loaded by path."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _validity_users(n: int) -> ScenarioConfig:
     """n users each deposit and withdraw on the validity rollup."""
     users = [0x1000 + i for i in range(n)]
@@ -316,8 +305,8 @@ class TestCounting:
             assert outer.perms == 4
 
     @pytest.mark.parametrize("workload", ["op-withdrawals", "op-fraud-trace", "validity-messages"])
-    def test_profiled_run_adds_into_enclosing_block(self, workload):
-        config = _bench_workloads().WORKLOADS[workload].config(1)
+    def test_profiled_run_adds_into_enclosing_block(self, bench_workloads, workload):
+        config = bench_workloads.WORKLOADS[workload].config(1)
         rows = []
         with hashing.counting() as profiled:
             assert run(config, profile=rows).ok

@@ -8,6 +8,7 @@ from rollsim.l1sim import (
     NONZERO_TO_NONZERO,
     REWRITE_SAME,
     TO_ZERO,
+    TX_BASE_GAS,
     UnknownAddress,
     ZERO_TO_NONZERO,
     calldata_gas,
@@ -180,6 +181,54 @@ class TestChain:
         chain.mine_block()
         state = json.loads(chain.dump_state())
         assert state["balances"] == {str(0xAA): 5}
+
+
+class TestValue:
+    """Value moves from sender to recipient with the transaction. The transfer,
+    the insufficient-balance revert and the revert after a transfer are
+    controls that held before encodable ranges were checked."""
+
+    @pytest.mark.parametrize(
+        "sender, to, value",
+        [(1, 2, -5), (1, 2, 2**256), (-1, 2, 0), (2**160, 2, 0), (1, 2**160, 0), (1, -2, 1)],
+        ids=["value-negative", "value-2^256", "sender-negative", "sender-2^160", "to-2^160",
+             "to-negative"],
+    )
+    def test_tx_no_block_can_encode_is_refused(self, sender, to, value):
+        chain = Chain()
+        chain.fund(1, 2**257)
+        before = chain.dump_state()
+        with pytest.raises(ValueError, match="no block can encode"):
+            chain.submit_tx(sender, to, value=value)
+        assert chain.dump_state() == before
+        assert chain.mine_block().txs == ()
+
+    def test_value_transfer(self):
+        chain = Chain()
+        chain.fund(0x1, 10)
+        receipt = chain.submit_tx(0x1, 0x2, value=4)
+        assert receipt.status and receipt.gas_used == TX_BASE_GAS
+        assert (chain.balance(0x1), chain.balance(0x2)) == (6, 4)
+        assert chain.mine_block().txs[0].value == 4
+
+    def test_insufficient_balance_reverts_and_charges_calldata(self):
+        chain = Chain()
+        chain.fund(0x1, 3)
+        receipt = chain.submit_tx(0x1, 0x2, calldata=b"\x01\x00", value=4)
+        assert not receipt.status
+        assert receipt.error == "insufficient sender balance"
+        assert receipt.gas_used == TX_BASE_GAS + calldata_gas(b"\x01\x00")
+        assert (chain.balance(0x1), chain.balance(0x2)) == (3, 0)
+
+    def test_handler_raising_after_a_transfer_restores_both_balances(self):
+        chain = Chain()
+        chain.register_contract(0xC0, Reverter())
+        chain.fund(0x1, 10)
+        before = chain.dump_state()
+        receipt = chain.submit_tx(0x1, 0xC0, value=7, call=("boom", {"slot": 3}))
+        assert not receipt.status and receipt.error == "handler failure"
+        assert (chain.balance(0x1), chain.balance(0xC0)) == (10, 0)
+        assert chain.dump_state() == before
 
 
 class TestAttributes:

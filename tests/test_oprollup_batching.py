@@ -14,7 +14,7 @@ from rollsim.oprollup.batching import (
     build_channel,
     decode_channel_payload,
     parse_frames,
-    reassemble,
+    read_channels,
     split_frames,
 )
 
@@ -27,6 +27,13 @@ def random_batch(rng: random.Random, epoch: int = 0) -> Batch:
         timestamp=rng.randrange(10**9),
         tx_list=tuple(rng.randbytes(rng.randrange(1, 80)) for _ in range(rng.randrange(0, 6))),
     )
+
+
+def read_batches(frames: list[Frame]) -> list[Batch]:
+    """The batches the channel reader finds when each frame is posted as its
+    own calldata, all in one L1 block."""
+    return [batch for batches, _, _ in read_channels((f.encode(), 0) for f in frames)
+            for batch in batches]
 
 
 class TestFrameWire:
@@ -86,7 +93,7 @@ class TestChannelRoundTrip:
         frames = split_frames(channel, 10**6)
         assert len(frames) == 1
         assert frames[0].is_last
-        assert reassemble(frames) == [batch]
+        assert read_channels([(frames[0].encode(), 3)]) == [([batch], 3, 3)]
 
     def test_out_of_order_frames(self):
         rng = random.Random(2)
@@ -95,7 +102,7 @@ class TestChannelRoundTrip:
         frames = split_frames(channel, 17)
         assert len(frames) >= 3
         shuffled = [frames[i] for i in (2, 0, 1)] + frames[3:]
-        assert reassemble(shuffled) == batches
+        assert read_batches(shuffled) == batches
 
     def test_random_permutations_and_chunkings(self):
         rng = random.Random(3)
@@ -106,7 +113,7 @@ class TestChannelRoundTrip:
             )
             frames = split_frames(channel, rng.randrange(1, 60))
             rng.shuffle(frames)
-            assert reassemble(frames) == batches
+            assert read_batches(frames) == batches
 
     def test_missing_frame_is_incomplete(self):
         rng = random.Random(4)
@@ -126,7 +133,7 @@ class TestChannelRoundTrip:
         partial = frames[:-1]
         with pytest.raises(ChannelIncomplete):
             assemble_channel_payload(partial)
-        assert reassemble(partial + [frames[-1]]) == batches
+        assert read_batches(partial + [frames[-1]]) == batches
 
     def test_corrupt_payload_yields_no_batches(self):
         assert decode_channel_payload(b"not zlib at all") == []
@@ -151,4 +158,32 @@ class TestChannelRoundTrip:
         f2 = split_frames(build_channel(b2, timestamp=2, random=2), 15)
         interleaved = [f for pair in zip(f1, f2) for f in pair]
         leftovers = f1[len(f2):] + f2[len(f1):]
-        assert reassemble(interleaved + leftovers) == b1 + b2
+        assert read_batches(interleaved + leftovers) == b1 + b2
+
+
+class TestChannelReader:
+    def test_channel_spans_the_blocks_its_frames_landed_in(self):
+        rng = random.Random(7)
+        batches = [random_batch(rng) for _ in range(3)]
+        frames = split_frames(build_channel(batches, timestamp=1, random=2), 12)
+        assert len(frames) >= 4
+        rng.shuffle(frames)
+        landing = [(frames[0].encode(), 4), (b"".join(f.encode() for f in frames[1:-1]), 5),
+                   (frames[-1].encode(), 7)]
+        assert read_channels(landing) == [(batches, 4, 7)]
+
+    def test_garbage_and_incomplete_channels_yield_nothing(self):
+        rng = random.Random(8)
+        b1, b2, b3 = ([random_batch(rng)] for _ in range(3))
+        f1 = split_frames(build_channel(b1, timestamp=1, random=1), 15)
+        f2 = split_frames(build_channel(b2, timestamp=2, random=2), 15)
+        f3 = split_frames(build_channel(b3, timestamp=3, random=3), 15)
+        landing = [
+            (f1[0].encode(), 0),
+            (b"not a frame", 0),
+            (f2[0].encode()[:-1], 1),  # truncated, so the whole blob is skipped
+            *((f.encode(), 1) for f in f2[:-1]),  # channel 2 never completes
+            *((f.encode(), 2) for f in f3),
+            *((f.encode(), 3) for f in f1[1:]),
+        ]
+        assert read_channels(landing) == [(b1, 0, 3), (b3, 2, 2)]

@@ -196,6 +196,13 @@ class TestVmStep:
             runner.step()
         assert runner.trace.length == 0 and runner.trace.stores == []
 
+    @pytest.mark.parametrize("a", [8, 9, -1])
+    @pytest.mark.parametrize("op", [OP_LOAD, OP_STORE])
+    def test_step_proof_refuses_an_address_register_out_of_range(self, op, a):
+        trace = make_runner([Instruction(op, a, 0, 1)]).trace
+        with pytest.raises(IllegalInstruction, match=f"register operand a={a}"):
+            trace.step_proof(0)
+
     def test_halt_is_fixpoint(self):
         runner = make_runner([Instruction(OP_HALT)])
         pre = runner.state
