@@ -218,21 +218,26 @@ def read_channels(calldata: Iterable[tuple[bytes, int]]) -> list[tuple[list[Batc
     """Read batches out of ``(calldata, L1 block number)`` pairs in landing order.
 
     Calldata that is not frames is skipped; frames group by channel id in
-    first-seen order. A complete channel gives (its batches, the first and
-    last block its frames landed in); an incomplete channel gives nothing."""
-    channels: dict[bytes, list[tuple[Frame, int]]] = {}  # frames with their blocks
+    first-seen order. A channel is read once, at the frame that completes it,
+    and gives (its batches, the block its first frame landed in, the block of
+    the completing frame); later frames with its id are dropped, as the OP
+    Stack's channel bank drops a channel once it has read it. An incomplete
+    channel gives nothing."""
+    landing: dict[bytes, tuple[int, list[Frame]]] = {}  # first block, frames so far
+    read: dict[bytes, tuple[list[Batch], int, int]] = {}
     for blob, block_number in calldata:
         try:
             frames = parse_frames(blob)
         except ValueError:
             continue
         for frame in frames:
-            channels.setdefault(frame.channel_id, []).append((frame, block_number))
-    read = []
-    for landed in channels.values():
-        try:
-            payload = assemble_channel_payload(frame for frame, _ in landed)
-        except ChannelIncomplete:
-            continue
-        read.append((decode_channel_payload(payload), landed[0][1], landed[-1][1]))
-    return read
+            if frame.channel_id in read:
+                continue
+            first_block, landed = landing.setdefault(frame.channel_id, (block_number, []))
+            landed.append(frame)
+            try:
+                payload = assemble_channel_payload(landed)
+            except ChannelIncomplete:
+                continue
+            read[frame.channel_id] = (decode_channel_payload(payload), first_block, block_number)
+    return [read[channel_id] for channel_id in landing if channel_id in read]

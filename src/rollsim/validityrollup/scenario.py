@@ -11,9 +11,10 @@ in its own phase, so the hashes run many to a packed permutation and no side
 reads a digest the other made. The payloads come from the config; the
 deposits' nonces are the core's ``message_nonce`` read once before the sends,
 counting up by one per send, which is how ``send_message_to_l2`` assigns them.
-Settlement lists the prover's and the verifier's sponge of each preimage as
-two slots: first the next root's, then the transition's, which is built from
-the looked-up root digest and added to the open scope.
+Settlement runs in ``settlement.prefetch_transition``, which lists every page
+of the diff and of the message blob twice, once for the prover's sponge and
+once for the verifier's, so all of them run as slots of one wide packed
+sponge, and then adds both sides' next-root and transition preimages.
 """
 
 from __future__ import annotations
@@ -39,10 +40,9 @@ from .messaging import (
 from .settlement import (
     SettlementMessages,
     SharpProver,
-    next_root_preimage,
+    prefetch_transition,
     prove_transition,
     settle,
-    transition_preimage,
 )
 from .statediff import encode_state_diff
 
@@ -169,12 +169,7 @@ def _prove_and_settle(ctx: _Run, core: StarkNetCore, l2: ValidityL2State):
     messages = SettlementMessages(
         consumed_l1_to_l2=tuple(l2.consumed_inbox), sent_l2_to_l1=tuple(l2.outbox)
     )
-    # the prover and the verifier each hash the next root's preimage, then the
-    # transition's, which holds that root: one two-slot sponge per pair
-    root_preimage = next_root_preimage(core.state_root, diff_words)
-    with hashing.prefetch([root_preimage, root_preimage]) as scope:
-        transition = transition_preimage(scope.digest(root_preimage), messages)
-        scope.add([transition, transition])
+    with prefetch_transition(core.state_root, diff_words, messages):
         proof = prove_transition(core.state_root, diff, trace, prover, messages)
         new_root = settle(core, prover, proof, diff_words, messages)
     settle_block = ctx.chain.pending_block_number

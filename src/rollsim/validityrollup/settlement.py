@@ -7,21 +7,27 @@ and rejects on any mismatch. The full machine-level check (the deterministic
 machine accepting the trace) runs in the prover and in test oracles, not
 inside the circuit.
 
-One commitment per transition. ``next_root`` hashes the old root and the
-published diff; the digest hashes that next root and the two message lists,
-each prefixed by its length as a 32-byte word. A diff word moved into a
-message list, or a message hash moved from one list to the other, changes the
-digest. The prover and the verifier each hash the diff once, in
-``next_root``; messages enter as their memoized hashes and are never rehashed
-from their fields.
+One commitment per transition, over two blobs committed in pages. A blob is
+cut into pages of ``PAGE_WORDS`` words (2,304 bytes, which pad into
+exactly 17 Keccak-f blocks), the last one possibly shorter, and a paged
+commitment hashes a head followed by each page's digest, as StarkNet's L1
+registers a state update's output as memory pages of one Keccak each.
+``next_root`` commits the old root and the published diff; the digest
+commits that next root and the message blob, each message list prefixed by
+its length as a 32-byte word. The page count is fixed by the blob's length
+and each page's digest by its bytes, so a diff word moved into a message
+list, a message hash moved from one list to the other, or a word moved across
+a page boundary changes the digest. The prover and the verifier each hash
+every page once; messages enter as their memoized hashes and are never
+rehashed from their fields.
 
-``next_root_preimage`` and ``transition_preimage`` build what the two
-sponges hash, so a caller that knows a transition ahead can prefetch both
-(``hashing.prefetch``). Each side still hashes once: the prover's and the
-verifier's sponge of each preimage are two slots of one packed sponge, and
-each side reads its own slot. A digest is handed out only for a byte-equal
-preimage, once per slot, so a verifier given a tampered diff or a forged
-message list misses the prefetch and hashes what it was given.
+``prefetch_transition`` opens the ``hashing.prefetch`` scope a caller that
+knows a transition ahead settles in: every page and both commitments, hashed
+before the prover and the verifier ask. Each side still hashes once: the
+prover's and the verifier's sponge of each page and commitment are two slots
+of one packed sponge, and each side reads its own slot. A digest is handed out only for a
+byte-equal blob, once per slot, so a verifier given a tampered diff page or a
+forged message list misses the prefetch and hashes what it was given.
 
 Settlement is atomic: the root update and every message-counter change land
 together or not at all.
@@ -29,8 +35,11 @@ together or not at all.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
+from .. import hashing
 from ..algebra import Field, PairingGroup
 from ..hashing import keccak256
 from ..snark import (
@@ -57,6 +66,7 @@ class StateMismatch(ValueError):
 
 
 DIGEST_CIRCUIT = "x*x + x"
+PAGE_WORDS = 72  # words per committed page: 2,304 bytes, 17 Keccak-f blocks
 
 
 @dataclass(frozen=True)
@@ -90,7 +100,7 @@ class SharpProver:
         self.crs = setup(self.qap, group, rng)
 
     def transition_digest(self, new_root: bytes, messages: SettlementMessages) -> int:
-        digest = keccak256(transition_preimage(new_root, messages))
+        digest = _commit(new_root, _message_blob(messages))
         return int.from_bytes(digest, "big") % self.group.order
 
     def prove_digest(self, digest: int) -> tuple[SnarkProof, int]:
@@ -102,23 +112,53 @@ class SharpProver:
         return claimed_output == output and verify(self.crs.vk, proof, self.group)
 
 
-def next_root_preimage(old_root: bytes, diff_words: list[int]) -> bytes:
-    """The old root, then the published diff: what ``next_root`` hashes, so a
-    caller can prefetch it."""
-    return old_root + diff_calldata_bytes(diff_words)
+def _pages(blob: bytes) -> list[bytes]:
+    """``blob`` cut into pages of ``PAGE_WORDS`` words, the last one possibly
+    shorter; an empty blob has no pages."""
+    size = 32 * PAGE_WORDS
+    return [blob[at:at + size] for at in range(0, len(blob), size)]
+
+
+def _paged_preimage(head: bytes, page_digests: Iterable[bytes]) -> bytes:
+    """What a paged commitment hashes: ``head``, then each page's digest."""
+    return head + b"".join(page_digests)
+
+
+def _commit(head: bytes, blob: bytes) -> bytes:
+    return keccak256(_paged_preimage(head, map(keccak256, _pages(blob))))
+
+
+def _message_blob(messages: SettlementMessages) -> bytes:
+    """Each message list prefixed by its length as a word: what the
+    transition digest commits after the next root. Sent messages enter as
+    their memoized hashes."""
+    consumed = messages.consumed_l1_to_l2
+    sent = [message.hash for message in messages.sent_l2_to_l1]
+    return b"".join([_word(len(consumed)), *consumed, _word(len(sent)), *sent])
 
 
 def next_root(old_root: bytes, diff_words: list[int]) -> bytes:
-    return keccak256(next_root_preimage(old_root, diff_words))
+    """The old root, then the published diff's pages, committed."""
+    return _commit(old_root, diff_calldata_bytes(diff_words))
 
 
-def transition_preimage(new_root: bytes, messages: SettlementMessages) -> bytes:
-    """The next root, then each message list prefixed by its length as a
-    word: what ``SharpProver.transition_digest`` hashes, so a caller can
-    prefetch it. Sent messages enter as their memoized hashes."""
-    consumed = messages.consumed_l1_to_l2
-    sent = [message.hash for message in messages.sent_l2_to_l1]
-    return b"".join([new_root, _word(len(consumed)), *consumed, _word(len(sent)), *sent])
+@contextlib.contextmanager
+def prefetch_transition(
+    old_root: bytes, diff_words: list[int], messages: SettlementMessages = SettlementMessages()
+) -> Iterator[hashing.Prefetched]:
+    """A ``hashing.prefetch`` scope holding every sponge that proving and
+    settling this transition runs, each listed twice, once for the prover
+    and once for the verifier: the pages of the diff and of the message
+    blob, then the next root's preimage, then the transition's, which holds
+    that root."""
+    diff_pages = _pages(diff_calldata_bytes(diff_words))
+    message_pages = _pages(_message_blob(messages))
+    with hashing.prefetch(2 * (diff_pages + message_pages)) as scope:
+        root = _paged_preimage(old_root, map(scope.digest, diff_pages))
+        scope.add([root, root])
+        transition = _paged_preimage(scope.digest(root), map(scope.digest, message_pages))
+        scope.add([transition, transition])
+        yield scope
 
 
 def prove_transition(

@@ -268,10 +268,11 @@ class TestRunProfile:
         # the validity bridge hashes its two deposit messages together when L1
         # sends them, and its two withdrawal messages together when the L2
         # sends them and again when L1 consumes them; each is two blocks.
-        # Settlement hashes the prover's and the verifier's next root (three
-        # blocks) as one pair and their transition digest (two blocks) as another
+        # Settlement hashes the prover's and the verifier's diff page and
+        # message page (two blocks each) together, then their next root and
+        # their transition digest (one block each) as a pair each
         packed = {row[0]: int(row[2]) for row in rows if int(row[2])}
-        expected = {"message_and_execute": 8, "prove_and_settle": 10, "consume": 4}
+        expected = {"message_and_execute": 8, "prove_and_settle": 12, "consume": 4}
         assert packed == (expected if rollup == "validity" else {})
         assert sum(packed.values()) == total.packed
 

@@ -24,13 +24,13 @@ SRC = Path(rollsim.__file__).resolve().parent.parent
 GOLDEN = {
     ("simulate-op",): "40ecdf187ae31251f18d185deedecb07ad36d274696bc7bd2f4a27b24027126c",
     ("simulate-op", "--fraud"): "2009e79cf08040e854fb90c5898a75e467ecb78f0d80ea568dd264f3bb19ad10",
-    ("simulate-validity",): "dc6de18ebb4829b92142bcc29f8ee0092fd90d3ac3ab93349984e9b176c066dc",
+    ("simulate-validity",): "d35396dadda4e9dd82a88893e03e7424e5cf8f13e89f1c6f99a8cf26fb36177e",
 }
 
 WORKLOAD_GOLDEN = {
     "op-withdrawals": "a6863fc838d536eb1ee044195a04670d01aec0ab5efb1525eecfdce1f74f8957",
     "op-fraud-trace": "a23d2426b9d064f183749d0ff494ee1cb5c5dc53e7b9fdacbe54ed12a946af32",
-    "validity-messages": "bc94efb4b515da394c2eb516b0bae1e00f5a7bd8d3ecf939396723b17521f83d",
+    "validity-messages": "a153de32327bb96a844e6fa016b233b632a084454336498444a4d4ad4412e5fb",
 }
 
 

@@ -266,14 +266,16 @@ class TestCounting:
     def test_counts_every_permuted_slot_of_a_batched_run(self):
         # 320 deposit messages hashed together when L1 sends them, and 320
         # withdrawal messages hashed together when the L2 sends them and again
-        # when L1 consumes them; every message is two blocks. Settlement runs
-        # its four 152-block sponges as two packed pairs: the prover's and the
-        # verifier's next root, then their transition digest
+        # when L1 consumes them; every message is two blocks. Settlement hashes
+        # the prover's and the verifier's pages together: per side, the diff's
+        # nine 17-block pages, the message blob's eight 17-block pages and a
+        # 16-block one, then a three-block next root and a three-block
+        # transition digest, each as a packed pair
         with _permuted_slots() as slots, hashing.counting() as count:
             report = run(_validity_users(320))
         assert report.ok
         assert count.perms == slots.total > 0
-        assert count.packed == slots.packed == 3 * 320 * 2 + 4 * 152
+        assert count.packed == slots.packed == 3 * 320 * 2 + 2 * (9 * 17 + 8 * 17 + 16 + 3 + 3)
 
     def test_nothing_counted_outside_a_block(self):
         with hashing.counting() as count:
@@ -356,8 +358,9 @@ class TestPrefetch:
         assert report.ok and len(report.withdrawal_latencies) == 2
         assert count.perms == slots.total
         # per side, two two-block message slots; settlement's prover and
-        # verifier each read a two-block next root and a two-block transition
-        assert count.packed == slots.packed == 2 * 2 * 2 + 2 * 2 + 2 * 2
+        # verifier each read a two-block diff page and a two-block message
+        # page, then a one-block next root and a one-block transition
+        assert count.packed == slots.packed == 2 * 2 * 2 + 2 * (2 + 2 + 1 + 1)
 
     def test_tampered_consume_is_hashed_and_refused(self):
         core = StarkNetCore(Chain())
@@ -389,9 +392,10 @@ class TestPrefetch:
 
         monkeypatch.setattr(hashing, "prefetch", watched)
         assert run(_validity_users(320)).ok
-        # deposit sends, withdrawal sends, settlement (two root slots listed at
-        # entry, two transition slots added), consumes
-        assert scopes == [(320, 0), (320, 0), (2, 0), (320, 0)]
+        # deposit sends, withdrawal sends, settlement (two slots of each of the
+        # nine diff pages and nine message pages listed at entry, two root and
+        # two transition slots added), consumes
+        assert scopes == [(320, 0), (320, 0), (2 * (9 + 9), 0), (320, 0)]
 
     @pytest.mark.parametrize("nonce", [0, 2**255])
     def test_l1_to_l2_hash_reads_its_prefetched_preimage(self, nonce):

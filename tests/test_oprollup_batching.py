@@ -187,3 +187,26 @@ class TestChannelReader:
             *((f.encode(), 3) for f in f1[1:]),
         ]
         assert read_channels(landing) == [(b1, 0, 3), (b3, 2, 2)]
+
+    def test_frame_reposted_after_its_channel_completes_is_dropped(self):
+        rng = random.Random(9)
+        batches = [random_batch(rng)]
+        (frame,) = split_frames(build_channel(batches, timestamp=1, random=1), 1000)
+        # the channel is read in block 1, once; the copy in block 2 moves nothing
+        landing = [(frame.encode(), 1), (frame.encode(), 2)]
+        assert read_channels(landing) == [(batches, 1, 1)]
+
+    def test_channel_lands_at_its_completing_frame(self):
+        rng = random.Random(10)
+        b1, b2 = [random_batch(rng)], [random_batch(rng)]
+        f1 = split_frames(build_channel(b1, timestamp=1, random=1), 15)
+        f2 = split_frames(build_channel(b2, timestamp=2, random=2), 15)
+        assert len(f1) >= 3
+        landing = [
+            *((f.encode(), 4) for f in f1[1:]),
+            (f2[0].encode(), 4),
+            (f1[0].encode(), 5),  # completes channel 1
+            *((f.encode(), 6) for f in f1),  # channel 1 again, after it was read
+            *((f.encode(), 6) for f in f2[1:]),
+        ]
+        assert read_channels(landing) == [(b1, 4, 5), (b2, 4, 6)]

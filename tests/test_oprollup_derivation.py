@@ -75,6 +75,26 @@ class TestDerive:
         assert epoch0[1].sequence_number == 1
         assert transfer_tx(1, 2, 3) in epoch0[1].txs
 
+    def test_frame_reposted_after_its_channel_is_read_is_ignored(self):
+        chain = Chain()
+        OptimismPortal(chain)
+        b0 = chain.mine_block()
+        batch = Batch(
+            epoch_number=0, epoch_hash=b0.hash, parent_hash=bytes(32),
+            timestamp=b0.timestamp, tx_list=(transfer_tx(1, 2, 3),),
+        )
+        frames = split_frames(build_channel([batch], timestamp=1, random=1), 1000)
+        assert len(frames) == 1
+        post_frames(chain, frames)
+        chain.mine_block()  # the channel is complete in block 1, window [0, 2)
+        post_frames(chain, frames)
+        chain.mine_block()  # the same frame again in block 2, past the window
+        blocks = derive(chain, window_w=2)
+        epoch0 = [b for b in blocks if b.epoch_number == 0]
+        assert len(epoch0) == 2  # deposits block + the batch, once
+        assert transfer_tx(1, 2, 3) in epoch0[1].txs
+        assert sum(transfer_tx(1, 2, 3) in b.txs for b in blocks) == 1
+
     def test_batch_outside_window_dropped(self):
         chain = Chain()
         OptimismPortal(chain)

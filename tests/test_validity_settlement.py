@@ -1,4 +1,3 @@
-import contextlib
 import random
 
 import pytest
@@ -21,6 +20,7 @@ from rollsim.validityrollup.settlement import (
     StateMismatch,
     ValidityProof,
     next_root,
+    prefetch_transition,
     prove_transition,
     settle,
 )
@@ -271,50 +271,79 @@ def _word(n: int) -> bytes:
     return n.to_bytes(32, "big")
 
 
+def _committed(head: bytes, words: list[bytes]) -> bytes:
+    """A paged commitment built word by word: ``head``, then the digest of
+    each run of 72 words."""
+    page_digests = [hashing._sponge(b"".join(words[at:at + 72]), 0x01)
+                    for at in range(0, len(words), 72)]
+    return hashing._sponge(head + b"".join(page_digests), 0x01)
+
+
+def many_updates(n: int) -> StateDiff:
+    """One contract with ``n`` storage updates: ``4 + 2n`` diff words."""
+    return StateDiff(
+        deployments=(),
+        storage=(ContractStorageDiff(0xAB, tuple((k, 5 + k) for k in range(n))),),
+    )
+
+
+def sent_messages(n: int) -> tuple[L2ToL1Message, ...]:
+    return tuple(L2ToL1Message(0x22, 0xD1, (0, 0xEE, 50 + i, 0)) for i in range(n))
+
+
 class TestPreimages:
-    """Each settlement sponge hashes what its preimage function returns."""
+    """Each settlement commitment hashes its head, then the digests of its
+    blob's pages of 72 words, each page 2,304 bytes at most."""
+
+    def test_a_full_page_pads_into_17_blocks(self):
+        assert settlement.PAGE_WORDS * 32 == 2_304
+        assert hashing._blocks(2_304) == 17
 
     @pytest.mark.parametrize(
-        "diff, blocks",
-        [(StateDiff(deployments=(), storage=()), 1), (simple_diff(), 3)],
-        ids=["empty diff", "one contract"],
+        "words, page_count",
+        [(encode_state_diff(StateDiff(deployments=(), storage=())), 1),
+         (encode_state_diff(simple_diff()), 1),
+         *(([0x1000 + i for i in range(n)], -(-n // 72)) for n in (0, 71, 72, 73, 144))],
+        ids=["empty diff", "one contract", "0 words", "71 words", "72 words", "73 words",
+             "144 words"],
     )
-    def test_next_root_hashes_its_preimage(self, diff, blocks):
+    def test_next_root_hashes_its_preimage(self, words, page_count):
         old_root = bytes(range(32))
-        words = encode_state_diff(diff)
-        expected = old_root + b"".join(_word(w) for w in words)
-        assert settlement.next_root_preimage(old_root, words) == expected
-        assert hashing._blocks(len(expected)) == blocks
-        assert next_root(old_root, words) == hashing._sponge(expected, 0x01)
+        calldata = [_word(w) for w in words]
+        assert len(settlement._pages(b"".join(calldata))) == page_count
+        assert next_root(old_root, words) == _committed(old_root, calldata)
+        if not words:
+            assert next_root(old_root, words) == hashing._sponge(old_root, 0x01)
+
+    def test_word_moved_across_a_page_boundary_changes_the_root(self):
+        old_root = bytes(range(32))
+        words = [0x1000 + i for i in range(73)]  # a full page, then one word
+        root = next_root(old_root, words)
+        # the last word of page 1 and the only word of page 2 trade places
+        assert next_root(old_root, [*words[:71], words[72], words[71]]) != root
+        # the same words cut at another boundary commit to something else
+        calldata = [_word(w) for w in words]
+        recut = [hashing._sponge(b"".join(calldata[:71]), 0x01),
+                 hashing._sponge(b"".join(calldata[71:]), 0x01)]
+        assert root != hashing._sponge(old_root + b"".join(recut), 0x01)
 
     @pytest.mark.parametrize(
-        "consumed, payloads",
-        [((), ()), ((b"\x13" * 32,), ()), ((), ((0, 0xEE, 50, 0),)),
-         ((b"\x13" * 32, b"\x14" * 32), ((0, 0xEE, 50, 0), (0, 0xEF, 60, 0)))],
-        ids=["empty lists", "consumed only", "sent only", "both"],
+        "n_consumed, n_sent, page_count",
+        [(0, 0, 1), (1, 0, 1), (0, 1, 1), (2, 2, 1), (30, 40, 1), (31, 40, 2), (60, 80, 2)],
+        ids=["empty lists", "consumed only", "sent only", "both", "a full page",
+             "one word over", "two pages"],
     )
-    def test_transition_digest_hashes_its_preimage(self, prover, consumed, payloads):
+    def test_transition_digest_hashes_its_preimage(self, prover, n_consumed, n_sent, page_count):
         new_root = b"\x42" * 32
-        sent = tuple(L2ToL1Message(0x22, 0xD1, payload) for payload in payloads)
+        consumed = tuple(bytes([0x13 + i]) * 32 for i in range(n_consumed))
+        sent = sent_messages(n_sent)
         messages = SettlementMessages(consumed_l1_to_l2=consumed, sent_l2_to_l1=sent)
-        sent_hashes = [l2_to_l1_message_hash(0x22, 0xD1, payload) for payload in payloads]
-        expected = b"".join(
-            [new_root, _word(len(consumed)), *consumed, _word(len(sent_hashes)), *sent_hashes]
-        )
-        assert settlement.transition_preimage(new_root, messages) == expected
-        digest = int.from_bytes(hashing._sponge(expected, 0x01), "big") % GROUP.order
+        sent_hashes = [l2_to_l1_message_hash(0x22, 0xD1, m.payload) for m in sent]
+        words = [_word(len(consumed)), *consumed, _word(len(sent_hashes)), *sent_hashes]
+        assert settlement._message_blob(messages) == b"".join(words)
+        assert len(settlement._pages(settlement._message_blob(messages))) == page_count
+        digest = int.from_bytes(_committed(new_root, words), "big") % GROUP.order
         assert prover.transition_digest(new_root, messages) == digest
-
-
-@contextlib.contextmanager
-def _settlement_pair(old_root: bytes, words: list[int], messages: SettlementMessages):
-    """The scope a validity run settles in: the prover's and the verifier's
-    next root as two slots, then their transition digest as two more."""
-    root = settlement.next_root_preimage(old_root, words)
-    with hashing.prefetch([root, root]) as scope:
-        transition = settlement.transition_preimage(scope.digest(root), messages)
-        scope.add([transition, transition])
-        yield scope
 
 
 class TestPrefetchedSettlement:
@@ -325,36 +354,60 @@ class TestPrefetchedSettlement:
         _, core = make_core()
         diff = simple_diff()
         words = encode_state_diff(diff)
-        messages = SettlementMessages(sent_l2_to_l1=(L2ToL1Message(0x22, 0xD1, (0, 0xEE, 50, 0)),))
+        messages = SettlementMessages(sent_l2_to_l1=sent_messages(1))
         _, plain = make_core()
         plain_proof = prove_transition(plain.state_root, diff, None, prover, messages)
         expected = settle(plain, prover, plain_proof, words, messages)
-        pair = _settlement_pair(core.state_root, words, messages)
+        pair = prefetch_transition(core.state_root, words, messages)
         with hashing.counting() as count, pair as scope:
-            assert scope.unread == 4
+            assert scope.unread == 8
             proof = prove_transition(core.state_root, diff, None, prover, messages)
             assert settle(core, prover, proof, words, messages) == expected
             assert scope.unread == 0
-        # per side, a three-block next root and a one-block transition
-        assert count.perms == count.packed == 2 * (3 + 1)
+        # per side, a two-block diff page, a one-block next root, a
+        # one-block message page and a one-block transition
+        assert count.perms == count.packed == 2 * (2 + 1 + 1 + 1)
 
     def test_tampered_diff_misses_and_is_refused(self, prover):
         _, core = make_core()
         diff = simple_diff()
         words = encode_state_diff(diff)
         tampered = encode_state_diff(simple_diff(value=999))
-        with _settlement_pair(core.state_root, words, SettlementMessages()) as scope:
+        with prefetch_transition(core.state_root, words, SettlementMessages()) as scope:
             proof = prove_transition(core.state_root, diff, None, prover)
             with hashing.counting() as count:
                 with pytest.raises(ProofRejected):
                     settle(core, prover, proof, tampered)
-            # the verifier's root and transition slots are both left unread
-            assert scope.unread == 2
-            assert (count.perms, count.packed) == (3 + 1, 0)
+            # the verifier's diff page, root and transition slots are left
+            # unread; only its message page is its own
+            assert scope.unread == 3
+            assert (count.perms, count.packed) == (2 + 1 + 1 + 1, 1)
             assert len(core.root_history) == 1
             with hashing.counting() as count:
                 settle(core, prover, proof, words)
-            assert (scope.unread, count.perms, count.packed) == (0, 3 + 1, 3 + 1)
+            # the message page slot is spent, so it is hashed for real
+            assert (scope.unread, count.perms, count.packed) == (0, 5, 2 + 1 + 1)
+
+    def test_word_changed_in_the_last_diff_page_misses_and_is_refused(self, prover):
+        _, core = make_core()
+        diff = many_updates(40)
+        words = encode_state_diff(diff)
+        assert len(words) == 84  # a full page of 17 blocks, then a 12-word page of 3
+        tampered = [*words[:-1], words[-1] + 1]
+        with prefetch_transition(core.state_root, words, SettlementMessages()) as scope:
+            proof = prove_transition(core.state_root, diff, None, prover)
+            with hashing.counting() as count:
+                with pytest.raises((ProofRejected, StateMismatch)):
+                    settle(core, prover, proof, tampered)
+            # the first diff page and the message page are the verifier's own
+            # slots; the last page, the root and the transition miss
+            assert scope.unread == 3
+            assert (count.perms, count.packed) == (17 + 3 + 1 + 1 + 1, 17 + 1)
+            assert len(core.root_history) == 1
+            with hashing.counting() as count:
+                settle(core, prover, proof, words)
+            # the spent first page and message page are hashed for real
+            assert (scope.unread, count.perms, count.packed) == (0, 23, 3 + 1 + 1)
 
     def test_forged_message_list_misses_and_is_refused(self, prover):
         _, core = make_core()
@@ -363,16 +416,43 @@ class TestPrefetchedSettlement:
         proven = SettlementMessages(sent_l2_to_l1=(L2ToL1Message(0x22, 0xD1, (0, 0xEE, 50, 0)),))
         forged = SettlementMessages(sent_l2_to_l1=(L2ToL1Message(0x22, 0xD1, (0, 0xEE, 5000, 0)),))
         forged.sent_l2_to_l1[0].hash  # sent when the L2 built it, as in a run
-        with _settlement_pair(core.state_root, words, proven) as scope:
+        with prefetch_transition(core.state_root, words, proven) as scope:
             proof = prove_transition(core.state_root, diff, None, prover, proven)
             with hashing.counting() as count:
                 with pytest.raises(ProofRejected):
                     settle(core, prover, proof, words, forged)
-            # the diff is honest, so the verifier's next root is its own slot;
-            # its transition preimage holds a forged hash and misses
-            assert (scope.unread, count.perms, count.packed) == (1, 3 + 1, 3)
+            # the diff is honest, so the verifier's diff page and next root are
+            # its own slots; its message page holds a forged hash and misses,
+            # and so does the transition preimage
+            assert (scope.unread, count.perms, count.packed) == (2, 5, 2 + 1)
             assert core.l2_to_l1_counters == {} and len(core.root_history) == 1
             with hashing.counting() as count:
                 settle(core, prover, proof, words, proven)
-            # the verifier's root slot is spent, so its root is hashed for real
-            assert (scope.unread, count.perms, count.packed) == (0, 3 + 1, 1)
+            # the verifier's diff page and root slots are spent, so they are
+            # hashed for real
+            assert (scope.unread, count.perms, count.packed) == (0, 5, 1 + 1)
+
+    def test_forged_hash_in_the_second_message_page_misses_and_is_refused(self, prover):
+        _, core = make_core()
+        diff = simple_diff()
+        words = encode_state_diff(diff)
+        sent = sent_messages(80)  # two length words and 80 hashes: pages of 72 and 10 words
+        proven = SettlementMessages(sent_l2_to_l1=sent)
+        forged = SettlementMessages(
+            sent_l2_to_l1=(*sent[:75], L2ToL1Message(0x22, 0xD1, (0, 0xEE, 5000, 0)), *sent[76:])
+        )
+        forged.sent_l2_to_l1[75].hash  # sent when the L2 built it, as in a run
+        with prefetch_transition(core.state_root, words, proven) as scope:
+            proof = prove_transition(core.state_root, diff, None, prover, proven)
+            with hashing.counting() as count:
+                with pytest.raises(ProofRejected):
+                    settle(core, prover, proof, words, forged)
+            # the diff page, the root and the first message page are the
+            # verifier's own; the second message page and the transition miss
+            assert (scope.unread, count.perms, count.packed) == (2, 2 + 1 + 17 + 3 + 1, 2 + 1 + 17)
+            assert core.l2_to_l1_counters == {} and len(core.root_history) == 1
+            with hashing.counting() as count:
+                settle(core, prover, proof, words, proven)
+            # the spent slots are hashed for real; the second page and the
+            # transition read theirs
+            assert (scope.unread, count.perms, count.packed) == (0, 24, 3 + 1)
