@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
+from . import hashing
 from .hashing import keccak256
 
 HashFn = Callable[[bytes], bytes]
@@ -64,6 +65,15 @@ class DigestMemo:
             digest = self._digests[blob] = self._hash_fn(blob)
         return digest
 
+    def prefetch(self, blobs: Iterable[bytes]) -> None:
+        """Inside a ``hashing.prefetch`` block, hash each distinct blob of
+        ``blobs`` this memo has not seen into that block's scope, together,
+        so reading them through the memo next hands each out ready; outside
+        every block, do nothing."""
+        scope = hashing.current_prefetch()
+        if scope is not None:
+            scope.add(dict.fromkeys(blob for blob in blobs if blob not in self._digests))
+
 
 @dataclass(frozen=True)
 class MerkleProof:
@@ -89,8 +99,16 @@ class MerkleTree:
     ``update`` hash every leaf and node blob through it, so each distinct
     blob is hashed once per tree. A tree of 2^k equal leaves costs k + 1
     hashes (an all-zero dispute memory of 64 words, 16 leaves, costs 5), and
-    a cursor tree that moves back to contents it held before rehashes nothing. The memo belongs to this tree only; a new tree
-    starts with an empty one.
+    a cursor tree that moves back to contents it held before rehashes
+    nothing. The memo belongs to this tree only; a new tree starts with an
+    empty one.
+
+    Batching happens only inside an open ``hashing.prefetch`` block: there,
+    each level's blobs that the memo has not seen are hashed together, one
+    packed batch per level, before the level reads them through the memo.
+    A tree built or updated outside every block hashes each blob alone. The
+    count is the same either way, since a prefetched digest is counted when
+    it is read.
     """
 
     def __init__(self, leaves: Sequence[bytes], hash_fn: HashFn = keccak256):
@@ -115,13 +133,19 @@ class MerkleTree:
     def _rehash(self, leaves: Mapping[int, bytes], dirty: Iterable[int]) -> None:
         """Set each ``index: leaf``, then rehash each node above the ``dirty``
         leaf slots once, level by level up to the root."""
-        bottom = self.levels[0]
-        for index, leaf in leaves.items():
-            bottom[index] = self._digest(LEAF_PREFIX + leaf)
+        self._hash_level(self.levels[0], {i: LEAF_PREFIX + leaf for i, leaf in leaves.items()})
         for below, above in zip(self.levels, self.levels[1:]):
             dirty = {index // 2 for index in dirty}
-            for index in dirty:
-                above[index] = self._digest(NODE_PREFIX + below[2 * index] + below[2 * index + 1])
+            self._hash_level(
+                above, {i: NODE_PREFIX + below[2 * i] + below[2 * i + 1] for i in dirty}
+            )
+
+    def _hash_level(self, level: list[bytes], blobs: Mapping[int, bytes]) -> None:
+        """Set ``level[index]`` to the digest of each ``index: blob``, after
+        handing the level's blobs to the memo's ``prefetch``."""
+        self._digest.prefetch(blobs.values())
+        for index, blob in blobs.items():
+            level[index] = self._digest(blob)
 
     def update(self, leaves: Mapping[int, bytes]) -> None:
         """Set each ``index: leaf`` of ``leaves``, then rehash each node above

@@ -173,24 +173,55 @@ def split_frames(channel: Channel, max_frame_bytes: int) -> list[Frame]:
     ]
 
 
+class _ChannelFrames:
+    """One channel's frames as they land, and the rule that says when they
+    make the channel, as the OP Stack's channel bank adds frames.
+
+    The first frame seen for each number is kept; a later frame with that
+    number is ignored. The first frame marked last sets the channel's end:
+    kept frames numbered past it are dropped, and later ones ignored, as is
+    a second frame marked last. So the channel is complete exactly when it
+    holds ``end + 1`` frames, and ``add`` tells by a count, not a scan.
+    """
+
+    def __init__(self):
+        self._data: dict[int, bytes] = {}  # frame number -> frame data
+        self._end: int | None = None
+
+    def add(self, frame: Frame) -> bool:
+        """Take ``frame`` by the rule above; True once the channel is complete."""
+        number, end = frame.frame_number, self._end
+        if number not in self._data and (end is None or (not frame.is_last and number < end)):
+            self._data[number] = frame.frame_data
+            if frame.is_last:
+                self._end = number
+                for past in [n for n in self._data if n > number]:
+                    del self._data[past]
+        return self._end is not None and len(self._data) == self._end + 1
+
+    def join(self) -> bytes:
+        """The channel payload, frames 0..end in order; ChannelIncomplete
+        while a frame is missing or none marked last has arrived."""
+        if self._end is None:
+            raise ChannelIncomplete("no frame marked last has arrived")
+        missing = [n for n in range(self._end + 1) if n not in self._data]
+        if missing:
+            raise ChannelIncomplete(f"missing frames {missing}")
+        return b"".join(self._data[n] for n in range(self._end + 1))
+
+
 def assemble_channel_payload(frames: Iterable[Frame]) -> bytes:
-    """Stitch one channel's frames back together, any arrival order.
+    """Stitch one channel's frames back together, any arrival order, taking
+    them as ``read_channels`` does up to the frame that completes the channel.
 
     Raises ChannelIncomplete until frame numbers 0..last are all present and
     the last frame is marked.
     """
-    by_number: dict[int, Frame] = {}
-    last_number = None
+    channel = _ChannelFrames()
     for frame in frames:
-        by_number[frame.frame_number] = frame
-        if frame.is_last:
-            last_number = frame.frame_number
-    if last_number is None:
-        raise ChannelIncomplete("no frame marked last has arrived")
-    missing = [n for n in range(last_number + 1) if n not in by_number]
-    if missing:
-        raise ChannelIncomplete(f"missing frames {missing}")
-    return b"".join(by_number[n].frame_data for n in range(last_number + 1))
+        if channel.add(frame):
+            break
+    return channel.join()
 
 
 def decode_channel_payload(payload: bytes) -> list[Batch]:
@@ -218,12 +249,13 @@ def read_channels(calldata: Iterable[tuple[bytes, int]]) -> list[tuple[list[Batc
     """Read batches out of ``(calldata, L1 block number)`` pairs in landing order.
 
     Calldata that is not frames is skipped; frames group by channel id in
-    first-seen order. A channel is read once, at the frame that completes it,
-    and gives (its batches, the block its first frame landed in, the block of
-    the completing frame); later frames with its id are dropped, as the OP
+    first-seen order, each channel taking its frames as ``_ChannelFrames``
+    says. A channel is read once, at the frame that completes it, and gives
+    (its batches, the block its first frame landed in, the block of the
+    completing frame); later frames with its id are dropped, as the OP
     Stack's channel bank drops a channel once it has read it. An incomplete
     channel gives nothing."""
-    landing: dict[bytes, tuple[int, list[Frame]]] = {}  # first block, frames so far
+    landing: dict[bytes, tuple[int, _ChannelFrames]] = {}  # first block, frames so far
     read: dict[bytes, tuple[list[Batch], int, int]] = {}
     for blob, block_number in calldata:
         try:
@@ -233,11 +265,11 @@ def read_channels(calldata: Iterable[tuple[bytes, int]]) -> list[tuple[list[Batc
         for frame in frames:
             if frame.channel_id in read:
                 continue
-            first_block, landed = landing.setdefault(frame.channel_id, (block_number, []))
-            landed.append(frame)
-            try:
-                payload = assemble_channel_payload(landed)
-            except ChannelIncomplete:
-                continue
-            read[frame.channel_id] = (decode_channel_payload(payload), first_block, block_number)
+            first_block, channel = landing.setdefault(
+                frame.channel_id, (block_number, _ChannelFrames())
+            )
+            if channel.add(frame):
+                read[frame.channel_id] = (
+                    decode_channel_payload(channel.join()), first_block, block_number
+                )
     return [read[channel_id] for channel_id in landing if channel_id in read]

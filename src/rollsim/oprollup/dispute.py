@@ -30,8 +30,10 @@ three neighbours stay.
 A game reads about log2(n) of a trace's n + 1 state hashes, so a trace hashes
 lazily. One cursor ``MemoryTree`` moves to a queried index by replaying the
 store log forward or undoing it backward, rehashing each touched leaf and
-each node above them once, in one batched pass. The cursor hashes through
-its tree's digest memo, so a node blob it has held before costs nothing:
+each node above them once, level by level: the tree opens a
+``hashing.prefetch`` scope around each build and move, so the blobs of a level
+that are new to it run as one packed batch. The cursor hashes through its
+tree's digest memo, so a node blob it has held before costs nothing:
 moving back over replayed stores, or forward to memory it has seen, rehashes
 no node, so a memory root needs no memo of its own. State hashes are memoized
 per index, and step proofs are cut from the cursor.
@@ -44,6 +46,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
+from .. import hashing
 from ..hashing import keccak256
 from ..merkle import MerkleProof, MerkleTree, fold_proof, verify_inclusion
 
@@ -137,14 +140,19 @@ def _word_bytes(word: int) -> bytes:
 
 class MemoryTree(MerkleTree):
     """Memory as a Merkle tree over a power-of-two array of words, four
-    words to a 32-byte leaf; fewer than four words pad one leaf with zeros."""
+    words to a 32-byte leaf; fewer than four words pad one leaf with zeros.
+
+    The tree is built and updated inside its own ``hashing.prefetch`` scope,
+    so each level's new blobs are hashed as one packed batch (see
+    ``MerkleTree``)."""
 
     def __init__(self, words: list[int]):
         if not words or len(words) & (len(words) - 1):
             raise ValueError("memory size must be a power of two")
         self.words = list(words)
         leaves = -(-len(words) // WORDS_PER_LEAF)
-        super().__init__([self.leaf(index) for index in range(leaves)])
+        with hashing.prefetch(()):
+            super().__init__([self.leaf(index) for index in range(leaves)])
 
     def leaf(self, index: int) -> bytes:
         """Leaf ``index``: words ``4 * index`` to ``4 * index + 3``, zero past the end."""
@@ -158,7 +166,8 @@ class MemoryTree(MerkleTree):
         for addr, word in words.items():
             self.words[addr] = word
         touched = {addr // WORDS_PER_LEAF for addr in words}
-        super().update({index: self.leaf(index) for index in touched})
+        with hashing.prefetch(()):
+            super().update({index: self.leaf(index) for index in touched})
 
 
 @dataclass(frozen=True)

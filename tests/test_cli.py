@@ -270,10 +270,15 @@ class TestRunProfile:
         # sends them and again when L1 consumes them; each is two blocks.
         # Settlement hashes the prover's and the verifier's diff page and
         # message page (two blocks each) together, then their next root and
-        # their transition digest (one block each) as a pair each
+        # their transition digest (one block each) as a pair each. The
+        # optimistic dispute's memory cursor hashes one level of four new
+        # one-block blobs together and one of two
         packed = {row[0]: int(row[2]) for row in rows if int(row[2])}
-        expected = {"message_and_execute": 8, "prove_and_settle": 12, "consume": 4}
-        assert packed == (expected if rollup == "validity" else {})
+        expected = {
+            "validity": {"message_and_execute": 8, "prove_and_settle": 12, "consume": 4},
+            "optimistic": {"dispute": 4 + 2},
+        }
+        assert packed == expected[rollup]
         assert sum(packed.values()) == total.packed
 
 

@@ -13,6 +13,7 @@ from rollsim.cli import main
 from rollsim.hashing import keccak256
 from rollsim.l1sim import Chain, L1Block, Tx
 from rollsim.oprollup.derivation import L2Block
+from rollsim.oprollup.dispute import CHALLENGER, play_planted_fault
 from rollsim.oprollup.l2 import OutputRootProof, WithdrawalTx
 from rollsim.scenarios import ScenarioConfig, run
 from rollsim.validityrollup.messaging import (
@@ -222,10 +223,11 @@ class TestBatchedSponge:
 def _permuted_slots():
     """Count the states the real kernels permute through a profile hook, an
     oracle that replaces no function: one per ``_keccak_f`` call, and
-    ``slots`` per ``_keccak_f_packed`` call; read ``.total`` and ``.packed``."""
+    ``slots`` per ``_keccak_f_packed`` call; read ``.total`` and ``.packed``,
+    and ``.widths``, the ``slots`` of each packed call in order."""
     scalar = hashing._keccak_f.__code__
     packed = hashing._keccak_f_packed.__code__
-    seen = types.SimpleNamespace(total=0, packed=0)
+    seen = types.SimpleNamespace(total=0, packed=0, widths=[])
 
     def profile(frame, event, arg):
         if event == "call":
@@ -234,6 +236,7 @@ def _permuted_slots():
             elif frame.f_code is packed:
                 seen.total += frame.f_locals["slots"]
                 seen.packed += frame.f_locals["slots"]
+                seen.widths.append(frame.f_locals["slots"])
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -306,7 +309,16 @@ class TestCounting:
                 assert (outer.perms, inner.perms) == (1, 3)
             assert outer.perms == 4
 
-    @pytest.mark.parametrize("workload", ["op-withdrawals", "op-fraud-trace", "validity-messages"])
+    # packed permutations per phase at seed 1, exactly: the dispute VM's
+    # memory tree hashes each level's new blobs as one packed batch, while the
+    # withdrawal path hashes nothing packed yet
+    PACKED_BY_PHASE = {
+        "op-withdrawals": {},
+        "op-fraud-trace": {"dispute": 85},
+        "validity-messages": {"message_and_execute": 1280, "prove_and_settle": 622, "consume": 640},
+    }
+
+    @pytest.mark.parametrize("workload", PACKED_BY_PHASE)
     def test_profiled_run_adds_into_enclosing_block(self, bench_workloads, workload):
         config = bench_workloads.WORKLOADS[workload].config(1)
         rows = []
@@ -317,7 +329,8 @@ class TestCounting:
         summed = (sum(row.perms for row in rows), sum(row.packed for row in rows))
         assert (profiled.perms, profiled.packed) == summed == (plain.perms, plain.packed)
         assert profiled.perms > 0
-        assert (profiled.packed > 0) == (workload == "validity-messages")
+        packed = {row.phase: row.packed for row in rows if row.packed}
+        assert packed == self.PACKED_BY_PHASE[workload]
 
     def test_stand_in_sponge_is_counted_alike(self, sha3_perms):
         keccak256(_message(300))  # three started rate blocks
@@ -377,10 +390,10 @@ class TestPrefetch:
             assert (scope.unread, count.perms, count.packed) == (1, 2, 2)
         assert core.l2_to_l1_counters[keccak256(honest)] == 0
 
-    def test_no_digest_left_unread_when_a_scope_closes(self, monkeypatch):
-        # an unread digest is work the model did not ask for. ``listed`` is read
-        # at entry, so it misses the blobs settlement adds to its open scope;
-        # ``unread == 0`` at exit covers those as well
+    @staticmethod
+    def _watch_scopes(monkeypatch) -> list[tuple[int, int]]:
+        """Record ``(listed at entry, unread at exit)`` of every ``prefetch``
+        scope opened through the module from now on, as it closes."""
         real, scopes = hashing.prefetch, []
 
         @contextlib.contextmanager
@@ -391,11 +404,31 @@ class TestPrefetch:
             scopes.append((listed, scope.unread))
 
         monkeypatch.setattr(hashing, "prefetch", watched)
+        return scopes
+
+    def test_no_digest_left_unread_when_a_scope_closes(self, monkeypatch):
+        # an unread digest is work the model did not ask for. ``listed`` is read
+        # at entry, so it misses the blobs settlement adds to its open scope;
+        # ``unread == 0`` at exit covers those as well
+        scopes = self._watch_scopes(monkeypatch)
         assert run(_validity_users(320)).ok
         # deposit sends, withdrawal sends, settlement (two slots of each of the
         # nine diff pages and nine message pages listed at entry, two root and
         # two transition slots added), consumes
         assert scopes == [(320, 0), (320, 0), (2 * (9 + 9), 0), (320, 0)]
+
+    def test_no_digest_left_unread_when_a_game_scope_closes(self, monkeypatch):
+        # the memory tree lists nothing at entry and adds each level's new
+        # blobs, so only ``unread == 0`` at exit speaks for it: one scope for
+        # the build and one for each of the cursor's 17 moves, which read 85
+        # of the game's 135 permutations packed
+        scopes = self._watch_scopes(monkeypatch)
+        with _permuted_slots() as slots, hashing.counting() as count:
+            game = play_planted_fault((0, 1, 3, 0, 1, 0, 0, 0), 1024, 600, 0xC, 0xD)
+        assert game.winner == CHALLENGER
+        assert scopes == [(0, 0)] * (1 + 17)
+        assert count.perms == slots.total == 135
+        assert count.packed == slots.packed == 85
 
     @pytest.mark.parametrize("nonce", [0, 2**255])
     def test_l1_to_l2_hash_reads_its_prefetched_preimage(self, nonce):
@@ -473,11 +506,10 @@ class TestPrefetch:
             keccak256(outer_blob)
         assert outer.unread == 0
 
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_run_without_handing_out_a_digest_reports_the_same(self, seed, monkeypatch):
+    @staticmethod
+    def _reports_the_same_without_a_digest_handed_out(config, monkeypatch):
         # a prefetched digest that differs from what keccak256 would compute
         # changes the report or the count here, whichever site listed it
-        config = dataclasses.replace(_validity_users(32), seed=seed)
         with hashing.counting() as batched:
             report = run(config)
         monkeypatch.setattr(hashing.Prefetched, "take", lambda self, blob: None)
@@ -486,6 +518,19 @@ class TestPrefetch:
         assert report.ok and batched.packed > 0
         assert unbatched.report_hash() == report.report_hash()
         assert (hashed.perms, hashed.packed) == (batched.perms, 0)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_run_without_handing_out_a_digest_reports_the_same(self, seed, monkeypatch):
+        config = dataclasses.replace(_validity_users(32), seed=seed)
+        self._reports_the_same_without_a_digest_handed_out(config, monkeypatch)
+
+    def test_fraud_run_without_handing_out_a_digest_reports_the_same(
+        self, bench_workloads, monkeypatch
+    ):
+        # the planted-fraud run's dispute memory tree is its one batched site
+        config = bench_workloads.WORKLOADS["op-fraud-trace"].config(1)
+        assert config.planted_fraud
+        self._reports_the_same_without_a_digest_handed_out(config, monkeypatch)
 
 
 def _withdrawal():

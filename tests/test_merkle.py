@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from rollsim import hashing
 from rollsim.hashing import keccak256
 from rollsim.merkle import (
     DigestMemo,
@@ -171,6 +172,18 @@ class TestBuildDeduplication:
         # 16 slots: 9 leaves; then 4 + 1 mixed and 1 all-zero node, 2 + 1 + 1,
         # 1 + 1, and the root
         assert len(calls) == len(set(calls)) == 9 + 6 + 4 + 2 + 1
+
+    def test_open_prefetch_scope_batches_each_level_once(self):
+        # distinct leaves a, b, c, d; then nodes ab, ab, cc, dd (three
+        # distinct); then abab and ccdd; then the root, alone and so scalar
+        leaves = [b"a", b"b", b"a", b"b", b"c", b"c", b"d", b"d"]
+        with hashing.counting() as alone:
+            expected = MerkleTree(leaves).root
+        with hashing.counting() as batched, hashing.prefetch(()) as scope:
+            assert MerkleTree(leaves).root == expected
+        assert scope.unread == 0
+        assert (alone.perms, alone.packed) == (4 + 3 + 2 + 1, 0)
+        assert (batched.perms, batched.packed) == (4 + 3 + 2 + 1, 4 + 3 + 2)
 
 
 class TestVerification:

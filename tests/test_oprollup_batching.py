@@ -3,6 +3,7 @@ import random
 import pytest
 
 from rollsim import rlp
+from rollsim.oprollup import batching
 from rollsim.oprollup.batching import (
     MAX_FRAMES,
     Batch,
@@ -210,3 +211,51 @@ class TestChannelReader:
             *((f.encode(), 6) for f in f2[1:]),
         ]
         assert read_channels(landing) == [(b1, 4, 5), (b2, 4, 6)]
+
+    def test_first_frame_with_a_number_wins(self):
+        # a different channel under the same id lands between the first
+        # channel's early frames and its last one: each of its frame numbers
+        # is already taken, so the first channel is read, at its own last frame
+        rng = random.Random(11)
+        first, other = [random_batch(rng) for _ in range(3)], [random_batch(rng)]
+        f1 = split_frames(build_channel(first, timestamp=1, random=1), 15)
+        f2 = split_frames(build_channel(other, timestamp=1, random=1), 15)
+        assert f1[0].channel_id == f2[0].channel_id and len(f1) > len(f2)
+        landing = [
+            *((f.encode(), 1) for f in f1[:-1]),
+            *((f.encode(), 2) for f in f2),
+            (f1[-1].encode(), 3),
+        ]
+        assert read_channels(landing) == [(first, 1, 3)]
+
+    def test_frames_past_the_end_and_a_second_last_frame_are_ignored(self):
+        rng = random.Random(12)
+        batches = [random_batch(rng)]
+        frames = split_frames(build_channel(batches, timestamp=1, random=1), 15)
+        assert len(frames) >= 3
+        end = len(frames) - 1
+        forged = dict(channel_id=frames[0].channel_id, random=1, timestamp=1, frame_data=b"x")
+        landing = [
+            Frame(frame_number=end + 2, is_last=False, **forged),  # past the end, dropped
+            *frames[:end - 1],
+            frames[end],
+            Frame(frame_number=end + 1, is_last=False, **forged),  # past the end, ignored
+            Frame(frame_number=end - 1, is_last=True, **forged),  # a second last frame
+            frames[end - 1],
+        ]
+        assert read_batches(landing) == batches
+        assert assemble_channel_payload(landing) == build_channel(batches, 1, 1).payload
+
+    def test_a_many_frame_channel_is_joined_once(self, monkeypatch):
+        rng = random.Random(13)
+        batches = [random_batch(rng) for _ in range(60)]
+        frames = split_frames(build_channel(batches, timestamp=1, random=1), 1)
+        assert len(frames) > 4_000
+        rng.shuffle(frames)
+        joins = []
+        join = batching._ChannelFrames.join
+        monkeypatch.setattr(batching._ChannelFrames, "join",
+                            lambda self: joins.append(1) or join(self))
+        landing = [(f.encode(), n) for n, f in enumerate(frames)]
+        assert read_channels(landing) == [(batches, 0, len(frames) - 1)]
+        assert len(joins) == 1

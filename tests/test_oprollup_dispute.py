@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from rollsim import hashing
 from rollsim.hashing import keccak256
 from rollsim.merkle import MerkleProof
 from rollsim.oprollup.dispute import (
@@ -38,6 +39,8 @@ from rollsim.oprollup.dispute import (
     run_dispute,
     vm_step,
 )
+
+from test_hashing import _permuted_slots
 
 
 def loop_program():
@@ -315,6 +318,26 @@ class TestMemoryRoot:
     def test_size_must_be_a_power_of_two(self, size):
         with pytest.raises(ValueError, match="power of two"):
             MemoryTree([0] * size)
+
+    def test_move_over_every_leaf_hashes_each_level_as_one_packed_group(self):
+        words = [0] * 64
+        tree = MemoryTree(words)
+        moved = {4 * leaf + leaf % 4: leaf + 1 for leaf in range(16)}  # one word in each leaf
+        with _permuted_slots() as slots, hashing.counting() as count:
+            tree.update(moved)
+        # 16 new leaves, then 8, 4 and 2 new nodes, each level one packed
+        # call; the root alone runs on the scalar kernel
+        assert slots.widths == [16, 8, 4, 2]
+        assert count.perms == slots.total == 16 + 8 + 4 + 2 + 1
+        assert count.packed == slots.packed == 16 + 8 + 4 + 2
+        for addr, word in moved.items():
+            words[addr] = word
+        level = [keccak256(b"\x00" + self.words_bytes(*words[at:at + 4]))
+                 for at in range(0, 64, 4)]
+        while len(level) > 1:
+            level = [keccak256(b"\x01" + left + right)
+                     for left, right in zip(level[::2], level[1::2])]
+        assert tree.root == level[0]
 
     def test_update_rehashes_each_touched_leaf_once(self, keccak_perms):
         tree = MemoryTree(list(range(64)))
