@@ -202,8 +202,8 @@ class TxContext:
     def emit(self, name: str, payload: bytes = b"") -> Event:
         return self.chain._emit(self.address, name, payload)
 
-    def storage_read(self, slot: int, address: int | None = None) -> int:
-        return self.chain.storage.get(address or self.address, {}).get(slot, 0)
+    def storage_read(self, slot: int) -> int:
+        return self.chain.storage.get(self.address, {}).get(slot, 0)
 
     def storage_write(self, slot: int, value: int) -> int:
         """Write a slot, charging per the storage table; returns gas charged."""

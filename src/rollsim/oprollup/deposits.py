@@ -80,6 +80,8 @@ class DepositedTx:
         if not blob or blob[0] != DEPOSIT_TX_PREFIX:
             raise ValueError("not a deposited-transaction payload")
         fields = rlp.decode_fields(blob[1:], 7)
+        if len(fields[1]) > 20 or len(fields[2]) > 20:  # the L2 state root's width
+            raise rlp.RlpDecodingError("an address is at most 20 bytes")
         return cls(
             source_hash=fields[0],
             from_address=rlp.decode_int(fields[1]),
@@ -141,13 +143,6 @@ class OptimismPortal:
         )
         event = self.chain._emit(self.address, "TransactionDeposited", payload)
         return event, burned
-
-    # chain-tx entry point: lets deposits flow through submit_tx as well
-    def handle_deposit(self, ctx, **kwargs):
-        kwargs.setdefault("caller", ctx.caller)
-        kwargs.setdefault("caller_is_contract", False)
-        kwargs.setdefault("l1_basefee", self.chain.basefee)
-        return self.deposit_transaction(**kwargs)
 
 
 def deposit_from_event(event: Event, l1_block_digest: bytes) -> DepositedTx:

@@ -6,13 +6,19 @@ blocks come from sequencer batches whose channel frames all landed inside the
 sequencing window [n, n+w), as ``batching.read_channels`` reads them off the
 batch inbox. Epochs are only derived once their window has fully arrived, so
 transaction ordering inside a window is never revised.
+
+Every L2 transaction is typed as a deposit is: a type byte, then an RLP list.
+A transfer is ``TRANSFER_TX_TYPE`` over [from, to, value] and a withdrawal
+``WITHDRAW_TX_TYPE`` over [sender, target, value, gas_limit, data], with
+addresses as 20 bytes and integers of at most 32 bytes. Execution skips any
+other payload.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
+from .. import rlp
 from ..hashing import keccak256, memoized_digest
 from ..l1sim import Chain, l1_attributes
 from .batching import read_channels
@@ -126,82 +132,58 @@ def derive(l1_chain: Chain, window_w: int) -> list[L2Block]:
 
 # --- L2 transaction payloads and execution ------------------------------------
 
+# the simulator's own types, clear of Ethereum's (0x00-0x04) and of the deposit type
+TRANSFER_TX_TYPE = 0x70  # [from, to, value]
+WITHDRAW_TX_TYPE = 0x71  # [sender, target, value, gas_limit, data]
+
 
 def transfer_tx(sender: int, to: int, value: int) -> bytes:
-    return json.dumps(
-        {"kind": "transfer", "from": sender, "to": to, "value": value}
-    ).encode()
+    return bytes([TRANSFER_TX_TYPE]) + rlp.encode(
+        [sender.to_bytes(20, "big"), to.to_bytes(20, "big"), value]
+    )
 
 
 def withdraw_tx(sender: int, target: int, value: int, gas_limit: int, data: bytes = b"") -> bytes:
-    return json.dumps(
-        {
-            "kind": "withdraw",
-            "sender": sender,
-            "target": target,
-            "value": value,
-            "gas_limit": gas_limit,
-            "data": data.hex(),
-        }
-    ).encode()
+    return bytes([WITHDRAW_TX_TYPE]) + rlp.encode(
+        [sender.to_bytes(20, "big"), target.to_bytes(20, "big"), value, gas_limit, data]
+    )
 
 
-# exclusive upper bound of each integer field of an L2 transaction, by kind
-_ADDRESS, _WORD = 1 << 160, 1 << 256
-_TX_FIELDS = {
-    "transfer": {"from": _ADDRESS, "to": _ADDRESS, "value": _WORD},
-    "withdraw": {"sender": _ADDRESS, "target": _ADDRESS, "value": _WORD, "gas_limit": _WORD},
-}
+def _address(field: bytes) -> int:
+    # fixed width, so leading zero bytes are part of it: not rlp.decode_int
+    if len(field) != 20:
+        raise rlp.RlpDecodingError("an address is 20 bytes")
+    return int.from_bytes(field, "big")
 
 
-def _well_formed(payload) -> bool:
-    """An object of a known kind whose integer fields are ints (no bools) in
-    range and, for a withdrawal, whose ``data`` is a string."""
-    kind = payload.get("kind") if isinstance(payload, dict) else None
-    if kind not in ("transfer", "withdraw"):  # a tuple, so an unhashable kind is no error
-        return False
-    for key, bound in _TX_FIELDS[kind].items():
-        value = payload.get(key)
-        if type(value) is not int or not 0 <= value < bound:
-            return False
-    return kind == "transfer" or isinstance(payload.get("data"), str)
+def _word(field: bytes) -> int:
+    if len(field) > 32:
+        raise rlp.RlpDecodingError("an integer is at most 32 bytes")
+    return rlp.decode_int(field)
 
 
 def execute_block(state: OpL2State, block: L2Block) -> OpL2State:
     """Apply a derived block; malformed, invalid or failing transactions are skipped."""
     for tx in block.txs:
-        if tx and tx[0] == DEPOSIT_TX_PREFIX:
-            try:
+        kind = tx[0] if tx else None
+        try:
+            if kind == DEPOSIT_TX_PREFIX:
                 apply_deposit(state, DepositedTx.decode(tx))
-            except ValueError:
-                continue
-            continue
-        try:
-            payload = json.loads(tx.decode())
-        except (ValueError, RecursionError):  # the decoder recurses once per nesting level
-            continue
-        if not _well_formed(payload):
-            continue
-        kind = payload["kind"]
-        try:
-            if kind == "transfer":
-                sender, to, value = payload["from"], payload["to"], payload["value"]
-                if state.balance(sender) < value:
-                    continue
+            elif kind == TRANSFER_TX_TYPE:
+                sender, to, value = rlp.decode_fields(tx[1:], 3)
+                sender, to, value = _address(sender), _address(to), _word(value)
                 # a zero-value transfer passes the check from an account
                 # that has no entry yet, which credit creates
-                state.credit(sender, -value)
-                state.credit(to, value)
-            elif kind == "withdraw":
+                if state.balance(sender) >= value:
+                    state.credit(sender, -value)
+                    state.credit(to, value)
+            elif kind == WITHDRAW_TX_TYPE:
+                sender, target, value, gas_limit, data = rlp.decode_fields(tx[1:], 5)
                 initiate_withdrawal(
-                    state,
-                    sender=payload["sender"],
-                    target=payload["target"],
-                    gas_limit=payload["gas_limit"],
-                    value=payload["value"],
-                    data=bytes.fromhex(payload["data"]),
+                    state, sender=_address(sender), target=_address(target),
+                    gas_limit=_word(gas_limit), value=_word(value), data=data,
                 )
-        except ValueError:  # an unfunded withdrawal or non-hex data
+        except ValueError:  # a malformed payload or an unfunded withdrawal
             continue
     return state
 

@@ -2,13 +2,14 @@
 
 L2 execution here is deliberately small (balance transfers, withdrawal
 initiation, attribute registration); what matters to the protocol is that the
-state and the sent-withdrawals set commit to Merkle roots that L1 contracts
-can check proofs against.
+state and the sent-withdrawals set commit to roots that L1 contracts can
+check proofs against. The state root hashes the RLP of the withdrawal nonce
+and every account as [address (20 bytes), nonce, balance], sorted by address;
+the sent withdrawals commit to a Merkle root.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dataclass_field
 
 from .. import rlp
@@ -90,15 +91,11 @@ class OpL2State:
         self.balances[address] = self.balances.get(address, 0) + amount
 
     def state_root(self) -> bytes:
-        blob = json.dumps(
-            {
-                "balances": {str(k): v for k, v in sorted(self.balances.items())},
-                "nonces": {str(k): v for k, v in sorted(self.nonces.items())},
-                "withdrawal_nonce": self.withdrawal_nonce,
-            },
-            sort_keys=True,
-        ).encode()
-        return keccak256(blob)
+        accounts = [
+            [address.to_bytes(20, "big"), self.nonces.get(address, 0), self.balance(address)]
+            for address in sorted(self.balances.keys() | self.nonces.keys())
+        ]
+        return keccak256(rlp.encode([self.withdrawal_nonce, accounts]))
 
     def _withdrawal_tree_entry(self) -> tuple[int, MerkleTree | None, dict[bytes, int]]:
         count = len(self.sent_withdrawals)

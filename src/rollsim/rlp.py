@@ -1,6 +1,6 @@
 """Recursive-length-prefix encoding.
 
-Canonical Ethereum rules, restricted to what batch serialization needs:
+Canonical Ethereum rules, restricted to what the optimistic side encodes:
 items are bytes, non-negative ints (big-endian, no leading zeros, 0 -> empty
 string) or lists thereof.
 """

@@ -22,14 +22,14 @@ from rollsim.scenarios import run
 SRC = Path(rollsim.__file__).resolve().parent.parent
 
 GOLDEN = {
-    ("simulate-op",): "40ecdf187ae31251f18d185deedecb07ad36d274696bc7bd2f4a27b24027126c",
-    ("simulate-op", "--fraud"): "2009e79cf08040e854fb90c5898a75e467ecb78f0d80ea568dd264f3bb19ad10",
+    ("simulate-op",): "3cd86a91d0c6a5e880b1609468446671272437ecd422bfb920f0efb1f9c03fc6",
+    ("simulate-op", "--fraud"): "175d25a4f34c846f7eb990931165a37f70ef8afae9e85d491e4858ca5cfcdc9c",
     ("simulate-validity",): "d35396dadda4e9dd82a88893e03e7424e5cf8f13e89f1c6f99a8cf26fb36177e",
 }
 
 WORKLOAD_GOLDEN = {
-    "op-withdrawals": "a6863fc838d536eb1ee044195a04670d01aec0ab5efb1525eecfdce1f74f8957",
-    "op-fraud-trace": "a23d2426b9d064f183749d0ff494ee1cb5c5dc53e7b9fdacbe54ed12a946af32",
+    "op-withdrawals": "22ebcca21dd6e23af1321388ad58669a29a47c029bdb21446a24e5657d343e43",
+    "op-fraud-trace": "db5068f6cbd40e304388235ea4d9bba20f37b7cb066560a5976fe4fc5096891e",
     "validity-messages": "a153de32327bb96a844e6fa016b233b632a084454336498444a4d4ad4412e5fb",
 }
 

@@ -105,6 +105,13 @@ class SlotWriter:
         ctx.storage_write(slot, value)
         ctx.emit("SlotSet", slot.to_bytes(4, "big"))
 
+    def set_and_get(self, ctx, slot, value):
+        ctx.storage_write(slot, value)
+        return ctx.storage_read(slot)
+
+    def get_slot(self, ctx, slot):
+        return ctx.storage_read(slot)
+
 
 class Reverter:
     def boom(self, ctx, slot):
@@ -139,6 +146,15 @@ class TestChain:
         # new block: warm/dirty tracking reset, slot now nonzero and cold
         r3 = chain.submit_tx(0x1, 0xC0, call=("set_slot", {"slot": 7, "value": 3}))
         assert r3.gas_used - r2.gas_used == 5_000 - 100
+
+    def test_storage_read_returns_the_contracts_own_writes(self):
+        chain = Chain()
+        chain.register_contract(0xC0, SlotWriter())
+        chain.register_contract(0xC1, SlotWriter())
+        assert chain.submit_tx(0x1, 0xC0, call=("set_and_get", {"slot": 4, "value": 9})).result == 9
+        assert chain.submit_tx(0x1, 0xC0, call=("get_slot", {"slot": 4})).result == 9
+        # another contract reads its own slot 4, which nothing wrote
+        assert chain.submit_tx(0x1, 0xC1, call=("get_slot", {"slot": 4})).result == 0
 
     def test_unknown_address_reverts(self):
         chain = Chain()

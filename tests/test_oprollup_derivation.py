@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -9,6 +8,8 @@ from rollsim.oprollup.batching import Batch, build_channel, split_frames
 from rollsim.oprollup.deposits import DEPOSIT_TX_PREFIX, DepositedTx, OptimismPortal
 from rollsim.oprollup.derivation import (
     BATCH_INBOX_ADDRESS,
+    TRANSFER_TX_TYPE,
+    WITHDRAW_TX_TYPE,
     L2Block,
     derive,
     execute_block,
@@ -304,27 +305,76 @@ class TestExecution:
         assert attrs.sequence_number == 0
 
 
-def _payload(**fields) -> bytes:
-    return json.dumps(fields).encode()
+# a known answer for each transaction type, written out byte by byte; 0xA,
+# 0xB and 0xF are below 2^152, so their 20-byte fields lead with zero bytes
+TRANSFER_A_TO_B_300 = bytes.fromhex(
+    "70" "ed"  # transfer type, a list of 45 bytes
+    "94" + "00" * 19 + "0a"  # from
+    + "94" + "00" * 19 + "0b"  # to
+    + "82012c"  # value 300
+)
+WITHDRAW_B_TO_F_100 = bytes.fromhex(
+    "71" "f1"  # withdrawal type, a list of 49 bytes
+    "94" + "00" * 19 + "0b"  # sender
+    + "94" + "00" * 19 + "0f"  # target
+    + "64"  # value 100
+    + "825208"  # gas limit 21,000
+    + "82beef"  # data
+)
 
 
-# (id, an L2 transaction execution must skip)
+class TestTransactionEncoding:
+    def test_known_answers(self):
+        assert transfer_tx(0xA, 0xB, 300) == TRANSFER_A_TO_B_300
+        assert withdraw_tx(0xB, 0xF, 100, 21_000, b"\xbe\xef") == WITHDRAW_B_TO_F_100
+
+    def test_known_answers_execute_between_small_addresses(self):
+        state = OpL2State()
+        state.credit(0xA, 1_000)
+        block = L2Block(number=1, epoch_number=0, epoch_hash=bytes(32), timestamp=0,
+                        sequence_number=1, txs=(TRANSFER_A_TO_B_300, WITHDRAW_B_TO_F_100))
+        execute_block(state, block)
+        assert state.balances == {0xA: 700, 0xB: 200}
+        (wtx,) = state.sent_withdrawals
+        assert (wtx.sender, wtx.target, wtx.value, wtx.gas_limit, wtx.data) == (
+            0xB, 0xF, 100, 21_000, b"\xbe\xef")
+
+
+_A, _B = (0xA).to_bytes(20, "big"), (0xB).to_bytes(20, "big")
+
+
+def _typed(tx_type: int, fields: list) -> bytes:
+    return bytes([tx_type]) + rlp.encode(fields)
+
+
+def _nested(depth: int) -> bytes:
+    item = b"\xc0"
+    for _ in range(depth):
+        item = rlp._encode_length(len(item), 0xC0) + item
+    return item
+
+
+# (id, an L2 transaction execution must skip); most would move value from
+# 0xA if they were read
 MALFORMED_TXS = [
-    ("not an object", b"[1]"),
-    ("nested too deeply", b"[" * 100_000),
-    ("string value", _payload(kind="transfer", **{"from": 0xA, "to": 0xB, "value": "5"})),
-    ("bool value", _payload(kind="transfer", **{"from": 0xA, "to": 0xB, "value": True})),
-    ("negative transfer", transfer_tx(0xA, 0xB, -5)),
-    ("target beyond 160 bits", transfer_tx(0xA, 1 << 160, 5)),
-    ("negative withdrawal", withdraw_tx(0xA, 0xB, -3, 21_000)),
-    ("negative gas limit", withdraw_tx(0xA, 0xB, 3, -1)),
-    ("data not a string", _payload(kind="withdraw", sender=0xA, target=0xB, value=3,
-                                   gas_limit=21_000, data=5)),
+    ("unknown type byte", bytes([WITHDRAW_TX_TYPE + 1]) + transfer_tx(0xA, 0xB, 5)[1:]),
+    ("not a list", _typed(TRANSFER_TX_TYPE, _A + _B + b"\x05")),
+    ("nested too deeply", bytes([TRANSFER_TX_TYPE]) + _nested(5000)),
+    ("wrong arity", _typed(WITHDRAW_TX_TYPE, [_A, _B, 3, 21_000])),
+    ("19-byte sender", _typed(TRANSFER_TX_TYPE, [_A[1:], _B, 5])),
+    ("target beyond 160 bits", _typed(TRANSFER_TX_TYPE, [_A, b"\x00" + _B, 5])),
+    ("value with a leading zero", _typed(TRANSFER_TX_TYPE, [_A, _B, b"\x00\x05"])),
+    ("33-byte gas limit", _typed(WITHDRAW_TX_TYPE, [_A, _B, 3, 1 << 256, b""])),
+    ("data not a string", _typed(WITHDRAW_TX_TYPE, [_A, _B, 3, 21_000, [b""]])),
+    ("trailing bytes", transfer_tx(0xA, 0xB, 5) + b"\x00"),
     # deposit-typed payloads that are not an RLP list of seven byte strings
     ("deposit a string", bytes.fromhex("7e01")),
     ("deposit an empty list", bytes.fromhex("7ec0")),
     ("deposit a list of a list", bytes.fromhex("7ec1c0")),
     ("deposit a string and a list", bytes.fromhex("7ec280c0")),
+    # the state root commits addresses as 20 bytes
+    ("deposit from a 21-byte address", _typed(DEPOSIT_TX_PREFIX, [
+        bytes(32), 1 << 160, 0xA, 10**21, 0, b"", 21_000])),
 ]
 
 
@@ -341,17 +391,34 @@ def test_malformed_payload_is_skipped(bad_tx):
 
 def test_random_deposit_payloads_never_raise():
     rng = random.Random(11)
+    # lengths around an address's 20 bytes and a word's 32
+    lengths = [0, 1, 2, 19, 20, 20, 20, 21, 32, 33]
 
     def random_item(depth):
         if depth == 0 or rng.random() < 0.6:
-            return rng.randbytes(rng.randrange(0, 40))
+            return rng.randbytes(rng.choice(lengths) if rng.random() < 0.5 else rng.randrange(40))
         return [random_item(depth - 1) for _ in range(rng.randrange(0, 9))]
 
-    for _ in range(1000):
-        if rng.random() < 0.5:
-            body = rlp.encode(random_item(3))
-        else:
-            body = rng.randbytes(rng.randrange(0, 40))
-        block = L2Block(number=1, epoch_number=0, epoch_hash=bytes(32), timestamp=0,
-                        sequence_number=1, txs=(bytes([DEPOSIT_TX_PREFIX]) + body,))
-        execute_block(OpL2State(), block)
+    def one_byte_off():
+        sender, to, value = rng.randrange(1 << 160), rng.randrange(1 << 160), rng.randrange(3)
+        tx = transfer_tx(sender, to, value) if rng.random() < 0.5 else withdraw_tx(
+            sender, to, value, 21_000)
+        body = bytearray(tx[1:])
+        body[rng.randrange(len(body))] = rng.randrange(256)
+        return bytes(body)
+
+    for tx_type in (DEPOSIT_TX_PREFIX, TRANSFER_TX_TYPE, WITHDRAW_TX_TYPE):
+        for _ in range(1000):
+            pick = rng.random()
+            if pick < 0.4:
+                body = rlp.encode(random_item(3))
+            elif pick < 0.7:
+                body = one_byte_off()
+            else:
+                body = rng.randbytes(rng.randrange(0, 40))
+            block = L2Block(number=1, epoch_number=0, epoch_hash=bytes(32), timestamp=0,
+                            sequence_number=1, txs=(bytes([tx_type]) + body,))
+            state = execute_block(OpL2State(), block)
+            if tx_type != DEPOSIT_TX_PREFIX:  # only a deposit mints
+                assert sum(state.balances.values()) == 0
+            state.state_root()

@@ -91,6 +91,26 @@ class TestProposals:
         assert 7 not in oracle.proposals
 
 
+class TestStateRoot:
+    def test_two_accounts_known_answer(self):
+        # written out byte by byte: the RLP of [withdrawal nonce, accounts],
+        # each account [address (20 bytes), nonce, balance], sorted by address
+        blob = bytes.fromhex(
+            "f5" "01" "f3"  # a list of 53 bytes: withdrawal nonce 1, a list of 51
+            "d9" "94" + "00" * 19 + "0a" + "01" "8202bc"  # 0xA: nonce 1, balance 700
+            + "d8" "94" + "00" * 19 + "0b" + "80" "81c8"  # 0xB: nonce 0, balance 200
+        )
+        state = OpL2State(balances={0xB: 200, 0xA: 700}, nonces={0xA: 1}, withdrawal_nonce=1)
+        assert state.state_root() == keccak256(blob)
+
+    def test_an_account_with_only_a_nonce_is_committed(self):
+        blob = bytes.fromhex(
+            "da" "80" "d8"  # withdrawal nonce 0, a list of 24 bytes
+            "d7" "94" + "00" * 19 + "0a" + "01" "80"  # 0xA: nonce 1, balance 0
+        )
+        assert OpL2State(nonces={0xA: 1}).state_root() == keccak256(blob)
+
+
 class TestWithdrawalTree:
     def test_root_and_proofs_follow_each_new_withdrawal(self):
         from rollsim.merkle import MerkleTree, verify_inclusion

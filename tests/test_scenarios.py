@@ -272,8 +272,8 @@ def funded_users(n, **overrides):
 
 def wide_funded_users(n):
     """``funded_users`` with 48-digit addresses and fixed-width values, as a
-    real L1 address space gives, so the state the output root commits is as
-    wide per user as in the benchmark's workloads."""
+    real L1 address space gives, so the channel compresses per user as in
+    the benchmark's workloads."""
     users = [10**47 + 7_919 * i for i in range(n)]
     return ScenarioConfig(
         rollup="optimistic",
@@ -294,9 +294,10 @@ class TestOptimisticScale:
     def test_permutation_budget_at_80_users(self, keccak_perms):
         report = run(funded_users(80))
         assert report.ok
-        # 622 now, 689 when the config hash ran through Keccak, 1,168 when
-        # each withdrawal proof was folded from scratch
-        assert keccak_perms.perms <= 670
+        # 619 now, 622 with JSON transactions and state root, 689 when the
+        # config hash ran through Keccak, 1,168 when each withdrawal proof
+        # was folded from scratch
+        assert keccak_perms.perms <= 665
 
     def test_320_users_spill_deposits_and_stay_linear(self, keccak_perms):
         report = run(funded_users(40))
@@ -312,18 +313,20 @@ class TestOptimisticScale:
         # the batch anchors to the block after the last deposit block
         initiated = {lat["initiated_at"] for lat in report.withdrawal_latencies.values()}
         assert initiated == {4 * 12}
-        # 7.51 per user at 320 and 8.18 at 40 now; 8.32 and 9.05 when the
-        # config hash ran through Keccak; 16.32 and 14.03 when each
-        # withdrawal proof was folded from scratch
+        # 7.49 per user at 320 and 8.07 at 40 now; 7.51 and 8.18 with JSON
+        # transactions and state root; 8.32 and 9.05 when the config hash ran
+        # through Keccak; 16.32 and 14.03 when each withdrawal proof was
+        # folded from scratch
         assert keccak_perms.perms / 320 <= per_user_40
 
     def test_permutation_budget_at_32_wide_users(self, keccak_perms):
         assert run(wide_funded_users(32)).ok
-        # one output root, at the tip, and each proof node folded once: 283
-        # now, 355 when the config hash ran through Keccak, 484 when each
-        # proof was folded from scratch, 827 when every L2 block hashed
-        # itself and committed its state and withdrawal roots
-        assert keccak_perms.perms <= 300
+        # one output root, at the tip, and each proof node folded once: 258
+        # now, 283 with JSON transactions and state root, 355 when the config
+        # hash ran through Keccak, 484 when each proof was folded from
+        # scratch, 827 when every L2 block hashed itself and committed its
+        # state and withdrawal roots
+        assert keccak_perms.perms <= 275
 
     def test_per_user_permutations_flat_from_256_to_1024_users(self, sha3_perms):
         per_user = {}
@@ -331,7 +334,8 @@ class TestOptimisticScale:
             sha3_perms.perms = 0
             assert run(wide_funded_users(n)).ok
             per_user[n] = sha3_perms.perms / n
-        # 8.27 and 8.18 now (0.99x); 10.43 and 10.33 (0.99x) when the config
+        # 7.55 and 7.47 now (0.99x); 8.27 and 8.18 (0.99x) with JSON
+        # transactions and state root; 10.43 and 10.33 (0.99x) when the config
         # hash ran through Keccak; 17.43 and 19.33 (1.11x) when each
         # withdrawal proof was folded from scratch, at log n + 1 hashes;
         # 29.28 and 34.73 (1.19x) with a state root per L2 block
@@ -349,13 +353,15 @@ class TestOptimisticScale:
         assert [e["value"] for e in finalized] == [700, 700, 700]
 
     def test_channel_past_65536_frames_is_rejected_not_raised(self, sha3_perms):
-        # at one byte per frame, 900 users' channel needs more than 2^16 frames
+        # at one byte per frame, 1,250 users' channel needs 67,940 frames
+        # (900 users' needed 67,061 with JSON transactions, 49,084 now)
+        n = 1_250
         rng = random.Random(3)
-        users = [rng.randrange(2**159, 2**160) for _ in range(900)]
+        users = [rng.randrange(2**159, 2**160) for _ in range(n)]
         config = ScenarioConfig(
             max_frame_bytes=1,
             deposits=[{"user": u, "value": 10**6} for u in users],
-            transfers=[{"user": u, "target": users[(i + 1) % 900], "value": rng.randrange(10**5)}
+            transfers=[{"user": u, "target": users[(i + 1) % n], "value": rng.randrange(10**5)}
                        for i, u in enumerate(users)],
             withdrawals=[{"user": u, "value": rng.randrange(10**5)} for u in users],
         )
@@ -364,7 +370,7 @@ class TestOptimisticScale:
         (rejected,) = _events(report, "batch_rejected")
         assert rejected["frames"] > 65_536 and "uint16" in rejected["reason"]
         assert _events(report, "frame_posted") == []
-        assert len(_events(report, "withdrawal_not_initiated")) == 900
+        assert len(_events(report, "withdrawal_not_initiated")) == n
         assert report.gas["da_bytes_posted"] == 0
 
     def test_oversized_deposit_is_rejected_not_raised(self):
