@@ -401,11 +401,6 @@ class PairingGroup:
             raise ValueError("pairing arguments from a different group")
         return TargetElement(self, (a._exponent() * b._exponent()) % self.order)
 
-    def element_from_hex(self, encoded: str) -> "GroupElement":
-        enc = int(encoded, 16)
-        exp = ((enc - self._shift) * pow(self._mult, -1, self.order)) % self.order
-        return GroupElement(self, exp)
-
 
 class GroupElement:
     """g^x for a hidden exponent x; supports *, /, pow_clear and equality."""

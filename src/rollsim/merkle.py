@@ -17,7 +17,6 @@ root, and a tampered leaf, sibling or index makes a new blob, hashed afresh.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -82,14 +81,6 @@ class MerkleProof:
 
     leaf_index: int
     siblings: tuple[bytes, ...]
-
-    def to_json(self) -> str:
-        return json.dumps({"index": self.leaf_index, "siblings": [h.hex() for h in self.siblings]})
-
-    @classmethod
-    def from_json(cls, payload: str) -> "MerkleProof":
-        obj = json.loads(payload)
-        return cls(leaf_index=obj["index"], siblings=tuple(map(bytes.fromhex, obj["siblings"])))
 
 
 class MerkleTree:

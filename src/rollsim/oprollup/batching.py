@@ -20,10 +20,6 @@ from .. import rlp
 MAX_FRAMES = 1 << 16
 
 
-class ChannelIncomplete(ValueError):
-    """Frames are missing; the channel cannot be reassembled yet."""
-
-
 class TooManyFrames(ValueError):
     """A channel needs more frames than a uint16 frame number can count."""
 
@@ -90,24 +86,23 @@ class Frame:
     frame_data: bytes
     is_last: bool
 
-    @property
-    def frame_data_length(self) -> int:
-        return len(self.frame_data)
-
     def encode(self) -> bytes:
         """Fixed field order: channel_id 16, random 8, timestamp 8,
         frame_number 2, frame_data_length 4, frame_data, is_last 1."""
         return (
             self.channel_id
             + struct.pack(">QQHI", self.random, self.timestamp, self.frame_number,
-                          self.frame_data_length)
+                          len(self.frame_data))
             + self.frame_data
             + (b"\x01" if self.is_last else b"\x00")
         )
 
     @classmethod
     def decode(cls, blob: bytes, offset: int = 0) -> tuple["Frame", int]:
-        """Parse one frame starting at ``offset``; returns (frame, next offset)."""
+        """Parse one frame starting at ``offset``; returns (frame, next offset).
+
+        An ``is_last`` byte other than 0 or 1 is a ``ValueError``, as op-node
+        refuses it, so no malformed frame reaches a channel."""
         header_end = offset + 16 + struct.calcsize(">QQHI")
         if header_end > len(blob):
             raise ValueError("truncated frame header")
@@ -118,6 +113,8 @@ class Frame:
         data_end = header_end + data_len
         if data_end + 1 > len(blob):
             raise ValueError("truncated frame data")
+        if blob[data_end] > 1:
+            raise ValueError(f"invalid is_last byte {blob[data_end]}")
         return (
             cls(
                 channel_id=channel_id,
@@ -174,8 +171,9 @@ def split_frames(channel: Channel, max_frame_bytes: int) -> list[Frame]:
 
 
 class _ChannelFrames:
-    """One channel's frames as they land, and the rule that says when they
-    make the channel, as the OP Stack's channel bank adds frames.
+    """One channel's frames as they land in ``read_channels``, and the rule
+    that says when they make the channel, as the OP Stack's channel bank
+    adds frames. It is the only place that rule lives.
 
     The first frame seen for each number is kept; a later frame with that
     number is ignored. The first frame marked last sets the channel's end:
@@ -200,28 +198,9 @@ class _ChannelFrames:
         return self._end is not None and len(self._data) == self._end + 1
 
     def join(self) -> bytes:
-        """The channel payload, frames 0..end in order; ChannelIncomplete
-        while a frame is missing or none marked last has arrived."""
-        if self._end is None:
-            raise ChannelIncomplete("no frame marked last has arrived")
-        missing = [n for n in range(self._end + 1) if n not in self._data]
-        if missing:
-            raise ChannelIncomplete(f"missing frames {missing}")
+        """The channel payload, frames 0..end in order; called once ``add``
+        has reported the channel complete."""
         return b"".join(self._data[n] for n in range(self._end + 1))
-
-
-def assemble_channel_payload(frames: Iterable[Frame]) -> bytes:
-    """Stitch one channel's frames back together, any arrival order, taking
-    them as ``read_channels`` does up to the frame that completes the channel.
-
-    Raises ChannelIncomplete until frame numbers 0..last are all present and
-    the last frame is marked.
-    """
-    channel = _ChannelFrames()
-    for frame in frames:
-        if channel.add(frame):
-            break
-    return channel.join()
 
 
 def decode_channel_payload(payload: bytes) -> list[Batch]:
@@ -248,13 +227,15 @@ def decode_channel_payload(payload: bytes) -> list[Batch]:
 def read_channels(calldata: Iterable[tuple[bytes, int]]) -> list[tuple[list[Batch], int, int]]:
     """Read batches out of ``(calldata, L1 block number)`` pairs in landing order.
 
-    Calldata that is not frames is skipped; frames group by channel id in
-    first-seen order, each channel taking its frames as ``_ChannelFrames``
-    says. A channel is read once, at the frame that completes it, and gives
-    (its batches, the block its first frame landed in, the block of the
-    completing frame); later frames with its id are dropped, as the OP
-    Stack's channel bank drops a channel once it has read it. An incomplete
-    channel gives nothing."""
+    Calldata that does not parse as frames is skipped whole, so a frame
+    with an ``is_last`` byte other than 0 or 1 takes no frame number. Frames
+    group by channel id in first-seen order, each channel taking its frames
+    as ``_ChannelFrames`` says. A channel is read once, at the frame that
+    completes it, and gives (its batches, the block its first frame landed
+    in, the block of the completing frame); later frames with its id are
+    dropped, as the OP Stack's channel bank drops a channel once it has read
+    it. An incomplete channel, one missing its last frame or with a gap,
+    gives nothing."""
     landing: dict[bytes, tuple[int, _ChannelFrames]] = {}  # first block, frames so far
     read: dict[bytes, tuple[list[Batch], int, int]] = {}
     for blob, block_number in calldata:

@@ -62,13 +62,6 @@ class Transcript:
     def to_json(self) -> str:
         return json.dumps([{"role": r, "hex": m.hex()} for r, m in self.entries])
 
-    @classmethod
-    def from_json(cls, payload: str) -> "Transcript":
-        t = cls()
-        for entry in json.loads(payload):
-            t.append(entry["role"], bytes.fromhex(entry["hex"]))
-        return t
-
 
 @dataclass(frozen=True)
 class ProtocolOutcome:

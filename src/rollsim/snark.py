@@ -377,16 +377,6 @@ class SnarkProof:
             }
         )
 
-    @classmethod
-    def from_json(cls, payload: str, group: PairingGroup) -> "SnarkProof":
-        obj = json.loads(payload)
-        return cls(
-            p=group.element_from_hex(obj["p"]),
-            p_shifted=group.element_from_hex(obj["p_shifted"]),
-            h=group.element_from_hex(obj["h"]),
-            delta_applied=obj["delta_applied"],
-        )
-
 
 def setup(
     qap: QAP, group: PairingGroup, rng, retain_toxic_waste: bool = False

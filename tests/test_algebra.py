@@ -168,10 +168,6 @@ class TestGroupOracle:
             x, y = g.encrypt(a), g.encrypt(b)
             assert g.pairing(x.pow_clear(c), y) == g.pairing(x, y).pow_clear(c)
 
-    def test_hex_roundtrip(self):
-        x = self.group.encrypt(987654321)
-        assert self.group.element_from_hex(x.to_hex()) == x
-
     def test_exponent_not_in_public_interface(self):
         """Interface audit: no public attribute exposes the exponent."""
         x = self.group.encrypt(7)

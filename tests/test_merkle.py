@@ -1,5 +1,4 @@
 import hashlib
-import json
 import math
 import random
 
@@ -314,21 +313,3 @@ class TestVerification:
         updated = leaves.copy()
         updated[5] = b"new-data"
         assert fold_proof(b"new-data", proof, hash_fn=sha) == MerkleTree(updated, hash_fn=sha).root
-
-
-class TestSerialization:
-    def test_json_round_trip(self):
-        for n in range(1, 10):
-            leaves = [bytes([i]) * 3 for i in range(n)]
-            tree = MerkleTree(leaves, hash_fn=sha)
-            for i in range(n):
-                proof = tree.prove(i)
-                payload = proof.to_json()
-                # the index and the sibling hashes are the whole proof
-                assert json.loads(payload) == {
-                    "index": i,
-                    "siblings": [h.hex() for h in proof.siblings],
-                }
-                restored = MerkleProof.from_json(payload)
-                assert restored == proof
-                assert verify_inclusion(tree.root, leaves[i], restored, hash_fn=sha)

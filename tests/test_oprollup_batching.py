@@ -8,10 +8,8 @@ from rollsim.oprollup.batching import (
     MAX_FRAMES,
     Batch,
     Channel,
-    ChannelIncomplete,
     Frame,
     TooManyFrames,
-    assemble_channel_payload,
     build_channel,
     decode_channel_payload,
     parse_frames,
@@ -75,6 +73,15 @@ class TestFrameWire:
         with pytest.raises(ValueError):
             Frame.decode(frame.encode()[:-2])
 
+    @pytest.mark.parametrize("is_last", [0x02, 0xFF])
+    def test_is_last_byte_other_than_0_or_1_is_refused(self, is_last):
+        frame = Frame(
+            channel_id=bytes(16), random=0, timestamp=0,
+            frame_number=0, frame_data=b"abc", is_last=True,
+        )
+        with pytest.raises(ValueError, match="is_last"):
+            Frame.decode(frame.encode()[:-1] + bytes([is_last]))
+
 
 class TestFrameLimit:
     def test_a_uint16_frame_number_bounds_the_frames_of_a_channel(self):
@@ -121,20 +128,17 @@ class TestChannelRoundTrip:
         channel = build_channel([random_batch(rng)], timestamp=0, random=1)
         frames = split_frames(channel, 10)
         assert len(frames) > 2
-        with pytest.raises(ChannelIncomplete):
-            assemble_channel_payload(frames[:-1])  # last frame missing
-        with pytest.raises(ChannelIncomplete):
-            assemble_channel_payload([frames[0], frames[-1]])  # gap
+        assert read_batches(frames[:-1]) == []  # last frame missing
+        assert read_batches([frames[0], frames[-1]]) == []  # gap
 
     def test_retransmission_completes(self):
         rng = random.Random(5)
         batches = [random_batch(rng)]
         channel = build_channel(batches, timestamp=0, random=1)
         frames = split_frames(channel, 10)
-        partial = frames[:-1]
-        with pytest.raises(ChannelIncomplete):
-            assemble_channel_payload(partial)
-        assert read_batches(partial + [frames[-1]]) == batches
+        partial = [(f.encode(), 1) for f in frames[:-1]]
+        assert read_channels(partial) == []
+        assert read_channels(partial + [(frames[-1].encode(), 2)]) == [(batches, 1, 2)]
 
     def test_corrupt_payload_yields_no_batches(self):
         assert decode_channel_payload(b"not zlib at all") == []
@@ -244,7 +248,18 @@ class TestChannelReader:
             frames[end - 1],
         ]
         assert read_batches(landing) == batches
-        assert assemble_channel_payload(landing) == build_channel(batches, 1, 1).payload
+
+    def test_frame_with_a_bad_is_last_byte_takes_no_frame_number(self):
+        # a junk frame 0 under the channel's id lands first; it does not
+        # parse, so the real frame 0 is kept and the channel reads its batch
+        rng = random.Random(14)
+        batches = [random_batch(rng)]
+        frames = split_frames(build_channel(batches, timestamp=1, random=1), 100)
+        assert len(frames) == 3
+        junk = Frame(channel_id=frames[0].channel_id, random=1, timestamp=1,
+                     frame_number=0, frame_data=b"junk", is_last=False)
+        landing = [(junk.encode()[:-1] + b"\x02", 1), *((f.encode(), 1) for f in frames)]
+        assert read_channels(landing) == [(batches, 1, 1)]
 
     def test_a_many_frame_channel_is_joined_once(self, monkeypatch):
         rng = random.Random(13)

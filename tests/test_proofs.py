@@ -278,12 +278,6 @@ class TestFiatShamir:
                 mutated.append(role, msg)
             assert fiat_shamir_challenge(mutated, b"d", F) != baseline
 
-    def test_transcript_json_round_trip(self):
-        t = Transcript()
-        t.append("prover", b"\x01\x02")
-        t.append("verifier", b"")
-        assert Transcript.from_json(t.to_json()).entries == t.entries
-
 
 class TestErrorEstimation:
     def test_schnorr_perfect_completeness(self):

@@ -213,7 +213,9 @@ class TestConfigFuzz:
         assert len(runs) == 8
         assert named_bounds, "no mutant exceeded a bound alone"
         for config in runs:
-            run(config)  # a rejected action is a timeline event, never a raise
+            # a rejected action is a timeline event, never a raise, and the
+            # run's own checks hold
+            assert run(config).ok, config.to_json()[:200]
 
 
 class TestOptimisticScenario:

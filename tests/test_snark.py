@@ -263,15 +263,6 @@ class TestCrsAndProof:
         payload = json.loads(proof.to_json())
         assert set(payload) == {"p", "p_shifted", "h", "delta_applied"}
 
-    def test_proof_json_round_trip(self):
-        from rollsim.snark import SnarkProof
-
-        s = witness(self.fp, F, {"x": 3})
-        proof = prove(self.crs, self.qap, s)
-        restored = SnarkProof.from_json(proof.to_json(), GROUP)
-        assert restored == proof
-        assert verify(self.crs.vk, restored, GROUP)
-
 
 class TestForgery:
     def setup_method(self):
