@@ -201,7 +201,7 @@ def compression_stats(corpus: Sequence[bytes], group_size: int) -> CompressionSt
     return CompressionStats(group_size=group_size, groups=tuple(groups))
 
 
-def synthetic_batch_corpus(n_batches: int = 10, seed: int = 1337) -> list[bytes]:
+def synthetic_batch_corpus(n_batches: int = 10) -> list[bytes]:
     """Deterministic transfer-shaped calldata: repetitive fields, zero padding.
 
     Stands in for real block data, which this package does not fetch; gives
@@ -209,7 +209,7 @@ def synthetic_batch_corpus(n_batches: int = 10, seed: int = 1337) -> list[bytes]
     """
     import random as random_module
 
-    rng = random_module.Random(seed)
+    rng = random_module.Random(1337)
     addresses = [rng.randbytes(20) for _ in range(12)]
     batches = []
     for _ in range(n_batches):

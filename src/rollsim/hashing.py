@@ -59,9 +59,7 @@ digest up (``Prefetched.digest``) and hash the next preimage into the same
 scope (``Prefetched.add``). The look-up reads nothing and counts nothing, and
 hides no permutations: the looked-up blob was listed, so its permutations are
 counted when ``keccak256`` reads it, and a test checks that no scope of a
-whole run closes with a digest unread. Code that learns its blobs only inside
-a block its caller opened, such as a Merkle tree level by level, finds that
-block's scope with ``current_prefetch()`` and adds them there.
+whole run closes with a digest unread.
 
 The two kinds of block nest differently. A ``counting()`` block counts every
 permutation run inside it, nested ``counting()`` blocks included, so a run
@@ -602,13 +600,6 @@ def prefetch(blobs: Iterable[bytes]) -> Iterator[Prefetched]:
         yield scope
     finally:
         _scope.reset(token)
-
-
-def current_prefetch() -> Prefetched | None:
-    """The innermost open ``prefetch`` block's scope, or ``None`` outside
-    every block: code that learns its blobs only inside a block its caller
-    opened hashes them into that scope with ``add``."""
-    return _scope.get()
 
 
 def memoized_digest(compute: Callable[[object], bytes]) -> property:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
-from . import hashing
 from .hashing import keccak256
 
 HashFn = Callable[[bytes], bytes]
@@ -64,14 +63,9 @@ class DigestMemo:
             digest = self._digests[blob] = self._hash_fn(blob)
         return digest
 
-    def prefetch(self, blobs: Iterable[bytes]) -> None:
-        """Inside a ``hashing.prefetch`` block, hash each distinct blob of
-        ``blobs`` this memo has not seen into that block's scope, together,
-        so reading them through the memo next hands each out ready; outside
-        every block, do nothing."""
-        scope = hashing.current_prefetch()
-        if scope is not None:
-            scope.add(dict.fromkeys(blob for blob in blobs if blob not in self._digests))
+    def __contains__(self, blob: bytes) -> bool:
+        """Whether this memo has hashed ``blob`` already."""
+        return blob in self._digests
 
 
 @dataclass(frozen=True)
@@ -94,12 +88,8 @@ class MerkleTree:
     nothing. The memo belongs to this tree only; a new tree starts with an
     empty one.
 
-    Batching happens only inside an open ``hashing.prefetch`` block: there,
-    each level's blobs that the memo has not seen are hashed together, one
-    packed batch per level, before the level reads them through the memo.
-    A tree built or updated outside every block hashes each blob alone. The
-    count is the same either way, since a prefetched digest is counted when
-    it is read.
+    Each blob is hashed alone, through ``_hash_level``; a subclass that
+    batches a level (``dispute.MemoryTree``) overrides it.
     """
 
     def __init__(self, leaves: Sequence[bytes], hash_fn: HashFn = keccak256):
@@ -132,9 +122,7 @@ class MerkleTree:
             )
 
     def _hash_level(self, level: list[bytes], blobs: Mapping[int, bytes]) -> None:
-        """Set ``level[index]`` to the digest of each ``index: blob``, after
-        handing the level's blobs to the memo's ``prefetch``."""
-        self._digest.prefetch(blobs.values())
+        """Set ``level[index]`` to the digest of each ``index: blob``."""
         for index, blob in blobs.items():
             level[index] = self._digest(blob)
 

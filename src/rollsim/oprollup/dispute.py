@@ -31,12 +31,12 @@ A game reads about log2(n) of a trace's n + 1 state hashes, so a trace hashes
 lazily. One cursor ``MemoryTree`` moves to a queried index by replaying the
 store log forward or undoing it backward, rehashing each touched leaf and
 each node above them once, level by level: the tree opens a
-``hashing.prefetch`` scope around each build and move, so the blobs of a level
-that are new to it run as one packed batch. The cursor hashes through its
-tree's digest memo, so a node blob it has held before costs nothing:
-moving back over replayed stores, or forward to memory it has seen, rehashes
-no node, so a memory root needs no memo of its own. State hashes are memoized
-per index, and step proofs are cut from the cursor.
+``hashing.prefetch`` scope over each level's blobs that are new to it, so they
+run as one packed batch. The cursor hashes through its tree's digest memo, so
+a node blob it has held before costs nothing: moving back over replayed
+stores, or forward to memory it has seen, rehashes no node, so a memory root
+needs no memo of its own. State hashes are memoized per index, and step
+proofs are cut from the cursor.
 """
 
 from __future__ import annotations
@@ -142,17 +142,16 @@ class MemoryTree(MerkleTree):
     """Memory as a Merkle tree over a power-of-two array of words, four
     words to a 32-byte leaf; fewer than four words pad one leaf with zeros.
 
-    The tree is built and updated inside its own ``hashing.prefetch`` scope,
-    so each level's new blobs are hashed as one packed batch (see
-    ``MerkleTree``)."""
+    Each level's blobs that the tree's memo has not seen are hashed
+    together in a ``hashing.prefetch`` scope of their own, one packed batch
+    per level, before the level reads them through the memo."""
 
     def __init__(self, words: list[int]):
         if not words or len(words) & (len(words) - 1):
             raise ValueError("memory size must be a power of two")
         self.words = list(words)
         leaves = -(-len(words) // WORDS_PER_LEAF)
-        with hashing.prefetch(()):
-            super().__init__([self.leaf(index) for index in range(leaves)])
+        super().__init__([self.leaf(index) for index in range(leaves)])
 
     def leaf(self, index: int) -> bytes:
         """Leaf ``index``: words ``4 * index`` to ``4 * index + 3``, zero past the end."""
@@ -166,8 +165,15 @@ class MemoryTree(MerkleTree):
         for addr, word in words.items():
             self.words[addr] = word
         touched = {addr // WORDS_PER_LEAF for addr in words}
-        with hashing.prefetch(()):
-            super().update({index: self.leaf(index) for index in touched})
+        super().update({index: self.leaf(index) for index in touched})
+
+    def _hash_level(self, level: list[bytes], blobs: Mapping[int, bytes]) -> None:
+        unseen = dict.fromkeys(blob for blob in blobs.values() if blob not in self._digest)
+        if unseen:
+            with hashing.prefetch(unseen):
+                super()._hash_level(level, blobs)
+        else:
+            super()._hash_level(level, blobs)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,11 @@ keys, so regenerating a run yields byte-identical output.
 
 The optimistic scenario is defined here. The validity scenario is in
 ``validityrollup.scenario``, which ``run`` imports only for a validity
-config, so importing this module leaves the validity stack unloaded.
+config, so importing this module, or running an optimistic config, leaves
+the validity stack (``costbench`` and ``validityrollup.statediff`` among it)
+unloaded. An optimistic report's ``cost`` block is empty: the run's
+data-availability cost is its ``gas.da_bytes_posted`` and each
+``frame_posted`` event's ``gas``.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from . import __version__, hashing
 from .algebra import DEFAULT_PRIME, is_prime
 from .hashing import keccak256
 from .l1sim import Chain
-from .costbench import synthetic_batch_corpus, compression_stats
 from .oprollup import batching, dispute as dispute_mod
 from .oprollup.deposits import GUARANTEED_GAS_CAP, GuaranteedGasExhausted, OptimismPortal
 from .oprollup.derivation import (
@@ -305,17 +308,11 @@ def _run_optimistic(ctx: _Run) -> RunReport:
     with ctx.phase("propose_and_finalize"):
         latencies = _propose_and_finalize(ctx, wportal, executed, landed, tip, epoch)
     with ctx.phase("report"):
-        corpus = synthetic_batch_corpus(seed=config.seed + 7)
-        stats = compression_stats(corpus, group_size=len(corpus))
         return ctx.report(
             gas={"da_bytes_posted": da_bytes},
             dispute=dispute,
             withdrawal_latencies=latencies,
-            cost={
-                "corpus_raw_gas": stats.total_raw_gas,
-                "corpus_compressed_gas": stats.total_compressed_gas,
-                "corpus_gas_ratio": round(stats.gas_ratio, 6),
-            },
+            cost={},
         )
 
 

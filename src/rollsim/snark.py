@@ -32,8 +32,6 @@ from .algebra import (
 OUTPUT_VARIABLE = "out"
 ONE_VARIABLE = "~one"
 
-_OPS = {"+", "-", "*", "/"}
-
 
 class UnsupportedOp(ValueError):
     """Expression uses an operator outside +, -, *, /."""
@@ -87,7 +85,7 @@ class FlatProgram:
         return "\n".join(str(s) for s in self.statements)
 
 
-def flatten(source: str | ast.expr, inputs: Sequence[str] = ("x",)) -> FlatProgram:
+def flatten(source: str, inputs: Sequence[str] = ("x",)) -> FlatProgram:
     """Flatten an arithmetic expression into single-operator statements.
 
     ``source`` is an expression over the declared inputs, e.g. "x*x*x + 8".
@@ -95,13 +93,10 @@ def flatten(source: str | ast.expr, inputs: Sequence[str] = ("x",)) -> FlatProgr
     variable or constant is normalized to a multiplication by one so that
     every program has at least one gate.
     """
-    if isinstance(source, str):
-        try:
-            tree = ast.parse(source, mode="eval").body
-        except SyntaxError as exc:
-            raise UnsupportedOp(f"cannot parse expression: {exc}") from exc
-    else:
-        tree = source
+    try:
+        tree = ast.parse(source, mode="eval").body
+    except SyntaxError as exc:
+        raise UnsupportedOp(f"cannot parse expression: {exc}") from exc
     statements: list[Statement] = []
     counter = 0
 
@@ -140,36 +135,6 @@ def flatten(source: str | ast.expr, inputs: Sequence[str] = ("x",)) -> FlatProgr
         # bare input or constant: normalize to out = root * 1
         statements.append(Statement(OUTPUT_VARIABLE, "*", root, 1))
     return FlatProgram(inputs=tuple(inputs), statements=tuple(statements))
-
-
-def parse_program(text: str, inputs: Sequence[str] | None = None) -> FlatProgram:
-    """Parse the one-statement-per-line form, e.g. "n = x * x"."""
-    statements = []
-    assigned: set[str] = set()
-    used: list[str] = []
-    for raw in text.strip().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        target, _, rhs = line.partition("=")
-        target = target.strip()
-        if target in assigned:
-            raise UnsupportedOp(f"{target} assigned twice; single assignment only")
-        tokens = rhs.split()
-        if len(tokens) != 3 or tokens[1] not in _OPS:
-            raise UnsupportedOp(f"statement must be 'target = a <op> b': {line!r}")
-
-        def operand(tok: str) -> str | int:
-            if tok.lstrip("-").isdigit():
-                return int(tok)
-            used.append(tok)
-            return tok
-
-        statements.append(Statement(target, tokens[1], operand(tokens[0]), operand(tokens[2])))
-        assigned.add(target)
-    inferred = tuple(dict.fromkeys(v for v in used if v not in assigned))
-    return FlatProgram(inputs=tuple(inputs) if inputs is not None else inferred,
-                       statements=tuple(statements))
 
 
 # --- R1CS -------------------------------------------------------------------

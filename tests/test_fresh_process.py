@@ -19,12 +19,15 @@ from test_golden_reports import GOLDEN
 
 SRC = Path(rollsim.__file__).resolve().parent.parent
 
-# what an optimistic run never executes, so importing scenarios must not load it
+# what an optimistic run never executes, so neither importing scenarios nor
+# an optimistic run may load it
 VALIDITY_STACK = (
+    "rollsim.costbench",
     "rollsim.snark",
     "rollsim.validityrollup.cairo",
     "rollsim.validityrollup.messaging",
     "rollsim.validityrollup.settlement",
+    "rollsim.validityrollup.statediff",
 )
 
 # every subcommand, with arguments that keep its run short
@@ -52,15 +55,21 @@ def test_scenarios_import_leaves_the_validity_stack_to_a_validity_run():
     script = f"""
 import json, sys
 from rollsim import scenarios
-loaded = [name for name in {VALIDITY_STACK!r} if name in sys.modules]
+loaded = lambda: [name for name in {VALIDITY_STACK!r} if name in sys.modules]
+on_import = loaded()
 from rollsim.cli import _DEFAULT_WORKLOAD
-config = scenarios.ScenarioConfig(rollup="validity", **_DEFAULT_WORKLOAD)
-print(json.dumps({{"loaded": loaded, "report_hash": scenarios.run(config).report_hash()}}))
+run = lambda rollup: scenarios.run(
+    scenarios.ScenarioConfig(rollup=rollup, **_DEFAULT_WORKLOAD)).report_hash()
+optimistic = run("optimistic")
+after_optimistic = loaded()
+print(json.dumps({{"on_import": on_import, "optimistic": optimistic,
+                  "after_optimistic": after_optimistic, "validity": run("validity")}}))
 """
     result = _python("-c", script)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == {
-        "loaded": [], "report_hash": GOLDEN[("simulate-validity",)],
+        "on_import": [], "optimistic": GOLDEN[("simulate-op",)],
+        "after_optimistic": [], "validity": GOLDEN[("simulate-validity",)],
     }
 
 

@@ -22,14 +22,14 @@ from rollsim.scenarios import run
 SRC = Path(rollsim.__file__).resolve().parent.parent
 
 GOLDEN = {
-    ("simulate-op",): "3cd86a91d0c6a5e880b1609468446671272437ecd422bfb920f0efb1f9c03fc6",
-    ("simulate-op", "--fraud"): "175d25a4f34c846f7eb990931165a37f70ef8afae9e85d491e4858ca5cfcdc9c",
+    ("simulate-op",): "c2d6eb8247afdfc02fe5155a8dae3f61af29d248e67808e8a1d88e55ec409ae3",
+    ("simulate-op", "--fraud"): "c15982de51d9fa0fac3d3a0dea860d7b46b3cb136521398f73f47b9adc983de2",
     ("simulate-validity",): "d35396dadda4e9dd82a88893e03e7424e5cf8f13e89f1c6f99a8cf26fb36177e",
 }
 
 WORKLOAD_GOLDEN = {
-    "op-withdrawals": "22ebcca21dd6e23af1321388ad58669a29a47c029bdb21446a24e5657d343e43",
-    "op-fraud-trace": "db5068f6cbd40e304388235ea4d9bba20f37b7cb066560a5976fe4fc5096891e",
+    "op-withdrawals": "52a917927146fef4a2501acdf3b34fececd78e92649d4a1756d85ceb470bef79",
+    "op-fraud-trace": "8a25531370f86d5529c3c772aa438b96fb9cb9e310daebc79574b2182ece3cc4",
     "validity-messages": "a153de32327bb96a844e6fa016b233b632a084454336498444a4d4ad4412e5fb",
 }
 

@@ -17,6 +17,7 @@ from rollsim.merkle import (
     hash_node,
     verify_inclusion,
 )
+from rollsim.oprollup.dispute import MemoryTree
 
 
 def sha(data: bytes) -> bytes:
@@ -172,17 +173,38 @@ class TestBuildDeduplication:
         # 1 + 1, and the root
         assert len(calls) == len(set(calls)) == 9 + 6 + 4 + 2 + 1
 
-    def test_open_prefetch_scope_batches_each_level_once(self):
-        # distinct leaves a, b, c, d; then nodes ab, ab, cc, dd (three
-        # distinct); then abab and ccdd; then the root, alone and so scalar
-        leaves = [b"a", b"b", b"a", b"b", b"c", b"c", b"d", b"d"]
-        with hashing.counting() as alone:
+    def test_open_prefetch_scope_batches_each_level_once(self, monkeypatch):
+        # 32-byte memory leaves a, b, a, b, c, c, d, d: distinct leaves a, b,
+        # c, d; then nodes ab, ab, cc, dd (three distinct); then abab and
+        # ccdd; then the root, alone and so scalar
+        words = [word for leaf in (1, 2, 1, 2, 3, 3, 4, 4) for word in (leaf, 0, 0, 0)]
+        leaves = [b"".join(word.to_bytes(8, "big") for word in words[i:i + 4])
+                  for i in range(0, len(words), 4)]
+        # a plain tree hashes one blob at a time, even inside an open scope
+        with hashing.counting() as alone, hashing.prefetch(()) as scope:
             expected = MerkleTree(leaves).root
-        with hashing.counting() as batched, hashing.prefetch(()) as scope:
-            assert MerkleTree(leaves).root == expected
         assert scope.unread == 0
         assert (alone.perms, alone.packed) == (4 + 3 + 2 + 1, 0)
+
+        # the memory tree opens one scope per level, over the blobs its memo
+        # has not seen, and none for a level it has seen whole
+        real, listed = hashing.prefetch, []
+
+        def watched(blobs):
+            listed.append(len(blobs))
+            return real(blobs)
+
+        monkeypatch.setattr(hashing, "prefetch", watched)
+        with hashing.counting() as batched:
+            tree = MemoryTree(words)
+        assert tree.root == expected
+        assert listed == [4, 3, 2, 1]
         assert (batched.perms, batched.packed) == (4 + 3 + 2 + 1, 4 + 3 + 2)
+        listed.clear()
+        with hashing.counting() as moved:
+            tree.update({0: 2})  # leaf 0 becomes b, a leaf blob the memo holds
+        assert listed == [1, 1, 1]
+        assert (moved.perms, moved.packed) == (3, 0)
 
 
 class TestVerification:

@@ -18,7 +18,6 @@ from rollsim.snark import (
     encrypt_eval,
     flatten,
     forge_without_kea,
-    parse_program,
     prove,
     roots_check,
     run_pipeline,
@@ -60,11 +59,6 @@ class TestFlatten:
         with pytest.raises(UnsupportedOp):
             flatten("x ** 3", inputs=("x",))
 
-    def test_parse_program_text(self):
-        fp = parse_program("n = x * x\nm = n * x\nout = m + 8")
-        assert fp.inputs == ("x",)
-        assert fp.variables == ("~one", "x", "n", "m", "out")
-        assert witness(fp, F, {"x": 3})[-1] == F(35)
 
 
 class TestR1cs:
@@ -383,9 +377,3 @@ class TestEndToEndSoundness:
         assert result.accepted
         assert [e.value for e in result.solution] == [1, 3, 9, 27, 35]
         assert result.output == F(35)
-
-
-class TestParseProgramInvariants:
-    def test_double_assignment_rejected(self):
-        with pytest.raises(UnsupportedOp):
-            parse_program("n = x * x\nn = x * 2")
