@@ -37,13 +37,16 @@ round to. The 48 masks of the 24 rotations, MM and the round constants
 replicated to N slots depend on N; ``_packed_constants`` builds them on the
 first use of a width.
 
-A blob alone stays on ``_keccak_f``: on a shared 2-core x86 host the packed
-sponge took 313 µs for one state against the scalar one's 234, and 160, 99 and
-16 µs per state at widths 2, 3 and 64. So blobs that absorb the same number
-of blocks go through the packed kernel when there are at least
-``_CROSSOVER = 2`` of them, in chunks of at most ``_CHUNK = 64`` slots: the
-cost per state flattens past a few dozen slots (about 10 µs from 256 on), and
-a 64-slot lane is a 512-byte int.
+On a shared 2-core x86 host with Python 3.11, the scalar kernel took 202 µs
+per state and the packed one 266 µs at width 1, then 135, 92, 12.7, 9.3 and
+7.8 µs per state at widths 2, 3, 64, 320 and 1,024, and no less at 2,048 to
+8,192. So a batch runs as one packed sponge per chunk of at most
+``_CHUNK = 1024`` slots, whatever the lengths of its blobs: sorted longest
+first, block b of every blob still absorbing goes through one packed
+permutation, the slots of the blobs that have ended are dropped from the top,
+and the last blob left runs its remaining blocks on ``_keccak_f``, as a batch
+of one blob does. A 1,024-slot lane is an 8 KiB int, and
+``_packed_constants(1024)`` holds 624 KiB, built in about 0.5 ms on first use.
 
 The digests are handed out through ``keccak256``: inside the ``prefetch``
 block, ``keccak256(blob)`` returns the ready digest and counts its
@@ -103,8 +106,7 @@ _ROUND_GROUPS = tuple(
 _ROTATIONS = (1, 2, 3, 6, 8, 10, 14, 15, 18, 20, 21, 25, 27, 28, 36, 39, 41, 43, 44, 45,
               55, 56, 61, 62)
 
-_CHUNK = 64  # most slots in one packed permutation
-_CROSSOVER = 2  # fewest same-length blobs that go through the packed kernel
+_CHUNK = 1024  # most slots in one packed permutation
 
 _RATE = 136  # bytes; capacity 512 bits, digest 256 bits
 _ABSORB = struct.Struct("<17Q")  # one rate block as 17 little-endian lanes
@@ -122,7 +124,7 @@ class PermutationCount:
     """Keccak-f permutations run inside one ``counting()`` block."""
 
     perms: int = 0
-    packed: int = 0  # of ``perms``, those run in slots of the packed kernel
+    packed: int = 0  # of ``perms``, the blocks absorbed in slots of the packed kernel
 
 
 _count: contextvars.ContextVar[PermutationCount | None] = contextvars.ContextVar(
@@ -135,15 +137,16 @@ def counting() -> Iterator[PermutationCount]:
     """Count the Keccak-f permutations ``keccak256`` runs inside the block.
 
     Read ``.perms`` of the yielded count, during the block or after it, and
-    ``.packed``, those of them that ran in slots of the packed kernel; a
-    prefetched digest is counted when ``keccak256`` hands it out. Nothing is
-    counted outside a block. A block counts every permutation run inside it,
-    nested blocks included: an inner block counts only its own, and adds
-    them to the block it was opened in when it closes, also when it closes
-    on an exception, so an enclosing block read while an inner one is still
-    open does not yet include it. The count lives in a
-    ``contextvars.ContextVar``, so it follows the current thread or asyncio
-    task.
+    ``.packed``, those of them that ran in slots of the packed kernel,
+    counted per block: a blob whose last blocks ran alone on the scalar
+    kernel counts only the blocks before them. A prefetched digest is counted
+    when ``keccak256`` hands it out. Nothing is counted outside a block. A
+    block counts every permutation run inside it, nested blocks included: an
+    inner block counts only its own, and adds them to the block it was opened
+    in when it closes, also when it closes on an exception, so an enclosing
+    block read while an inner one is still open does not yet include it. The
+    count lives in a ``contextvars.ContextVar``, so it follows the current
+    thread or asyncio task.
     """
     count = PermutationCount()
     token = _count.set(count)
@@ -444,10 +447,9 @@ def keccak256(data: bytes) -> bytes:
     ready = scope.take(bytes(data)) if scope is not None else None
     count = _count.get()
     if count is not None:
-        blocks = _blocks(len(data))
-        count.perms += blocks
-        if ready is not None and ready[1]:
-            count.packed += blocks
+        count.perms += _blocks(len(data))
+        if ready is not None:
+            count.packed += ready[1]
     return ready[0] if ready is not None else _sponge(data, 0x01)
 
 
@@ -458,76 +460,98 @@ def _sponge(data: bytes, domain: int) -> bytes:
     same permutation and rate, which lets tests check the sponge against
     ``hashlib.sha3_256``.
     """
+    return _SQUEEZE.pack(*_absorb([0] * 25, _pad(data, domain), 0)[:4])
+
+
+def _pad(data: bytes, domain: int) -> bytearray:
+    """``data``, the ``domain`` byte and pad10*1, to a whole number of blocks."""
     padded = bytearray(data)
     padded.append(domain)
     padded += bytes(_blocks(len(data)) * _RATE - len(padded))
     padded[-1] |= 0x80
-    state = [0] * 25
-    for off in range(0, len(padded), _RATE):
+    return padded
+
+
+def _absorb(state: list[int], padded: bytes, start: int) -> list[int]:
+    """``state`` after the blocks of ``padded`` from byte ``start`` on, one
+    ``_keccak_f`` each."""
+    for off in range(start, len(padded), _RATE):
         lanes = _ABSORB.unpack_from(padded, off)
         for j in range(17):
             state[j] ^= lanes[j]
         state = _keccak_f(state)
-    return _SQUEEZE.pack(*state[:4])
+    return state
 
 
-def _sponge_many(blobs: list[bytes], domain: int) -> list[tuple[bytes, bool]]:
-    """``_sponge`` of each blob, in order, each with whether the packed
-    kernel made it.
+def _sponge_many(blobs: list[bytes], domain: int) -> list[tuple[bytes, int]]:
+    """``_sponge`` of each blob, in order, each with the number of its blocks
+    that ran in slots of the packed kernel.
 
-    Blobs that absorb the same number of blocks form a group. A group of at
-    least ``_CROSSOVER`` blobs is split into the fewest near-equal chunks of
-    at most ``_CHUNK``, each one ``_packed_sponge``; a smaller group goes
-    through ``_sponge`` one blob at a time. Every chunk of a packed group
-    holds at least ``_CHUNK // 2 >= _CROSSOVER`` blobs.
+    One blob goes through ``_sponge``. More are sorted longest first, whatever
+    their lengths, and cut into the fewest near-equal chunks of at most
+    ``_CHUNK``, each one ``_packed_sponge``; every chunk holds all the blobs
+    or at least ``_CHUNK // 2`` of them.
     """
-    groups: dict[int, list[int]] = {}
-    for i, blob in enumerate(blobs):
-        groups.setdefault(_blocks(len(blob)), []).append(i)
+    if len(blobs) == 1:
+        return [(_sponge(blobs[0], domain), 0)]
+    order = sorted(range(len(blobs)), key=lambda i: len(blobs[i]), reverse=True)
+    chunks = -(-len(order) // _CHUNK)
     out = [None] * len(blobs)
-    for blocks, members in groups.items():
-        if len(members) < _CROSSOVER:
-            for i in members:
-                out[i] = _sponge(blobs[i], domain), False
-            continue
-        chunks = -(-len(members) // _CHUNK)
-        for c in range(chunks):
-            chunk = members[c * len(members) // chunks:(c + 1) * len(members) // chunks]
-            for i, digest in zip(chunk, _packed_sponge([blobs[i] for i in chunk], blocks, domain)):
-                out[i] = digest, True
+    for c in range(chunks):
+        chunk = order[c * len(order) // chunks:(c + 1) * len(order) // chunks]
+        for i, made in zip(chunk, _packed_sponge([blobs[i] for i in chunk], domain)):
+            out[i] = made
     return out
 
 
-def _packed_sponge(blobs: list[bytes], blocks: int, domain: int) -> list[bytes]:
-    """``_sponge`` of blobs that each absorb ``blocks`` blocks, through one
-    ``_keccak_f_packed`` per block with blob k in slot k.
+def _packed_sponge(blobs: list[bytes], domain: int) -> list[tuple[bytes, int]]:
+    """``_sponge`` of blobs sorted longest first, each with the number of its
+    blocks that ran in slots of the packed kernel.
 
-    The padded blobs lie end to end in one buffer, read as 64-bit words, so
-    lane j of block b of every blob is one strided slice of it; its bytes,
-    read little-endian, are that lane's packed int. The digests come out the
-    same way: the four squeezed lanes are written into every fourth word of
-    one buffer, which then holds the digests end to end.
+    Block b of every blob still absorbing, blob k in slot k, goes through one
+    ``_keccak_f_packed``. The blobs that end at block b hold the top slots:
+    after the permutation they are squeezed and their slots dropped, the
+    lanes masked to the slots left, so every permuted slot is a block some
+    blob absorbs. Once one blob is left, its remaining blocks run on
+    ``_keccak_f``, which is faster at width 1.
+
+    Block b of the live blobs is laid end to end in one buffer, read as 64-bit
+    words, so lane j of every slot is one strided slice of it; its bytes, read
+    little-endian, are that lane's packed int. The digests come out the same
+    way: the four squeezed lanes of the ending slots are written into every
+    fourth word of their part of one buffer, which holds the digests end to
+    end.
     """
     slots = len(blobs)
-    width = blocks * _RATE
-    padded = bytearray(slots * width)
-    for k, blob in enumerate(blobs):
-        off = k * width
-        padded[off:off + len(blob)] = blob
-        padded[off + len(blob)] = domain
-        padded[off + width - 1] |= 0x80
-    words = memoryview(padded).cast("Q")
-    stride = blocks * 17
-    state = [0] * 25
-    for b in range(blocks):
-        for j in range(17):
-            state[j] ^= int.from_bytes(words[b * 17 + j::stride].tobytes(), "little")
-        state = _keccak_f_packed(state, slots)
+    ends = [_blocks(len(blob)) for blob in blobs]  # non-increasing
+    padded = [memoryview(_pad(blob, domain)) for blob in blobs]
     digests = bytearray(32 * slots)
     out = memoryview(digests).cast("Q")
-    for j in range(4):
-        out[j::4] = memoryview(state[j].to_bytes(8 * slots, "little")).cast("Q")
-    return [bytes(digests[off:off + 32]) for off in range(0, 32 * slots, 32)]
+    packed = [0] * slots
+    state = [0] * 25
+    live, b = slots, 0
+    while live > 1:
+        off = b * _RATE
+        words = memoryview(b"".join([p[off:off + _RATE] for p in padded[:live]])).cast("Q")
+        for j in range(17):
+            state[j] ^= int.from_bytes(words[j::17].tobytes(), "little")
+        state = _keccak_f_packed(state, live)
+        b += 1
+        left = live
+        while left and ends[left - 1] == b:
+            left -= 1
+        if left < live:
+            for j in range(4):
+                squeezed = (state[j] >> 64 * left).to_bytes(8 * (live - left), "little")
+                out[4 * left + j:4 * live:4] = memoryview(squeezed).cast("Q")
+            mask = (1 << 64 * left) - 1
+            state = [lane & mask for lane in state]
+            packed[left:live] = [b] * (live - left)
+            live = left
+    if live:  # slot 0 alone, its lanes 64 bits wide
+        packed[0] = b
+        digests[:32] = _SQUEEZE.pack(*_absorb(state, padded[0], b * _RATE)[:4])
+    return [(bytes(digests[off:off + 32]), n) for off, n in zip(range(0, 32 * slots, 32), packed)]
 
 
 class Prefetched:
@@ -536,7 +560,7 @@ class Prefetched:
 
     def __init__(self, blobs: Iterable[bytes]):
         self._ready: dict[bytes, bytes] = {}  # digest
-        self._left: dict[bytes, list[bool]] = {}  # per unread listing: made packed
+        self._left: dict[bytes, list[int]] = {}  # per unread listing: blocks run packed
         self.add(blobs)
 
     def add(self, blobs: Iterable[bytes]) -> None:
@@ -553,9 +577,12 @@ class Prefetched:
         read or counting anything; ``KeyError`` if it never listed ``blob``."""
         return self._ready[bytes(blob)]
 
-    def take(self, blob: bytes) -> tuple[bytes, bool] | None:
-        """The digest of ``blob`` and whether the packed kernel made it, if
-        a read of it is left; the read is used up."""
+    def take(self, blob: bytes) -> tuple[bytes, int] | None:
+        """The digest of ``blob`` and the number of its blocks that ran in
+        slots of the packed kernel, if a read of it is left; the read is used
+        up. Listings of one blob may differ in that number (the longest blob
+        of a chunk runs its last blocks alone); any one of them is taken, so
+        the reads of every listing together count the slots permuted."""
         left = self._left.get(blob)
         if not left:
             return None

@@ -28,7 +28,7 @@ def sha3_perms(monkeypatch):
     at a fraction of the time. For sweeps only, never for reports."""
     monkeypatch.setattr(hashing, "_sponge", lambda data, domain: _sha3(data))
     monkeypatch.setattr(
-        hashing, "_sponge_many", lambda blobs, domain: [(_sha3(b), False) for b in blobs]
+        hashing, "_sponge_many", lambda blobs, domain: [(_sha3(b), 0) for b in blobs]
     )
     with hashing.counting() as count:
         yield count

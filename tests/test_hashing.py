@@ -172,9 +172,9 @@ def _unpack(lanes: list[int], slots: int) -> list[list[int]]:
 
 
 class TestPackedPermutation:
-    @pytest.mark.parametrize(
-        "slots", [1, 2, 3, 4, hashing._CHUNK - 1, hashing._CHUNK, hashing._CHUNK + 1, 320]
-    )
+    # the kernel does not depend on ``_CHUNK``: 63, 64 and 65 straddle a
+    # slot count of a power of two, and TestBatchedSponge checks the chunks
+    @pytest.mark.parametrize("slots", [1, 2, 3, 4, 63, 64, 65, 320])
     def test_every_slot_matches_scalar_and_textbook(self, slots):
         rnd = random.Random(slots)
         states = [[rnd.getrandbits(64) for _ in range(25)] for _ in range(slots)]
@@ -196,12 +196,14 @@ class TestPackedPermutation:
 
 class TestBatchedSponge:
     def test_matches_stdlib_sha3_at_every_length_in_one_call(self):
-        # one to four blocks in one call: groups of 136, 136, 136 and 13
-        # blobs, the first three split into chunks
+        # one to four blocks in one call: 421 blobs, one chunk whose width
+        # shrinks from 421 to 285, 149 and 13 slots as blobs end
         messages = [_message(n) for n in range(421)]
-        got = hashing._sponge_many(messages, 0x06)
+        with _permuted_slots() as slots:
+            got = hashing._sponge_many(messages, 0x06)
         assert [digest for digest, _ in got] == [hashlib.sha3_256(m).digest() for m in messages]
-        assert all(packed for _, packed in got)
+        assert [packed for _, packed in got] == [hashing._blocks(len(m)) for m in messages]
+        assert slots.widths == [421, 285, 149, 13]
 
     def test_keccak_known_answers_inside_a_batch(self):
         blobs = [b"", b"abc", _message(50), _message(135)]
@@ -212,11 +214,56 @@ class TestBatchedSponge:
             assert keccak256(b"abc").hex() == ABC_DIGEST
         assert (count.perms, count.packed) == (2, 2)
 
-    def test_a_blob_alone_at_its_length_stays_scalar(self, monkeypatch):
+    def test_a_batch_of_one_blob_stays_scalar(self, monkeypatch):
         monkeypatch.setattr(hashing, "_keccak_f_packed", lambda state, slots: pytest.fail("packed"))
-        blobs = [_message(n) for n in (3, 140, 300)]  # one, two and three blocks
-        got = hashing._sponge_many(blobs, 0x06)
-        assert got == [(hashlib.sha3_256(m).digest(), False) for m in blobs]
+        blob = _message(300)
+        assert hashing._sponge_many([blob], 0x06) == [(hashlib.sha3_256(blob).digest(), 0)]
+
+    def test_blobs_of_every_length_share_slots_until_one_is_left(self):
+        # one, two and three blocks: all three slots absorb block 0, the
+        # three-byte blob ends and its slot is dropped, two absorb block 1,
+        # and the longest blob's last block runs alone on the scalar kernel
+        blobs = [_message(n) for n in (3, 140, 300)]
+        with _permuted_slots() as slots:
+            got = hashing._sponge_many(blobs, 0x06)
+        assert (slots.widths, slots.total - slots.packed) == ([3, 2], 1)
+        assert [packed for _, packed in got] == [1, 2, 2]
+        assert [digest for digest, _ in got] == [hashlib.sha3_256(m).digest() for m in blobs]
+
+    @pytest.mark.parametrize(
+        "n", [hashing._CHUNK - 1, hashing._CHUNK, hashing._CHUNK + 1, 2 * hashing._CHUNK + 1]
+    )
+    def test_chunks_hold_at_most_chunk_slots(self, n):
+        # mixed lengths of one to three blocks; past ``_CHUNK`` blobs the
+        # batch splits into near-equal chunks, none wider than ``_CHUNK``
+        rnd = random.Random(n)
+        blobs = [rnd.randbytes(rnd.randrange(3 * 136)) for _ in range(n)]
+        with _permuted_slots() as slots:
+            got = hashing._sponge_many(blobs, 0x06)
+        assert [digest for digest, _ in got] == [hashlib.sha3_256(m).digest() for m in blobs]
+        assert max(slots.widths) <= hashing._CHUNK
+        assert slots.widths[0] == n // -(-n // hashing._CHUNK)
+        assert sum(packed for _, packed in got) == slots.packed
+
+    def test_random_mixed_batches_match_stdlib_and_count_every_slot(self):
+        # a seeded differential: batches of 1 to 130 blobs of 0 to 900 bytes,
+        # the lengths round the first rate boundary among them. The packed
+        # counts handed out per blob add up to the slots the kernel permuted,
+        # and reading a batch back through ``keccak256`` counts the same
+        rnd = random.Random(30)
+        for _ in range(200):
+            blobs = [rnd.randbytes(rnd.choice([rnd.randrange(901), 135, 136, 137]))
+                     for _ in range(rnd.randrange(1, 131))]
+            with _permuted_slots() as slots:
+                got = hashing._sponge_many(blobs, 0x06)
+            assert [digest for digest, _ in got] == [hashlib.sha3_256(m).digest() for m in blobs]
+            assert sum(packed for _, packed in got) == slots.packed
+            with _permuted_slots() as slots, hashing.counting() as count:
+                with hashing.prefetch(blobs) as scope:
+                    for blob in blobs:
+                        keccak256(blob)
+                    assert scope.unread == 0
+            assert (count.perms, count.packed) == (slots.total, slots.packed)
 
 
 @contextlib.contextmanager
@@ -490,9 +537,10 @@ class TestPrefetch:
                 assert (scope.unread, count.perms, count.packed) == (2, 0, 0)
                 with pytest.raises(KeyError):
                     scope.digest(added)
-                # the added pair runs packed; ``listed`` alone at its length does not
+                # ``listed`` shares the added pair's slots for its two blocks,
+                # and the pair runs its third block as two slots
                 scope.add([added, listed, added])
-                assert (slots.total, slots.packed) == (2 * 2 + 2 * 3 + 2, 2 * 2 + 2 * 3)
+                assert (slots.total, slots.packed) == (2 * 2 + 2 * 3 + 2, 2 * 2 + 2 * 3 + 2)
                 assert scope.digest(added) == expected_added
                 assert (scope.unread, count.perms, count.packed) == (5, 0, 0)
                 assert keccak256(added) == keccak256(added) == expected_added
