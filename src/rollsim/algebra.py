@@ -9,8 +9,10 @@ pairing) while keeping the exponent out of the public interface.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Goldilocks prime, 2^64 - 2^32 + 1. Large enough that probabilistic checks
 # (Freivalds, fingerprinting) have negligible error at desk scale.
@@ -189,6 +191,8 @@ class FieldElement:
         num * den^-1 equals this element. Used to display field-encoded QAP
         coefficients against their textbook fractional form.
         """
+        from fractions import Fraction
+
         p, max_num = self.field.prime, 10**9
         for den in range(1, 65):
             num = (self.value * den) % p
@@ -312,6 +316,8 @@ class Polynomial:
 
     @classmethod
     def from_rationals(cls, field: Field, fracs: Sequence[Fraction | int | tuple[int, int]]) -> "Polynomial":
+        from fractions import Fraction
+
         coeffs = []
         for f in fracs:
             if isinstance(f, tuple):

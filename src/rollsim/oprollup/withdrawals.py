@@ -13,9 +13,9 @@ from dataclasses import dataclass, field as dataclass_field
 from ..hashing import keccak256
 from ..l1sim import Chain
 from ..merkle import DigestMemo, MerkleProof, verify_inclusion
+from . import DISPUTE_PERIOD
 from .l2 import OutputRootProof, WithdrawalTx
 
-DISPUTE_PERIOD = 7 * 24 * 3600  # seconds
 MIN_STAKE = 10**18  # the least a proposer stakes on an output root
 FINALIZE_GAS_BUFFER = 20_000
 ORACLE_ADDRESS = 0x90000000000000000000000000000000000000A2

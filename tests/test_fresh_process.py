@@ -26,8 +26,23 @@ VALIDITY_STACK = (
     "rollsim.snark",
     "rollsim.validityrollup.cairo",
     "rollsim.validityrollup.messaging",
+    "rollsim.validityrollup.scenario",
     "rollsim.validityrollup.settlement",
     "rollsim.validityrollup.statediff",
+)
+
+# what a validity run never executes, so neither importing scenarios nor a
+# validity run may load it
+OPTIMISTIC_STACK = (
+    "rollsim.merkle",
+    "rollsim.rlp",
+    "rollsim.oprollup.batching",
+    "rollsim.oprollup.deposits",
+    "rollsim.oprollup.derivation",
+    "rollsim.oprollup.dispute",
+    "rollsim.oprollup.l2",
+    "rollsim.oprollup.scenario",
+    "rollsim.oprollup.withdrawals",
 )
 
 # every subcommand, with arguments that keep its run short
@@ -51,25 +66,36 @@ def _python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_scenarios_import_leaves_the_validity_stack_to_a_validity_run():
-    script = f"""
+def test_each_rollup_stack_loads_only_for_its_own_run():
+    script = """
 import json, sys
+stacks = {"optimistic": %r, "validity": %r, "fractions": ("fractions",)}
+loaded = lambda: {stack: [name for name in names if name in sys.modules]
+                  for stack, names in stacks.items()}
 from rollsim import scenarios
-loaded = lambda: [name for name in {VALIDITY_STACK!r} if name in sys.modules]
 on_import = loaded()
 from rollsim.cli import _DEFAULT_WORKLOAD
-run = lambda rollup: scenarios.run(
-    scenarios.ScenarioConfig(rollup=rollup, **_DEFAULT_WORKLOAD)).report_hash()
-optimistic = run("optimistic")
-after_optimistic = loaded()
-print(json.dumps({{"on_import": on_import, "optimistic": optimistic,
-                  "after_optimistic": after_optimistic, "validity": run("validity")}}))
-"""
-    result = _python("-c", script)
-    assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == {
-        "on_import": [], "optimistic": GOLDEN[("simulate-op",)],
-        "after_optimistic": [], "validity": GOLDEN[("simulate-validity",)],
+report_hash = scenarios.run(
+    scenarios.ScenarioConfig(rollup=sys.argv[1], **_DEFAULT_WORKLOAD)).report_hash()
+print(json.dumps({"on_import": on_import, "after_run": loaded(), "report_hash": report_hash}))
+""" % (OPTIMISTIC_STACK, VALIDITY_STACK)
+    seen = {}
+    for rollup in ("optimistic", "validity"):
+        result = _python("-c", script, rollup)
+        assert result.returncode == 0, result.stderr
+        seen[rollup] = json.loads(result.stdout)
+    nothing = {"optimistic": [], "validity": [], "fractions": []}
+    assert seen == {
+        "optimistic": {
+            "on_import": nothing,
+            "after_run": {**nothing, "optimistic": list(OPTIMISTIC_STACK)},
+            "report_hash": GOLDEN[("simulate-op",)],
+        },
+        "validity": {
+            "on_import": nothing,
+            "after_run": {**nothing, "validity": list(VALIDITY_STACK)},
+            "report_hash": GOLDEN[("simulate-validity",)],
+        },
     }
 
 
