@@ -140,8 +140,6 @@ def cache_calldata_savings() -> float:
 
 @dataclass(frozen=True)
 class GroupStats:
-    raw_bytes: int
-    compressed_bytes: int
     raw_gas: int
     compressed_gas: int
 
@@ -152,14 +150,6 @@ class CompressionStats:
     groups: tuple[GroupStats, ...]
 
     @property
-    def total_raw_bytes(self) -> int:
-        return sum(g.raw_bytes for g in self.groups)
-
-    @property
-    def total_compressed_bytes(self) -> int:
-        return sum(g.compressed_bytes for g in self.groups)
-
-    @property
     def total_raw_gas(self) -> int:
         return sum(g.raw_gas for g in self.groups)
 
@@ -167,20 +157,12 @@ class CompressionStats:
     def total_compressed_gas(self) -> int:
         return sum(g.compressed_gas for g in self.groups)
 
-    @property
-    def byte_ratio(self) -> float:
-        return self.total_compressed_bytes / self.total_raw_bytes
-
-    @property
-    def gas_ratio(self) -> float:
-        return self.total_compressed_gas / self.total_raw_gas
-
 
 def compression_stats(corpus: Sequence[bytes], group_size: int) -> CompressionStats:
     """Compress the corpus in groups of ``group_size`` batches and price both forms.
 
-    Ratios above 1 are reported as they come: incompressible input costs more
-    compressed, and the numbers say so.
+    A compressed total above the raw one is reported as it comes:
+    incompressible input costs more compressed, and the numbers say so.
     """
     if not corpus:
         raise ValueError("corpus is empty")
@@ -192,8 +174,6 @@ def compression_stats(corpus: Sequence[bytes], group_size: int) -> CompressionSt
         compressed = zlib.compress(blob)
         groups.append(
             GroupStats(
-                raw_bytes=len(blob),
-                compressed_bytes=len(compressed),
                 raw_gas=calldata_gas(blob),
                 compressed_gas=calldata_gas(compressed),
             )
@@ -226,12 +206,6 @@ def synthetic_batch_corpus(n_batches: int = 10) -> list[bytes]:
             )
         batches.append(b"".join(txs))
     return batches
-
-
-def save_corpus(path, corpus: Sequence[bytes]) -> None:
-    with open(path, "w") as fh:
-        for batch in corpus:
-            fh.write(batch.hex() + "\n")
 
 
 def load_corpus(path) -> list[bytes]:

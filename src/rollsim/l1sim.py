@@ -368,12 +368,6 @@ class Chain:
         self._block_dirty = set()
         return block
 
-    def event_at(self, block_number: int, log_index: int) -> Event:
-        for event in self.events:
-            if event.block_number == block_number and event.log_index == log_index:
-                return event
-        raise KeyError(f"no event at ({block_number}, {log_index})")
-
     def events_in_block(self, block_number: int) -> list[Event]:
         return [e for e in self.events if e.block_number == block_number]
 

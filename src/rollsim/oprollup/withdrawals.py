@@ -102,9 +102,6 @@ class L2OutputOracle:
         self._proposal_blocks.append(now_block)
         return proposal
 
-    def get(self, l2_block_number: int) -> OutputProposal:
-        return self.proposals[l2_block_number]
-
     def is_finalized(self, proposal: OutputProposal, now: int) -> bool:
         return now >= proposal.timestamp + self.dispute_period
 

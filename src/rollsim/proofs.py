@@ -48,9 +48,6 @@ class Transcript:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def message(self, index: int) -> bytes:
-        return self.entries[index][1]
-
     def prefix_bytes(self) -> bytes:
         """Length-framed serialization of every message so far."""
         chunks = []

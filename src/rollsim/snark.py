@@ -81,9 +81,6 @@ class FlatProgram:
         ]
         return (ONE_VARIABLE, *self.inputs, *intermediates, OUTPUT_VARIABLE)
 
-    def __str__(self) -> str:
-        return "\n".join(str(s) for s in self.statements)
-
 
 def flatten(source: str, inputs: Sequence[str] = ("x",)) -> FlatProgram:
     """Flatten an arithmetic expression into single-operator statements.

@@ -136,9 +136,6 @@ class PartialMemory:
             raise InvalidAccess(addr)
         return self._cells[addr]
 
-    def get(self, addr: int, default: int | None = None) -> int | None:
-        return self._cells.get(addr % self.prime, default)
-
     def __setitem__(self, addr: int, value: int) -> None:
         addr %= self.prime
         value %= self.prime
@@ -243,25 +240,6 @@ def _follows(state: CairoState, next_state: CairoState, memory: _GivenMemory, pr
         return step(state, memory, prime) == next_state
     except ValueError:  # an undecodable word or a failed assertion
         return False
-
-
-def cairo_step_valid(
-    state: CairoState,
-    next_state: CairoState,
-    memory,
-    prime: int = DEFAULT_PRIME,
-) -> bool:
-    """Decide whether one transition follows the machine semantics.
-
-    ``memory`` must define every address the instruction at ``state.pc``
-    touches, or InvalidAccess is raised; it is only read, never written. A
-    memory that binds one field address to two values is rejected.
-    """
-    try:
-        given = _GivenMemory(memory, prime)
-    except MemoryContradiction:
-        return False
-    return _follows(state, next_state, given, prime)
 
 
 def deterministic_accept(

@@ -296,10 +296,10 @@ class TestCostReport:
         assert comp["grouped_gas"] <= comp["single_gas"] <= comp["raw_gas"]
 
     def test_corpus_file(self, runner, tmp_path):
-        from rollsim.costbench import save_corpus, synthetic_batch_corpus
+        from rollsim.costbench import synthetic_batch_corpus
 
         path = tmp_path / "corpus.hex"
-        save_corpus(path, synthetic_batch_corpus(n_batches=4))
+        path.write_text("".join(b.hex() + "\n" for b in synthetic_batch_corpus(n_batches=4)))
         result = runner.invoke(main, ["cost-report", "--corpus", str(path), "--json"])
         assert result.exit_code == 0
 

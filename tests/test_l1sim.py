@@ -132,8 +132,8 @@ class TestChain:
         chain.register_contract(0xC0, SlotWriter())
         chain.submit_tx(0x1, 0xC0, call=("set_slot", {"slot": 1, "value": 5}))
         chain.mine_block()
-        event = chain.event_at(0, 0)
-        assert event.name == "SlotSet"
+        (event,) = chain.events_in_block(0)
+        assert (event.name, event.log_index) == ("SlotSet", 0)
 
     def test_same_slot_twice_in_block_pays_warm(self):
         chain = Chain()

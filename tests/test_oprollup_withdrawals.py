@@ -48,7 +48,7 @@ class TestProposals:
         chain = Chain()
         oracle = L2OutputOracle(chain, proposers={PROPOSER})
         proposal = oracle.propose(PROPOSER, b"\x01" * 32, 7, MIN_STAKE)
-        assert oracle.get(7) == proposal
+        assert oracle.proposals[7] == proposal
 
     def test_unauthorized_rejected(self):
         chain = Chain()

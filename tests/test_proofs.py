@@ -235,7 +235,7 @@ class TestSchnorr:
             c = rng.randrange(1, group.q)
             honest = schnorr_round(keys, rng, challenge=c)
             simulated = schnorr_simulate(keys.public, c, group, rng)
-            if honest.message(0) == simulated.message(0):
+            if honest.entries[0] == simulated.entries[0]:
                 collisions += 1
         assert collisions == 0
 

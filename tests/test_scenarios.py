@@ -1,11 +1,15 @@
 import copy
+import dataclasses
 import hashlib
 import json
+import os
 import random
 import re
+import sys
 
 import pytest
 
+import rollsim
 from rollsim.scenarios import (
     MAX_DISPUTE_STEPS,
     MAX_PROOF_CADENCE_BLOCKS,
@@ -181,6 +185,33 @@ def _valid_when_clamped(payload, above):
     return True
 
 
+def _assert_each_withdrawal_ends_once(report, config):
+    """Each configured withdrawal ends in exactly one terminal outcome.
+
+    The outcomes are ``withdrawal_not_initiated``, ``withdrawal_consumed``, or
+    the optimistic pair keyed by withdrawal hash: ``finalize_rejected`` at
+    ``on_time - 1`` (refused by design), then ``withdrawal_finalized`` or
+    ``finalize_rejected`` at ``on_time``, the honest proposal's time plus the
+    dispute period.
+    """
+    ended = 0
+    on_time = None
+    pairs = {}
+    for entry in report.timeline:
+        name = entry["event"]
+        if name in ("withdrawal_not_initiated", "withdrawal_consumed"):
+            ended += 1
+        elif name == "output_proposed" and not entry["fraudulent"]:
+            on_time = entry["time"] + config.dispute_period
+        elif name in ("finalize_rejected", "withdrawal_finalized"):
+            pairs.setdefault(entry["withdrawal"], []).append((name, entry["time"]))
+    for withdrawal, events in pairs.items():
+        assert len(events) == 2, (withdrawal, events)
+        assert events[0] == ("finalize_rejected", on_time - 1), (withdrawal, events)
+        assert events[1][1] == on_time, (withdrawal, events)
+    assert ended + len(pairs) == len(config.withdrawals), (ended, len(pairs))
+
+
 class TestConfigFuzz:
     def test_mutants_are_valid_or_name_their_field_path(self):
         rng = random.Random(2024)
@@ -215,7 +246,9 @@ class TestConfigFuzz:
         for config in runs:
             # a rejected action is a timeline event, never a raise, and the
             # run's own checks hold
-            assert run(config).ok, config.to_json()[:200]
+            report = run(config)
+            assert report.ok, config.to_json()[:200]
+            _assert_each_withdrawal_ends_once(report, config)
 
 
 class TestOptimisticScenario:
@@ -342,6 +375,46 @@ class TestOptimisticScale:
         # withdrawal proof was folded from scratch, at log n + 1 hashes;
         # 29.28 and 34.73 (1.19x) with a state root per L2 block
         assert per_user[1024] <= 1.02 * per_user[256]
+
+    @pytest.mark.parametrize("workload", ["op-withdrawals", "validity-messages"])
+    def test_per_user_python_lines_flat_from_256_to_1024_users(
+        self, sha3_perms, bench_workloads, workload
+    ):
+        # Python line events inside the package, the Keccak kernels left out,
+        # gate the non-hash work as the test above gates hashing. A ratio,
+        # not a pin, because line events differ between Python versions.
+        package = os.path.dirname(rollsim.__file__) + os.sep
+        kernels = {"_keccak_f", "_keccak_f_packed"}
+        lines = 0
+
+        def count_lines(frame, event, arg):
+            nonlocal lines
+            if event == "line":
+                lines += 1
+            return count_lines
+
+        def enter(frame, event, arg):
+            code = frame.f_code
+            if code.co_filename.startswith(package) and code.co_name not in kernels:
+                return count_lines
+            return None
+
+        per_user = {}
+        for n in (256, 1024):
+            config = dataclasses.replace(bench_workloads.WORKLOADS[workload], users=n).config(1)
+            lines = 0
+            previous = sys.gettrace()
+            sys.settrace(enter)
+            try:
+                report = run(config)
+            finally:
+                sys.settrace(previous)
+            assert report.ok
+            per_user[n] = lines / n
+        # optimistic 1,352 and 1,371 per user (1.014x) on Python 3.11, and
+        # 1,241 and 1,394 (1.124x) when channel reading was quadratic in
+        # frames; validity 495 and 454 (0.917x)
+        assert per_user[1024] <= 1.05 * per_user[256], per_user
 
     def test_unfunded_withdrawal_is_an_event(self):
         config = funded_users(3)

@@ -19,7 +19,6 @@ from rollsim.validityrollup.cairo import (
     OP_RET,
     PartialMemory,
     REG_FP,
-    cairo_step_valid,
     decode_instruction,
     deterministic_accept,
     encode_instruction,
@@ -81,35 +80,34 @@ class TestStepValidity:
         memory = {100: word, 199: 25, 200: 5}
         s = CairoState(pc=100, ap=200, fp=200)
         s_next = CairoState(pc=101, ap=201, fp=200)
-        assert cairo_step_valid(s, s_next, memory)
+        assert deterministic_accept(1, memory, [s, s_next])
 
     def test_assert_mul_wrong_value(self):
         word = encode_instruction(OP_ASSERT_MUL, dst_off=-1, a_off=0, b_off=0, ap_inc=True)
         memory = {100: word, 199: 25, 200: 4}
         s = CairoState(pc=100, ap=200, fp=200)
         s_next = CairoState(pc=101, ap=201, fp=200)
-        assert not cairo_step_valid(s, s_next, memory)
+        assert not deterministic_accept(1, memory, [s, s_next])
 
     def test_field_negated_root_accepted(self):
         word = encode_instruction(OP_ASSERT_MUL, dst_off=-1, a_off=0, b_off=0, ap_inc=True)
         memory = {100: word, 199: 25, 200: (-5) % P}
         s = CairoState(pc=100, ap=200, fp=200)
         s_next = CairoState(pc=101, ap=201, fp=200)
-        assert cairo_step_valid(s, s_next, memory)
+        assert deterministic_accept(1, memory, [s, s_next])
 
-    def test_undefined_pc_raises(self):
+    def test_undefined_pc_rejected(self):
         s = CairoState(pc=100, ap=0, fp=0)
-        with pytest.raises(InvalidAccess):
-            cairo_step_valid(s, s, {})
+        assert not deterministic_accept(1, {}, [s, s])
 
     def test_wrong_register_update_rejected(self):
         word = encode_instruction(OP_ASSERT_EQ_IMM, dst_off=0, ap_inc=True)
         memory = {100: word, 101: 9, 200: 9}
         s = CairoState(pc=100, ap=200, fp=200)
-        assert cairo_step_valid(s, CairoState(pc=102, ap=201, fp=200), memory)
-        assert not cairo_step_valid(s, CairoState(pc=102, ap=200, fp=200), memory)
-        assert not cairo_step_valid(s, CairoState(pc=103, ap=201, fp=200), memory)
-        assert not cairo_step_valid(s, CairoState(pc=102, ap=201, fp=201), memory)
+        assert deterministic_accept(1, memory, [s, CairoState(pc=102, ap=201, fp=200)])
+        assert not deterministic_accept(1, memory, [s, CairoState(pc=102, ap=200, fp=200)])
+        assert not deterministic_accept(1, memory, [s, CairoState(pc=103, ap=201, fp=200)])
+        assert not deterministic_accept(1, memory, [s, CairoState(pc=102, ap=201, fp=201)])
 
     @pytest.mark.parametrize(
         "word, cells, next_state",
@@ -140,9 +138,8 @@ class TestStepValidity:
     def test_one_verdict_per_field_memory(self, word, cells, next_state):
         cells = {100: word, **cells}
         s = CairoState(pc=100, ap=200, fp=200)
-        assert cairo_step_valid(s, next_state, cells)
-        assert cairo_step_valid(s, next_state, PartialMemory(P, cells))
         assert deterministic_accept(1, cells, [s, next_state])
+        assert deterministic_accept(1, PartialMemory(P, cells), [s, next_state])
 
     def test_two_values_for_one_field_address_rejected(self):
         word = encode_instruction(OP_ASSERT_EQ, dst_off=0, a_off=1)
@@ -151,7 +148,6 @@ class TestStepValidity:
         s, s_next = CairoState(pc=100, ap=200, fp=200), CairoState(pc=101, ap=200, fp=200)
         with pytest.raises(MemoryContradiction):
             PartialMemory(P, cells)
-        assert not cairo_step_valid(s, s_next, cells)
         assert not deterministic_accept(1, cells, [s, s_next])
 
 
@@ -337,13 +333,13 @@ class TestRunnerCheckerParity:
         for result in self._runs():
             assert deterministic_accept(result.steps, result.memory, result.states)
             for s, s_next in zip(result.states, result.states[1:]):
-                assert cairo_step_valid(s, s_next, result.memory, P)
+                assert deterministic_accept(1, result.memory, [s, s_next], P)
                 for bumped in (
                     CairoState(pc=s_next.pc + 1, ap=s_next.ap, fp=s_next.fp),
                     CairoState(pc=s_next.pc, ap=s_next.ap + 1, fp=s_next.fp),
                     CairoState(pc=s_next.pc, ap=s_next.ap, fp=s_next.fp + 1),
                 ):
-                    assert not cairo_step_valid(s, bumped, result.memory, P)
+                    assert not deterministic_accept(1, result.memory, [s, bumped], P)
 
 
 class TestMutationResistance:
