@@ -12,20 +12,23 @@ hashed when the L2 sends it; settlement binds that same digest. On L1,
 ``consume_message_from_l2`` hashes the raw payload its caller submits: that is
 the core contract's own check and trusts no precomputed digest.
 
-A scenario may prefetch any of these hashes (``hashing.prefetch``) when it
-knows the messages ahead, and ``l1_to_l2_preimage`` and ``l2_to_l1_preimage``
-build what each direction hashes. ``send_message_to_l2`` assigns the nonce
-itself, from ``message_nonce``, so a caller that prefetches L1 sends predicts
-the nonces from that counter. A prefetched digest is handed out only for the
-exact preimage it was computed from: a tampered payload or a mispredicted
-nonce costs one real hash, never a wrong digest.
+Each message class states its word layout once, as ``preimage``, and its
+``hash`` hashes that. A caller that knows the messages ahead hashes them
+together in a scope this module opens: ``prefetch_to_l2`` for L1 sends,
+numbered from the core's ``message_nonce`` here, where the core assigns them,
+and ``prefetch_to_l1`` for L2 sends and L1 consumes, which hash the same
+blobs. A prefetched digest is handed out only for the exact preimage it was
+computed from, so a tampered payload or a send the scope did not list costs
+one real hash, never a wrong digest.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable
+from typing import Callable, Iterator
 
+from .. import hashing
 from ..hashing import keccak256, memoized_digest
 from ..l1sim import ZERO_HASH, Chain
 
@@ -57,6 +60,10 @@ def selector_from_name(name: str) -> int:
     return int.from_bytes(keccak256(name.encode("ascii")), "big") & SELECTOR_MASK
 
 
+def _words(*words: int) -> bytes:
+    return b"".join([w.to_bytes(32, "big") for w in words])
+
+
 @dataclass(frozen=True)
 class L1ToL2Message:
     from_address: int
@@ -66,46 +73,16 @@ class L1ToL2Message:
     nonce: int
     fee: int
 
+    @property
+    def preimage(self) -> bytes:
+        """(from_address, to_address, selector, payload length, payload, nonce)
+        as 32-byte words; the fee is not hashed."""
+        return _words(self.from_address, self.to_address, self.selector, len(self.payload),
+                      *self.payload, self.nonce)
+
     @memoized_digest
     def hash(self) -> bytes:
-        return keccak256(
-            l1_to_l2_preimage(
-                self.from_address, self.to_address, self.selector, self.payload, self.nonce
-            )
-        )
-
-
-def l1_to_l2_preimage(
-    from_address: int, to_address: int, selector: int, payload, nonce: int
-) -> bytes:
-    """(from_address, to_address, selector, payload length, payload, nonce) as
-    32-byte words: what ``L1ToL2Message.hash`` hashes, so a caller can prefetch it."""
-    return (
-        from_address.to_bytes(32, "big")
-        + to_address.to_bytes(32, "big")
-        + selector.to_bytes(32, "big")
-        + len(payload).to_bytes(32, "big")
-        + b"".join(w.to_bytes(32, "big") for w in payload)
-        + nonce.to_bytes(32, "big")
-    )
-
-
-def l2_to_l1_preimage(from_address: int, to_address: int, payload) -> bytes:
-    """(from_address, consumer, payload length, payload) as 32-byte words:
-    what ``l2_to_l1_message_hash`` hashes, so a caller can prefetch it."""
-    return (
-        from_address.to_bytes(32, "big")
-        + to_address.to_bytes(32, "big")
-        + len(payload).to_bytes(32, "big")
-        + b"".join(w.to_bytes(32, "big") for w in payload)
-    )
-
-
-def l2_to_l1_message_hash(
-    from_address: int, to_address: int, payload: tuple[int, ...]
-) -> bytes:
-    """H(from_address, consumer, payload length, payload)."""
-    return keccak256(l2_to_l1_preimage(from_address, to_address, payload))
+        return keccak256(self.preimage)
 
 
 @dataclass(frozen=True)
@@ -116,9 +93,45 @@ class L2ToL1Message:
     to_address: int
     payload: tuple[int, ...]
 
+    @property
+    def preimage(self) -> bytes:
+        """(from_address, consumer, payload length, payload) as 32-byte words."""
+        return _words(self.from_address, self.to_address, len(self.payload), *self.payload)
+
     @memoized_digest
     def hash(self) -> bytes:
         return l2_to_l1_message_hash(self.from_address, self.to_address, self.payload)
+
+
+def l2_to_l1_message_hash(from_address: int, to_address: int, payload) -> bytes:
+    """The hash of the ``L2ToL1Message`` these fields make."""
+    return keccak256(L2ToL1Message(from_address, to_address, tuple(payload)).preimage)
+
+
+@contextlib.contextmanager
+def prefetch_to_l2(
+    core: StarkNetCore, from_address: int, to_address: int, selector: int, payloads
+) -> Iterator[hashing.Prefetched]:
+    """A ``hashing.prefetch`` scope holding the hash of each message the next
+    ``core.send_message_to_l2`` calls send, one per payload in order, numbered
+    from ``core.message_nonce`` as the core numbers them."""
+    first = core.message_nonce
+    messages = [
+        L1ToL2Message(from_address, to_address, selector, tuple(payload), first + i, fee=0)
+        for i, payload in enumerate(payloads)
+    ]
+    with hashing.prefetch([message.preimage for message in messages]) as scope:
+        yield scope
+
+
+@contextlib.contextmanager
+def prefetch_to_l1(from_address: int, to_address: int, payloads) -> Iterator[hashing.Prefetched]:
+    """A ``hashing.prefetch`` scope holding the hash of the L2-to-L1 message
+    of each payload: what ``send_message_to_l1`` on L2 and
+    ``consume_message_from_l2`` on L1 both hash."""
+    messages = [L2ToL1Message(from_address, to_address, tuple(payload)) for payload in payloads]
+    with hashing.prefetch([message.preimage for message in messages]) as scope:
+        yield scope
 
 
 class StarkNetCore:
@@ -133,7 +146,6 @@ class StarkNetCore:
         self.fee_escrow: dict[bytes, int] = {}
         self.message_nonce = 0
         self.root_history: list[bytes] = [ZERO_HASH]  # the genesis root
-        self.settled_at_block: list[int] = [chain.pending_block_number]
         chain.register_contract(self.address, self)
 
     @property
@@ -174,7 +186,7 @@ class StarkNetCore:
         self, from_address: int, payload: tuple[int, ...] | list[int], caller: int
     ) -> bytes:
         """Decrement the L2->L1 counter; zero counter is a hard failure."""
-        msg_hash = l2_to_l1_message_hash(from_address, caller, tuple(payload))
+        msg_hash = l2_to_l1_message_hash(from_address, caller, payload)
         if self.l2_to_l1_counters.get(msg_hash, 0) <= 0:
             raise InvalidMessageToConsume()
         self.l2_to_l1_counters[msg_hash] -= 1

@@ -4,17 +4,16 @@
 optimistic run never loads the validity stack (messaging, the Cairo-style
 machine, settlement and the SNARK it proves with).
 
-Four sites know every preimage before they hash: L1 sending the deposit
-messages, the L2 sending the withdrawal messages, settlement, and L1
-consuming the withdrawals. Each prefetches its hashes (``hashing.prefetch``)
-in its own phase, so the hashes run many to a packed permutation and no side
-reads a digest the other made. The payloads come from the config; the
-deposits' nonces are the core's ``message_nonce`` read once before the sends,
-counting up by one per send, which is how ``send_message_to_l2`` assigns them.
-Settlement runs in ``settlement.prefetch_transition``, which lists every page
-of the diff and of the message blob twice, once for the prover's sponge and
-once for the verifier's, so all of them run as slots of one wide packed
-sponge, and then adds both sides' next-root and transition preimages.
+Four sites know every message or page before they hash it: L1 sending the
+deposit messages, the L2 sending the withdrawal messages, settlement, and L1
+consuming the withdrawals. Each runs inside a ``hashing.prefetch`` scope in
+its own phase, so the hashes run many to a packed permutation and no side
+reads a digest the other made. The module that owns a layout opens its
+scope, and this one passes only what it then sends, settles or consumes:
+``messaging.prefetch_to_l2`` takes the deposit payloads and numbers them as
+the core will, ``messaging.prefetch_to_l1`` takes the withdrawal payloads
+for the L2 sends and again for the L1 consumes, and
+``settlement.prefetch_transition`` takes the transition.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING
 
-from .. import hashing
 from ..algebra import PairingGroup
 from ..costbench import da_cost_comparison
 from ..l1sim import Chain
@@ -32,8 +30,8 @@ from .messaging import (
     StarkNetCore,
     ValidityL2State,
     dispatch_l1_handler,
-    l1_to_l2_preimage,
-    l2_to_l1_preimage,
+    prefetch_to_l1,
+    prefetch_to_l2,
     send_message_to_l1,
     starkgate_withdraw_payload,
 )
@@ -89,11 +87,11 @@ def run_validity(ctx: _Run) -> RunReport:
     gate = _StarkGateL1(ctx.chain, core)
     l2 = ValidityL2State()
     with ctx.phase("message_and_execute"):
-        withdrawals, initiated_block = _message_and_execute(ctx, core, l2)
+        withdrawals, payloads, initiated_block = _message_and_execute(ctx, core, l2)
     with ctx.phase("prove_and_settle"):
         diff, diff_words, settle_block = _prove_and_settle(ctx, core, l2)
     with ctx.phase("consume"):
-        latencies = _consume(ctx, gate, withdrawals, initiated_block, settle_block)
+        latencies = _consume(ctx, gate, withdrawals, payloads, initiated_block, settle_block)
     with ctx.phase("report"):
         cost = da_cost_comparison(diff) if diff.storage else None
         return ctx.report(
@@ -104,25 +102,23 @@ def run_validity(ctx: _Run) -> RunReport:
         )
 
 
-def _message_and_execute(ctx: _Run, core: StarkNetCore, l2: ValidityL2State) -> tuple[list, int]:
-    """Message the deposits to L2 and execute them and the workload; return the withdrawals sent."""
+def _message_and_execute(
+    ctx: _Run, core: StarkNetCore, l2: ValidityL2State
+) -> tuple[list, list, int]:
+    """Message the deposits to L2 and execute them and the workload; return the
+    withdrawals sent, their message payloads and the block they were sent in."""
     chain = ctx.chain
     deposit_selector = register_bridge(l2)
     pending_messages = []
-    # L1 sends every deposit message; send_message_to_l2 numbers them from here
-    first = core.message_nonce
-    preimages = [
-        l1_to_l2_preimage(
-            L1_BRIDGE_ADDRESS, L2_BRIDGE_ADDRESS, deposit_selector,
-            (dep["user"], dep["value"]), first + i,
-        )
-        for i, dep in enumerate(ctx.config.deposits)
-    ]
-    with hashing.prefetch(preimages):
-        for dep in ctx.config.deposits:
+    deposits = ctx.config.deposits
+    deposit_payloads = [(dep["user"], dep["value"]) for dep in deposits]
+    with prefetch_to_l2(
+        core, L1_BRIDGE_ADDRESS, L2_BRIDGE_ADDRESS, deposit_selector, deposit_payloads
+    ):
+        for dep, payload in zip(deposits, deposit_payloads):
             msg_hash, message = core.send_message_to_l2(
                 caller=L1_BRIDGE_ADDRESS, to_address=L2_BRIDGE_ADDRESS, selector=deposit_selector,
-                payload=(dep["user"], dep["value"]), fee=dep.get("fee", 10_000),
+                payload=payload, fee=dep.get("fee", 10_000),
             )
             pending_messages.append(message)
             ctx.log("message_to_l2", hash=msg_hash.hex(), value=dep["value"])
@@ -148,14 +144,12 @@ def _message_and_execute(ctx: _Run, core: StarkNetCore, l2: ValidityL2State) -> 
         payloads.append(starkgate_withdraw_payload(w.get("target", w["user"]), w["value"]))
         initiated.append(w)
         ctx.log("withdrawal_initiated", user=w["user"], value=w["value"])
-    # the L2 sends every withdrawal message; each preimage is known by now
-    preimages = [l2_to_l1_preimage(L2_BRIDGE_ADDRESS, L1_BRIDGE_ADDRESS, p) for p in payloads]
-    with hashing.prefetch(preimages):
+    with prefetch_to_l1(L2_BRIDGE_ADDRESS, L1_BRIDGE_ADDRESS, payloads):
         for payload in payloads:
             send_message_to_l1(l2, L2_BRIDGE_ADDRESS, L1_BRIDGE_ADDRESS, payload)
     for _ in range(ctx.config.proof_cadence_blocks - 1):
         chain.mine_block()
-    return initiated, initiated_block
+    return initiated, payloads, initiated_block
 
 
 def _prove_and_settle(ctx: _Run, core: StarkNetCore, l2: ValidityL2State):
@@ -179,9 +173,11 @@ def _prove_and_settle(ctx: _Run, core: StarkNetCore, l2: ValidityL2State):
 
 
 def _consume(
-    ctx: _Run, gate: _StarkGateL1, withdrawals: list[dict], initiated_block: int, settle_block: int
+    ctx: _Run, gate: _StarkGateL1, withdrawals: list[dict], payloads: list,
+    initiated_block: int, settle_block: int,
 ) -> dict:
-    """Consume each withdrawal on L1, which must succeed in the block after settlement.
+    """Consume each withdrawal on L1, which must succeed in the block after
+    settlement; ``payloads`` are the messages the L2 sent for them.
 
     Each withdrawal gets its own latency entry, under its message hash; equal
     withdrawals send equal messages, so the n-th consume of one hash, n >= 2,
@@ -189,15 +185,7 @@ def _consume(
     """
     latencies: dict[str, dict] = {}
     consumed: dict[str, int] = {}
-    # the core hashes each payload the bridge submits; all are known by now
-    preimages = [
-        l2_to_l1_preimage(
-            L2_BRIDGE_ADDRESS, gate.address,
-            starkgate_withdraw_payload(w.get("target", w["user"]), w["value"]),
-        )
-        for w in withdrawals
-    ]
-    with hashing.prefetch(preimages):
+    with prefetch_to_l1(L2_BRIDGE_ADDRESS, gate.address, payloads):
         for w in withdrawals:
             msg_hash = gate.withdraw(w["value"], w.get("target", w["user"]))
             consume_block = ctx.chain.pending_block_number

@@ -217,7 +217,6 @@ def settle(
 
     # commit
     core.root_history.append(expected_root)
-    core.settled_at_block.append(core.chain.pending_block_number)
     for msg_hash, count in consumed_deltas.items():
         core.l1_to_l2_counters[msg_hash] -= count
         core.fee_escrow.pop(msg_hash, None)

@@ -21,8 +21,8 @@ from rollsim.validityrollup.messaging import (
     L1ToL2Message,
     L2ToL1Message,
     StarkNetCore,
-    l1_to_l2_preimage,
-    l2_to_l1_preimage,
+    prefetch_to_l1,
+    prefetch_to_l2,
 )
 
 EMPTY_DIGEST = "c5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470"
@@ -429,9 +429,9 @@ class TestPrefetch:
     def test_tampered_consume_is_hashed_and_refused(self):
         core = StarkNetCore(Chain())
         payload, other = (0, 0xEE, 50, 0), (0, 0xEF, 60, 0)
-        honest = l2_to_l1_preimage(0x22, 0xD1, payload)
+        honest = L2ToL1Message(0x22, 0xD1, payload).preimage
         core.l2_to_l1_counters[keccak256(honest)] = 1
-        with hashing.prefetch([honest, l2_to_l1_preimage(0x22, 0xD1, other)]) as scope:
+        with prefetch_to_l1(0x22, 0xD1, [payload, other]) as scope:
             with hashing.counting() as count:
                 with pytest.raises(InvalidMessageToConsume):
                     core.consume_message_from_l2(0x22, (0, 0xEE, 51, 0), caller=0xD1)
@@ -442,17 +442,24 @@ class TestPrefetch:
         assert core.l2_to_l1_counters[keccak256(honest)] == 0
 
     @staticmethod
-    def _watch_scopes(monkeypatch) -> list[tuple[int, int]]:
-        """Record ``(listed at entry, unread at exit)`` of every ``prefetch``
-        scope opened through the module from now on, as it closes."""
+    def _watch_scopes(monkeypatch) -> list[tuple[str, int, int]]:
+        """Record ``(opener, listed at entry, unread at exit)`` of every
+        ``prefetch`` scope opened through the module from now on, as it
+        closes; the opener is the module, under ``rollsim``, that called
+        ``prefetch``."""
         real, scopes = hashing.prefetch, []
 
         @contextlib.contextmanager
-        def watched(blobs):
+        def watch(blobs, opener):
             with real(blobs) as scope:
                 listed = scope.unread
                 yield scope
-            scopes.append((listed, scope.unread))
+            scopes.append((opener, listed, scope.unread))
+
+        def watched(blobs):
+            # read the caller here: inside ``watch`` it would be contextlib
+            opener = sys._getframe(1).f_globals["__name__"].removeprefix("rollsim.")
+            return watch(blobs, opener)
 
         monkeypatch.setattr(hashing, "prefetch", watched)
         return scopes
@@ -466,7 +473,13 @@ class TestPrefetch:
         # deposit sends, withdrawal sends, settlement (two slots of each of the
         # nine diff pages and nine message pages listed at entry, two root and
         # two transition slots added), consumes
-        assert scopes == [(320, 0), (320, 0), (2 * (9 + 9), 0), (320, 0)]
+        assert [opener for opener, _, _ in scopes] == [
+            "validityrollup.messaging", "validityrollup.messaging",
+            "validityrollup.settlement", "validityrollup.messaging",
+        ]
+        assert [(listed, unread) for _, listed, unread in scopes] == [
+            (320, 0), (320, 0), (2 * (9 + 9), 0), (320, 0)
+        ]
 
     def test_no_digest_left_unread_when_a_game_scope_closes(self, monkeypatch):
         # the memory tree opens one scope per level of its build and of each
@@ -478,7 +491,8 @@ class TestPrefetch:
             game = play_planted_fault((0, 1, 3, 0, 1, 0, 0, 0), 1024, 600, 0xC, 0xD)
         assert game.winner == CHALLENGER
         assert len(scopes) == 44
-        assert all(listed > 0 and unread == 0 for listed, unread in scopes)
+        assert all(opener == "oprollup.dispute" for opener, _, _ in scopes)
+        assert all(listed > 0 and unread == 0 for _, listed, unread in scopes)
         assert count.perms == slots.total == 135
         assert count.packed == slots.packed == 85
 
@@ -495,10 +509,7 @@ class TestPrefetch:
                  for m in messages]
         expected = [hashing._sponge(b"".join(w.to_bytes(32, "big") for w in ws), 0x01)
                     for ws in words]
-        preimages = [
-            l1_to_l2_preimage(m.from_address, m.to_address, m.selector, m.payload, m.nonce)
-            for m in messages
-        ]
+        preimages = [m.preimage for m in messages]
         assert sorted({hashing._blocks(len(p)) for p in preimages}) == [2, 3]
         with hashing.counting() as count, hashing.prefetch(preimages) as scope:
             assert [m.hash for m in messages] == expected
@@ -515,18 +526,26 @@ class TestPrefetch:
         expected = [plain.send_message_to_l2(**send)[0] for send in sends]
         core = StarkNetCore(Chain())
         off = core.message_nonce + 1
-        preimages = [l1_to_l2_preimage(0xD1, 0x22, 5, send["payload"], off + i)
+        preimages = [L1ToL2Message(0xD1, 0x22, 5, send["payload"], off + i, fee=0).preimage
                      for i, send in enumerate(sends)]
         with hashing.counting() as count, hashing.prefetch(preimages) as scope:
             sent = [core.send_message_to_l2(**send) for send in sends]
-        misses = sum(
-            l1_to_l2_preimage(m.from_address, m.to_address, m.selector, m.payload, m.nonce)
-            not in preimages
-            for _, m in sent
-        )
+        misses = sum(m.preimage not in preimages for _, m in sent)
         assert [msg_hash for msg_hash, _ in sent] == expected
         assert scope.unread == misses == len(sends)
         assert (count.perms, count.packed) == (2 * len(sends), 0)
+
+    def test_l1_sends_read_the_nonces_prefetch_to_l2_numbers(self):
+        # a core that has sent 3 messages numbers the next sends from 3
+        core = StarkNetCore(Chain())
+        for i in range(3):
+            core.send_message_to_l2(caller=0xD1, to_address=0x22, selector=5, payload=(i,))
+        payloads = [(0x1000 + i, 100) for i in range(4)]
+        with hashing.counting() as count, prefetch_to_l2(core, 0xD1, 0x22, 5, payloads) as scope:
+            for payload in payloads:
+                core.send_message_to_l2(caller=0xD1, to_address=0x22, selector=5, payload=payload)
+        assert scope.unread == 0
+        assert (count.perms, count.packed) == (2 * len(payloads), 2 * len(payloads))
 
     def test_digest_looks_up_without_a_read_and_added_blobs_run_packed(self):
         listed, added = _message(200), _message(300)  # two and three blocks
