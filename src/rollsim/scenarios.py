@@ -49,6 +49,7 @@ _WORKLOAD_KEYS = {
 # targets are addresses, gas is a uint64, and amounts leave room for their
 # sums inside a 256-bit storage word
 _WORKLOAD_KEY_BITS = {"user": 160, "target": 160, "value": 128, "fee": 128, "gas_limit": 64}
+_WORKLOAD_KEY_BOUNDS = {key: 1 << bits for key, bits in _WORKLOAD_KEY_BITS.items()}
 
 # upper bounds of the fields a run's length grows with: blocks mined to flush
 # the sequencing window, blocks per validity proof, and dispute trace steps;
@@ -58,10 +59,10 @@ MAX_PROOF_CADENCE_BLOCKS = 1024
 MAX_DISPUTE_STEPS = 1 << 18
 
 
-def _require_type(path: str, expected: type, value) -> None:
-    """Raise ConfigError unless ``value`` is an ``expected``; a bool is no int."""
+def _type_mismatch(expected: type, value) -> str | None:
+    """What is wrong unless ``value`` is an ``expected``; a bool is no int."""
     if not isinstance(value, expected) or (expected is int and isinstance(value, bool)):
-        raise ConfigError(f"{path}: expected {expected.__name__}, got {type(value).__name__}")
+        return f"expected {expected.__name__}, got {type(value).__name__}"
 
 
 @dataclass
@@ -85,7 +86,8 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         for name, spec in self.__dataclass_fields__.items():
-            _require_type(name, _FIELD_TYPES[spec.type], getattr(self, name))
+            if mismatch := _type_mismatch(_FIELD_TYPES[spec.type], getattr(self, name)):
+                raise ConfigError(f"{name}: {mismatch}")
         if self.rollup not in ("optimistic", "validity"):
             raise ConfigError(f"rollup: expected 'optimistic' or 'validity', got {self.rollup!r}")
         # optimistic frames land one block after their epoch, and derivation
@@ -112,7 +114,8 @@ class ScenarioConfig:
             raise ConfigError(f"dispute_steps: must lie in [1, {MAX_DISPUTE_STEPS}]")
         if not 0 < self.fault_position <= self.dispute_steps:
             raise ConfigError("fault_position: must lie in [1, dispute_steps]")
-        for name in ("field_prime", "group_order"):
+        primes = ("field_prime", "group_order")
+        for name in primes if self.group_order != self.field_prime else primes[:1]:
             if not is_prime(getattr(self, name)):
                 raise ConfigError(f"{name}: {getattr(self, name)} is not prime")
         if self.field_prime.bit_length() <= INSTRUCTION_BITS:
@@ -120,21 +123,22 @@ class ScenarioConfig:
                 f"field_prime: must exceed 2^{INSTRUCTION_BITS}, the Cairo instruction width"
             )
         for section, (required, optional) in _WORKLOAD_KEYS.items():
+            allowed = {*required, *optional}
             for i, item in enumerate(getattr(self, section)):
-                path = f"{section}[{i}]"
                 if not isinstance(item, dict):
-                    raise ConfigError(f"{path}: expected an object, got {type(item).__name__}")
-                unknown = set(item) - set(required) - set(optional)
-                if unknown:
-                    raise ConfigError(f"{path}: unknown keys {sorted(unknown, key=repr)}")
+                    raise ConfigError(f"{section}[{i}]: expected an object, got {type(item).__name__}")
+                if not item.keys() <= allowed:
+                    unknown = sorted(item.keys() - allowed, key=repr)
+                    raise ConfigError(f"{section}[{i}]: unknown keys {unknown}")
                 for key in required:
                     if key not in item:
-                        raise ConfigError(f"{path}.{key}: missing")
+                        raise ConfigError(f"{section}[{i}].{key}: missing")
                 for key, value in item.items():
-                    _require_type(f"{path}.{key}", int, value)
-                    if not 0 <= value < 1 << _WORKLOAD_KEY_BITS[key]:
+                    if mismatch := _type_mismatch(int, value):
+                        raise ConfigError(f"{section}[{i}].{key}: {mismatch}")
+                    if not 0 <= value < _WORKLOAD_KEY_BOUNDS[key]:
                         raise ConfigError(
-                            f"{path}.{key}: must lie in [0, 2^{_WORKLOAD_KEY_BITS[key]})"
+                            f"{section}[{i}].{key}: must lie in [0, 2^{_WORKLOAD_KEY_BITS[key]})"
                         )
 
     def to_json(self) -> str:

@@ -12,14 +12,16 @@ hashed when the L2 sends it; settlement binds that same digest. On L1,
 ``consume_message_from_l2`` hashes the raw payload its caller submits: that is
 the core contract's own check and trusts no precomputed digest.
 
-Each message class states its word layout once, as ``preimage``, and its
-``hash`` hashes that. A caller that knows the messages ahead hashes them
-together in a scope this module opens: ``prefetch_to_l2`` for L1 sends,
-numbered from the core's ``message_nonce`` here, where the core assigns them,
-and ``prefetch_to_l1`` for L2 sends and L1 consumes, which hash the same
-blobs. A prefetched digest is handed out only for the exact preimage it was
-computed from, so a tampered payload or a send the scope did not list costs
-one real hash, never a wrong digest.
+Each direction states its word layout once, in ``_l1_to_l2_preimage`` and
+``_l2_to_l1_preimage``: a message's ``preimage`` and ``hash`` and the
+prefetch scopes all build their blobs there, the scopes straight from fields,
+so a run builds one message object per message sent. A caller that knows the
+messages ahead hashes them together in a scope this module opens:
+``prefetch_to_l2`` for L1 sends, numbered from the core's ``message_nonce``
+here, where the core assigns them, and ``prefetch_to_l1`` for L2 sends and
+L1 consumes, which hash the same blobs. A prefetched digest is handed out
+only for the exact preimage it was computed from, so a tampered payload or a
+send the scope did not list costs one real hash, never a wrong digest.
 """
 
 from __future__ import annotations
@@ -64,6 +66,17 @@ def _words(*words: int) -> bytes:
     return b"".join([w.to_bytes(32, "big") for w in words])
 
 
+def _l1_to_l2_preimage(from_address: int, to_address: int, selector: int, payload, nonce: int) -> bytes:
+    """(from_address, to_address, selector, payload length, payload, nonce)
+    as 32-byte words; the fee is not hashed."""
+    return _words(from_address, to_address, selector, len(payload), *payload, nonce)
+
+
+def _l2_to_l1_preimage(from_address: int, to_address: int, payload) -> bytes:
+    """(from_address, consumer, payload length, payload) as 32-byte words."""
+    return _words(from_address, to_address, len(payload), *payload)
+
+
 @dataclass(frozen=True)
 class L1ToL2Message:
     from_address: int
@@ -75,10 +88,9 @@ class L1ToL2Message:
 
     @property
     def preimage(self) -> bytes:
-        """(from_address, to_address, selector, payload length, payload, nonce)
-        as 32-byte words; the fee is not hashed."""
-        return _words(self.from_address, self.to_address, self.selector, len(self.payload),
-                      *self.payload, self.nonce)
+        return _l1_to_l2_preimage(
+            self.from_address, self.to_address, self.selector, self.payload, self.nonce
+        )
 
     @memoized_digest
     def hash(self) -> bytes:
@@ -95,8 +107,7 @@ class L2ToL1Message:
 
     @property
     def preimage(self) -> bytes:
-        """(from_address, consumer, payload length, payload) as 32-byte words."""
-        return _words(self.from_address, self.to_address, len(self.payload), *self.payload)
+        return _l2_to_l1_preimage(self.from_address, self.to_address, self.payload)
 
     @memoized_digest
     def hash(self) -> bytes:
@@ -105,7 +116,7 @@ class L2ToL1Message:
 
 def l2_to_l1_message_hash(from_address: int, to_address: int, payload) -> bytes:
     """The hash of the ``L2ToL1Message`` these fields make."""
-    return keccak256(L2ToL1Message(from_address, to_address, tuple(payload)).preimage)
+    return keccak256(_l2_to_l1_preimage(from_address, to_address, tuple(payload)))
 
 
 @contextlib.contextmanager
@@ -115,12 +126,9 @@ def prefetch_to_l2(
     """A ``hashing.prefetch`` scope holding the hash of each message the next
     ``core.send_message_to_l2`` calls send, one per payload in order, numbered
     from ``core.message_nonce`` as the core numbers them."""
-    first = core.message_nonce
-    messages = [
-        L1ToL2Message(from_address, to_address, selector, tuple(payload), first + i, fee=0)
-        for i, payload in enumerate(payloads)
-    ]
-    with hashing.prefetch([message.preimage for message in messages]) as scope:
+    blobs = [_l1_to_l2_preimage(from_address, to_address, selector, payload, nonce)
+             for nonce, payload in enumerate(payloads, core.message_nonce)]
+    with hashing.prefetch(blobs) as scope:
         yield scope
 
 
@@ -129,8 +137,8 @@ def prefetch_to_l1(from_address: int, to_address: int, payloads) -> Iterator[has
     """A ``hashing.prefetch`` scope holding the hash of the L2-to-L1 message
     of each payload: what ``send_message_to_l1`` on L2 and
     ``consume_message_from_l2`` on L1 both hash."""
-    messages = [L2ToL1Message(from_address, to_address, tuple(payload)) for payload in payloads]
-    with hashing.prefetch([message.preimage for message in messages]) as scope:
+    blobs = [_l2_to_l1_preimage(from_address, to_address, payload) for payload in payloads]
+    with hashing.prefetch(blobs) as scope:
         yield scope
 
 
@@ -160,9 +168,9 @@ class StarkNetCore:
         payload: tuple[int, ...] | list[int],
         fee: int = 0,
     ) -> tuple[bytes, L1ToL2Message]:
-        """Escrow the fee, bump the counter, emit LogMessageToL2."""
-        if fee < 0:
-            raise ValueError("fee cannot be negative")
+        """Escrow the fee, bump the counter, emit LogMessageToL2; a refused send writes nothing."""
+        if not 0 <= fee < 1 << 256:
+            raise ValueError("fee must lie in [0, 2^256)")
         message = L1ToL2Message(
             from_address=caller,
             to_address=to_address,
@@ -171,8 +179,8 @@ class StarkNetCore:
             nonce=self.message_nonce,
             fee=fee,
         )
-        self.message_nonce += 1
         msg_hash = message.hash
+        self.message_nonce += 1
         self.l1_to_l2_counters[msg_hash] = self.l1_to_l2_counters.get(msg_hash, 0) + 1
         self.fee_escrow[msg_hash] = self.fee_escrow.get(msg_hash, 0) + fee
         self.chain._emit(

@@ -67,7 +67,13 @@ from rollsim.validityrollup.cairo import (
     run_program,
     sqrt_program,
 )
+from rollsim.validityrollup.messaging import (
+    InvalidMessageToConsume,
+    StarkNetCore,
+    starkgate_withdraw_payload,
+)
 from rollsim.validityrollup.recursion import aggregate_recursive
+from rollsim.validityrollup.scenario import L1_BRIDGE_ADDRESS, L2_BRIDGE_ADDRESS
 from rollsim.validityrollup.statediff import (
     MAINNET_DIFF_VECTOR,
     decode_state_diff,
@@ -273,7 +279,7 @@ def test_criterion_05_bisection_dispute():
         assert dispute_mod.dispute_timeout(game2, now=game2.deadline) == dispute_mod.DEFENDER
 
 
-def test_criterion_06_withdrawal_timing_twin_scenarios():
+def test_criterion_06_withdrawal_timing_twin_scenarios(monkeypatch):
     with criterion(6, "withdrawal timing: dispute period vs next block", 30.0):
         workload = dict(
             deposits=[{"user": 0x100, "value": 10_000}],
@@ -294,11 +300,27 @@ def test_criterion_06_withdrawal_timing_twin_scenarios():
         assert finalized["time"] == proposed["time"] + 7 * 24 * 3600
         assert events.index("finalize_rejected") < events.index("withdrawal_finalized")
 
+        cores = []
+        init = StarkNetCore.__init__
+
+        def keep_core(core, chain):
+            init(core, chain)
+            cores.append(core)
+
+        monkeypatch.setattr(StarkNetCore, "__init__", keep_core)
         val = run_scenario(ScenarioConfig(rollup="validity", **workload))
         assert val.ok
         settled = next(e for e in val.timeline if e["event"] == "proof_settled")
         consumed = next(e for e in val.timeline if e["event"] == "withdrawal_consumed")
         assert consumed["block"] == settled["block"] + 1
+        # on the settled core, a payload the L2 never sent (it sent 700) is refused
+        (core,) = cores
+        counters = (dict(core.l1_to_l2_counters), dict(core.l2_to_l1_counters))
+        with pytest.raises(InvalidMessageToConsume):
+            core.consume_message_from_l2(
+                L2_BRIDGE_ADDRESS, starkgate_withdraw_payload(0x200, 7_000), caller=L1_BRIDGE_ADDRESS
+            )
+        assert (core.l1_to_l2_counters, core.l2_to_l1_counters) == counters
 
 
 def test_criterion_07_censorship_expected_value():

@@ -21,6 +21,7 @@ from rollsim.scenarios import (
 from rollsim.validityrollup.messaging import (
     HandlerAssertionError,
     L1ToL2Message,
+    L2ToL1Message,
     ValidityL2State,
     dispatch_l1_handler,
 )
@@ -60,6 +61,9 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"deposits\[0\].value"):
             config.validate()
 
+    def test_workload_value_below_2_to_the_128_accepted(self):
+        ScenarioConfig(deposits=[{"user": 1, "value": (1 << 128) - 1}]).validate()
+
     def test_optimistic_window_below_two_rejected(self):
         # frames land one block after their epoch; window 1 would drop the batch
         with pytest.raises(ConfigError, match="window"):
@@ -78,6 +82,14 @@ class TestConfig:
         ('{"deposits": [{"user": 1, "value": 5, "fees": 1}]}', r"deposits\[0\]: unknown keys"),
         ('{"withdrawals": [{"user": 1, "value": 5, "target": -1}]}', r"withdrawals\[0\]\.target"),
         ('{"basefee": 0}', "basefee"),
+        ('{"deposits": [{"value": 5}]}', r"^deposits\[0\]\.user: missing$"),
+        ('{"withdrawals": [{"user": 1, "value": true}]}',
+         r"^withdrawals\[0\]\.value: expected int, got bool$"),
+        ('{"transfers": [[1, 2]]}', r"^transfers\[0\]: expected an object, got list$"),
+        ('{"deposits": [{"user": 1, "value": 5, "zz": 1, "fees": 1}]}',
+         "^" + re.escape("deposits[0]: unknown keys ['fees', 'zz']") + "$"),
+        (f'{{"deposits": [{{"user": 1, "value": {1 << 128}}}]}}',
+         r"^deposits\[0\]\.value: must lie in \[0, 2\^128\)$"),
     ])
     def test_malformed_field_is_a_config_error_naming_its_path(self, payload, path):
         with pytest.raises(ConfigError, match=path):
@@ -87,6 +99,7 @@ class TestConfig:
         ('{"rollup": "validity", "field_prime": 4}', "field_prime: 4 is not prime"),
         ('{"group_order": 341}', "group_order: 341 is not prime"),  # a base-2 pseudoprime
         ('{"rollup": "validity", "field_prime": 65537}', "field_prime: must exceed 2"),
+        ('{"field_prime": 341, "group_order": 341}', "^field_prime: 341 is not prime$"),
     ])
     def test_field_prime_and_group_order_checked(self, payload, message):
         with pytest.raises(ConfigError, match=message):
@@ -503,6 +516,30 @@ class TestValidityScale:
 
 
 class TestValidityScenario:
+    def test_one_message_object_per_message_sent(self, monkeypatch, bench_workloads):
+        built = {}
+        for cls in (L1ToL2Message, L2ToL1Message):
+            def counted(message, *args, _init=cls.__init__, _cls=cls, **kwargs):
+                built[_cls] = built.get(_cls, 0) + 1
+                _init(message, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        # user 2 asks for more than it holds, so only user 1's withdrawal is sent
+        small = ScenarioConfig(
+            rollup="validity", deposits=[{"user": 1, "value": 100}, {"user": 2, "value": 50}],
+            withdrawals=[{"user": 1, "value": 10}, {"user": 2, "value": 60}],
+        )
+        workload = bench_workloads.WORKLOADS["validity-messages"].config(1)
+        for config, sent in ((small, (2, 1)), (workload, (320, 320))):
+            built.clear()
+            report = run(config)
+            assert report.ok
+            deposits, withdrawals = (
+                len(_events(report, "message_to_l2")), len(_events(report, "withdrawal_initiated"))
+            )
+            assert (deposits, withdrawals) == sent
+            assert (built.get(L1ToL2Message), built.get(L2ToL1Message)) == sent
+
     def test_withdrawal_next_block_after_settlement(self):
         report = run(ScenarioConfig(rollup="validity", **WORKLOAD))
         assert report.ok

@@ -72,6 +72,21 @@ class TestL1ToL2:
         with pytest.raises(ValueError):
             core.send_message_to_l2(L1_BRIDGE, L2_BRIDGE, 1, (), fee=-1)
 
+    @pytest.mark.parametrize("payload, fee, error", [
+        ((1, 2), 1 << 256, ValueError),  # the fee does not fit the event's word
+        ((1, 1 << 256), 5, OverflowError),  # a payload word does not fit its word
+        ((-1, 2), 5, OverflowError),
+    ], ids=["fee_too_large", "word_too_large", "word_negative"])
+    def test_refused_send_leaves_no_trace(self, payload, fee, error):
+        chain, core = make_core()
+        core.send_message_to_l2(L1_BRIDGE, L2_BRIDGE, 1, (3,), fee=4)
+        before = (core.message_nonce, dict(core.l1_to_l2_counters), dict(core.fee_escrow))
+        with pytest.raises(error):
+            core.send_message_to_l2(L1_BRIDGE, L2_BRIDGE, 1, payload, fee=fee)
+        assert (core.message_nonce, core.l1_to_l2_counters, core.fee_escrow) == before
+        chain.mine_block()
+        assert len(chain.events_in_block(0)) == 1
+
 
 class TestHandlerDispatch:
     def setup_method(self):
