@@ -559,8 +559,7 @@ class Prefetched:
     reads as the blob was listed."""
 
     def __init__(self, blobs: Iterable[bytes]):
-        self._ready: dict[bytes, bytes] = {}  # digest
-        self._left: dict[bytes, list[int]] = {}  # per unread listing: blocks run packed
+        self._held: dict[bytes, tuple[bytes, list[int]]] = {}  # digest, packed per unread
         self.add(blobs)
 
     def add(self, blobs: Iterable[bytes]) -> None:
@@ -569,13 +568,12 @@ class Prefetched:
         counted when ``keccak256`` reads it."""
         blobs = [bytes(blob) for blob in blobs]
         for blob, (digest, packed) in zip(blobs, _sponge_many(blobs, 0x01)):
-            self._ready[blob] = digest
-            self._left.setdefault(blob, []).append(packed)
+            self._held.setdefault(blob, (digest, []))[1].append(packed)
 
     def digest(self, blob: bytes) -> bytes:
         """The digest this scope computed for ``blob``, without using up a
         read or counting anything; ``KeyError`` if it never listed ``blob``."""
-        return self._ready[bytes(blob)]
+        return self._held[bytes(blob)][0]
 
     def take(self, blob: bytes) -> tuple[bytes, int] | None:
         """The digest of ``blob`` and the number of its blocks that ran in
@@ -583,15 +581,15 @@ class Prefetched:
         up. Listings of one blob may differ in that number (the longest blob
         of a chunk runs its last blocks alone); any one of them is taken, so
         the reads of every listing together count the slots permuted."""
-        left = self._left.get(blob)
+        digest, left = self._held.get(blob, (None, ()))
         if not left:
             return None
-        return self._ready[blob], left.pop()
+        return digest, left.pop()
 
     @property
     def unread(self) -> int:
         """Listed digests no ``keccak256`` call has read yet."""
-        return sum(map(len, self._left.values()))
+        return sum(len(left) for _, left in self._held.values())
 
 
 _scope: contextvars.ContextVar[Prefetched | None] = contextvars.ContextVar(
@@ -632,11 +630,11 @@ def prefetch(blobs: Iterable[bytes]) -> Iterator[Prefetched]:
 def memoized_digest(compute: Callable[[object], bytes]) -> property:
     """A read-only property that runs ``compute(self)`` once per instance.
 
-    For frozen dataclasses whose digest is a pure function of their fields.
-    The digest is kept in the instance ``__dict__`` under a private key, not
-    in a dataclass field, so ``__eq__``, ``__hash__``, ``repr`` and
-    ``dataclasses.asdict`` never see it, and an equal object that has not
-    been hashed yet still compares equal.
+    For frozen dataclasses whose digest, or the bytes it hashes, is a pure
+    function of their fields. The value is kept in the instance ``__dict__``
+    under a private key, not in a dataclass field, so ``__eq__``, ``__hash__``,
+    ``repr`` and ``dataclasses.asdict`` never see it, and an equal object that
+    has not been hashed yet still compares equal.
     """
     key = f"_{compute.__name__}_memo"
 

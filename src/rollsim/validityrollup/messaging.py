@@ -7,21 +7,20 @@ decrementing. Handlers on L2 are keyed by a selector derived from their name.
 
 Both directions are frozen message objects with a memoized ``hash``, so each
 message is hashed once per side. An L1-to-L2 message is hashed when L1 sends
-it; handler dispatch and settlement reuse that digest. An L2-to-L1 message is
-hashed when the L2 sends it; settlement binds that same digest. On L1,
-``consume_message_from_l2`` hashes the raw payload its caller submits: that is
-the core contract's own check and trusts no precomputed digest.
+it; handler dispatch and settlement reuse that digest. An L2-to-L1 message,
+built once by its sender, is hashed when the L2 sends it; settlement binds
+that digest. On L1, ``consume_message_from_l2`` hashes the raw payload its
+caller submits: that is the core contract's own check, trusting no digest.
 
 Each direction states its word layout once, in ``_l1_to_l2_preimage`` and
-``_l2_to_l1_preimage``: a message's ``preimage`` and ``hash`` and the
-prefetch scopes all build their blobs there, the scopes straight from fields,
-so a run builds one message object per message sent. A caller that knows the
-messages ahead hashes them together in a scope this module opens:
-``prefetch_to_l2`` for L1 sends, numbered from the core's ``message_nonce``
-here, where the core assigns them, and ``prefetch_to_l1`` for L2 sends and
-L1 consumes, which hash the same blobs. A prefetched digest is handed out
-only for the exact preimage it was computed from, so a tampered payload or a
-send the scope did not list costs one real hash, never a wrong digest.
+``_l2_to_l1_preimage``; an L2-to-L1 message memoizes its ``preimage``, which
+its ``hash`` hashes. A caller that knows the messages ahead hashes them
+together in a scope this module opens: ``prefetch_to_l2`` for L1 sends,
+numbered from the core's ``message_nonce`` here, where the core assigns
+them, and ``prefetch_to_l1`` for L2 sends and L1 consumes, which lists the
+sent messages' own preimages. A prefetched digest is handed out only for the
+exact preimage it was computed from, so a tampered payload or a send the
+scope did not list costs one real hash, never a wrong digest.
 """
 
 from __future__ import annotations
@@ -105,13 +104,13 @@ class L2ToL1Message:
     to_address: int
     payload: tuple[int, ...]
 
-    @property
+    @memoized_digest
     def preimage(self) -> bytes:
         return _l2_to_l1_preimage(self.from_address, self.to_address, self.payload)
 
     @memoized_digest
     def hash(self) -> bytes:
-        return l2_to_l1_message_hash(self.from_address, self.to_address, self.payload)
+        return keccak256(self.preimage)
 
 
 def l2_to_l1_message_hash(from_address: int, to_address: int, payload) -> bytes:
@@ -133,12 +132,10 @@ def prefetch_to_l2(
 
 
 @contextlib.contextmanager
-def prefetch_to_l1(from_address: int, to_address: int, payloads) -> Iterator[hashing.Prefetched]:
-    """A ``hashing.prefetch`` scope holding the hash of the L2-to-L1 message
-    of each payload: what ``send_message_to_l1`` on L2 and
-    ``consume_message_from_l2`` on L1 both hash."""
-    blobs = [_l2_to_l1_preimage(from_address, to_address, payload) for payload in payloads]
-    with hashing.prefetch(blobs) as scope:
+def prefetch_to_l1(messages) -> Iterator[hashing.Prefetched]:
+    """A ``hashing.prefetch`` scope holding the hash of each L2-to-L1 message:
+    what ``send_message_to_l1`` on L2 and ``consume_message_from_l2`` on L1 hash."""
+    with hashing.prefetch([message.preimage for message in messages]) as scope:
         yield scope
 
 
@@ -193,8 +190,11 @@ class StarkNetCore:
     def consume_message_from_l2(
         self, from_address: int, payload: tuple[int, ...] | list[int], caller: int
     ) -> bytes:
-        """Decrement the L2->L1 counter; zero counter is a hard failure."""
-        msg_hash = l2_to_l1_message_hash(from_address, caller, payload)
+        """Decrement the L2->L1 counter; a message never sent is a hard failure."""
+        try:
+            msg_hash = l2_to_l1_message_hash(from_address, caller, payload)
+        except OverflowError:
+            raise InvalidMessageToConsume() from None
         if self.l2_to_l1_counters.get(msg_hash, 0) <= 0:
             raise InvalidMessageToConsume()
         self.l2_to_l1_counters[msg_hash] -= 1
@@ -265,13 +265,11 @@ def dispatch_l1_handler(l2_state: ValidityL2State, message: L1ToL2Message) -> No
     l2_state.consumed_inbox.append(message.hash)
 
 
-def send_message_to_l1(
-    l2_state: ValidityL2State, from_address: int, to_address: int, payload
-) -> bytes:
-    """Queue an L2->L1 message; its counter appears on L1 at settlement."""
-    message = L2ToL1Message(from_address, to_address, tuple(payload))
+def send_message_to_l1(l2_state: ValidityL2State, message: L2ToL1Message) -> bytes:
+    """Hash, then queue, an L2->L1 message; its counter appears on L1 at settlement."""
+    msg_hash = message.hash
     l2_state.outbox.append(message)
-    return message.hash
+    return msg_hash
 
 
 # StarkGate-style payload prefix for token withdrawals

@@ -11,8 +11,8 @@ its own phase, so the hashes run many to a packed permutation and no side
 reads a digest the other made. The module that owns a layout opens its
 scope, and this one passes only what it then sends, settles or consumes:
 ``messaging.prefetch_to_l2`` takes the deposit payloads and numbers them as
-the core will, ``messaging.prefetch_to_l1`` takes the withdrawal payloads
-for the L2 sends and again for the L1 consumes, and
+the core will, ``messaging.prefetch_to_l1`` takes the withdrawal messages
+built here, for the L2 sends and the L1 consumes, and
 ``settlement.prefetch_transition`` takes the transition.
 """
 
@@ -27,6 +27,7 @@ from ..l1sim import Chain
 from .cairo import run_program, sqrt_program
 from .messaging import (
     HandlerAssertionError,
+    L2ToL1Message,
     StarkNetCore,
     ValidityL2State,
     dispatch_l1_handler,
@@ -87,11 +88,11 @@ def run_validity(ctx: _Run) -> RunReport:
     gate = _StarkGateL1(ctx.chain, core)
     l2 = ValidityL2State()
     with ctx.phase("message_and_execute"):
-        withdrawals, payloads, initiated_block = _message_and_execute(ctx, core, l2)
+        withdrawals, messages, initiated_block = _message_and_execute(ctx, core, l2)
     with ctx.phase("prove_and_settle"):
         diff, diff_words, settle_block = _prove_and_settle(ctx, core, l2)
     with ctx.phase("consume"):
-        latencies = _consume(ctx, gate, withdrawals, payloads, initiated_block, settle_block)
+        latencies = _consume(ctx, gate, withdrawals, messages, initiated_block, settle_block)
     with ctx.phase("report"):
         cost = da_cost_comparison(diff) if diff.storage else None
         return ctx.report(
@@ -106,7 +107,7 @@ def _message_and_execute(
     ctx: _Run, core: StarkNetCore, l2: ValidityL2State
 ) -> tuple[list, list, int]:
     """Message the deposits to L2 and execute them and the workload; return the
-    withdrawals sent, their message payloads and the block they were sent in."""
+    withdrawals sent, their messages and the block they were sent in."""
     chain = ctx.chain
     deposit_selector = register_bridge(l2)
     pending_messages = []
@@ -133,7 +134,7 @@ def _message_and_execute(
         l2.storage_write(L2_BRIDGE_ADDRESS, t["user"], src - t["value"])
         dst = l2.storage_read(L2_BRIDGE_ADDRESS, t["target"])
         l2.storage_write(L2_BRIDGE_ADDRESS, t["target"], dst + t["value"])
-    initiated, payloads = [], []
+    initiated, messages = [], []
     initiated_block = chain.pending_block_number
     for w in ctx.config.withdrawals:
         balance = l2.storage_read(L2_BRIDGE_ADDRESS, w["user"])
@@ -141,15 +142,16 @@ def _message_and_execute(
             ctx.log("withdrawal_not_initiated", user=w["user"], value=w["value"])
             continue
         l2.storage_write(L2_BRIDGE_ADDRESS, w["user"], balance - w["value"])
-        payloads.append(starkgate_withdraw_payload(w.get("target", w["user"]), w["value"]))
+        payload = starkgate_withdraw_payload(w.get("target", w["user"]), w["value"])
+        messages.append(L2ToL1Message(L2_BRIDGE_ADDRESS, L1_BRIDGE_ADDRESS, tuple(payload)))
         initiated.append(w)
         ctx.log("withdrawal_initiated", user=w["user"], value=w["value"])
-    with prefetch_to_l1(L2_BRIDGE_ADDRESS, L1_BRIDGE_ADDRESS, payloads):
-        for payload in payloads:
-            send_message_to_l1(l2, L2_BRIDGE_ADDRESS, L1_BRIDGE_ADDRESS, payload)
+    with prefetch_to_l1(messages):
+        for message in messages:
+            send_message_to_l1(l2, message)
     for _ in range(ctx.config.proof_cadence_blocks - 1):
         chain.mine_block()
-    return initiated, payloads, initiated_block
+    return initiated, messages, initiated_block
 
 
 def _prove_and_settle(ctx: _Run, core: StarkNetCore, l2: ValidityL2State):
@@ -164,7 +166,7 @@ def _prove_and_settle(ctx: _Run, core: StarkNetCore, l2: ValidityL2State):
         consumed_l1_to_l2=tuple(l2.consumed_inbox), sent_l2_to_l1=tuple(l2.outbox)
     )
     with prefetch_transition(core.state_root, diff_words, messages):
-        proof = prove_transition(core.state_root, diff, trace, prover, messages)
+        proof = prove_transition(core.state_root, diff_words, trace, prover, messages)
         new_root = settle(core, prover, proof, diff_words, messages)
     settle_block = ctx.chain.pending_block_number
     ctx.log("proof_settled", root=new_root.hex(), diff_words=len(diff_words))
@@ -173,11 +175,11 @@ def _prove_and_settle(ctx: _Run, core: StarkNetCore, l2: ValidityL2State):
 
 
 def _consume(
-    ctx: _Run, gate: _StarkGateL1, withdrawals: list[dict], payloads: list,
+    ctx: _Run, gate: _StarkGateL1, withdrawals: list[dict], messages: list[L2ToL1Message],
     initiated_block: int, settle_block: int,
 ) -> dict:
     """Consume each withdrawal on L1, which must succeed in the block after
-    settlement; ``payloads`` are the messages the L2 sent for them.
+    settlement; ``messages`` are the messages the L2 sent for them.
 
     Each withdrawal gets its own latency entry, under its message hash; equal
     withdrawals send equal messages, so the n-th consume of one hash, n >= 2,
@@ -185,7 +187,7 @@ def _consume(
     """
     latencies: dict[str, dict] = {}
     consumed: dict[str, int] = {}
-    with prefetch_to_l1(L2_BRIDGE_ADDRESS, gate.address, payloads):
+    with prefetch_to_l1(messages):
         for w in withdrawals:
             msg_hash = gate.withdraw(w["value"], w.get("target", w["user"]))
             consume_block = ctx.chain.pending_block_number

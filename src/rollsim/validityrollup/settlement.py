@@ -19,7 +19,8 @@ and each page's digest by its bytes, so a diff word moved into a message
 list, a message hash moved from one list to the other, or a word moved across
 a page boundary changes the digest. The prover and the verifier each hash
 every page once; messages enter as their memoized hashes and are never
-rehashed from their fields.
+rehashed from their fields. The caller encodes the published diff once and
+``SettlementMessages.blob`` joins the message blob once, for both sides.
 
 ``prefetch_transition`` opens the ``hashing.prefetch`` scope a caller that
 knows a transition ahead settles in: every page and both commitments, hashed
@@ -41,7 +42,7 @@ from typing import Iterable, Iterator
 
 from .. import hashing
 from ..algebra import Field, PairingGroup
-from ..hashing import keccak256
+from ..hashing import keccak256, memoized_digest
 from ..snark import (
     SnarkProof,
     build_qap,
@@ -54,7 +55,7 @@ from ..snark import (
 )
 from .cairo import RunResult, deterministic_accept
 from .messaging import L2ToL1Message, StarkNetCore
-from .statediff import StateDiff, diff_calldata_bytes, encode_state_diff
+from .statediff import diff_calldata_bytes
 
 
 class ProofRejected(ValueError):
@@ -69,6 +70,10 @@ DIGEST_CIRCUIT = "x*x + x"
 PAGE_WORDS = 72  # words per committed page: 2,304 bytes, 17 Keccak-f blocks
 
 
+def _word(n: int) -> bytes:
+    return n.to_bytes(32, "big")
+
+
 @dataclass(frozen=True)
 class SettlementMessages:
     """Message effects bridged by one proven transition."""
@@ -76,16 +81,21 @@ class SettlementMessages:
     consumed_l1_to_l2: tuple[bytes, ...] = ()
     sent_l2_to_l1: tuple[L2ToL1Message, ...] = ()
 
+    @memoized_digest
+    def blob(self) -> bytes:
+        """Each message list prefixed by its length as a word: what the
+        transition digest commits after the next root. Sent messages enter
+        as their memoized hashes."""
+        consumed = self.consumed_l1_to_l2
+        sent = [message.hash for message in self.sent_l2_to_l1]
+        return b"".join([_word(len(consumed)), *consumed, _word(len(sent)), *sent])
+
 
 @dataclass(frozen=True)
 class ValidityProof:
     snark: SnarkProof
     claimed_output: int  # exposed circuit output binding the digest
     new_root: bytes
-
-
-def _word(n: int) -> bytes:
-    return n.to_bytes(32, "big")
 
 
 class SharpProver:
@@ -100,7 +110,7 @@ class SharpProver:
         self.crs = setup(self.qap, group, rng)
 
     def transition_digest(self, new_root: bytes, messages: SettlementMessages) -> int:
-        digest = _commit(new_root, _message_blob(messages))
+        digest = _commit(new_root, messages.blob)
         return int.from_bytes(digest, "big") % self.group.order
 
     def prove_digest(self, digest: int) -> tuple[SnarkProof, int]:
@@ -128,15 +138,6 @@ def _commit(head: bytes, blob: bytes) -> bytes:
     return keccak256(_paged_preimage(head, map(keccak256, _pages(blob))))
 
 
-def _message_blob(messages: SettlementMessages) -> bytes:
-    """Each message list prefixed by its length as a word: what the
-    transition digest commits after the next root. Sent messages enter as
-    their memoized hashes."""
-    consumed = messages.consumed_l1_to_l2
-    sent = [message.hash for message in messages.sent_l2_to_l1]
-    return b"".join([_word(len(consumed)), *consumed, _word(len(sent)), *sent])
-
-
 def next_root(old_root: bytes, diff_words: list[int]) -> bytes:
     """The old root, then the published diff's pages, committed."""
     return _commit(old_root, diff_calldata_bytes(diff_words))
@@ -152,7 +153,7 @@ def prefetch_transition(
     blob, then the next root's preimage, then the transition's, which holds
     that root."""
     diff_pages = _pages(diff_calldata_bytes(diff_words))
-    message_pages = _pages(_message_blob(messages))
+    message_pages = _pages(messages.blob)
     with hashing.prefetch(2 * (diff_pages + message_pages)) as scope:
         root = _paged_preimage(old_root, map(scope.digest, diff_pages))
         scope.add([root, root])
@@ -163,12 +164,12 @@ def prefetch_transition(
 
 def prove_transition(
     old_root: bytes,
-    diff: StateDiff,
+    diff_words: list[int],
     trace: RunResult | None,
     prover: SharpProver,
     messages: SettlementMessages = SettlementMessages(),
 ) -> ValidityProof:
-    """Produce the validity proof for one state transition.
+    """Produce the validity proof for one state transition publishing ``diff_words``.
 
     ``trace`` is the runner output for the transition's execution; it must be
     accepted by the deterministic machine (the prover refuses otherwise).
@@ -179,7 +180,7 @@ def prove_transition(
         trace.steps, trace.memory, trace.states, trace.prime
     ):
         raise ValueError("trace is not accepted by the deterministic machine")
-    new_root = next_root(old_root, encode_state_diff(diff))
+    new_root = next_root(old_root, diff_words)
     snark_proof, output = prover.prove_digest(prover.transition_digest(new_root, messages))
     return ValidityProof(snark=snark_proof, claimed_output=output, new_root=new_root)
 

@@ -429,9 +429,10 @@ class TestPrefetch:
     def test_tampered_consume_is_hashed_and_refused(self):
         core = StarkNetCore(Chain())
         payload, other = (0, 0xEE, 50, 0), (0, 0xEF, 60, 0)
-        honest = L2ToL1Message(0x22, 0xD1, payload).preimage
+        sent = [L2ToL1Message(0x22, 0xD1, payload), L2ToL1Message(0x22, 0xD1, other)]
+        honest = sent[0].preimage
         core.l2_to_l1_counters[keccak256(honest)] = 1
-        with prefetch_to_l1(0x22, 0xD1, [payload, other]) as scope:
+        with prefetch_to_l1(sent) as scope:
             with hashing.counting() as count:
                 with pytest.raises(InvalidMessageToConsume):
                     core.consume_message_from_l2(0x22, (0, 0xEE, 51, 0), caller=0xD1)
@@ -591,9 +592,13 @@ class TestPrefetch:
         assert unbatched.report_hash() == report.report_hash()
         assert (hashed.perms, hashed.packed) == (batched.perms, 0)
 
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_run_without_handing_out_a_digest_reports_the_same(self, seed, monkeypatch):
-        config = dataclasses.replace(_validity_users(32), seed=seed)
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7])
+    def test_run_without_handing_out_a_digest_reports_the_same(
+        self, seed, bench_workloads, monkeypatch
+    ):
+        # every scope of the run lists bytes the L2 or L1 built, and each
+        # must hand out the digest keccak256 computes for them
+        config = bench_workloads.WORKLOADS["validity-messages"].config(seed)
         self._reports_the_same_without_a_digest_handed_out(config, monkeypatch)
 
     def test_fraud_run_without_handing_out_a_digest_reports_the_same(

@@ -18,6 +18,7 @@ from rollsim.scenarios import (
     ScenarioConfig,
     run,
 )
+from rollsim.validityrollup import messaging, settlement, statediff
 from rollsim.validityrollup.messaging import (
     HandlerAssertionError,
     L1ToL2Message,
@@ -539,6 +540,30 @@ class TestValidityScenario:
             )
             assert (deposits, withdrawals) == sent
             assert (built.get(L1ToL2Message), built.get(L2ToL1Message)) == sent
+
+    def test_each_hashed_byte_string_built_once(self, monkeypatch, bench_workloads):
+        # each deposit message is encoded for its prefetch and for its hash;
+        # each withdrawal message once, for its send and both scopes, and
+        # once more where L1 encodes the payload it is asked to consume. The
+        # diff is encoded to publish and to cost. The message blob is joined
+        # once, with one length word in front of each of its two lists.
+        calls = {}
+
+        def counted(name, fn):
+            def count(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return count
+
+        monkeypatch.setattr(messaging, "_words", counted("words", messaging._words))
+        monkeypatch.setattr(settlement, "_word", counted("length words", settlement._word))
+        encode = statediff.encode_state_diff
+        for name, module in list(sys.modules.items()):
+            if name.startswith("rollsim") and getattr(module, "encode_state_diff", None) is encode:
+                monkeypatch.setattr(module, "encode_state_diff", counted("diff", encode))
+        report = run(bench_workloads.WORKLOADS["validity-messages"].config(1))
+        assert report.ok and len(_events(report, "withdrawal_consumed")) == 320
+        assert calls == {"words": 4 * 320, "diff": 2, "length words": 2 * 1}
 
     def test_withdrawal_next_block_after_settlement(self):
         report = run(ScenarioConfig(rollup="validity", **WORKLOAD))

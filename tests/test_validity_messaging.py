@@ -141,7 +141,7 @@ class TestL2ToL1:
         payload = tuple(starkgate_withdraw_payload(0xEE, 500))
         # the L2 sent it, but no proof has landed: counter still zero
         l2 = ValidityL2State()
-        send_message_to_l1(l2, L2_BRIDGE, L1_BRIDGE, payload)
+        send_message_to_l1(l2, L2ToL1Message(L2_BRIDGE, L1_BRIDGE, payload))
         with pytest.raises(InvalidMessageToConsume, match="INVALID_MESSAGE_TO_CONSUME"):
             core.consume_message_from_l2(L2_BRIDGE, payload, caller=L1_BRIDGE)
 
@@ -177,9 +177,26 @@ class TestL2ToL1:
 
     def test_send_queues_the_message_and_returns_its_hash(self):
         l2 = ValidityL2State()
-        msg_hash = send_message_to_l1(l2, L2_BRIDGE, L1_BRIDGE, [1, 2, 3])
+        message = L2ToL1Message(L2_BRIDGE, L1_BRIDGE, (1, 2, 3))
+        msg_hash = send_message_to_l1(l2, message)
         assert l2.outbox == [L2ToL1Message(L2_BRIDGE, L1_BRIDGE, (1, 2, 3))]
-        assert msg_hash == l2.outbox[0].hash
+        assert l2.outbox[0] is message and msg_hash == message.hash
+
+    @pytest.mark.parametrize("word", [1 << 256, -1], ids=["word_too_large", "word_negative"])
+    def test_refused_send_queues_nothing(self, word):
+        l2 = ValidityL2State()
+        with pytest.raises(OverflowError):
+            send_message_to_l1(l2, L2ToL1Message(L2_BRIDGE, L1_BRIDGE, (word,)))
+        assert l2.outbox == []
+
+    @pytest.mark.parametrize("word", [1 << 256, -1], ids=["word_too_large", "word_negative"])
+    def test_consume_refuses_a_word_no_message_holds(self, word):
+        chain, core = make_core()
+        core.l2_to_l1_counters[l2_to_l1_message_hash(L2_BRIDGE, L1_BRIDGE, (1,))] = 1
+        before = (dict(core.l1_to_l2_counters), dict(core.l2_to_l1_counters))
+        with pytest.raises(InvalidMessageToConsume):
+            core.consume_message_from_l2(L2_BRIDGE, (word,), caller=L1_BRIDGE)
+        assert (core.l1_to_l2_counters, core.l2_to_l1_counters) == before
 
     def test_hash_binds_consumer(self):
         payload = (1,)

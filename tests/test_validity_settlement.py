@@ -57,8 +57,8 @@ class TestProveAndSettle:
         chain, core = make_core()
         diff = simple_diff()
         trace = run_program(sqrt_program(25), prog_base=1000, ap_initial=2000)
-        proof = prove_transition(core.state_root, diff, trace, prover)
         words = encode_state_diff(diff)
+        proof = prove_transition(core.state_root, words, trace, prover)
         new_root = settle(core, prover, proof, words)
         # full-node oracle: replay the published diff and the root chain
         assert new_root == next_root(b"\x00" * 32, words)
@@ -69,8 +69,7 @@ class TestProveAndSettle:
 
     def test_tampered_diff_rejected(self, prover):
         chain, core = make_core()
-        diff = simple_diff()
-        proof = prove_transition(core.state_root, diff, None, prover)
+        proof = prove_transition(core.state_root, encode_state_diff(simple_diff()), None, prover)
         words = encode_state_diff(simple_diff(value=999))  # not what was proven
         with pytest.raises((ProofRejected, StateMismatch)):
             settle(core, prover, proof, words)
@@ -78,15 +77,15 @@ class TestProveAndSettle:
 
     def test_wrong_claimed_root_rejected(self, prover):
         chain, core = make_core()
-        diff = simple_diff()
-        honest = prove_transition(core.state_root, diff, None, prover)
+        words = encode_state_diff(simple_diff())
+        honest = prove_transition(core.state_root, words, None, prover)
         lying = ValidityProof(
             snark=honest.snark,
             claimed_output=honest.claimed_output,
             new_root=b"\xEE" * 32,
         )
         with pytest.raises(StateMismatch):
-            settle(core, prover, lying, encode_state_diff(diff))
+            settle(core, prover, lying, words)
 
     def test_invalid_trace_refused_by_prover(self, prover):
         chain, core = make_core()
@@ -100,15 +99,15 @@ class TestProveAndSettle:
             nondeterministic=result.nondeterministic,
         )
         with pytest.raises(ValueError):
-            prove_transition(core.state_root, simple_diff(), broken, prover)
+            prove_transition(core.state_root, encode_state_diff(simple_diff()), broken, prover)
 
     def test_roots_never_revert(self, prover):
         chain, core = make_core()
         roots = [core.state_root]
         for i in range(4):
-            diff = simple_diff(value=i)
-            proof = prove_transition(core.state_root, diff, None, prover)
-            settle(core, prover, proof, encode_state_diff(diff))
+            words = encode_state_diff(simple_diff(value=i))
+            proof = prove_transition(core.state_root, words, None, prover)
+            settle(core, prover, proof, words)
             roots.append(core.state_root)
         assert core.root_history == roots  # append-only, in order
 
@@ -126,9 +125,9 @@ class TestProveAndSettle:
             consumed_l1_to_l2=(msg_hash,),
             sent_l2_to_l1=(L2ToL1Message(0x22, 0xD1, out),),
         )
-        diff = simple_diff()
-        proof = prove_transition(core.state_root, diff, None, prover, messages)
-        settle(core, prover, proof, encode_state_diff(diff), messages)
+        words = encode_state_diff(simple_diff())
+        proof = prove_transition(core.state_root, words, None, prover, messages)
+        settle(core, prover, proof, words, messages)
         assert core.l1_to_l2_counters[msg_hash] == 0
         assert core.l2_to_l1_counters[l2_to_l1_message_hash(0x22, 0xD1, out)] == 1
         # escrowed fee released to the sequencer in full
@@ -136,45 +135,45 @@ class TestProveAndSettle:
 
     def test_sent_payload_differing_from_proven_rejected(self, prover):
         chain, core = make_core()
-        diff = simple_diff()
+        words = encode_state_diff(simple_diff())
         proven = SettlementMessages(sent_l2_to_l1=(L2ToL1Message(0x22, 0xD1, (0, 0xEE, 50, 0)),))
-        proof = prove_transition(core.state_root, diff, None, prover, proven)
+        proof = prove_transition(core.state_root, words, None, prover, proven)
         forged = SettlementMessages(sent_l2_to_l1=(L2ToL1Message(0x22, 0xD1, (0, 0xEE, 5000, 0)),))
         with pytest.raises(ProofRejected):
-            settle(core, prover, proof, encode_state_diff(diff), forged)
+            settle(core, prover, proof, words, forged)
         assert core.l2_to_l1_counters == {}
         assert len(core.root_history) == 1
 
     def test_prove_and_settle_reuse_memoized_digests(self, prover, monkeypatch):
-        # sent messages are hashed once, when the L2 builds them
+        # sent messages are encoded and hashed once, when the L2 builds them
         chain, core = make_core()
         sent = tuple(L2ToL1Message(0x22, 0xD1, (0, 0xEE, i, 0)) for i in range(3))
         hashes = [message.hash for message in sent]
         monkeypatch.setattr(
-            messaging, "l2_to_l1_message_hash", lambda *a: pytest.fail("message rehashed")
+            messaging, "_l2_to_l1_preimage", lambda *a: pytest.fail("message rehashed")
         )
         messages = SettlementMessages(sent_l2_to_l1=sent)
-        diff = simple_diff()
-        proof = prove_transition(core.state_root, diff, None, prover, messages)
-        settle(core, prover, proof, encode_state_diff(diff), messages)
+        words = encode_state_diff(simple_diff())
+        proof = prove_transition(core.state_root, words, None, prover, messages)
+        settle(core, prover, proof, words, messages)
         assert [core.l2_to_l1_counters[h] for h in hashes] == [1, 1, 1]
 
     def test_consuming_unsent_message_rejected(self, prover):
         chain, core = make_core()
-        diff = simple_diff()
+        words = encode_state_diff(simple_diff())
         messages = SettlementMessages(consumed_l1_to_l2=(b"\x13" * 32,))
-        proof = prove_transition(core.state_root, diff, None, prover, messages)
+        proof = prove_transition(core.state_root, words, None, prover, messages)
         with pytest.raises(ProofRejected):
-            settle(core, prover, proof, encode_state_diff(diff), messages)
+            settle(core, prover, proof, words, messages)
 
     def test_atomicity_under_failure_injection(self, prover):
         # any rejected settle leaves root, counters and escrow untouched
         chain, core = make_core()
         selector = selector_from_name("deposit")
         msg_hash, _ = core.send_message_to_l2(0xD1, 0x22, selector, (1,), fee=7)
-        diff = simple_diff()
+        words = encode_state_diff(simple_diff())
         good = SettlementMessages(consumed_l1_to_l2=(msg_hash,))
-        proof = prove_transition(core.state_root, diff, None, prover, good)
+        proof = prove_transition(core.state_root, words, None, prover, good)
         snapshot = (
             list(core.root_history),
             dict(core.l1_to_l2_counters),
@@ -184,22 +183,22 @@ class TestProveAndSettle:
         )
         failures = [
             # proof bound to different messages than submitted
-            (encode_state_diff(diff), SettlementMessages()),
+            (words, SettlementMessages()),
             # diff words tampered
             (encode_state_diff(simple_diff(999)), good),
             # consume an unsent message
-            (encode_state_diff(diff), SettlementMessages(consumed_l1_to_l2=(b"\x77" * 32,))),
+            (words, SettlementMessages(consumed_l1_to_l2=(b"\x77" * 32,))),
         ]
-        for words, messages in failures:
+        for submitted, messages in failures:
             with pytest.raises((ProofRejected, StateMismatch)):
-                settle(core, prover, proof, words, messages)
+                settle(core, prover, proof, submitted, messages)
             assert core.root_history == snapshot[0]
             assert core.l1_to_l2_counters == snapshot[1]
             assert core.l2_to_l1_counters == snapshot[2]
             assert core.fee_escrow == snapshot[3]
             assert chain.balance(core.sequencer) == snapshot[4]
         # the genuine settle still lands afterwards
-        settle(core, prover, proof, encode_state_diff(diff), good)
+        settle(core, prover, proof, words, good)
         assert core.l1_to_l2_counters[msg_hash] == 0
 
     def test_message_conservation_invariant(self, prover):
@@ -213,11 +212,11 @@ class TestProveAndSettle:
         consumed = set()
         for _ in range(30):
             h = rng.choice(hashes)
-            diff = simple_diff(rng.randrange(1000))
+            words = encode_state_diff(simple_diff(rng.randrange(1000)))
             messages = SettlementMessages(consumed_l1_to_l2=(h,))
-            proof = prove_transition(core.state_root, diff, None, prover, messages)
+            proof = prove_transition(core.state_root, words, None, prover, messages)
             try:
-                settle(core, prover, proof, encode_state_diff(diff), messages)
+                settle(core, prover, proof, words, messages)
                 consumed.add(h)
             except ProofRejected:
                 assert h in consumed  # only replays fail
@@ -230,7 +229,7 @@ class TestTransitionCommitment:
 
     def test_hash_moved_between_message_lists_changes_digest(self, prover):
         _, core = make_core()
-        diff = simple_diff()
+        words = encode_state_diff(simple_diff())
         moved = L2ToL1Message(0x22, 0xD1, (0, 0xEE, 50, 0))
         kept = L2ToL1Message(0x22, 0xD1, (0, 0xEE, 60, 0))
         consumed = b"\x13" * 32
@@ -241,16 +240,15 @@ class TestTransitionCommitment:
             consumed_l1_to_l2=(consumed,), sent_l2_to_l1=(moved, kept)
         )
         outputs = {
-            prove_transition(core.state_root, diff, None, prover, messages).claimed_output
+            prove_transition(core.state_root, words, None, prover, messages).claimed_output
             for messages in (at_end_of_consumed, at_front_of_sent)
         }
         assert len(outputs) == 2
 
     def test_diff_word_moved_into_consumed_list_rejected(self, prover):
         _, core = make_core()
-        diff = simple_diff()
-        words = encode_state_diff(diff)
-        proof = prove_transition(core.state_root, diff, None, prover)
+        words = encode_state_diff(simple_diff())
+        proof = prove_transition(core.state_root, words, None, prover)
         shifted = SettlementMessages(consumed_l1_to_l2=(words[-1].to_bytes(32, "big"),))
         # the digest fails before the claimed root is even compared
         with pytest.raises(ProofRejected):
@@ -260,7 +258,8 @@ class TestTransitionCommitment:
     def test_verify_digest_rejects_output_off_by_one(self, prover):
         _, core = make_core()
         messages = SettlementMessages(consumed_l1_to_l2=(b"\x13" * 32,))
-        proof = prove_transition(core.state_root, simple_diff(), None, prover, messages)
+        words = encode_state_diff(simple_diff())
+        proof = prove_transition(core.state_root, words, None, prover, messages)
         digest = prover.transition_digest(proof.new_root, messages)
         assert prover.verify_digest(proof.snark, proof.claimed_output, digest)
         for output in (proof.claimed_output - 1, proof.claimed_output + 1):
@@ -340,8 +339,8 @@ class TestPreimages:
         messages = SettlementMessages(consumed_l1_to_l2=consumed, sent_l2_to_l1=sent)
         sent_hashes = [l2_to_l1_message_hash(0x22, 0xD1, m.payload) for m in sent]
         words = [_word(len(consumed)), *consumed, _word(len(sent_hashes)), *sent_hashes]
-        assert settlement._message_blob(messages) == b"".join(words)
-        assert len(settlement._pages(settlement._message_blob(messages))) == page_count
+        assert messages.blob == b"".join(words)
+        assert len(settlement._pages(messages.blob)) == page_count
         digest = int.from_bytes(_committed(new_root, words), "big") % GROUP.order
         assert prover.transition_digest(new_root, messages) == digest
 
@@ -356,12 +355,12 @@ class TestPrefetchedSettlement:
         words = encode_state_diff(diff)
         messages = SettlementMessages(sent_l2_to_l1=sent_messages(1))
         _, plain = make_core()
-        plain_proof = prove_transition(plain.state_root, diff, None, prover, messages)
+        plain_proof = prove_transition(plain.state_root, words, None, prover, messages)
         expected = settle(plain, prover, plain_proof, words, messages)
         pair = prefetch_transition(core.state_root, words, messages)
         with hashing.counting() as count, pair as scope:
             assert scope.unread == 8
-            proof = prove_transition(core.state_root, diff, None, prover, messages)
+            proof = prove_transition(core.state_root, words, None, prover, messages)
             assert settle(core, prover, proof, words, messages) == expected
             assert scope.unread == 0
         # per side, a two-block diff page, a one-block next root, a
@@ -374,7 +373,7 @@ class TestPrefetchedSettlement:
         words = encode_state_diff(diff)
         tampered = encode_state_diff(simple_diff(value=999))
         with prefetch_transition(core.state_root, words, SettlementMessages()) as scope:
-            proof = prove_transition(core.state_root, diff, None, prover)
+            proof = prove_transition(core.state_root, words, None, prover)
             with hashing.counting() as count:
                 with pytest.raises(ProofRejected):
                     settle(core, prover, proof, tampered)
@@ -395,7 +394,7 @@ class TestPrefetchedSettlement:
         assert len(words) == 84  # a full page of 17 blocks, then a 12-word page of 3
         tampered = [*words[:-1], words[-1] + 1]
         with prefetch_transition(core.state_root, words, SettlementMessages()) as scope:
-            proof = prove_transition(core.state_root, diff, None, prover)
+            proof = prove_transition(core.state_root, words, None, prover)
             with hashing.counting() as count:
                 with pytest.raises((ProofRejected, StateMismatch)):
                     settle(core, prover, proof, tampered)
@@ -417,7 +416,7 @@ class TestPrefetchedSettlement:
         forged = SettlementMessages(sent_l2_to_l1=(L2ToL1Message(0x22, 0xD1, (0, 0xEE, 5000, 0)),))
         forged.sent_l2_to_l1[0].hash  # sent when the L2 built it, as in a run
         with prefetch_transition(core.state_root, words, proven) as scope:
-            proof = prove_transition(core.state_root, diff, None, prover, proven)
+            proof = prove_transition(core.state_root, words, None, prover, proven)
             with hashing.counting() as count:
                 with pytest.raises(ProofRejected):
                     settle(core, prover, proof, words, forged)
@@ -443,7 +442,7 @@ class TestPrefetchedSettlement:
         )
         forged.sent_l2_to_l1[75].hash  # sent when the L2 built it, as in a run
         with prefetch_transition(core.state_root, words, proven) as scope:
-            proof = prove_transition(core.state_root, diff, None, prover, proven)
+            proof = prove_transition(core.state_root, words, None, prover, proven)
             with hashing.counting() as count:
                 with pytest.raises(ProofRejected):
                     settle(core, prover, proof, words, forged)
