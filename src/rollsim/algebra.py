@@ -252,16 +252,7 @@ class Polynomial:
         )
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = self.field.zero
-        return Polynomial(
-            self.field,
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else zero)
-                - (other.coeffs[i] if i < len(other.coeffs) else zero)
-                for i in range(n)
-            ],
-        )
+        return self + -other
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.field, [-c for c in self.coeffs])

@@ -44,9 +44,10 @@ per state and the packed one 266 µs at width 1, then 135, 92, 12.7, 9.3 and
 ``_CHUNK = 1024`` slots, whatever the lengths of its blobs: sorted longest
 first, block b of every blob still absorbing goes through one packed
 permutation, the slots of the blobs that have ended are dropped from the top,
-and the last blob left runs its remaining blocks on ``_keccak_f``, as a batch
-of one blob does. A 1,024-slot lane is an 8 KiB int, and
-``_packed_constants(1024)`` holds 624 KiB, built in about 0.5 ms on first use.
+and the last blob left runs its remaining blocks on ``_keccak_f``, so a batch
+of one blob runs on ``_keccak_f`` from its first block. A 1,024-slot lane is
+an 8 KiB int, and ``_packed_constants(1024)`` holds 624 KiB, built in about
+0.5 ms on first use.
 
 The digests are handed out through ``keccak256``: inside the ``prefetch``
 block, ``keccak256(blob)`` returns the ready digest and counts its
@@ -487,13 +488,11 @@ def _sponge_many(blobs: list[bytes], domain: int) -> list[tuple[bytes, int]]:
     """``_sponge`` of each blob, in order, each with the number of its blocks
     that ran in slots of the packed kernel.
 
-    One blob goes through ``_sponge``. More are sorted longest first, whatever
-    their lengths, and cut into the fewest near-equal chunks of at most
-    ``_CHUNK``, each one ``_packed_sponge``; every chunk holds all the blobs
-    or at least ``_CHUNK // 2`` of them.
+    The blobs are sorted longest first, whatever their lengths, and cut into
+    the fewest near-equal chunks of at most ``_CHUNK``, each one
+    ``_packed_sponge``; every chunk holds all the blobs or at least
+    ``_CHUNK // 2`` of them. A single blob runs wholly on ``_keccak_f``.
     """
-    if len(blobs) == 1:
-        return [(_sponge(blobs[0], domain), 0)]
     order = sorted(range(len(blobs)), key=lambda i: len(blobs[i]), reverse=True)
     chunks = -(-len(order) // _CHUNK)
     out = [None] * len(blobs)

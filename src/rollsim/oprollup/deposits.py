@@ -121,17 +121,21 @@ class OptimismPortal:
 
         The burn is (gas_limit * l2_basefee) / l1_basefee minus what the
         deposit call itself already paid, floored at zero. Returns the emitted
-        event and the burned amount.
+        event and the burned amount. A refused deposit raises before it
+        records any guaranteed gas or emits anything.
         """
         if is_creation and to != 0:
             raise PortalError("must send to address(0) when creating a contract")
+        if not (0 <= value < 1 << 256 and 0 <= caller < ADDRESS_SPACE and 0 <= to < ADDRESS_SPACE):
+            raise PortalError(f"no deposit of value {value} from {caller} to {to}")
+        if gas_limit < 0 or l1_basefee < 1:
+            raise PortalError(f"gas limit {gas_limit} or L1 basefee {l1_basefee} out of range")
         block = self.chain.pending_block_number
         used = self._guaranteed_by_block.get(block, 0)
         if used + gas_limit > GUARANTEED_GAS_CAP:
             raise GuaranteedGasExhausted(
                 f"block {block}: {used} + {gas_limit} exceeds {GUARANTEED_GAS_CAP}"
             )
-        self._guaranteed_by_block[block] = used + gas_limit
 
         from_address = apply_l1_to_l2_alias(caller) if caller_is_contract else caller
         call_gas = TX_BASE_GAS + calldata_gas(data)
@@ -142,6 +146,7 @@ class OptimismPortal:
             [from_address, to, value, value, gas_limit, int(is_creation), data]
         )
         event = self.chain._emit(self.address, "TransactionDeposited", payload)
+        self._guaranteed_by_block[block] = used + gas_limit
         return event, burned
 
 

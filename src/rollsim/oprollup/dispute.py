@@ -35,16 +35,16 @@ each node above them once, level by level: the tree opens a
 run as one packed batch. The cursor hashes through its tree's digest memo, so
 a node blob it has held before costs nothing: moving back over replayed
 stores, or forward to memory it has seen, rehashes no node, so a memory root
-needs no memo of its own. State hashes are memoized per index, and step
-proofs are cut from the cursor.
+needs no memo of its own. ``VmTrace.state(i)`` reads state i's memory root
+off the cursor, ``VmTrace.state_hash(i)`` memoizes its hash per index, and
+step proofs are cut from the cursor.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .. import hashing
 from ..hashing import keccak256
@@ -334,7 +334,7 @@ class VmRunner:
     @property
     def state(self) -> VmState:
         """The state after the last executed instruction."""
-        return self.trace.states[-1]
+        return self.trace.state(self.trace.length)
 
     def step(self) -> None:
         """Execute the next instruction and record it raw; nothing is hashed."""
@@ -351,30 +351,12 @@ class VmRunner:
         return self.trace
 
 
-class _PerIndex(Sequence):
-    """A read-only view of one value per trace index, computed when read."""
-
-    def __init__(self, trace: "VmTrace", value: Callable[[int], object]):
-        self._trace = trace
-        self._value = value
-
-    def __len__(self) -> int:
-        return len(self._trace.pcs)
-
-    def __getitem__(self, index: int):
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError(f"trace index {index} out of range")
-        return self._value(index)
-
-
 class VmTrace:
     """An execution recorded raw: the pc and registers of every state, and a
     log of every store as ``(step, addr, old, new)``.
 
-    State ``i`` is the state before instruction ``i``. ``states`` and
-    ``hashes`` are per-index views that hash only what is read. While the
+    State ``i`` is the state before instruction ``i``, for ``0 <= i <=
+    length``; ``state`` and ``state_hash`` hash only what they read. While the
     runner records, the trace is also the memory ``execute`` writes: its head
     words, after the last recorded instruction.
     """
@@ -396,8 +378,6 @@ class VmTrace:
         self._cursor = MemoryTree(list(initial_memory))
         self._cursor_stores = 0
         self._hashes: dict[int, bytes] = {}
-        self.states = _PerIndex(self, self._state)
-        self.hashes = _PerIndex(self, self._state_hash)
 
     @property
     def length(self) -> int:
@@ -426,22 +406,24 @@ class VmTrace:
         self._cursor_stores = target
         return self._cursor
 
-    def _state(self, index: int) -> VmState:
+    def state(self, index: int) -> VmState:
+        """State ``index``; ``IndexError`` outside ``[0, length]``."""
+        if not 0 <= index <= self.length:
+            raise IndexError(f"trace index {index} out of range")
         return VmState(pc=self.pcs[index], registers=self.registers[index],
                        memory_root=self._memory_at(index).root)
 
-    def _state_hash(self, index: int) -> bytes:
+    def state_hash(self, index: int) -> bytes:
+        """The hash of ``state(index)``, memoized per index."""
         digest = self._hashes.get(index)
         if digest is None:
-            digest = self._hashes[index] = self._state(index).hash()
+            digest = self._hashes[index] = self.state(index).hash()
         return digest
 
     def step_proof(self, index: int) -> StepProof:
         """Pre-state for instruction ``index``, with the leaf and proof of
         the cell it touches if it is a LOAD or STORE; refuses what ``execute`` does."""
-        if not 0 <= index <= self.length:
-            raise IndexError(f"trace index {index} out of range")
-        pre = self._state(index)
+        pre = self.state(index)
         instr = fetch(self.program, pre.pc)
         _check_operands(instr)
         if instr.op not in (OP_LOAD, OP_STORE):
@@ -609,37 +591,36 @@ class HonestAgent:
         self.trace = trace
 
     def state_hash(self, index: int) -> bytes:
-        return self.trace.hashes[index]
+        return self.trace.state_hash(index)
 
     def step_proof(self, index: int) -> StepProof:
         return self.trace.step_proof(index)
 
 
-class FaultyAgent:
+class FaultyAgent(HonestAgent):
     """Claims the honest trace up to ``fault_index``, then a corrupted one.
 
     The corruption adds one to register 3 and recomputes hashes, so the first
     (and only) invalid transition in the claimed trace is fault_index-1 ->
-    fault_index: exactly the instruction the bisection must find.
+    fault_index: exactly the instruction the bisection must find. Its step
+    proofs are the honest ones.
     """
 
     def __init__(self, trace: VmTrace, fault_index: int):
-        self.trace = trace
+        super().__init__(trace)
         self.fault_index = fault_index
 
     def corrupted_state(self, index: int) -> VmState:
-        honest = self.trace.states[index]
+        honest = self.trace.state(index)
         regs = list(honest.registers)
         regs[3] = (regs[3] + 1) & WORD_MASK
         return VmState(pc=honest.pc, registers=tuple(regs), memory_root=honest.memory_root)
 
     def state_hash(self, index: int) -> bytes:
+        # asks the trace, not super(), so HonestAgent.state_hash runs for honest queries only
         if index < self.fault_index:
-            return self.trace.hashes[index]
+            return self.trace.state_hash(index)
         return self.corrupted_state(index).hash()
-
-    def step_proof(self, index: int) -> StepProof:
-        return self.trace.step_proof(index)
 
 
 def run_dispute(game: DisputeGame, defender_agent, challenger_agent) -> str:
@@ -682,7 +663,7 @@ def play_planted_fault(
         defender=defender,
         claimed_final_state=faulty.state_hash(steps),
         trace_length=steps,
-        agreed_start_hash=trace.hashes[0],
+        agreed_start_hash=trace.state_hash(0),
     )
     run_dispute(game, defender_agent=faulty, challenger_agent=HonestAgent(trace))
     return game

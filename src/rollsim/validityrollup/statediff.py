@@ -7,7 +7,10 @@ Published word layout:
    per contract: contract_address, num_of_storage_updates, key, value, ...]
 
 All words are unsigned 256-bit integers; reading the published diffs in
-order reconstructs the full L2 storage state.
+order reconstructs the full L2 storage state. Encoding and decoding each
+range-check the words they hold once, and a ``MalformedDiff`` names the index
+of the first word outside [0, 2^256); both refuse a contract that updates one
+key twice.
 """
 
 from __future__ import annotations
@@ -39,25 +42,21 @@ class StateDiff:
     deployments: tuple[Deployment, ...]
     storage: tuple[ContractStorageDiff, ...]
 
-    def validate(self) -> None:
-        words = []
-        for dep in self.deployments:
-            words += [dep.contract_address, dep.contract_hash, *dep.constructor_args]
-        for contract in self.storage:
-            keys = [k for k, _ in contract.updates]
-            if len(set(keys)) != len(keys):
-                raise MalformedDiff(
-                    f"duplicate storage keys for contract {contract.contract_address}"
-                )
-            words.append(contract.contract_address)
-            words += [w for pair in contract.updates for w in pair]
-        for w in words:
-            if not 0 <= w < WORD_LIMIT:
-                raise MalformedDiff(f"word {w} outside 256-bit range")
+
+def _check_range(words: list[int]) -> None:
+    for i, w in enumerate(words):
+        if not 0 <= w < WORD_LIMIT:
+            raise MalformedDiff(f"word {i} ({w}) outside 256-bit range")
+
+
+def _check_unique_keys(contract_address: int, pairs: list[int]) -> None:
+    """Refuse one contract's ``key, value, ...`` words if a key repeats."""
+    keys = pairs[::2]
+    if len(set(keys)) != len(keys):
+        raise MalformedDiff(f"duplicate storage keys for contract {contract_address}")
 
 
 def encode_state_diff(diff: StateDiff) -> list[int]:
-    diff.validate()
     deployment_words: list[int] = []
     for dep in diff.deployments:
         deployment_words += [
@@ -68,10 +67,10 @@ def encode_state_diff(diff: StateDiff) -> list[int]:
         ]
     words = [len(deployment_words), *deployment_words, len(diff.storage)]
     for contract in diff.storage:
-        words.append(contract.contract_address)
-        words.append(len(contract.updates))
-        for key, value in contract.updates:
-            words += [key, value]
+        pairs = [w for pair in contract.updates for w in pair]
+        _check_unique_keys(contract.contract_address, pairs)
+        words += [contract.contract_address, len(contract.updates), *pairs]
+    _check_range(words)
     return words
 
 
@@ -79,9 +78,7 @@ def decode_state_diff(words: list[int]) -> StateDiff:
     # counts are read before the words they count are checked: a negative
     # update count would move the cursor backwards, and a negative header
     # would make [-1, 0] decode to the empty diff, whose encoding is [0, 0]
-    for i, w in enumerate(words):
-        if not 0 <= w < WORD_LIMIT:
-            raise MalformedDiff(f"word {i} ({w}) outside 256-bit range")
+    _check_range(words)
 
     def take(cursor: int, count: int = 1) -> tuple[list[int], int]:
         if cursor + count > len(words):
@@ -110,6 +107,7 @@ def decode_state_diff(words: list[int]) -> StateDiff:
         (addr,), cursor = take(cursor)
         (num_updates,), cursor = take(cursor)
         pairs, cursor = take(cursor, 2 * num_updates)
+        _check_unique_keys(addr, pairs)
         storage.append(
             ContractStorageDiff(
                 contract_address=addr,
@@ -118,9 +116,7 @@ def decode_state_diff(words: list[int]) -> StateDiff:
         )
     if cursor != len(words):
         raise MalformedDiff(f"{len(words) - cursor} trailing words")
-    diff = StateDiff(deployments=tuple(deployments), storage=tuple(storage))
-    diff.validate()
-    return diff
+    return StateDiff(deployments=tuple(deployments), storage=tuple(storage))
 
 
 def diff_calldata_bytes(words: list[int]) -> bytes:

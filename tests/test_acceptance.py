@@ -11,6 +11,7 @@ import time
 from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -262,18 +263,18 @@ def test_criterion_05_bisection_dispute():
         for fault in positions:
             faulty = dispute_mod.FaultyAgent(trace, fault)
             game = dispute_mod.dispute_open(
-                params, 0xC, 0xD, faulty.state_hash(steps), steps, trace.hashes[0]
+                params, 0xC, 0xD, faulty.state_hash(steps), steps, trace.state_hash(0)
             )
             winner = dispute_mod.run_dispute(game, faulty, honest)
             assert winner == dispute_mod.CHALLENGER, f"fault {fault}"
             assert game.rounds <= 13
         # timeout: silent defender loses; silent challenger in step phase loses
         game = dispute_mod.dispute_open(
-            params, 0xC, 0xD, trace.hashes[steps], steps, trace.hashes[0], now=0
+            params, 0xC, 0xD, trace.state_hash(steps), steps, trace.state_hash(0), now=0
         )
         assert dispute_mod.dispute_timeout(game, now=game.deadline) == dispute_mod.CHALLENGER
         game2 = dispute_mod.dispute_open(
-            params, 0xC, 0xD, trace.hashes[1], 1, trace.hashes[0], now=0
+            params, 0xC, 0xD, trace.state_hash(1), 1, trace.state_hash(0), now=0
         )
         assert game2.phase == "step"
         assert dispute_mod.dispute_timeout(game2, now=game2.deadline) == dispute_mod.DEFENDER
@@ -385,7 +386,7 @@ def test_criterion_09_cost_figures():
         assert abs(recomputed - 9240) / 9240 <= 0.25
         # mainnet compression percentages need real blocks; the substituted
         # property on the fixture corpus: grouped <= single <= raw gas
-        corpus = load_corpus("tests/fixtures/batch_corpus.hex")
+        corpus = load_corpus(Path(__file__).parent / "fixtures" / "batch_corpus.hex")
         grouped = compression_stats(corpus, group_size=len(corpus))
         single = compression_stats(corpus, group_size=1)
         assert grouped.total_compressed_gas <= single.total_compressed_gas

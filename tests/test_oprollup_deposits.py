@@ -136,6 +136,23 @@ class TestDepositTransaction:
                 pass
         assert portal.guaranteed_gas_in_block(0) <= GUARANTEED_GAS_CAP
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("value", -1), ("to", -5), ("gas_limit", -100), ("l1_basefee", 0)],
+    )
+    def test_refused_deposit_leaves_no_trace(self, field, bad):
+        chain, portal = make_portal()
+        deposit = dict(
+            caller=0x1, caller_is_contract=False, to=0x2, value=0,
+            gas_limit=50_000, is_creation=False, data=b"", l2_basefee=1, l1_basefee=1,
+        )
+        portal.deposit_transaction(**deposit)
+        with pytest.raises(PortalError):
+            portal.deposit_transaction(**{**deposit, field: bad})
+        assert portal.guaranteed_gas_in_block(0) == 50_000
+        chain.mine_block()
+        assert len(chain.events_in_block(0)) == 1
+
 
 class TestDepositEncoding:
     def test_encode_has_type_prefix(self):

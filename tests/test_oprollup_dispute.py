@@ -251,8 +251,8 @@ def _one_step_game(instr):
     words = list(range(100, 164))
     trace = make_runner([instr], initial_registers=(0,) * 8, initial_memory=words).run_trace(1)
     game = dispute_open(GameParams(program=[instr]), challenger=0xC, defender=0xD,
-                        claimed_final_state=trace.hashes[1], trace_length=1,
-                        agreed_start_hash=trace.hashes[0])
+                        claimed_final_state=trace.state_hash(1), trace_length=1,
+                        agreed_start_hash=trace.state_hash(0))
     return trace, game, MemoryTree(words)
 
 
@@ -280,7 +280,7 @@ class TestMalformedStepProof:
     def test_honest_step_proof_settles(self, instr):
         trace, game, _ = _one_step_game(instr)
         step = trace.step_proof(0)
-        assert vm_step(step, instr).hash() == trace.hashes[1]
+        assert vm_step(step, instr).hash() == trace.state_hash(1)
         assert dispute_step(game, step) == DEFENDER
 
     @pytest.mark.parametrize("instr", _MEMORY_OPS, ids=lambda instr: instr.op)
@@ -354,10 +354,10 @@ class TestTraceReplay:
         runner = make_runner()
         for index in range(64):
             proof = trace.step_proof(index)
-            assert proof.pre_state.hash() == trace.hashes[index]
+            assert proof.pre_state.hash() == trace.state_hash(index)
             post = vm_step(proof, trace.program[proof.pre_state.pc], memory_size=64)
             runner.step()
-            assert runner.state.hash() == post.hash() == trace.hashes[index + 1], index
+            assert runner.state.hash() == post.hash() == trace.state_hash(index + 1), index
 
     def test_loadpre_without_oracle_rejected_by_runner_and_replay(self):
         oracle = PreimageOracle()
@@ -387,15 +387,15 @@ class TestLazyTrace:
         # most 3 hashes, and each cell is stored to several times, so undo
         # must stack
         forward = make_runner(memory_size=8).run_trace(256)
-        states = [forward.states[i] for i in range(257)]
-        hashes = [forward.hashes[i] for i in range(257)]
+        states = [forward.state(i) for i in range(257)]
+        hashes = [forward.state_hash(i) for i in range(257)]
         proofs = [forward.step_proof(i) for i in range(256)]
         trace = make_runner(memory_size=8).run_trace(256)
         order = list(range(257))
         random.Random(3).shuffle(order)  # the cursor jumps both ways
         for index in order:
-            assert trace.hashes[index] == hashes[index], index
-            assert trace.states[index] == states[index], index
+            assert trace.state_hash(index) == hashes[index], index
+            assert trace.state(index) == states[index], index
             if index < 256:
                 proof = trace.step_proof(index)
                 assert proof == proofs[index], index
@@ -405,12 +405,20 @@ class TestLazyTrace:
     def test_runner_state_follows_the_trace(self):
         runner = make_runner()
         trace = runner.run_trace(10)
-        assert runner.state == trace.states[10]
+        assert runner.state == trace.state(10)
         runner.step()
-        assert trace.length == 11 and runner.state == trace.states[11]
-        for out_of_range in (lambda: trace.hashes[12], lambda: trace.step_proof(-1)):
+        assert trace.length == 11 and runner.state == trace.state(11)
+        for out_of_range in (lambda: trace.state_hash(12), lambda: trace.step_proof(-1)):
             with pytest.raises(IndexError):
                 out_of_range()
+
+    @pytest.mark.parametrize("read", ["state", "state_hash"])
+    def test_index_outside_the_trace_refused(self, read):
+        # -1 is refused, not read as the tip
+        trace = make_runner().run_trace(10)
+        for index in (-1, trace.length + 1):
+            with pytest.raises(IndexError, match=f"trace index {index} out of range"):
+                getattr(trace, read)(index)
 
 
 def _scenario_game(steps):
@@ -439,7 +447,7 @@ class TestScenarioTrace:
 
     def test_state_hashes_pinned(self):
         trace = make_runner().run_trace(1024)
-        assert keccak256(b"".join(trace.hashes)).hex() == (
+        assert keccak256(b"".join(map(trace.state_hash, range(trace.length + 1)))).hex() == (
             "a086c21e0a562665ad39182d7400b4ffda0ae3e8273d568808814b380c62cd6b"
         )
 
@@ -452,7 +460,7 @@ class TestBisectionGame:
             defender=0xD,
             claimed_final_state=defender_claim,
             trace_length=trace.length,
-            agreed_start_hash=trace.hashes[0],
+            agreed_start_hash=trace.state_hash(0),
             now=now,
         )
 
@@ -469,7 +477,7 @@ class TestBisectionGame:
     def test_honest_defender_wins_at_step(self):
         trace = make_runner().run_trace(128)
         honest = HonestAgent(trace)
-        game = self.open_game(trace, trace.hashes[trace.length])
+        game = self.open_game(trace, trace.state_hash(trace.length))
         winner = run_dispute(
             game, defender_agent=honest, challenger_agent=FaultyAgent(trace, 40)
         )
@@ -494,9 +502,9 @@ class TestBisectionGame:
         faulty = FaultyAgent(trace, 5)
         game = self.open_game(trace, faulty.state_hash(16))
         with pytest.raises(NotYourTurn):
-            dispute_bisect(game, 0xC, trace.hashes[8])  # defender moves first
+            dispute_bisect(game, 0xC, trace.state_hash(8))  # defender moves first
         with pytest.raises(NotYourTurn):
-            dispute_bisect(game, 0xDEAD, trace.hashes[8])  # stranger
+            dispute_bisect(game, 0xDEAD, trace.state_hash(8))  # stranger
 
     def test_step_rejects_bad_prestate(self):
         trace = make_runner().run_trace(4)

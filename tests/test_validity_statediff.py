@@ -121,6 +121,19 @@ class TestEncoding:
         with pytest.raises(MalformedDiff):
             encode_state_diff(diff)
 
+    def test_encode_names_the_index_of_an_oversized_word(self):
+        # words [0, 1, 0xA, 1, 1, 2**256]: the value is word 5
+        diff = StateDiff(
+            deployments=(),
+            storage=(ContractStorageDiff(0xA, ((1, 2**256),)),),
+        )
+        with pytest.raises(MalformedDiff, match=r"^word 5 \(\d+\) outside 256-bit range"):
+            encode_state_diff(diff)
+
+    def test_decode_refuses_duplicate_keys(self):
+        with pytest.raises(MalformedDiff, match="^duplicate storage keys for contract 10$"):
+            decode_state_diff([0, 1, 0xA, 2, 1, 2, 1, 3])
+
 
 class TestDerivation:
     def test_sequential_replay_reconstructs_state(self):
