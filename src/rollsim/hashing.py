@@ -54,23 +54,24 @@ block, ``keccak256(blob)`` returns the ready digest and counts its
 permutations there, as if it had run them. So ``counting()``, a wrapper that
 counts ``keccak256`` calls, and every pinned permutation count read the same
 numbers with or without a prefetch; a function returning many digests at once
-would run permutations that such a wrapper never sees. A blob that was not
-prefetched is hashed for real, so a caller always gets the digest of what it
-passed, tampered or not.
+would run permutations that such a wrapper never sees. A scope hashes each
+distinct blob once and hands it out once, and a test checks that no scope of
+a whole run closes with a digest unread. Any other blob is hashed for real,
+so a caller always gets the digest of what it passed, tampered or not.
 
-A caller whose next preimage contains a digest the scope holds can look that
-digest up (``Prefetched.digest``) and hash the next preimage into the same
-scope (``Prefetched.add``). The look-up reads nothing and counts nothing, and
-hides no permutations: the looked-up blob was listed, so its permutations are
-counted when ``keccak256`` reads it, and a test checks that no scope of a
-whole run closes with a digest unread.
+``DigestMemo`` sits in front of ``keccak256`` and hashes each distinct blob
+once, so a hit is no ``keccak256`` call and counts nothing. Inside a
+``run_memo()`` block, which ``scenarios.run`` opens, the memos over one hash
+function share one dict: whoever re-checks another party's bytes (the L1
+portal folding the L2's tree, L1 consuming the L2's messages, the verifier
+re-committing the prover's pages) reads the first hash. A tampered blob is a
+new key, hashed for real, and no digest outlives the block.
 
-The two kinds of block nest differently. A ``counting()`` block counts every
-permutation run inside it, nested ``counting()`` blocks included, so a run
-that counts its own phases still shows its whole count to a caller that
-counts around it. A ``prefetch`` block shadows the one around it: only the
-innermost scope hands out digests, so each scope is read by the code it was
-opened for.
+A ``counting()`` block counts every permutation run inside it, nested blocks
+included, so a run that counts its own phases still shows its whole count to
+a caller that counts around it. A ``prefetch`` or ``run_memo()`` block
+shadows the one of its kind around it, so each scope is read by the code it
+was opened for.
 """
 
 from __future__ import annotations
@@ -81,6 +82,8 @@ import functools
 import struct
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
+
+HashFn = Callable[[bytes], bytes]
 
 _M = (1 << 64) - 1
 
@@ -141,7 +144,8 @@ def counting() -> Iterator[PermutationCount]:
     ``.packed``, those of them that ran in slots of the packed kernel,
     counted per block: a blob whose last blocks ran alone on the scalar
     kernel counts only the blocks before them. A prefetched digest is counted
-    when ``keccak256`` hands it out. Nothing is counted outside a block. A
+    when ``keccak256`` hands it out; a ``DigestMemo`` hit calls no
+    ``keccak256`` and counts nothing. Nothing is counted outside a block. A
     block counts every permutation run inside it, nested blocks included: an
     inner block counts only its own, and adds them to the block it was opened
     in when it closes, also when it closes on an exception, so an enclosing
@@ -440,9 +444,9 @@ def keccak256(data: bytes) -> bytes:
     """Return the 32-byte Keccak-256 digest of ``data``.
 
     Inside a ``prefetch`` block, a blob the block computed ahead is handed
-    out ready, once per time it was prefetched; any other blob is hashed
-    here. The permutations are counted here either way, not in the sponges,
-    so a stand-in sponge swapped in for sweeps is counted the same way.
+    out ready, once; any other blob is hashed here. The permutations are
+    counted here either way, not in the sponges, so a stand-in sponge
+    swapped in for sweeps is counted the same way.
     """
     scope = _scope.get()
     ready = scope.take(bytes(data)) if scope is not None else None
@@ -554,41 +558,23 @@ def _packed_sponge(blobs: list[bytes], domain: int) -> list[tuple[bytes, int]]:
 
 
 class Prefetched:
-    """The digests one ``prefetch`` block computed, each kept for as many
-    reads as the blob was listed."""
+    """The digests one ``prefetch`` block computed, one per distinct blob,
+    each handed out once."""
 
     def __init__(self, blobs: Iterable[bytes]):
-        self._held: dict[bytes, tuple[bytes, list[int]]] = {}  # digest, packed per unread
-        self.add(blobs)
-
-    def add(self, blobs: Iterable[bytes]) -> None:
-        """Hash ``blobs`` together now and hold their digests here, as for
-        the blobs listed at entry: each occurrence is one slot and one read,
-        counted when ``keccak256`` reads it."""
-        blobs = [bytes(blob) for blob in blobs]
-        for blob, (digest, packed) in zip(blobs, _sponge_many(blobs, 0x01)):
-            self._held.setdefault(blob, (digest, []))[1].append(packed)
-
-    def digest(self, blob: bytes) -> bytes:
-        """The digest this scope computed for ``blob``, without using up a
-        read or counting anything; ``KeyError`` if it never listed ``blob``."""
-        return self._held[bytes(blob)][0]
+        blobs = list(dict.fromkeys(bytes(blob) for blob in blobs))
+        # blob -> (digest, blocks that ran in slots of the packed kernel)
+        self._held = dict(zip(blobs, _sponge_many(blobs, 0x01)))
 
     def take(self, blob: bytes) -> tuple[bytes, int] | None:
         """The digest of ``blob`` and the number of its blocks that ran in
-        slots of the packed kernel, if a read of it is left; the read is used
-        up. Listings of one blob may differ in that number (the longest blob
-        of a chunk runs its last blocks alone); any one of them is taken, so
-        the reads of every listing together count the slots permuted."""
-        digest, left = self._held.get(blob, (None, ()))
-        if not left:
-            return None
-        return digest, left.pop()
+        slots of the packed kernel, if it is held and not yet handed out."""
+        return self._held.pop(blob, None)
 
     @property
     def unread(self) -> int:
-        """Listed digests no ``keccak256`` call has read yet."""
-        return sum(len(left) for _, left in self._held.values())
+        """Digests no ``keccak256`` call has read yet."""
+        return len(self._held)
 
 
 _scope: contextvars.ContextVar[Prefetched | None] = contextvars.ContextVar(
@@ -598,25 +584,13 @@ _scope: contextvars.ContextVar[Prefetched | None] = contextvars.ContextVar(
 
 @contextlib.contextmanager
 def prefetch(blobs: Iterable[bytes]) -> Iterator[Prefetched]:
-    """Hash ``blobs`` together now, and hand each digest out through
-    ``keccak256`` inside the block.
-
-    Each occurrence of a blob is one slot of the sponge and one read, so a
-    blob listed twice is hashed twice, and every permutation run here is
-    counted once, by the ``keccak256`` call that reads it. A blob that was
-    not prefetched, or is read more often than it was listed, is hashed by
-    that call as usual, so a caller gets the digest of what it asked for and
-    never a stale one.
-
-    This is the one kind of block that nests by shadowing (``counting()``
-    blocks add into the block around them): inside an inner ``prefetch``
-    block only its own digests are handed out, so each scope is read only by
-    the code it was opened around, and its ``unread`` speaks for that code
-    alone.
-
-    The yielded ``Prefetched`` tells what was left unread, looks up a digest
-    it holds without reading it (``digest``), and hashes blobs that are known
-    only inside the block into it (``add``).
+    """Hash the distinct ``blobs`` together now, and hand each digest out
+    once through ``keccak256`` inside the block, which counts its
+    permutations. A blob not listed, or asked for again, is hashed by that
+    call as usual, so a caller never gets a stale digest; one that asks for
+    a blob more than once hashes through a ``DigestMemo``. Inside an inner
+    block only its own digests are handed out, so its ``unread`` speaks for
+    the code it was opened around alone.
     """
     scope = Prefetched(blobs)
     token = _scope.set(scope)
@@ -624,6 +598,44 @@ def prefetch(blobs: Iterable[bytes]) -> Iterator[Prefetched]:
         yield scope
     finally:
         _scope.reset(token)
+
+
+_run: contextvars.ContextVar[dict | None] = contextvars.ContextVar("digest_memos", default=None)
+
+
+@contextlib.contextmanager
+def run_memo() -> Iterator[None]:
+    """Share one blob -> digest dict per hash function among the
+    ``DigestMemo``s made inside the block; no digest outlives it."""
+    token = _run.set({})
+    try:
+        yield
+    finally:
+        _run.reset(token)
+
+
+class DigestMemo:
+    """A ``HashFn`` that runs ``hash_fn`` once per distinct blob it is given.
+
+    Made inside a ``run_memo()`` block, it shares the block's digests for
+    ``hash_fn``, so a stand-in hash never reads Keccak digests; made outside
+    one, it keeps its own. ``hash_fn`` is read once, when the memo is made.
+    """
+
+    def __init__(self, hash_fn: HashFn = keccak256):
+        self._hash_fn = hash_fn
+        run = _run.get()
+        self._digests: dict[bytes, bytes] = {} if run is None else run.setdefault(hash_fn, {})
+
+    def __call__(self, blob: bytes) -> bytes:
+        digest = self._digests.get(blob)
+        if digest is None:
+            digest = self._digests[blob] = self._hash_fn(blob)
+        return digest
+
+    def __contains__(self, blob: bytes) -> bool:
+        """Whether this memo, or one sharing its digests, has hashed ``blob``."""
+        return blob in self._digests
 
 
 def memoized_digest(compute: Callable[[object], bytes]) -> property:

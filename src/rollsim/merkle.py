@@ -8,21 +8,21 @@ proof is its leaf index and its sibling hashes: bit k of the index places the
 level-k sibling (1: on the left), and an index must fit in the path length, so
 a proof of one leaf cannot be relabelled as a proof of another.
 
-``DigestMemo`` is the one blob -> digest memo: a tree hashes through its own,
-and a verifier that checks many proofs of one tree passes its own as
-``hash_fn``, so the upper nodes the proofs share are hashed once. It is keyed
-by the whole preimage: every proof is still folded and compared with the
-root, and a tampered leaf, sibling or index makes a new blob, hashed afresh.
+A tree hashes through a ``hashing.DigestMemo``, and a verifier that checks
+many proofs passes one as ``hash_fn``. Inside a run (``hashing.run_memo``)
+they share the run's digests, so folding a proof of a tree built in the same
+run hashes nothing; outside one, a verifier's own memo still hashes the upper
+nodes its proofs share once. The memo is keyed by the whole preimage: every
+proof is still folded and compared with the root, and a tampered leaf,
+sibling or index makes a new blob, hashed afresh.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .hashing import keccak256
-
-HashFn = Callable[[bytes], bytes]
+from .hashing import DigestMemo, HashFn, keccak256
 
 LEAF_PREFIX = b"\x00"
 NODE_PREFIX = b"\x01"
@@ -45,29 +45,6 @@ def hash_node(left: bytes, right: bytes, hash_fn: HashFn = keccak256) -> bytes:
     return hash_fn(NODE_PREFIX + left + right)
 
 
-class DigestMemo:
-    """A ``HashFn`` that runs ``hash_fn`` once per distinct blob it is given.
-
-    The memo lives as long as its owner (a tree or a portal) and is never
-    shared between owners, so no digest outlives one run. ``hash_fn`` is
-    read once, when the memo is made.
-    """
-
-    def __init__(self, hash_fn: HashFn = keccak256):
-        self._hash_fn = hash_fn
-        self._digests: dict[bytes, bytes] = {}
-
-    def __call__(self, blob: bytes) -> bytes:
-        digest = self._digests.get(blob)
-        if digest is None:
-            digest = self._digests[blob] = self._hash_fn(blob)
-        return digest
-
-    def __contains__(self, blob: bytes) -> bool:
-        """Whether this memo has hashed ``blob`` already."""
-        return blob in self._digests
-
-
 @dataclass(frozen=True)
 class MerkleProof:
     """Sibling hashes from a leaf to the root; bit k of ``leaf_index`` is 1
@@ -85,8 +62,9 @@ class MerkleTree:
     blob is hashed once per tree. A tree of 2^k equal leaves costs k + 1
     hashes (an all-zero dispute memory of 64 words, 16 leaves, costs 5), and
     a cursor tree that moves back to contents it held before rehashes
-    nothing. The memo belongs to this tree only; a new tree starts with an
-    empty one.
+    nothing. Outside a ``hashing.run_memo()`` block the memo belongs to this
+    tree only, and a new tree starts with an empty one; inside one it is the
+    run's, shared with every tree and verifier of the run.
 
     Each blob is hashed alone, through ``_hash_level``; a subclass that
     batches a level (``dispute.MemoryTree``) overrides it.

@@ -652,7 +652,9 @@ def play_planted_fault(
     and play the game over them; return it settled.
 
     The defender is a ``FaultyAgent`` whose claimed trace diverges at
-    ``fault``, the challenger an ``HonestAgent``.
+    ``fault``, the challenger an ``HonestAgent``. No ``hashing.run_memo()``
+    block is needed: the trace's one memory tree already hashes through its
+    own memo.
     """
     program = list(FIXTURE_PROGRAM)
     trace = VmRunner(program, initial_registers=registers).run_trace(steps)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from ..hashing import keccak256
+from ..hashing import DigestMemo, keccak256
 from ..l1sim import Chain
-from ..merkle import DigestMemo, MerkleProof, verify_inclusion
+from ..merkle import MerkleProof, verify_inclusion
 from . import DISPUTE_PERIOD
 from .l2 import OutputRootProof, WithdrawalTx
 
@@ -116,12 +116,12 @@ class L2OutputOracle:
 class WithdrawalPortal:
     """The finalization side of the portal: executes proven withdrawals.
 
-    The portal folds every inclusion proof through one ``DigestMemo`` that
-    lives as long as the portal. The proofs of one withdrawal tree share
-    their upper nodes, so finalizing all n withdrawals hashes each of the
-    tree's about 2n blobs once. No check is skipped: each proof is still
-    folded level by level and compared with the proposal's withdrawal root,
-    and a tampered proof makes blobs the memo has not seen.
+    The portal folds every inclusion proof through one ``DigestMemo``. Made
+    inside a run, it is the run's memo, so folding a proof of the tree the
+    L2 built in that run hashes nothing; made outside one, it hashes the
+    tree's about 2n blobs once for n withdrawals. No check is skipped: each
+    proof is still folded level by level and compared with the proposal's
+    withdrawal root, and a tampered proof makes blobs the memo has not seen.
 
     A withdrawal pays its target unless ``payees`` names another address for
     its hash, as a lender pool does for a withdrawal it advanced.

@@ -253,14 +253,17 @@ def run(config: ScenarioConfig, profile: list[PhaseCost] | None = None) -> RunRe
     """Execute a scenario; the report is a pure function of the config.
 
     Given a ``profile`` list, append one ``PhaseCost`` per phase and a last
-    one for building the report; their permutations sum to the run's.
+    one for building the report; their permutations sum to the run's. The
+    run hashes inside one ``hashing.run_memo()`` block, so a party that
+    re-checks bytes another party hashed reads the first digest.
     """
     config.validate()
     ctx = _Run(config, profile)
-    if config.rollup == "optimistic":
-        from .oprollup.scenario import run_optimistic
+    with hashing.run_memo():
+        if config.rollup == "optimistic":
+            from .oprollup.scenario import run_optimistic
 
-        return run_optimistic(ctx)
-    from .validityrollup.scenario import run_validity
+            return run_optimistic(ctx)
+        from .validityrollup.scenario import run_validity
 
-    return run_validity(ctx)
+        return run_validity(ctx)

@@ -6,31 +6,33 @@ L2-to-L1 messages exist on L1 only after settlement and are consumed by
 decrementing. Handlers on L2 are keyed by a selector derived from their name.
 
 Both directions are frozen message objects with a memoized ``hash``, so each
-message is hashed once per side. An L1-to-L2 message is hashed when L1 sends
+message object is hashed once. An L1-to-L2 message is hashed when L1 sends
 it; handler dispatch and settlement reuse that digest. An L2-to-L1 message,
 built once by its sender, is hashed when the L2 sends it; settlement binds
 that digest. On L1, ``consume_message_from_l2`` hashes the raw payload its
 caller submits: that is the core contract's own check, trusting no digest.
+Both L2-to-L1 sites hash through a ``hashing.DigestMemo``, so inside a run
+the consume of a message the L2 sent reads the send's digest, while a
+tampered payload is a new blob and is hashed.
 
 Each direction states its word layout once, in ``_l1_to_l2_preimage`` and
 ``_l2_to_l1_preimage``; an L2-to-L1 message memoizes its ``preimage``, which
 its ``hash`` hashes. A caller that knows the messages ahead hashes them
 together in a scope this module opens: ``prefetch_to_l2`` for L1 sends,
 numbered from the core's ``message_nonce`` here, where the core assigns
-them, and ``prefetch_to_l1`` for L2 sends and L1 consumes, which lists the
-sent messages' own preimages. A prefetched digest is handed out only for the
-exact preimage it was computed from, so a tampered payload or a send the
-scope did not list costs one real hash, never a wrong digest.
+them, and ``prefetch_to_l1`` for L2 sends, which lists the sent messages'
+own preimages. A prefetched digest is handed out only for the exact
+preimage it was computed from, so a tampered payload or a send the scope
+did not list costs one real hash, never a wrong digest.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Iterator
+from typing import Callable, ContextManager
 
 from .. import hashing
-from ..hashing import keccak256, memoized_digest
+from ..hashing import DigestMemo, keccak256, memoized_digest
 from ..l1sim import ZERO_HASH, Chain
 
 CORE_ADDRESS = 0x90000000000000000000000000000000000000C1
@@ -110,33 +112,31 @@ class L2ToL1Message:
 
     @memoized_digest
     def hash(self) -> bytes:
-        return keccak256(self.preimage)
+        return DigestMemo()(self.preimage)
 
 
 def l2_to_l1_message_hash(from_address: int, to_address: int, payload) -> bytes:
     """The hash of the ``L2ToL1Message`` these fields make."""
-    return keccak256(_l2_to_l1_preimage(from_address, to_address, tuple(payload)))
+    return DigestMemo()(_l2_to_l1_preimage(from_address, to_address, tuple(payload)))
 
 
-@contextlib.contextmanager
 def prefetch_to_l2(
     core: StarkNetCore, from_address: int, to_address: int, selector: int, payloads
-) -> Iterator[hashing.Prefetched]:
+) -> ContextManager[hashing.Prefetched]:
     """A ``hashing.prefetch`` scope holding the hash of each message the next
     ``core.send_message_to_l2`` calls send, one per payload in order, numbered
     from ``core.message_nonce`` as the core numbers them."""
-    blobs = [_l1_to_l2_preimage(from_address, to_address, selector, payload, nonce)
-             for nonce, payload in enumerate(payloads, core.message_nonce)]
-    with hashing.prefetch(blobs) as scope:
-        yield scope
+    return hashing.prefetch(
+        _l1_to_l2_preimage(from_address, to_address, selector, payload, nonce)
+        for nonce, payload in enumerate(payloads, core.message_nonce)
+    )
 
 
-@contextlib.contextmanager
-def prefetch_to_l1(messages) -> Iterator[hashing.Prefetched]:
-    """A ``hashing.prefetch`` scope holding the hash of each L2-to-L1 message:
-    what ``send_message_to_l1`` on L2 and ``consume_message_from_l2`` on L1 hash."""
-    with hashing.prefetch([message.preimage for message in messages]) as scope:
-        yield scope
+def prefetch_to_l1(messages) -> ContextManager[hashing.Prefetched]:
+    """A ``hashing.prefetch`` scope holding the hash of each L2-to-L1 message,
+    for ``send_message_to_l1``; a consume on L1 reads the send's digest from
+    the run's memo."""
+    return hashing.prefetch([message.preimage for message in messages])
 
 
 class StarkNetCore:

@@ -4,16 +4,18 @@
 optimistic run never loads the validity stack (messaging, the Cairo-style
 machine, settlement and the SNARK it proves with).
 
-Four sites know every message or page before they hash it: L1 sending the
-deposit messages, the L2 sending the withdrawal messages, settlement, and L1
-consuming the withdrawals. Each runs inside a ``hashing.prefetch`` scope in
-its own phase, so the hashes run many to a packed permutation and no side
-reads a digest the other made. The module that owns a layout opens its
-scope, and this one passes only what it then sends, settles or consumes:
+Three sites know every message or page before they hash it: L1 sending the
+deposit messages, the L2 sending the withdrawal messages, and settlement's
+prover. Each runs inside a ``hashing.prefetch`` scope in its own phase, so
+the hashes run many to a packed permutation. The module that owns a layout
+opens its scope, and this one passes only what it then sends or settles:
 ``messaging.prefetch_to_l2`` takes the deposit payloads and numbers them as
 the core will, ``messaging.prefetch_to_l1`` takes the withdrawal messages
-built here, for the L2 sends and the L1 consumes, and
-``settlement.prefetch_transition`` takes the transition.
+built here, and ``settlement.prefetch_transition`` takes the transition.
+Whoever re-checks those bytes, the settlement verifier and L1 consuming the
+withdrawals, reads the first hash from the run's digest memo
+(``hashing.run_memo``, opened by ``scenarios.run``) and hashes only bytes no
+one has hashed yet.
 """
 
 from __future__ import annotations
@@ -88,11 +90,11 @@ def run_validity(ctx: _Run) -> RunReport:
     gate = _StarkGateL1(ctx.chain, core)
     l2 = ValidityL2State()
     with ctx.phase("message_and_execute"):
-        withdrawals, messages, initiated_block = _message_and_execute(ctx, core, l2)
+        withdrawals, initiated_block = _message_and_execute(ctx, core, l2)
     with ctx.phase("prove_and_settle"):
         diff, diff_words, settle_block = _prove_and_settle(ctx, core, l2)
     with ctx.phase("consume"):
-        latencies = _consume(ctx, gate, withdrawals, messages, initiated_block, settle_block)
+        latencies = _consume(ctx, gate, withdrawals, initiated_block, settle_block)
     with ctx.phase("report"):
         cost = da_cost_comparison(diff) if diff.storage else None
         return ctx.report(
@@ -105,9 +107,9 @@ def run_validity(ctx: _Run) -> RunReport:
 
 def _message_and_execute(
     ctx: _Run, core: StarkNetCore, l2: ValidityL2State
-) -> tuple[list, list, int]:
+) -> tuple[list, int]:
     """Message the deposits to L2 and execute them and the workload; return the
-    withdrawals sent, their messages and the block they were sent in."""
+    withdrawals sent and the block they were sent in."""
     chain = ctx.chain
     deposit_selector = register_bridge(l2)
     pending_messages = []
@@ -151,7 +153,7 @@ def _message_and_execute(
             send_message_to_l1(l2, message)
     for _ in range(ctx.config.proof_cadence_blocks - 1):
         chain.mine_block()
-    return initiated, messages, initiated_block
+    return initiated, initiated_block
 
 
 def _prove_and_settle(ctx: _Run, core: StarkNetCore, l2: ValidityL2State):
@@ -165,7 +167,7 @@ def _prove_and_settle(ctx: _Run, core: StarkNetCore, l2: ValidityL2State):
     messages = SettlementMessages(
         consumed_l1_to_l2=tuple(l2.consumed_inbox), sent_l2_to_l1=tuple(l2.outbox)
     )
-    with prefetch_transition(core.state_root, diff_words, messages):
+    with prefetch_transition(diff_words, messages):
         proof = prove_transition(core.state_root, diff_words, trace, prover, messages)
         new_root = settle(core, prover, proof, diff_words, messages)
     settle_block = ctx.chain.pending_block_number
@@ -175,11 +177,11 @@ def _prove_and_settle(ctx: _Run, core: StarkNetCore, l2: ValidityL2State):
 
 
 def _consume(
-    ctx: _Run, gate: _StarkGateL1, withdrawals: list[dict], messages: list[L2ToL1Message],
-    initiated_block: int, settle_block: int,
+    ctx: _Run, gate: _StarkGateL1, withdrawals: list[dict], initiated_block: int,
+    settle_block: int,
 ) -> dict:
     """Consume each withdrawal on L1, which must succeed in the block after
-    settlement; ``messages`` are the messages the L2 sent for them.
+    settlement.
 
     Each withdrawal gets its own latency entry, under its message hash; equal
     withdrawals send equal messages, so the n-th consume of one hash, n >= 2,
@@ -187,22 +189,21 @@ def _consume(
     """
     latencies: dict[str, dict] = {}
     consumed: dict[str, int] = {}
-    with prefetch_to_l1(messages):
-        for w in withdrawals:
-            msg_hash = gate.withdraw(w["value"], w.get("target", w["user"]))
-            consume_block = ctx.chain.pending_block_number
-            ctx.log("withdrawal_consumed", hash=msg_hash.hex(), value=w["value"])
-            if consume_block != settle_block + 1:
-                ctx.violations.append("withdrawal not consumable in the block after settlement")
-            key = msg_hash.hex()
-            consumed[key] = consumed.get(key, 0) + 1
-            if consumed[key] > 1:
-                key += f"#{consumed[key]}"
-            latencies[key] = {
-                "initiated_block": initiated_block,
-                "consumed_block": consume_block,
-                "blocks": consume_block - initiated_block,
-                "seconds": (consume_block - initiated_block) * ctx.config.block_time,
-            }
+    for w in withdrawals:
+        msg_hash = gate.withdraw(w["value"], w.get("target", w["user"]))
+        consume_block = ctx.chain.pending_block_number
+        ctx.log("withdrawal_consumed", hash=msg_hash.hex(), value=w["value"])
+        if consume_block != settle_block + 1:
+            ctx.violations.append("withdrawal not consumable in the block after settlement")
+        key = msg_hash.hex()
+        consumed[key] = consumed.get(key, 0) + 1
+        if consumed[key] > 1:
+            key += f"#{consumed[key]}"
+        latencies[key] = {
+            "initiated_block": initiated_block,
+            "consumed_block": consume_block,
+            "blocks": consume_block - initiated_block,
+            "seconds": (consume_block - initiated_block) * ctx.config.block_time,
+        }
     ctx.chain.mine_block()
     return latencies

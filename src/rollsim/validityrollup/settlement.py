@@ -17,18 +17,21 @@ commits that next root and the message blob, each message list prefixed by
 its length as a 32-byte word. The page count is fixed by the blob's length
 and each page's digest by its bytes, so a diff word moved into a message
 list, a message hash moved from one list to the other, or a word moved across
-a page boundary changes the digest. The prover and the verifier each hash
-every page once; messages enter as their memoized hashes and are never
-rehashed from their fields. The caller encodes the published diff once and
-``SettlementMessages.blob`` joins the message blob once, for both sides.
+a page boundary changes the digest. Messages enter as their memoized hashes
+and are never rehashed from their fields. The caller encodes the published
+diff once and ``SettlementMessages.blob`` joins the message blob once, for
+both sides.
 
+A commitment hashes its pages and its preimage through a
+``hashing.DigestMemo``, so inside a run the verifier, recomputing the
+commitments from what was submitted, reads the prover's digests of
+byte-equal blobs and hashes only what differs: a tampered diff page or a
+forged message list is a new blob, hashed as submitted.
 ``prefetch_transition`` opens the ``hashing.prefetch`` scope a caller that
-knows a transition ahead settles in: every page and both commitments, hashed
-before the prover and the verifier ask. Each side still hashes once: the
-prover's and the verifier's sponge of each page and commitment are two slots
-of one packed sponge, and each side reads its own slot. A digest is handed out only for a
-byte-equal blob, once per slot, so a verifier given a tampered diff page or a
-forged message list misses the prefetch and hashes what it was given.
+knows a transition ahead proves in: every page of the diff and of the
+message blob, once each, as one packed sponge. The two preimages that hold
+page digests, the next root's and the transition's, are hashed by the prover
+when it asks.
 
 Settlement is atomic: the root update and every message-counter change land
 together or not at all.
@@ -36,13 +39,12 @@ together or not at all.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import ContextManager
 
 from .. import hashing
 from ..algebra import Field, PairingGroup
-from ..hashing import keccak256, memoized_digest
+from ..hashing import DigestMemo, memoized_digest
 from ..snark import (
     SnarkProof,
     build_qap,
@@ -129,13 +131,10 @@ def _pages(blob: bytes) -> list[bytes]:
     return [blob[at:at + size] for at in range(0, len(blob), size)]
 
 
-def _paged_preimage(head: bytes, page_digests: Iterable[bytes]) -> bytes:
-    """What a paged commitment hashes: ``head``, then each page's digest."""
-    return head + b"".join(page_digests)
-
-
 def _commit(head: bytes, blob: bytes) -> bytes:
-    return keccak256(_paged_preimage(head, map(keccak256, _pages(blob))))
+    """The digest of ``head``, then each page's digest."""
+    digest = DigestMemo()
+    return digest(head + b"".join(map(digest, _pages(blob))))
 
 
 def next_root(old_root: bytes, diff_words: list[int]) -> bytes:
@@ -143,23 +142,13 @@ def next_root(old_root: bytes, diff_words: list[int]) -> bytes:
     return _commit(old_root, diff_calldata_bytes(diff_words))
 
 
-@contextlib.contextmanager
 def prefetch_transition(
-    old_root: bytes, diff_words: list[int], messages: SettlementMessages = SettlementMessages()
-) -> Iterator[hashing.Prefetched]:
-    """A ``hashing.prefetch`` scope holding every sponge that proving and
-    settling this transition runs, each listed twice, once for the prover
-    and once for the verifier: the pages of the diff and of the message
-    blob, then the next root's preimage, then the transition's, which holds
-    that root."""
-    diff_pages = _pages(diff_calldata_bytes(diff_words))
-    message_pages = _pages(messages.blob)
-    with hashing.prefetch(2 * (diff_pages + message_pages)) as scope:
-        root = _paged_preimage(old_root, map(scope.digest, diff_pages))
-        scope.add([root, root])
-        transition = _paged_preimage(scope.digest(root), map(scope.digest, message_pages))
-        scope.add([transition, transition])
-        yield scope
+    diff_words: list[int], messages: SettlementMessages = SettlementMessages()
+) -> ContextManager[hashing.Prefetched]:
+    """A ``hashing.prefetch`` scope holding the digest of every page that
+    proving this transition hashes: the pages of the diff, then those of the
+    message blob."""
+    return hashing.prefetch(_pages(diff_calldata_bytes(diff_words)) + _pages(messages.blob))
 
 
 def prove_transition(

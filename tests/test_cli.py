@@ -267,15 +267,15 @@ class TestRunProfile:
             assert sum(int(row[1]) for row in rows) == total.perms > 0
         # the validity bridge hashes its two deposit messages together when L1
         # sends them, and its two withdrawal messages together when the L2
-        # sends them and again when L1 consumes them; each is two blocks.
-        # Settlement hashes the prover's and the verifier's diff page and
-        # message page (two blocks each) together, then their next root and
-        # their transition digest (one block each) as a pair each. The
-        # optimistic dispute's memory cursor hashes one level of four new
-        # one-block blobs together and one of two
+        # sends them; each is two blocks. L1's consumes read the sends'
+        # digests from the run's memo. Settlement's prover hashes its diff
+        # page and message page (two blocks each) together, then its next
+        # root and transition digest alone; the verifier reads all four from
+        # the memo. The optimistic dispute's memory cursor hashes one level of
+        # four new one-block blobs together and one of two
         packed = {row[0]: int(row[2]) for row in rows if int(row[2])}
         expected = {
-            "validity": {"message_and_execute": 8, "prove_and_settle": 12, "consume": 4},
+            "validity": {"message_and_execute": 8, "prove_and_settle": 4},
             "optimistic": {"dispute": 4 + 2},
         }
         assert packed == expected[rollup]

@@ -21,9 +21,13 @@ from rollsim.validityrollup.messaging import (
     L1ToL2Message,
     L2ToL1Message,
     StarkNetCore,
+    ValidityL2State,
     prefetch_to_l1,
     prefetch_to_l2,
+    send_message_to_l1,
+    starkgate_withdraw_payload,
 )
+from rollsim.validityrollup.scenario import L1_BRIDGE_ADDRESS, L2_BRIDGE_ADDRESS
 
 EMPTY_DIGEST = "c5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470"
 ABC_DIGEST = "4e03657aea45a94fc7d47ba826c8d667c0d1e6e33a64a036ec44f58fa12d6c45"
@@ -315,17 +319,18 @@ class TestCounting:
 
     def test_counts_every_permuted_slot_of_a_batched_run(self):
         # 320 deposit messages hashed together when L1 sends them, and 320
-        # withdrawal messages hashed together when the L2 sends them and again
-        # when L1 consumes them; every message is two blocks. Settlement hashes
-        # the prover's and the verifier's pages together: per side, the diff's
-        # nine 17-block pages, the message blob's eight 17-block pages and a
-        # 16-block one, then a three-block next root and a three-block
-        # transition digest, each as a packed pair
+        # withdrawal messages hashed together when the L2 sends them; every
+        # message is two blocks, and L1's consumes read the sends' digests
+        # from the run's memo. Settlement's prover hashes its pages together:
+        # the diff's nine 17-block pages, the message blob's eight 17-block
+        # pages and a 16-block one; its three-block next root and three-block
+        # transition digest run alone, and the verifier reads them all from
+        # the memo
         with _permuted_slots() as slots, hashing.counting() as count:
             report = run(_validity_users(320))
         assert report.ok
         assert count.perms == slots.total > 0
-        assert count.packed == slots.packed == 3 * 320 * 2 + 2 * (9 * 17 + 8 * 17 + 16 + 3 + 3)
+        assert count.packed == slots.packed == 2 * 320 * 2 + 9 * 17 + 8 * 17 + 16
 
     def test_nothing_counted_outside_a_block(self):
         with hashing.counting() as count:
@@ -363,10 +368,9 @@ class TestCounting:
     # VM's memory tree hashes each level's new blobs as one packed batch,
     # while the withdrawal path hashes nothing packed yet
     PINNED = {
-        "op-withdrawals": (271, {}),
-        "op-fraud-trace": (190, {"dispute": 85}),
-        "validity-messages": (2549, {"message_and_execute": 1280, "prove_and_settle": 622,
-                                     "consume": 640}),
+        "op-withdrawals": (208, {}),
+        "op-fraud-trace": (183, {"dispute": 85}),
+        "validity-messages": (1598, {"message_and_execute": 1280, "prove_and_settle": 305}),
     }
 
     @pytest.mark.parametrize("workload", PINNED)
@@ -400,47 +404,69 @@ class TestCounting:
 
 class TestPrefetch:
     def test_repeated_blob_is_read_right_each_time(self):
+        # a blob listed twice is one slot and one read; asked for again, it
+        # is hashed for real
         blob, other = _message(200), _message(150)  # two blocks each
         expected, expected_other = hashing._sponge(blob, 0x01), hashing._sponge(other, 0x01)
         with _permuted_slots() as slots, hashing.counting() as count:
             with hashing.prefetch([blob, blob, other]) as scope:
+                assert scope.unread == 2
                 assert keccak256(blob) == keccak256(blob) == expected
                 assert scope.unread == 1
                 assert keccak256(other) == expected_other
                 assert scope.unread == 0
-                assert keccak256(blob) == expected  # read more often than listed: hashed
-        assert count.perms == slots.total == 8
-        assert count.packed == slots.packed == 6
+        assert count.perms == slots.total == 2 * 2 + 2
+        assert count.packed == slots.packed == 2 * 2
 
-    def test_identical_withdrawals_are_two_slots_per_side(self):
+    def test_identical_withdrawals_are_hashed_once(self, monkeypatch):
         config = ScenarioConfig(
             rollup="validity", deposits=[{"user": 1, "value": 100}],
             withdrawals=[{"user": 1, "value": 10}, {"user": 1, "value": 10}],
         )
+        hashed = []
+        sponge, sponge_many = hashing._sponge, hashing._sponge_many
+        monkeypatch.setattr(
+            hashing, "_sponge", lambda data, domain: hashed.append(data) or sponge(data, domain)
+        )
+        monkeypatch.setattr(
+            hashing, "_sponge_many",
+            lambda blobs, domain: hashed.extend(blobs) or sponge_many(blobs, domain),
+        )
         with _permuted_slots() as slots, hashing.counting() as count:
             report = run(config)
         assert report.ok and len(report.withdrawal_latencies) == 2
+        # the L2 sends one message twice and L1 consumes it twice: its
+        # preimage is one slot of the sends' scope, a lone one, so scalar
+        sent = L2ToL1Message(
+            L2_BRIDGE_ADDRESS, L1_BRIDGE_ADDRESS, tuple(starkgate_withdraw_payload(1, 10))
+        )
+        assert hashed.count(sent.preimage) == 1
         assert count.perms == slots.total
-        # per side, two two-block message slots; settlement's prover and
-        # verifier each read a two-block diff page and a two-block message
-        # page, then a one-block next root and a one-block transition
-        assert count.packed == slots.packed == 2 * 2 * 2 + 2 * (2 + 2 + 1 + 1)
+        # only settlement's prover runs packed: a two-block diff page and a
+        # two-block message page
+        assert count.packed == slots.packed == 2 + 2
 
     def test_tampered_consume_is_hashed_and_refused(self):
-        core = StarkNetCore(Chain())
+        # the L2 sends first, which warms the run's memo; the honest consume
+        # then reads the send's digest, and a tampered payload, a blob the
+        # memo has not seen, is hashed and refused
+        core, l2 = StarkNetCore(Chain()), ValidityL2State()
         payload, other = (0, 0xEE, 50, 0), (0, 0xEF, 60, 0)
         sent = [L2ToL1Message(0x22, 0xD1, payload), L2ToL1Message(0x22, 0xD1, other)]
-        honest = sent[0].preimage
-        core.l2_to_l1_counters[keccak256(honest)] = 1
-        with prefetch_to_l1(sent) as scope:
+        with hashing.run_memo():
+            with hashing.counting() as count, prefetch_to_l1(sent) as scope:
+                for message in sent:
+                    send_message_to_l1(l2, message)
+            assert (scope.unread, count.perms, count.packed) == (0, 2 * 2, 2 * 2)
+            core.l2_to_l1_counters[sent[0].hash] = 1
             with hashing.counting() as count:
                 with pytest.raises(InvalidMessageToConsume):
                     core.consume_message_from_l2(0x22, (0, 0xEE, 51, 0), caller=0xD1)
-            assert (scope.unread, count.perms, count.packed) == (2, 2, 0)
+            assert (count.perms, count.packed) == (2, 0)
             with hashing.counting() as count:
-                core.consume_message_from_l2(0x22, payload, caller=0xD1)
-            assert (scope.unread, count.perms, count.packed) == (1, 2, 2)
-        assert core.l2_to_l1_counters[keccak256(honest)] == 0
+                assert core.consume_message_from_l2(0x22, payload, caller=0xD1) == sent[0].hash
+            assert (count.perms, count.packed) == (0, 0)
+        assert core.l2_to_l1_counters[keccak256(sent[0].preimage)] == 0
 
     @staticmethod
     def _watch_scopes(monkeypatch) -> list[tuple[str, int, int]]:
@@ -466,20 +492,17 @@ class TestPrefetch:
         return scopes
 
     def test_no_digest_left_unread_when_a_scope_closes(self, monkeypatch):
-        # an unread digest is work the model did not ask for. ``listed`` is read
-        # at entry, so it misses the blobs settlement adds to its open scope;
-        # ``unread == 0`` at exit covers those as well
+        # an unread digest is work the model did not ask for
         scopes = self._watch_scopes(monkeypatch)
         assert run(_validity_users(320)).ok
-        # deposit sends, withdrawal sends, settlement (two slots of each of the
-        # nine diff pages and nine message pages listed at entry, two root and
-        # two transition slots added), consumes
+        # deposit sends, withdrawal sends, and settlement's prover (one slot
+        # of each of the nine diff pages and nine message pages); the
+        # verifier and L1's consumes read the run's memo and open no scope
         assert [opener for opener, _, _ in scopes] == [
-            "validityrollup.messaging", "validityrollup.messaging",
-            "validityrollup.settlement", "validityrollup.messaging",
+            "validityrollup.messaging", "validityrollup.messaging", "validityrollup.settlement",
         ]
         assert [(listed, unread) for _, listed, unread in scopes] == [
-            (320, 0), (320, 0), (2 * (9 + 9), 0), (320, 0)
+            (320, 0), (320, 0), (9 + 9, 0)
         ]
 
     def test_no_digest_left_unread_when_a_game_scope_closes(self, monkeypatch):
@@ -548,27 +571,6 @@ class TestPrefetch:
         assert scope.unread == 0
         assert (count.perms, count.packed) == (2 * len(payloads), 2 * len(payloads))
 
-    def test_digest_looks_up_without_a_read_and_added_blobs_run_packed(self):
-        listed, added = _message(200), _message(300)  # two and three blocks
-        expected, expected_added = hashing._sponge(listed, 0x01), hashing._sponge(added, 0x01)
-        with _permuted_slots() as slots, hashing.counting() as count:
-            with hashing.prefetch([listed, listed]) as scope:
-                assert scope.digest(listed) == expected
-                assert (scope.unread, count.perms, count.packed) == (2, 0, 0)
-                with pytest.raises(KeyError):
-                    scope.digest(added)
-                # ``listed`` shares the added pair's slots for its two blocks,
-                # and the pair runs its third block as two slots
-                scope.add([added, listed, added])
-                assert (slots.total, slots.packed) == (2 * 2 + 2 * 3 + 2, 2 * 2 + 2 * 3 + 2)
-                assert scope.digest(added) == expected_added
-                assert (scope.unread, count.perms, count.packed) == (5, 0, 0)
-                assert keccak256(added) == keccak256(added) == expected_added
-                assert [keccak256(listed) for _ in range(3)] == [expected] * 3
-                assert scope.unread == 0
-        assert count.perms == slots.total
-        assert count.packed == slots.packed
-
     def test_scopes_nest_by_shadowing(self):
         outer_blob, inner_blob = _message(20), _message(30)
         with hashing.prefetch([outer_blob]) as outer:
@@ -580,34 +582,91 @@ class TestPrefetch:
         assert outer.unread == 0
 
     @staticmethod
-    def _reports_the_same_without_a_digest_handed_out(config, monkeypatch):
-        # a prefetched digest that differs from what keccak256 would compute
-        # changes the report or the count here, whichever site listed it
+    def _reports_the_same_without_a_digest_handed_out(config):
+        """Run ``config`` as it is, with no prefetched digest handed out, and
+        with neither a prefetched digest nor the run's memo; return the counts
+        of the first and the last. A prefetched digest, or one a party reads
+        from the memo, that differs from what keccak256 computes for the blob
+        changes the report or the count, whichever site listed or first
+        hashed it."""
         with hashing.counting() as batched:
             report = run(config)
-        monkeypatch.setattr(hashing.Prefetched, "take", lambda self, blob: None)
-        with hashing.counting() as hashed:
-            unbatched = run(config)
-        assert report.ok and batched.packed > 0
-        assert unbatched.report_hash() == report.report_hash()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hashing.Prefetched, "take", lambda self, blob: None)
+            with hashing.counting() as hashed:
+                unbatched = run(config)
+            patch.setattr(hashing, "run_memo", contextlib.nullcontext)
+            with hashing.counting() as unshared:
+                alone = run(config)
+        assert report.ok
+        assert alone.report_hash() == unbatched.report_hash() == report.report_hash()
         assert (hashed.perms, hashed.packed) == (batched.perms, 0)
+        assert unshared.packed == 0
+        return batched, unshared
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 7])
-    def test_run_without_handing_out_a_digest_reports_the_same(
-        self, seed, bench_workloads, monkeypatch
-    ):
+    def test_run_without_handing_out_a_digest_reports_the_same(self, seed, bench_workloads):
         # every scope of the run lists bytes the L2 or L1 built, and each
-        # must hand out the digest keccak256 computes for them
+        # must hand out the digest keccak256 computes for them; the verifier
+        # and L1's consumes read the memo
         config = bench_workloads.WORKLOADS["validity-messages"].config(seed)
-        self._reports_the_same_without_a_digest_handed_out(config, monkeypatch)
+        batched, unshared = self._reports_the_same_without_a_digest_handed_out(config)
+        assert batched.packed > 0 and unshared.perms > batched.perms
 
-    def test_fraud_run_without_handing_out_a_digest_reports_the_same(
-        self, bench_workloads, monkeypatch
-    ):
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7])
+    def test_fraud_run_without_handing_out_a_digest_reports_the_same(self, seed, bench_workloads):
         # the planted-fraud run's dispute memory tree is its one batched site
-        config = bench_workloads.WORKLOADS["op-fraud-trace"].config(1)
+        config = bench_workloads.WORKLOADS["op-fraud-trace"].config(seed)
         assert config.planted_fraud
-        self._reports_the_same_without_a_digest_handed_out(config, monkeypatch)
+        batched, unshared = self._reports_the_same_without_a_digest_handed_out(config)
+        assert batched.packed > 0 and unshared.perms > batched.perms
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7])
+    def test_withdrawal_run_without_the_run_memo_reports_the_same(self, seed, bench_workloads):
+        # nothing is prefetched; the portal folds every proof through the memo
+        # the L2's withdrawal tree filled
+        config = bench_workloads.WORKLOADS["op-withdrawals"].config(seed)
+        batched, unshared = self._reports_the_same_without_a_digest_handed_out(config)
+        assert batched.packed == 0 and unshared.perms > batched.perms
+
+
+class TestRunMemo:
+    def test_memos_in_one_scope_share_digests_and_a_hit_counts_nothing(self):
+        blob = _message(200)  # two blocks
+        with hashing.run_memo(), hashing.counting() as count:
+            first = hashing.DigestMemo()(blob)
+            assert blob in hashing.DigestMemo()
+            assert hashing.DigestMemo()(blob) == first == hashing._sponge(blob, 0x01)
+        assert count.perms == 2
+
+    def test_stand_in_memo_never_returns_a_keccak_digest(self):
+        blob = _message(40)
+        sha3 = lambda data: hashlib.sha3_256(data).digest()
+        with hashing.run_memo():
+            keccak = hashing.DigestMemo()
+            assert keccak(blob) == keccak256(blob)
+            stand_in = hashing.DigestMemo(sha3)
+            assert blob not in stand_in
+            assert stand_in(blob) == sha3(blob) != keccak(blob)
+            assert hashing.DigestMemo()(blob) == keccak256(blob)
+
+    def test_memo_made_after_the_scope_closes_starts_empty(self):
+        blob = _message(40)
+        with hashing.run_memo():
+            hashing.DigestMemo()(blob)
+        after = hashing.DigestMemo()
+        assert blob not in after
+        with hashing.counting() as count:
+            digest = after(blob)
+        assert (digest, count.perms) == (keccak256(blob), 1)
+
+    def test_inner_scope_shadows_the_outer(self):
+        blob = _message(40)
+        with hashing.run_memo():
+            hashing.DigestMemo()(blob)
+            with hashing.run_memo():
+                assert blob not in hashing.DigestMemo()
+            assert blob in hashing.DigestMemo()
 
 
 def _withdrawal():

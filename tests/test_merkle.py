@@ -5,9 +5,8 @@ import random
 import pytest
 
 from rollsim import hashing
-from rollsim.hashing import keccak256
+from rollsim.hashing import DigestMemo, keccak256
 from rollsim.merkle import (
-    DigestMemo,
     EmptyTree,
     IndexOutOfRange,
     MerkleProof,

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from rollsim import hashing
 from rollsim.hashing import keccak256
 from rollsim.l1sim import Chain
 from rollsim.merkle import MerkleProof
@@ -179,19 +180,33 @@ class TestFinalization:
             portal.finalize_withdrawal(wtx, 5, bad, wproof, now=proposal.timestamp + PERIOD)
 
     def test_bad_inclusion_proof(self):
-        chain, oracle, portal, state, hashes, proof, proposal = setup_rollup(n_withdrawals=2)
-        wtx = state.sent_withdrawals[0]
-        wrong = state.withdrawal_proof(state.sent_withdrawals[1].hash)
-        with pytest.raises(WithdrawalError, match="invalid withdrawal inclusion proof"):
-            portal.finalize_withdrawal(wtx, 5, proof, wrong, now=proposal.timestamp + PERIOD)
+        # inside a run, after the honest pass has put every blob of the tree
+        # in the run's memo: withdrawal 0 folded through withdrawal 1's path
+        # pairs its leaf digest with itself, a node blob no one has hashed
+        with hashing.run_memo():
+            chain, oracle, portal, state, hashes, proof, proposal = setup_rollup(n_withdrawals=2)
+            wtx, other = state.sent_withdrawals
+            now = proposal.timestamp + PERIOD
+            wrong = state.withdrawal_proof(other.hash)
+            portal.finalize_withdrawal(other, 5, proof, wrong, now=now)
+            with hashing.counting() as count:
+                with pytest.raises(WithdrawalError, match="invalid withdrawal inclusion proof"):
+                    portal.finalize_withdrawal(wtx, 5, proof, wrong, now=now)
+        assert count.perms == 1
+        assert wtx.hash not in portal.finalized
 
     @pytest.mark.parametrize("siblings", [None, (7,), ("00" * 32,)], ids=["none", "int", "str"])
     def test_malformed_inclusion_proof(self, siblings):
-        chain, oracle, portal, state, hashes, proof, proposal = setup_rollup()
-        wtx = state.sent_withdrawals[0]
-        malformed = MerkleProof(0, siblings)
-        with pytest.raises(WithdrawalError, match="invalid withdrawal inclusion proof"):
-            portal.finalize_withdrawal(wtx, 5, proof, malformed, now=proposal.timestamp + PERIOD)
+        # inside a run, after the honest pass: the inclusion check refuses
+        # the malformed path before the replay check could
+        with hashing.run_memo():
+            chain, oracle, portal, state, hashes, proof, proposal = setup_rollup()
+            wtx = state.sent_withdrawals[0]
+            now = proposal.timestamp + PERIOD
+            portal.finalize_withdrawal(wtx, 5, proof, state.withdrawal_proof(wtx.hash), now=now)
+            malformed = MerkleProof(0, siblings)
+            with pytest.raises(WithdrawalError, match="invalid withdrawal inclusion proof"):
+                portal.finalize_withdrawal(wtx, 5, proof, malformed, now=now)
 
     def test_double_finalize_rejected(self):
         chain, oracle, portal, state, hashes, proof, proposal = setup_rollup()
@@ -220,6 +235,19 @@ class TestFinalization:
             portal.finalize_withdrawal(wtx, 5, proof, wproof, now=proposal.timestamp + PERIOD)
         # the 8 proofs fold 8 leaf blobs and share the tree's 7 node blobs
         assert keccak_perms.perms - before == 8 + 7
+
+    def test_finalizing_a_tree_built_in_the_run_hashes_nothing(self):
+        # the portal's memo is the run's, which the L2's tree filled
+        with hashing.run_memo():
+            chain, oracle, portal, state, hashes, proof, proposal = setup_rollup(n_withdrawals=8)
+            proofs = [state.withdrawal_proof(wtx.hash) for wtx in state.sent_withdrawals]
+            with hashing.counting() as count:
+                for wtx, wproof in zip(state.sent_withdrawals, proofs):
+                    portal.finalize_withdrawal(
+                        wtx, 5, proof, wproof, now=proposal.timestamp + PERIOD
+                    )
+        assert count.perms == 0
+        assert len(portal.finalized) == 8
 
     def test_adversarial_interleavings_never_double_finalize(self):
         # replay every ordering of (early call, on-time call, duplicate)

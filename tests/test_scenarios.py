@@ -343,10 +343,11 @@ class TestOptimisticScale:
     def test_permutation_budget_at_80_users(self, keccak_perms):
         report = run(funded_users(80))
         assert report.ok
-        # 619 now, 622 with JSON transactions and state root, 689 when the
-        # config hash ran through Keccak, 1,168 when each withdrawal proof
-        # was folded from scratch
-        assert keccak_perms.perms <= 665
+        # 458 now that the portal reads the L2 tree's digests from the run's
+        # memo, 619 when it folded the tree again, 622 with JSON transactions
+        # and state root, 689 when the config hash ran through Keccak, 1,168
+        # when each withdrawal proof was folded from scratch
+        assert keccak_perms.perms <= 500
 
     def test_320_users_spill_deposits_and_stay_linear(self, keccak_perms):
         report = run(funded_users(40))
@@ -362,7 +363,8 @@ class TestOptimisticScale:
         # the batch anchors to the block after the last deposit block
         initiated = {lat["initiated_at"] for lat in report.withdrawal_latencies.values()}
         assert initiated == {4 * 12}
-        # 7.49 per user at 320 and 8.07 at 40 now; 7.51 and 8.18 with JSON
+        # 5.49 per user at 320 and 6.05 at 40 now; 7.49 and 8.07 when the
+        # portal folded the L2 tree again; 7.51 and 8.18 with JSON
         # transactions and state root; 8.32 and 9.05 when the config hash ran
         # through Keccak; 16.32 and 14.03 when each withdrawal proof was
         # folded from scratch
@@ -370,12 +372,12 @@ class TestOptimisticScale:
 
     def test_permutation_budget_at_32_wide_users(self, keccak_perms):
         assert run(wide_funded_users(32)).ok
-        # one output root, at the tip, and each proof node folded once: 258
-        # now, 283 with JSON transactions and state root, 355 when the config
-        # hash ran through Keccak, 484 when each proof was folded from
-        # scratch, 827 when every L2 block hashed itself and committed its
-        # state and withdrawal roots
-        assert keccak_perms.perms <= 275
+        # one output root, at the tip, and no proof node folded again: 195
+        # now, 258 when the portal folded each node once more, 283 with JSON
+        # transactions and state root, 355 when the config hash ran through
+        # Keccak, 484 when each proof was folded from scratch, 827 when every
+        # L2 block hashed itself and committed its state and withdrawal roots
+        assert keccak_perms.perms <= 210
 
     def test_per_user_permutations_flat_from_256_to_1024_users(self, sha3_perms):
         per_user = {}
@@ -495,13 +497,14 @@ class TestValidityScale:
         report = run(funded_validity_users(320))
         assert report.ok
         assert len(_events(report, "withdrawal_consumed")) == 320
-        # each message is hashed once per side and the diff once per side:
-        # 2,549 now that settlement commits the diff and the message lists in
-        # pages of 72 words, 2,535 when it hashed each in one sponge, 2,795
-        # when the config hash ran through Keccak, 3,097 when the settlement
-        # digest rehashed the diff, 5,657 when settlement rehashed every
-        # message from its fields
-        assert keccak_perms.perms <= 2_600
+        # each message and each settlement page is hashed once per run: 1,598
+        # now that the verifier and L1's consumes read the run's memo, 2,549
+        # when each was hashed once per side, in pages of 72 words, 2,535
+        # when settlement hashed each blob in one sponge, 2,795 when the
+        # config hash ran through Keccak, 3,097 when the settlement digest
+        # rehashed the diff, 5,657 when settlement rehashed every message
+        # from its fields
+        assert keccak_perms.perms <= 1_650
         assert keccak_perms.perms / 320 <= 1.1 * per_user_40
 
     def test_unfunded_withdrawal_is_an_event(self):
@@ -543,7 +546,7 @@ class TestValidityScenario:
 
     def test_each_hashed_byte_string_built_once(self, monkeypatch, bench_workloads):
         # each deposit message is encoded for its prefetch and for its hash;
-        # each withdrawal message once, for its send and both scopes, and
+        # each withdrawal message once, for its send and its scope, and
         # once more where L1 encodes the payload it is asked to consume. The
         # diff is encoded to publish and to cost. The message blob is joined
         # once, with one length word in front of each of its two lists.

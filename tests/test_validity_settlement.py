@@ -346,8 +346,24 @@ class TestPreimages:
 
 
 class TestPrefetchedSettlement:
-    """Prover and verifier read their own slots; the verifier still hashes
-    what it was given, so a tampered submission misses and is refused."""
+    """The prover reads its pages from the prefetch scope; inside a run the
+    verifier reads every digest of byte-equal blobs from the run's memo and
+    still hashes what it was given, so a tampered submission misses and is
+    refused. Each tamper test runs the honest pass first, so the memo holds
+    every digest of the honest transition."""
+
+    @staticmethod
+    def _honest_pass(prover, words, messages):
+        """Prove the transition in its prefetch scope and settle it on a
+        fresh core; return the proof. Call inside ``hashing.run_memo()``."""
+        _, core = make_core()
+        with prefetch_transition(words, messages) as scope:
+            proof = prove_transition(core.state_root, words, None, prover, messages)
+        assert scope.unread == 0
+        with hashing.counting() as count:
+            settle(core, prover, proof, words, messages)
+        assert count.perms == 0
+        return proof
 
     def test_honest_pair_reads_every_slot_packed(self, prover):
         _, core = make_core()
@@ -357,35 +373,35 @@ class TestPrefetchedSettlement:
         _, plain = make_core()
         plain_proof = prove_transition(plain.state_root, words, None, prover, messages)
         expected = settle(plain, prover, plain_proof, words, messages)
-        pair = prefetch_transition(core.state_root, words, messages)
-        with hashing.counting() as count, pair as scope:
-            assert scope.unread == 8
-            proof = prove_transition(core.state_root, words, None, prover, messages)
-            assert settle(core, prover, proof, words, messages) == expected
-            assert scope.unread == 0
-        # per side, a two-block diff page, a one-block next root, a
-        # one-block message page and a one-block transition
-        assert count.perms == count.packed == 2 * (2 + 1 + 1 + 1)
+        with hashing.run_memo():
+            with hashing.counting() as count, prefetch_transition(words, messages) as scope:
+                assert scope.unread == 2
+                proof = prove_transition(core.state_root, words, None, prover, messages)
+                assert scope.unread == 0
+            # a two-block diff page and a one-block message page share a
+            # packed permutation, the page's second block runs alone, then a
+            # one-block next root and a one-block transition
+            assert (count.perms, count.packed) == (2 + 1 + 1 + 1, 1 + 1)
+            with hashing.counting() as count:
+                assert settle(core, prover, proof, words, messages) == expected
+            assert count.perms == 0
 
     def test_tampered_diff_misses_and_is_refused(self, prover):
         _, core = make_core()
-        diff = simple_diff()
-        words = encode_state_diff(diff)
+        words = encode_state_diff(simple_diff())
         tampered = encode_state_diff(simple_diff(value=999))
-        with prefetch_transition(core.state_root, words, SettlementMessages()) as scope:
-            proof = prove_transition(core.state_root, words, None, prover)
+        with hashing.run_memo():
+            proof = self._honest_pass(prover, words, SettlementMessages())
             with hashing.counting() as count:
                 with pytest.raises(ProofRejected):
                     settle(core, prover, proof, tampered)
-            # the verifier's diff page, root and transition slots are left
-            # unread; only its message page is its own
-            assert scope.unread == 3
-            assert (count.perms, count.packed) == (2 + 1 + 1 + 1, 1)
+            # the two-block diff page, the root and the transition are new
+            # blobs; only the message page is the honest one
+            assert (count.perms, count.packed) == (2 + 1 + 1, 0)
             assert len(core.root_history) == 1
             with hashing.counting() as count:
                 settle(core, prover, proof, words)
-            # the message page slot is spent, so it is hashed for real
-            assert (scope.unread, count.perms, count.packed) == (0, 5, 2 + 1 + 1)
+            assert count.perms == 0
 
     def test_word_changed_in_the_last_diff_page_misses_and_is_refused(self, prover):
         _, core = make_core()
@@ -393,20 +409,18 @@ class TestPrefetchedSettlement:
         words = encode_state_diff(diff)
         assert len(words) == 84  # a full page of 17 blocks, then a 12-word page of 3
         tampered = [*words[:-1], words[-1] + 1]
-        with prefetch_transition(core.state_root, words, SettlementMessages()) as scope:
-            proof = prove_transition(core.state_root, words, None, prover)
+        with hashing.run_memo():
+            proof = self._honest_pass(prover, words, SettlementMessages())
             with hashing.counting() as count:
                 with pytest.raises((ProofRejected, StateMismatch)):
                     settle(core, prover, proof, tampered)
-            # the first diff page and the message page are the verifier's own
-            # slots; the last page, the root and the transition miss
-            assert scope.unread == 3
-            assert (count.perms, count.packed) == (17 + 3 + 1 + 1 + 1, 17 + 1)
+            # the first diff page and the message page hit; the last page, the
+            # root and the transition are new blobs
+            assert (count.perms, count.packed) == (3 + 1 + 1, 0)
             assert len(core.root_history) == 1
             with hashing.counting() as count:
                 settle(core, prover, proof, words)
-            # the spent first page and message page are hashed for real
-            assert (scope.unread, count.perms, count.packed) == (0, 23, 3 + 1 + 1)
+            assert count.perms == 0
 
     def test_forged_message_list_misses_and_is_refused(self, prover):
         _, core = make_core()
@@ -414,22 +428,19 @@ class TestPrefetchedSettlement:
         words = encode_state_diff(diff)
         proven = SettlementMessages(sent_l2_to_l1=(L2ToL1Message(0x22, 0xD1, (0, 0xEE, 50, 0)),))
         forged = SettlementMessages(sent_l2_to_l1=(L2ToL1Message(0x22, 0xD1, (0, 0xEE, 5000, 0)),))
-        forged.sent_l2_to_l1[0].hash  # sent when the L2 built it, as in a run
-        with prefetch_transition(core.state_root, words, proven) as scope:
-            proof = prove_transition(core.state_root, words, None, prover, proven)
+        with hashing.run_memo():
+            forged.sent_l2_to_l1[0].hash  # sent when the L2 built it, as in a run
+            proof = self._honest_pass(prover, words, proven)
             with hashing.counting() as count:
                 with pytest.raises(ProofRejected):
                     settle(core, prover, proof, words, forged)
-            # the diff is honest, so the verifier's diff page and next root are
-            # its own slots; its message page holds a forged hash and misses,
-            # and so does the transition preimage
-            assert (scope.unread, count.perms, count.packed) == (2, 5, 2 + 1)
+            # the diff is honest, so its page and the next root hit; the
+            # message page holds a forged hash, and so does the transition
+            assert (count.perms, count.packed) == (1 + 1, 0)
             assert core.l2_to_l1_counters == {} and len(core.root_history) == 1
             with hashing.counting() as count:
                 settle(core, prover, proof, words, proven)
-            # the verifier's diff page and root slots are spent, so they are
-            # hashed for real
-            assert (scope.unread, count.perms, count.packed) == (0, 5, 1 + 1)
+            assert count.perms == 0
 
     def test_forged_hash_in_the_second_message_page_misses_and_is_refused(self, prover):
         _, core = make_core()
@@ -440,18 +451,16 @@ class TestPrefetchedSettlement:
         forged = SettlementMessages(
             sent_l2_to_l1=(*sent[:75], L2ToL1Message(0x22, 0xD1, (0, 0xEE, 5000, 0)), *sent[76:])
         )
-        forged.sent_l2_to_l1[75].hash  # sent when the L2 built it, as in a run
-        with prefetch_transition(core.state_root, words, proven) as scope:
-            proof = prove_transition(core.state_root, words, None, prover, proven)
+        with hashing.run_memo():
+            forged.sent_l2_to_l1[75].hash  # sent when the L2 built it, as in a run
+            proof = self._honest_pass(prover, words, proven)
             with hashing.counting() as count:
                 with pytest.raises(ProofRejected):
                     settle(core, prover, proof, words, forged)
-            # the diff page, the root and the first message page are the
-            # verifier's own; the second message page and the transition miss
-            assert (scope.unread, count.perms, count.packed) == (2, 2 + 1 + 17 + 3 + 1, 2 + 1 + 17)
+            # the diff page, the root and the first message page hit; the
+            # three-block second message page and the transition miss
+            assert (count.perms, count.packed) == (3 + 1, 0)
             assert core.l2_to_l1_counters == {} and len(core.root_history) == 1
             with hashing.counting() as count:
                 settle(core, prover, proof, words, proven)
-            # the spent slots are hashed for real; the second page and the
-            # transition read theirs
-            assert (scope.unread, count.perms, count.packed) == (0, 24, 3 + 1)
+            assert count.perms == 0
