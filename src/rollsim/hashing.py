@@ -5,6 +5,14 @@ permutation is implemented here directly, unrolled over local variables:
 profiling showed a list-based version spending most of its time on
 allocations, and the dispute-game simulations hash enough that it matters.
 
+Padding. Keccak-256 and SHA3-256 differ only in the domain byte, 0x01 and
+0x06, that opens pad10*1. Both sponges pad by one rule, ``_tail``: the domain
+byte, zeros, then 0x80, filling a message's last rate block, or the one byte
+``domain | 0x80`` where one byte is left. It depends on the length mod 136
+alone, so it is built once per such length. ``_sponge`` absorbs a message and
+its tail; the packed sponge reads a blob's whole blocks from the blob itself
+and joins only its last, partial block to the tail.
+
 Python ints have no rotate, and ``(x << r | x >> (64 - r)) & M`` costs three
 operations and a mask. ``_keccak_f`` instead holds each lane as seven stacked
 copies of its 64 bits, one 448-bit int. If bits ``[0, L)`` of a held lane
@@ -459,28 +467,30 @@ def keccak256(data: bytes) -> bytes:
 
 
 def _sponge(data: bytes, domain: int) -> bytes:
-    """Absorb ``data`` with pad10*1 after the ``domain`` byte; squeeze 32 bytes.
+    """Absorb ``data`` and its ``_tail``; squeeze 32 bytes.
 
     Keccak-256 uses domain byte 0x01; FIPS-202 SHA3-256 uses 0x06 over the
     same permutation and rate, which lets tests check the sponge against
     ``hashlib.sha3_256``.
     """
-    return _SQUEEZE.pack(*_absorb([0] * 25, _pad(data, domain), 0)[:4])
+    return _SQUEEZE.pack(*_absorb([0] * 25, bytes(data) + _tail(len(data) % _RATE, domain))[:4])
 
 
-def _pad(data: bytes, domain: int) -> bytearray:
-    """``data``, the ``domain`` byte and pad10*1, to a whole number of blocks."""
-    padded = bytearray(data)
-    padded.append(domain)
-    padded += bytes(_blocks(len(data)) * _RATE - len(padded))
-    padded[-1] |= 0x80
-    return padded
+@functools.lru_cache(maxsize=None)
+def _tail(length: int, domain: int) -> bytes:
+    """The padding of a message ``length`` bytes into its last rate block:
+    the ``domain`` byte, zeros, then 0x80 (pad10*1), or the one byte
+    ``domain | 0x80`` where only one is left. Both sponges append it to a
+    message's last, partial block, so it depends on ``length`` mod 136 alone,
+    and is built once per such length and domain."""
+    if length == _RATE - 1:
+        return bytes((domain | 0x80,))
+    return bytes((domain,)) + bytes(_RATE - 2 - length) + b"\x80"
 
 
-def _absorb(state: list[int], padded: bytes, start: int) -> list[int]:
-    """``state`` after the blocks of ``padded`` from byte ``start`` on, one
-    ``_keccak_f`` each."""
-    for off in range(start, len(padded), _RATE):
+def _absorb(state: list[int], padded: bytes) -> list[int]:
+    """``state`` after the blocks of ``padded``, one ``_keccak_f`` each."""
+    for off in range(0, len(padded), _RATE):
         lanes = _ABSORB.unpack_from(padded, off)
         for j in range(17):
             state[j] ^= lanes[j]
@@ -520,14 +530,14 @@ def _packed_sponge(blobs: list[bytes], domain: int) -> list[tuple[bytes, int]]:
 
     Block b of the live blobs is laid end to end in one buffer, read as 64-bit
     words, so lane j of every slot is one strided slice of it; its bytes, read
-    little-endian, are that lane's packed int. The digests come out the same
-    way: the four squeezed lanes of the ending slots are written into every
-    fourth word of their part of one buffer, which holds the digests end to
-    end.
+    little-endian, are that lane's packed int. A blob's last block is its last
+    bytes and their ``_tail``; no blob is copied whole. The digests come out
+    the same way: the four squeezed lanes of the ending slots are written into
+    every fourth word of their part of one buffer, which holds the digests end
+    to end and is sliced into them once it is full.
     """
     slots = len(blobs)
     ends = [_blocks(len(blob)) for blob in blobs]  # non-increasing
-    padded = [memoryview(_pad(blob, domain)) for blob in blobs]
     digests = bytearray(32 * slots)
     out = memoryview(digests).cast("Q")
     packed = [0] * slots
@@ -535,14 +545,17 @@ def _packed_sponge(blobs: list[bytes], domain: int) -> list[tuple[bytes, int]]:
     live, b = slots, 0
     while live > 1:
         off = b * _RATE
-        words = memoryview(b"".join([p[off:off + _RATE] for p in padded[:live]])).cast("Q")
+        b += 1
+        left = live  # the live blobs from slot ``left`` on end at block b
+        while left and ends[left - 1] == b:
+            left -= 1
+        parts = [blob[off:off + _RATE] for blob in blobs[:left]]
+        for blob in blobs[left:live]:
+            parts += (blob[off:], _tail(len(blob) % _RATE, domain))
+        words = memoryview(b"".join(parts)).cast("Q")
         for j in range(17):
             state[j] ^= int.from_bytes(words[j::17].tobytes(), "little")
         state = _keccak_f_packed(state, live)
-        b += 1
-        left = live
-        while left and ends[left - 1] == b:
-            left -= 1
         if left < live:
             for j in range(4):
                 squeezed = (state[j] >> 64 * left).to_bytes(8 * (live - left), "little")
@@ -553,8 +566,11 @@ def _packed_sponge(blobs: list[bytes], domain: int) -> list[tuple[bytes, int]]:
             live = left
     if live:  # slot 0 alone, its lanes 64 bits wide
         packed[0] = b
-        digests[:32] = _SQUEEZE.pack(*_absorb(state, padded[0], b * _RATE)[:4])
-    return [(bytes(digests[off:off + 32]), n) for off, n in zip(range(0, 32 * slots, 32), packed)]
+        blob = blobs[0]
+        padded = blob[b * _RATE:] + _tail(len(blob) % _RATE, domain)
+        digests[:32] = _SQUEEZE.pack(*_absorb(state, padded)[:4])
+    flat = bytes(digests)
+    return [(flat[off:off + 32], n) for off, n in zip(range(0, 32 * slots, 32), packed)]
 
 
 class Prefetched:

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .. import hashing
-from ..hashing import keccak256
+from ..hashing import DigestMemo, keccak256
 from ..merkle import MerkleProof, MerkleTree, fold_proof, verify_inclusion
 
 WORD_MASK = (1 << 64) - 1
@@ -118,12 +118,19 @@ class Instruction:
 
 @dataclass(frozen=True)
 class VmState:
+    """The VM's program counter, registers and memory root.
+
+    ``hash`` digests them through a ``DigestMemo``, so inside a
+    ``hashing.run_memo()`` block ``dispute_step`` reads the digests the
+    agents already took of the same states; a tampered state is new bytes,
+    hashed for real."""
+
     pc: int
     registers: tuple[int, ...]
     memory_root: bytes
 
     def hash(self) -> bytes:
-        return keccak256(
+        return DigestMemo()(
             self.pc.to_bytes(8, "big")
             + b"".join(r.to_bytes(8, "big") for r in self.registers)
             + self.memory_root
@@ -653,8 +660,9 @@ def play_planted_fault(
 
     The defender is a ``FaultyAgent`` whose claimed trace diverges at
     ``fault``, the challenger an ``HonestAgent``. No ``hashing.run_memo()``
-    block is needed: the trace's one memory tree already hashes through its
-    own memo.
+    block is opened: the trace's one memory tree already hashes through its
+    own memo, and ``dispute_step`` hashes the two states it checks itself,
+    as it would with no agent beside it.
     """
     program = list(FIXTURE_PROGRAM)
     trace = VmRunner(program, initial_registers=registers).run_trace(steps)

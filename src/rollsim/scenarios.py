@@ -67,6 +67,9 @@ def _type_mismatch(expected: type, value) -> str | None:
 
 @dataclass
 class ScenarioConfig:
+    """Everything a run depends on; ``validate`` refuses a malformed one
+    with a ``ConfigError`` naming the field path."""
+
     seed: int = 0
     rollup: str = "optimistic"  # or "validity"
     block_time: int = 12
@@ -172,6 +175,8 @@ class ScenarioConfig:
 
 @dataclass
 class RunReport:
+    """What a run reports; ``to_json`` is byte-identical across reruns."""
+
     version: str
     config_hash: str
     timeline: list[dict]
@@ -229,8 +234,10 @@ class _Run:
 
     def log(self, event: str, time: int | None = None, **details) -> None:
         """Record ``event`` in the pending block, at its timestamp unless ``time`` is given."""
-        entry = {"time": self.chain.pending_timestamp if time is None else time,
-                 "block": self.chain.pending_block_number, "event": event}
+        # the pending block's number and, as ``Chain.pending_timestamp`` has it, its time
+        block = len(self.chain.blocks)
+        entry = {"time": block * self.chain.block_time if time is None else time,
+                 "block": block, "event": event}
         entry.update(sorted(details.items()))
         self.timeline.append(entry)
 

@@ -49,7 +49,7 @@ class TestKnownAnswers:
         # byte 0x06, so hashlib is an independent oracle for the permutation
         # and block absorption; lengths cover 0-3 rate boundaries (136, 272).
         lengths = range(421)
-        assert {135, 136, 137, 271, 272} <= set(lengths)
+        assert {135, 136, 137, 271, 272, 273} <= set(lengths)
         mismatches = [
             n for n in lengths
             if hashing._sponge(_message(n), 0x06) != hashlib.sha3_256(_message(n)).digest()
@@ -208,6 +208,9 @@ class TestBatchedSponge:
         assert [digest for digest, _ in got] == [hashlib.sha3_256(m).digest() for m in messages]
         assert [packed for _, packed in got] == [hashing._blocks(len(m)) for m in messages]
         assert slots.widths == [421, 285, 149, 13]
+        # with the Keccak domain byte, both sponges agree at every length too
+        keccak = [digest for digest, _ in hashing._sponge_many(messages, 0x01)]
+        assert keccak == [hashing._sponge(m, 0x01) for m in messages]
 
     def test_keccak_known_answers_inside_a_batch(self):
         blobs = [b"", b"abc", _message(50), _message(135)]
@@ -268,6 +271,32 @@ class TestBatchedSponge:
                         keccak256(blob)
                     assert scope.unread == 0
             assert (count.perms, count.packed) == (slots.total, slots.packed)
+
+
+class TestPadding:
+    """One padding rule, ``_tail``, pads the last block in both sponges."""
+
+    @pytest.mark.parametrize("domain", [0x01, 0x06])
+    def test_tail_completes_the_last_block(self, domain):
+        # 0-3 rate boundaries, each hit and missed by one
+        for n in range(411):
+            tail = hashing._tail(n % 136, domain)
+            assert (n + len(tail)) % 136 == 0 and 1 <= len(tail) <= 136, n
+            if len(tail) == 1:
+                assert tail == bytes((domain | 0x80,))
+            else:
+                assert tail == bytes((domain,)) + bytes(len(tail) - 2) + b"\x80", n
+
+    def test_mixed_batch_builds_each_tail_once(self):
+        # 5, 141 and 277 bytes share a tail, as do 135 and 271, and 0, 136
+        # and 272; 60 bytes has its own. Ten blobs, four distinct tails
+        lengths = [5, 141, 277, 5, 135, 271, 0, 136, 272, 60]
+        blobs = [_message(n) for n in lengths]
+        hashing._tail.cache_clear()
+        got = hashing._sponge_many(blobs, 0x06)
+        assert [digest for digest, _ in got] == [hashlib.sha3_256(b).digest() for b in blobs]
+        info = hashing._tail.cache_info()
+        assert (info.misses, info.hits) == (4, 6)
 
 
 @contextlib.contextmanager
@@ -368,9 +397,9 @@ class TestCounting:
     # VM's memory tree hashes each level's new blobs as one packed batch,
     # while the withdrawal path hashes nothing packed yet
     PINNED = {
-        "op-withdrawals": (208, {}),
-        "op-fraud-trace": (183, {"dispute": 85}),
-        "validity-messages": (1598, {"message_and_execute": 1280, "prove_and_settle": 305}),
+        "op-withdrawals": (206, {}),
+        "op-fraud-trace": (179, {"dispute": 85}),
+        "validity-messages": (1596, {"message_and_execute": 1280, "prove_and_settle": 305}),
     }
 
     @pytest.mark.parametrize("workload", PINNED)

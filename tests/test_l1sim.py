@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from rollsim import hashing
 from rollsim.l1sim import (
     CensorshipModel,
     Chain,
+    Event,
     NONZERO_TO_NONZERO,
     REWRITE_SAME,
     TO_ZERO,
@@ -197,6 +199,69 @@ class TestChain:
         chain.mine_block()
         state = json.loads(chain.dump_state())
         assert state["balances"] == {str(0xAA): 5}
+
+
+class TestEvent:
+    """An event is an immutable named tuple of five fields."""
+
+    FIELDS = ("address", "name", "payload", "block_number", "log_index")
+
+    def test_fields_and_keyword_construction(self):
+        chain = Chain()
+        chain.register_contract(0xC0, SlotWriter())
+        chain.submit_tx(0x1, 0xC0, call=("set_slot", {"slot": 1, "value": 5}))
+        chain.mine_block()
+        (event,) = chain.events
+        assert Event._fields == self.FIELDS
+        built = Event(address=0xC0, name="SlotSet", payload=(1).to_bytes(4, "big"),
+                      block_number=0, log_index=0)
+        assert event == built and hash(event) == hash(built)
+        assert tuple(getattr(event, field) for field in self.FIELDS) == tuple(built)
+
+    def test_immutable(self):
+        event = Event(address=1, name="A", payload=b"", block_number=0, log_index=0)
+        for field in self.FIELDS:
+            with pytest.raises(AttributeError):
+                setattr(event, field, 2)
+        assert event == Event(1, "A", b"", 0, 0)
+
+    def test_equal_iff_every_field_is(self):
+        base = dict(address=1, name="A", payload=b"x", block_number=3, log_index=0)
+        event = Event(**base)
+        assert event == Event(**base)
+        for field, other in zip(self.FIELDS, (2, "B", b"y", 4, 1)):
+            assert event != Event(**{**base, field: other})
+
+    def test_reverted_tx_leaves_no_event(self):
+        chain = Chain()
+        chain.register_contract(0xC0, Reverter())
+        chain.register_contract(0xC1, SlotWriter())
+        reverted = chain.submit_tx(0x1, 0xC0, call=("boom", {"slot": 3}))
+        assert not reverted.status and reverted.events == ()
+        # the reverted event took no log index
+        kept = chain.submit_tx(0x1, 0xC1, call=("set_slot", {"slot": 2, "value": 1}))
+        assert [event.log_index for event in kept.events] == [0]
+        chain.mine_block()
+        assert [event.name for event in chain.events] == ["SlotSet"]
+
+
+class TestBlockHash:
+    @staticmethod
+    def _three_empty_blocks() -> tuple[int, list[bytes]]:
+        chain = Chain()
+        with hashing.counting() as count:
+            blocks = [chain.mine_block() for _ in range(3)]
+            hashes = [block.hash for block in blocks]
+        return count.perms, hashes
+
+    def test_empty_tx_blob_hashed_once_per_run_memo(self):
+        # each block hashes its header; outside a run memo each also hashes
+        # the empty tx blob, inside one only the first block does
+        plain, plain_hashes = self._three_empty_blocks()
+        with hashing.run_memo():
+            memo, memo_hashes = self._three_empty_blocks()
+        assert (plain, memo) == (6, 4)
+        assert memo_hashes == plain_hashes
 
 
 class TestValue:

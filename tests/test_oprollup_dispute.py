@@ -1,3 +1,4 @@
+import contextlib
 import math
 import random
 from dataclasses import replace
@@ -293,6 +294,34 @@ class TestMalformedStepProof:
         with pytest.raises(BadStepProof):
             dispute_step(game, bad)
         assert game.winner is None
+
+
+class TestStepInRunMemo:
+    """Inside a ``hashing.run_memo()`` block ``dispute_step`` reads the state
+    digests the agents took; outside one it hashes both states itself."""
+
+    ADD = Instruction(OP_ADD, 1, 2, 3)
+
+    @pytest.mark.parametrize("memo, perms", [(False, 2), (True, 0)], ids=["plain", "run-memo"])
+    def test_honest_step_hashes_no_agreed_state_again(self, memo, perms):
+        with hashing.run_memo() if memo else contextlib.nullcontext():
+            trace, game, _ = _one_step_game(self.ADD)
+            step = trace.step_proof(0)
+            with hashing.counting() as count:
+                assert dispute_step(game, step) == DEFENDER
+        assert count.perms == perms
+
+    def test_tampered_pre_state_is_hashed_and_refused(self):
+        with hashing.run_memo():
+            trace, game, _ = _one_step_game(self.ADD)
+            step = trace.step_proof(0)
+            registers = (1,) + step.pre_state.registers[1:]
+            tampered = replace(step, pre_state=replace(step.pre_state, registers=registers))
+            with hashing.counting() as count:
+                with pytest.raises(BadStepProof, match="pre-state"):
+                    dispute_step(game, tampered)
+            assert count.perms == 1 and game.winner is None
+            assert dispute_step(game, step) == DEFENDER
 
 
 class TestMemoryRoot:

@@ -16,6 +16,7 @@ from rollsim.scenarios import (
     MAX_WINDOW,
     ConfigError,
     ScenarioConfig,
+    _Run,
     run,
 )
 from rollsim.validityrollup import messaging, settlement, statediff
@@ -609,6 +610,22 @@ class TestValidityScenario:
         with pytest.raises(HandlerAssertionError, match="0xbad"):
             dispatch_l1_handler(l2, message)
         assert l2.storage == {} and l2.consumed_inbox == []
+
+
+class TestTimeline:
+    def test_entry_is_in_the_pending_block_before_and_after_mining(self):
+        ctx = _Run(ScenarioConfig(block_time=7))
+        ctx.log("before", user=2, amount=1)
+        ctx.chain.mine_block()
+        ctx.log("after")
+        ctx.log("stamped", time=100)
+        assert ctx.timeline == [
+            {"time": 0, "block": 0, "event": "before", "amount": 1, "user": 2},
+            {"time": 7, "block": 1, "event": "after"},
+            {"time": 100, "block": 1, "event": "stamped"},
+        ]
+        # details follow the three fixed keys in name order
+        assert list(ctx.timeline[0]) == ["time", "block", "event", "amount", "user"]
 
 
 class TestIdentityTags:
