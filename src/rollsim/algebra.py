@@ -320,31 +320,72 @@ class Polynomial:
     @classmethod
     def vanishing(cls, field: Field, points: Sequence[FieldElement | int]) -> "Polynomial":
         """The monic polynomial with roots exactly at ``points``."""
-        poly = cls(field, [1])
+        p = field.prime
+        coeffs = [1]
         for x in points:
-            poly = poly * cls(field, [-field(x), 1])
-        return poly
+            x = field(x).value
+            # times (X - x): coefficient k becomes the old k - 1 minus x times the old k
+            coeffs = [(lo - x * hi) % p for lo, hi in zip([0, *coeffs], [*coeffs, 0])]
+        return cls(field, coeffs)
+
+
+class LagrangeBasis:
+    """The Lagrange polynomials L_0..L_{m-1} over m distinct abscissas x_j,
+    with L_i(x_j) = 1 if i == j else 0.
+
+    Built once, in O(m^2) field operations and one inversion per polynomial:
+    each L_i is Z(x) / (x - x_i), from one synthetic division of the
+    vanishing polynomial Z, kept as ``vanishing``, scaled by the inverse of
+    its value at x_i. Every polynomial of degree below m is then
+    ``interpolate`` of its values at the abscissas, a sum over the nonzero
+    ones.
+    """
+
+    __slots__ = ("field", "vanishing", "rows")
+
+    def __init__(self, field: Field, xs: Iterable[FieldElement | int]):
+        p = field.prime
+        xs = [field(x).value for x in xs]
+        if len(set(xs)) != len(xs):
+            raise DuplicateAbscissa("interpolation points share an x-coordinate")
+        self.vanishing = Polynomial.vanishing(field, xs)
+        z = [c.value for c in self.vanishing.coeffs]
+        rows = []
+        for xi in xs:
+            # Z(x) / (x - xi) by synthetic division from the top coefficient
+            quotient = [0] * len(xs)
+            carry = 0
+            for k in range(len(xs), 0, -1):
+                carry = quotient[k - 1] = (z[k] + xi * carry) % p
+            denom = 1
+            for xj in xs:
+                if xj != xi:
+                    denom = denom * (xi - xj) % p
+            inv = pow(denom, -1, p)
+            rows.append([c * inv % p for c in quotient])
+        self.field = field
+        self.rows = rows
+
+    def interpolate(self, ys: Sequence[FieldElement | int]) -> Polynomial:
+        """The polynomial of degree below m with value ``ys[i]`` at x_i: the
+        sum of ys[i] * L_i over the nonzero ys[i]."""
+        field = self.field
+        acc = [0] * len(self.rows)
+        for y, row in zip(ys, self.rows, strict=True):
+            y = field(y).value
+            if y:
+                for k, c in enumerate(row):
+                    acc[k] += y * c
+        return Polynomial(field, acc)
 
 
 def poly_interpolate(
     field: Field, points: Sequence[tuple[FieldElement | int, FieldElement | int]]
 ) -> Polynomial:
-    """Lagrange interpolation through ``points``; x-coordinates must be distinct."""
-    xs = [field(x) for x, _ in points]
-    ys = [field(y) for _, y in points]
-    if len({x.value for x in xs}) != len(xs):
-        raise DuplicateAbscissa("interpolation points share an x-coordinate")
-    result = Polynomial(field, [])
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        basis = Polynomial(field, [1])
-        denom = field.one
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = basis * Polynomial(field, [-xj, 1])
-            denom = denom * (xi - xj)
-        result = result + basis * (yi / denom)
-    return result
+    """Lagrange interpolation through ``points``, as the sum of y_i * L_i over
+    their ``LagrangeBasis``; x-coordinates must be distinct, else
+    ``DuplicateAbscissa``."""
+    return LagrangeBasis(field, [x for x, _ in points]).interpolate([y for _, y in points])
 
 
 # --- group oracle -----------------------------------------------------------
@@ -361,13 +402,18 @@ class PairingGroup:
 
     Elements are exponents of an abstract generator g, retained internally
     and reachable only through the group laws, equality, and ``pairing``.
+    ``field`` is the scalar field F_order, built with the group, so the order
+    is tested for primality once and every prover or pipeline over the group
+    shares it.
     """
 
-    __slots__ = ("order", "_mult", "_shift")
+    __slots__ = ("order", "field", "_mult", "_shift")
 
     def __init__(self, order: int = DEFAULT_PRIME):
-        if not is_prime(order):
-            raise ValueError("group order must be prime")
+        try:
+            self.field = Field(order)
+        except ValueError:
+            raise ValueError("group order must be prime") from None
         self.order = order
         self._mult = _ENC_MULT % order or 1
         self._shift = _ENC_SHIFT % order

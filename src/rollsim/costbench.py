@@ -140,12 +140,16 @@ def cache_calldata_savings() -> float:
 
 @dataclass(frozen=True)
 class GroupStats:
+    """Gas to post one group of batches, raw and compressed."""
+
     raw_gas: int
     compressed_gas: int
 
 
 @dataclass(frozen=True)
 class CompressionStats:
+    """Per-group gas of a corpus compressed in groups of ``group_size`` batches."""
+
     group_size: int
     groups: tuple[GroupStats, ...]
 

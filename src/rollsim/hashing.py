@@ -661,16 +661,18 @@ def memoized_digest(compute: Callable[[object], bytes]) -> property:
     function of their fields. The value is kept in the instance ``__dict__``
     under a private key, not in a dataclass field, so ``__eq__``, ``__hash__``,
     ``repr`` and ``dataclasses.asdict`` never see it, and an equal object that
-    has not been hashed yet still compares equal.
+    has not been hashed yet still compares equal. A first read is one
+    ``dict.get`` that returns ``None``, with no ``KeyError`` raised and
+    caught; an empty ``bytes`` value is kept like any other, so its compute
+    also runs once.
     """
     key = f"_{compute.__name__}_memo"
 
     @functools.wraps(compute)
     def get(self) -> bytes:
-        try:
-            return self.__dict__[key]
-        except KeyError:
+        digest = self.__dict__.get(key)
+        if digest is None:
             digest = self.__dict__[key] = compute(self)
-            return digest
+        return digest
 
     return property(get)

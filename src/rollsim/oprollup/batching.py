@@ -79,6 +79,8 @@ class Channel:
 
 @dataclass(frozen=True)
 class Frame:
+    """One channel frame as posted in batcher calldata; ``encode`` gives its bytes."""
+
     channel_id: bytes  # 16 bytes
     random: int
     timestamp: int

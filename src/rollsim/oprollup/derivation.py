@@ -39,6 +39,8 @@ BATCH_INBOX_ADDRESS = 0x90000000000000000000000000000000000000B1
 
 @dataclass(frozen=True)
 class L2Block:
+    """A derived L2 block: its L1 origin (epoch), timestamp, sequence number and transactions."""
+
     number: int
     epoch_number: int
     epoch_hash: bytes
@@ -190,6 +192,8 @@ def execute_block(state: OpL2State, block: L2Block) -> OpL2State:
 
 @dataclass(frozen=True)
 class ExecutedChain:
+    """The derived blocks, the L2 state after running them, and the tip's output-root preimage."""
+
     blocks: list[L2Block]
     state: OpL2State
     output: "l2mod.OutputRootProof | None"  # the tip's; None for no blocks

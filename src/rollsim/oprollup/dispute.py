@@ -109,6 +109,8 @@ class PreimageOracle:
 
 @dataclass(frozen=True)
 class Instruction:
+    """One step-VM instruction: an opcode name and its operands."""
+
     op: str
     a: int = 0
     b: int = 0
@@ -445,6 +447,8 @@ class VmTrace:
 
 @dataclass(frozen=True)
 class GameParams:
+    """What both parties of a dispute run: the program, the memory size and the preimage oracle."""
+
     program: list[Instruction]
     memory_size: int = 64
     oracle: PreimageOracle | None = None
@@ -462,6 +466,8 @@ CHALLENGER = "challenger"
 
 @dataclass
 class DisputeGame:
+    """A bisection game over the step range [lo, hi], from its opening to a winner."""
+
     params: GameParams
     challenger: int
     defender: int

@@ -28,6 +28,8 @@ class InsufficientFunds(ValueError):
 
 @dataclass(frozen=True)
 class WithdrawalTx:
+    """An L2-to-L1 withdrawal; ``hash`` is its identity in the withdrawal tree."""
+
     nonce: int
     sender: int
     target: int

@@ -57,6 +57,8 @@ class AlreadyFinalized(ValueError):
 
 @dataclass(frozen=True)
 class OutputProposal:
+    """An output root proposed for an L2 block, with its proposer and stake."""
+
     output_root: bytes
     l2_block_number: int
     timestamp: int
@@ -174,6 +176,8 @@ class WithdrawalPortal:
 
 @dataclass(frozen=True)
 class OracleAttestation:
+    """An oracle's signature over a withdrawal hash, offered to the lender pool."""
+
     oracle_name: str
     withdrawal_hash: bytes
     signature: bytes
@@ -196,6 +200,8 @@ class WithdrawalOracle:
 
 @dataclass(frozen=True)
 class Loan:
+    """A fast-withdrawal advance: what the pool paid out against a withdrawal, and its interest."""
+
     withdrawal_hash: bytes
     principal: int
     paid_out: int

@@ -62,6 +62,8 @@ class Transcript:
 
 @dataclass(frozen=True)
 class ProtocolOutcome:
+    """Whether an interactive protocol accepted, with its transcript."""
+
     accepted: bool
     transcript: Transcript
 
@@ -155,6 +157,8 @@ DEFAULT_SCHNORR_GROUP = SchnorrGroup(
 
 @dataclass(frozen=True)
 class SchnorrKeyPair:
+    """A Schnorr secret and its public key g^secret in ``group``."""
+
     group: SchnorrGroup
     secret: int
     public: int

@@ -137,7 +137,9 @@ class ScenarioConfig:
                     if key not in item:
                         raise ConfigError(f"{section}[{i}].{key}: missing")
                 for key, value in item.items():
-                    if mismatch := _type_mismatch(int, value):
+                    # a plain int needs no check; anything else, bool and
+                    # int subclasses included, gets the general one
+                    if type(value) is not int and (mismatch := _type_mismatch(int, value)):
                         raise ConfigError(f"{section}[{i}].{key}: {mismatch}")
                     if not 0 <= value < _WORKLOAD_KEY_BOUNDS[key]:
                         raise ConfigError(

@@ -24,9 +24,9 @@ from .algebra import (
     Field,
     FieldElement,
     GroupElement,
+    LagrangeBasis,
     PairingGroup,
     Polynomial,
-    poly_interpolate,
 )
 
 OUTPUT_VARIABLE = "out"
@@ -68,6 +68,8 @@ class Statement:
 
 @dataclass(frozen=True)
 class FlatProgram:
+    """A flattened program: its inputs and single-operator statements."""
+
     inputs: tuple[str, ...]
     statements: tuple[Statement, ...]
 
@@ -251,23 +253,27 @@ class QAP:
 
 
 def build_qap(r1cs: R1CS) -> QAP:
+    """The QAP of ``r1cs``: one ``LagrangeBasis`` over the constraint indices
+    x = 1..m, built once, whose vanishing polynomial is the target Z, and
+    each of the 3 x V column polynomials the sum of that basis weighted by
+    the column's entries, so a column costs only its nonzero entries."""
     field = r1cs.field
     m = len(r1cs.constraints)
-    xs = list(range(1, m + 1))
+    basis = LagrangeBasis(field, range(1, m + 1))
 
     def column_polys(which: int) -> tuple[Polynomial, ...]:
-        polys = []
-        for var_idx in range(len(r1cs.variables)):
-            points = [(x, r1cs.constraints[n][which][var_idx]) for n, x in enumerate(xs)]
-            polys.append(poly_interpolate(field, points))
-        return tuple(polys)
+        rows = [constraint[which] for constraint in r1cs.constraints]
+        return tuple(
+            basis.interpolate([row[var_idx] for row in rows])
+            for var_idx in range(len(r1cs.variables))
+        )
 
     return QAP(
         field=field,
         a_polys=column_polys(0),
         b_polys=column_polys(1),
         c_polys=column_polys(2),
-        z=Polynomial.vanishing(field, xs),
+        z=basis.vanishing,
         degree=2 * (m - 1),
         num_constraints=m,
     )
@@ -301,6 +307,8 @@ def assemble(qap: QAP, s: Sequence[FieldElement]) -> tuple[Polynomial, Polynomia
 
 @dataclass(frozen=True)
 class VerificationKey:
+    """The CRS elements verification reads: g^Z(r) and g^alpha."""
+
     z_encrypted: GroupElement  # g^Z(r)
     alpha_encrypted: GroupElement  # g^alpha
 
@@ -442,6 +450,8 @@ def zk_shift(proof: SnarkProof, delta: int, group: PairingGroup) -> SnarkProof:
 
 @dataclass(frozen=True)
 class PipelineResult:
+    """Every intermediate of ``run_pipeline``, from the flat program to the verdict."""
+
     program: FlatProgram
     r1cs: R1CS
     solution: list[FieldElement]
@@ -466,7 +476,7 @@ def run_pipeline(
     """Flatten, compile, solve, set up, prove and verify in one pass; the
     program takes the names of ``inputs`` in sorted order."""
     program = flatten(source, inputs=tuple(sorted(inputs)))
-    field = Field(group.order)
+    field = group.field
     r1cs = compile_r1cs(program, field)
     s = witness(program, field, inputs)
     qap = build_qap(r1cs)

@@ -81,6 +81,8 @@ def encode_instruction(
 
 @dataclass(frozen=True)
 class DecodedInstruction:
+    """The fields of one Cairo instruction word."""
+
     opcode: int
     ap_inc: bool
     dst_base: int
@@ -113,6 +115,8 @@ def decode_instruction(word: int) -> DecodedInstruction:
 
 @dataclass(frozen=True)
 class CairoState:
+    """The Cairo registers: program counter, allocation pointer, frame pointer."""
+
     pc: int
     ap: int
     fp: int
@@ -294,6 +298,8 @@ class CairoProgram:
 
 @dataclass(frozen=True)
 class NondeterministicInput:
+    """What the prover supplies for a run: its step count, memory and boundary registers."""
+
     steps: int
     partial_memory: dict[int, int]
     pc_initial: int
@@ -304,6 +310,8 @@ class NondeterministicInput:
 
 @dataclass(frozen=True)
 class RunResult:
+    """A finished Cairo run: its memory, every state, and the prover's input for it."""
+
     steps: int
     memory: PartialMemory
     states: list[CairoState]

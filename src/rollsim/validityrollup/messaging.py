@@ -80,6 +80,8 @@ def _l2_to_l1_preimage(from_address: int, to_address: int, payload) -> bytes:
 
 @dataclass(frozen=True)
 class L1ToL2Message:
+    """A message sent from L1 to an L2 contract; ``hash`` is its identity in the core contract."""
+
     from_address: int
     to_address: int
     selector: int

@@ -41,6 +41,8 @@ class AggregationNode:
 
 @dataclass(frozen=True)
 class AggregationResult:
+    """A recursive proof tree with its critical-path and sequential proving times."""
+
     tree: AggregationNode
     t_tree: float
     t_sequential: float

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import ContextManager
 
 from .. import hashing
-from ..algebra import Field, PairingGroup
+from ..algebra import PairingGroup
 from ..hashing import DigestMemo, memoized_digest
 from ..snark import (
     SnarkProof,
@@ -95,6 +95,8 @@ class SettlementMessages:
 
 @dataclass(frozen=True)
 class ValidityProof:
+    """A SNARK over a transition digest, its exposed output and the claimed next root."""
+
     snark: SnarkProof
     claimed_output: int  # exposed circuit output binding the digest
     new_root: bytes
@@ -105,7 +107,7 @@ class SharpProver:
 
     def __init__(self, group: PairingGroup, rng):
         self.group = group
-        self.field = Field(group.order)
+        self.field = group.field
         self.program = flatten(DIGEST_CIRCUIT, inputs=("x",))
         self.r1cs = compile_r1cs(self.program, self.field)
         self.qap = build_qap(self.r1cs)

@@ -26,6 +26,8 @@ class MalformedDiff(ValueError):
 
 @dataclass(frozen=True)
 class Deployment:
+    """One contract deployed in a state diff."""
+
     contract_address: int
     contract_hash: int
     constructor_args: tuple[int, ...]
@@ -33,12 +35,16 @@ class Deployment:
 
 @dataclass(frozen=True)
 class ContractStorageDiff:
+    """The storage updates of one contract in a state diff."""
+
     contract_address: int
     updates: tuple[tuple[int, int], ...]  # (key, value), keys unique
 
 
 @dataclass(frozen=True)
 class StateDiff:
+    """The deployments and storage updates one validity transition publishes."""
+
     deployments: tuple[Deployment, ...]
     storage: tuple[ContractStorageDiff, ...]
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rollsim import algebra
 from rollsim.algebra import (
     DEFAULT_PRIME,
     DivisionByZeroPolynomial,
@@ -58,9 +59,11 @@ class TestInterpolation:
             assert poly(x) == F(x * x)
         assert poly == Polynomial(F, [0, 0, 1])
 
-    def test_duplicate_abscissa(self):
+    @pytest.mark.parametrize("second", [1, 1 + DEFAULT_PRIME, F(1)])
+    def test_duplicate_abscissa(self, second):
+        # congruent abscissas are the same point, whatever their form
         with pytest.raises(DuplicateAbscissa):
-            poly_interpolate(F, [(1, 1), (1, 2)])
+            poly_interpolate(F, [(1, 1), (second, 2)])
 
     def test_interpolate_evaluate_identity(self):
         rng = random.Random(11)
@@ -175,10 +178,18 @@ class TestGroupOracle:
         assert public <= {"pow_clear", "to_hex"}
 
     def test_composite_order_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^group order must be prime$"):
             PairingGroup(15)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^group order must be prime$"):
             PairingGroup(341)  # 11 * 31 passes a Fermat base-2 check
+
+    def test_scalar_field_built_with_one_primality_test(self, monkeypatch):
+        tested = []
+        monkeypatch.setattr(algebra, "is_prime", lambda n: tested.append(n) or True)
+        group = PairingGroup(1009)
+        assert tested == [1009]
+        assert isinstance(group.field, Field) and group.field == Field(1009)
+        assert group.field.prime == group.order
 
 
 class TestIsPrime:

@@ -5,6 +5,7 @@ already imported every part of rollsim, so a deferred import that is broken
 or missing passes there. These start a new interpreter for each check.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -108,3 +109,22 @@ def test_subcommand_exits_0_in_a_fresh_process(command):
     result = _python("-m", "rollsim.cli", command, *SUBCOMMANDS[command])
     assert result.returncode == 0, result.stderr
     assert result.stdout
+
+
+def _names_dataclass(decorator: ast.expr) -> bool:
+    target = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+
+def test_every_dataclass_has_a_docstring():
+    """A dataclass defined without a docstring gets one built from
+    ``inspect.signature`` when its module loads, in every fresh process."""
+    missing = [
+        f"{path.relative_to(SRC)}:{node.lineno} {node.name}"
+        for path in sorted((SRC / "rollsim").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ClassDef)
+        and any(map(_names_dataclass, node.decorator_list))
+        and ast.get_docstring(node) is None
+    ]
+    assert not missing

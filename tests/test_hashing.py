@@ -768,3 +768,32 @@ class TestMemoizedDigests:
     def test_read_only(self, make, attr):
         with pytest.raises(AttributeError):
             setattr(make(), attr, b"\x00" * 32)
+
+
+_EMPTY_DIGEST_READS = []  # the data of each _EmptyDigest whose digest ran
+
+
+@dataclasses.dataclass(frozen=True)
+class _EmptyDigest:
+    """A record whose memoized digest is the empty byte string."""
+
+    data: bytes
+
+    @hashing.memoized_digest
+    def digest(self) -> bytes:
+        _EMPTY_DIGEST_READS.append(self.data)
+        return b""
+
+
+class TestMemoizedDigestEdges:
+    def test_empty_digest_computed_once(self):
+        _EMPTY_DIGEST_READS.clear()
+        record = _EmptyDigest(b"x")
+        assert record.digest == b"" and record.digest == b""
+        assert _EMPTY_DIGEST_READS == [b"x"]
+
+    def test_memo_stays_out_of_eq_and_asdict(self):
+        hashed, fresh = _EmptyDigest(b"x"), _EmptyDigest(b"x")
+        assert hashed.digest == b""
+        assert hashed == fresh and fresh == hashed
+        assert dataclasses.asdict(hashed) == dataclasses.asdict(fresh) == {"data": b"x"}

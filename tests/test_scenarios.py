@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import enum
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ import sys
 import pytest
 
 import rollsim
+from rollsim import algebra, scenarios
 from rollsim.scenarios import (
     MAX_DISPUTE_STEPS,
     MAX_PROOF_CADENCE_BLOCKS,
@@ -62,6 +64,12 @@ class TestConfig:
         config = ScenarioConfig(deposits=[{"user": 1}])
         with pytest.raises(ConfigError, match=r"deposits\[0\].value"):
             config.validate()
+
+    def test_workload_int_subclass_accepted_and_bool_refused(self):
+        Amount = enum.IntEnum("Amount", {"TEN": 10})
+        ScenarioConfig(deposits=[{"user": 1, "value": Amount.TEN}]).validate()
+        with pytest.raises(ConfigError, match=r"^deposits\[0\]\.value: expected int, got bool$"):
+            ScenarioConfig(deposits=[{"user": 1, "value": True}]).validate()
 
     def test_workload_value_below_2_to_the_128_accepted(self):
         ScenarioConfig(deposits=[{"user": 1, "value": (1 << 128) - 1}]).validate()
@@ -521,6 +529,21 @@ class TestValidityScale:
 
 
 class TestValidityScenario:
+    def test_one_primality_test_per_prime(self, monkeypatch, bench_workloads):
+        # the config's check of field_prime (equal to group_order), and the
+        # group's, whose scalar field the prover and QAP share
+        tested = []
+
+        def counted(n, _is_prime=algebra.is_prime):
+            tested.append(n)
+            return _is_prime(n)
+
+        monkeypatch.setattr(algebra, "is_prime", counted)
+        monkeypatch.setattr(scenarios, "is_prime", counted)
+        config = bench_workloads.WORKLOADS["validity-messages"].config(1)
+        assert run(config).ok
+        assert tested == [config.field_prime, config.group_order]
+
     def test_one_message_object_per_message_sent(self, monkeypatch, bench_workloads):
         built = {}
         for cls in (L1ToL2Message, L2ToL1Message):

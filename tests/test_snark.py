@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from rollsim.algebra import DEFAULT_PRIME, Field, PairingGroup, Polynomial
+from rollsim.algebra import (
+    DEFAULT_PRIME,
+    Field,
+    PairingGroup,
+    Polynomial,
+    poly_interpolate,
+)
 from rollsim.snark import (
     CRS,
     DegenerateShift,
@@ -26,6 +32,7 @@ from rollsim.snark import (
     witness,
     zk_shift,
 )
+from rollsim.validityrollup.settlement import DIGEST_CIRCUIT
 
 F = Field(DEFAULT_PRIME)
 GROUP = PairingGroup(DEFAULT_PRIME)
@@ -120,7 +127,54 @@ class TestWitness:
             witness(cube_program(), F, {})
 
 
+def naive_interpolate(field: Field, points) -> Polynomial:
+    """Reference Lagrange interpolation: each basis polynomial built from
+    scratch as a product of linear factors, over its own denominator."""
+    xs = [field(x) for x, _ in points]
+    result = Polynomial(field, [])
+    for i, (xi, (_, yi)) in enumerate(zip(xs, points)):
+        basis, denom = Polynomial(field, [1]), field.one
+        for j, xj in enumerate(xs):
+            if j != i:
+                basis = basis * Polynomial(field, [-xj, 1])
+                denom = denom * (xi - xj)
+        result = result + basis * (field(yi) / denom)
+    return result
+
+
+# one gate per statement: 3, 2 and 9 constraints
+QAP_CIRCUITS = [CUBE_PLUS_8, DIGEST_CIRCUIT, "x*x*x*x + 3*x*x - x/7 + 5"]
+
+
 class TestQap:
+    @pytest.mark.parametrize("source", QAP_CIRCUITS)
+    def test_equals_per_column_naive_interpolation(self, source):
+        r1cs = compile_r1cs(flatten(source, inputs=("x",)), F)
+        qap = build_qap(r1cs)
+        xs = range(1, len(r1cs.constraints) + 1)
+        for which, polys in enumerate((qap.a_polys, qap.b_polys, qap.c_polys)):
+            assert len(polys) == len(r1cs.variables)
+            for var_idx, poly in enumerate(polys):
+                column = [constraint[which][var_idx] for constraint in r1cs.constraints]
+                assert poly == naive_interpolate(F, list(zip(xs, column)))
+        naive_z = Polynomial(F, [1])
+        for x in xs:
+            naive_z = naive_z * Polynomial(F, [-x, 1])
+        assert qap.z == naive_z
+        assert (qap.num_constraints, qap.degree) == (len(xs), 2 * (len(xs) - 1))
+
+    def test_interpolation_matches_naive_reference_on_random_points(self):
+        rng = random.Random(39)
+        for n in range(9):
+            xs = rng.sample(range(1 << 62), n)
+            # about three values in ten are zero, the entries a sparse column skips
+            ys = [rng.randrange(F.prime) if rng.random() < 0.7 else 0 for _ in xs]
+            points = list(zip(xs, ys))
+            poly = poly_interpolate(F, points)
+            assert poly == naive_interpolate(F, points)
+            assert poly.degree < max(n, 1)
+            assert [poly(x) for x in xs] == [F(y) for y in ys]
+
     def test_paper_polynomials(self):
         qap = build_qap(compile_r1cs(cube_program(), F))
         half = (1, 2)

@@ -52,6 +52,10 @@ def make_core():
     return chain, StarkNetCore(chain)
 
 
+def test_prover_works_over_its_groups_scalar_field():
+    assert SharpProver(GROUP, random.Random(1)).field is GROUP.field
+
+
 class TestProveAndSettle:
     def test_honest_transition_matches_reexecution(self, prover):
         chain, core = make_core()
