@@ -5,10 +5,11 @@ Each subcommand imports the modules it runs, so a start-up loads only those.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import random
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import click
 from click.core import ParameterSource
@@ -40,15 +41,15 @@ def _load_config(config_path: str | None) -> ScenarioConfig:
     return ScenarioConfig.from_json(payload)
 
 
-def _validated(config: ScenarioConfig) -> ScenarioConfig:
-    """Return ``config`` if it is valid; otherwise fail with its one-line ConfigError."""
+@contextlib.contextmanager
+def _config_errors() -> Iterator[None]:
+    """End a ``ConfigError`` raised in the block as click's one-line error."""
     from .scenarios import ConfigError
 
     try:
-        config.validate()
+        yield
     except ConfigError as exc:
         raise click.ClickException(str(exc))
-    return config
 
 
 def _emit_report(report, as_json: bool) -> None:
@@ -87,7 +88,7 @@ def _emit_report(report, as_json: bool) -> None:
 @click.pass_context
 def run_cmd(ctx, config_path, as_json, profile):
     """Run a scenario from a config file."""
-    from .scenarios import ConfigError, PhaseCost, run as run_scenario
+    from .scenarios import PhaseCost, run as run_scenario
 
     if config_path is not None:  # checked here, where click can say where the path came from
         try:
@@ -96,12 +97,9 @@ def run_cmd(ctx, config_path, as_json, profile):
             from_env = ctx.get_parameter_source("config_path") is ParameterSource.ENVIRONMENT
             exc.param_hint = f"'--config' (from ${CONFIG_ENV_VAR})" if from_env else "'--config'"
             raise
-    try:
-        config = _load_config(config_path)
-    except ConfigError as exc:
-        raise click.ClickException(str(exc))
     phases: list[PhaseCost] | None = [] if profile else None
-    report = run_scenario(config, profile=phases)
+    with _config_errors():
+        report = run_scenario(_load_config(config_path), profile=phases)
     if profile:
         click.echo(f"{'phase':<22} {'keccak_perms':>12} {'packed':>8} {'wall_s':>10}", err=True)
         for row in phases:
@@ -134,7 +132,9 @@ def simulate_op(seed, fraud, steps, fault, as_json):
         seed=seed, rollup="optimistic", planted_fraud=fraud,
         dispute_steps=steps, fault_position=fault, **_DEFAULT_WORKLOAD,
     )
-    _emit_report(run_scenario(_validated(config)), as_json)
+    with _config_errors():
+        report = run_scenario(config)
+    _emit_report(report, as_json)
 
 
 @main.command(name="simulate-validity")
@@ -145,7 +145,9 @@ def simulate_validity(seed, as_json):
     from .scenarios import ScenarioConfig, run as run_scenario
 
     config = ScenarioConfig(seed=seed, rollup="validity", **_DEFAULT_WORKLOAD)
-    _emit_report(run_scenario(_validated(config)), as_json)
+    with _config_errors():
+        report = run_scenario(config)
+    _emit_report(report, as_json)
 
 
 @main.command(name="dispute-demo")
@@ -157,7 +159,8 @@ def dispute_demo(steps, fault, seed):
     from .oprollup import dispute as dispute_mod
     from .scenarios import ScenarioConfig
 
-    _validated(ScenarioConfig(dispute_steps=steps, fault_position=fault))
+    with _config_errors():  # no scenario runs here to check the bounds
+        ScenarioConfig(dispute_steps=steps, fault_position=fault).validate()
     registers = (0, 1 + random.Random(seed).randrange(5), 3, 0, 1, 0, 0, 0)
     game = dispute_mod.play_planted_fault(registers, steps, fault, challenger=0xC, defender=0xD)
     click.echo(f"{game.winner} wins, rounds={game.rounds}")
@@ -262,7 +265,7 @@ def cost_report(corpus_path, group_size, as_json):
         corpus = synthetic_batch_corpus()
     report = da_cost_comparison(diff, optimistic_batches=corpus)
     if as_json:
-        payload = json.loads(report.to_json())
+        payload = report.as_dict()
         grouped = compression_stats(corpus, group_size)
         single = compression_stats(corpus, 1)
         payload["compression"] = {

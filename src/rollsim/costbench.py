@@ -8,7 +8,6 @@ from its raw fields on access, never stored.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import zlib
 from dataclasses import dataclass, field as dataclass_field
@@ -265,21 +264,20 @@ class CostReport:
             return 0.0
         return 100.0 * self.optimistic_compressed_gas / self.optimistic_raw_gas
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "l1_storage_gas": self.l1_storage_gas,
-                "validity_calldata_gas": self.validity_calldata_gas,
-                "validity_proof_share": str(self.validity_proof_share),
-                "validity_ratio_percent": round(self.validity_ratio_percent, 4),
-                "optimistic_raw_gas": self.optimistic_raw_gas,
-                "optimistic_compressed_gas": self.optimistic_compressed_gas,
-                "optimistic_ratio_percent": round(self.optimistic_ratio_percent, 4),
-                "write_count": self.write_count,
-                "reference": self.reference,
-            },
-            sort_keys=True,
-        )
+    def as_dict(self) -> dict:
+        """The report as JSON-ready values: the proof share as its decimal
+        string, each ratio rounded to four places."""
+        return {
+            "l1_storage_gas": self.l1_storage_gas,
+            "validity_calldata_gas": self.validity_calldata_gas,
+            "validity_proof_share": str(self.validity_proof_share),
+            "validity_ratio_percent": round(self.validity_ratio_percent, 4),
+            "optimistic_raw_gas": self.optimistic_raw_gas,
+            "optimistic_compressed_gas": self.optimistic_compressed_gas,
+            "optimistic_ratio_percent": round(self.optimistic_ratio_percent, 4),
+            "write_count": self.write_count,
+            "reference": dict(self.reference),
+        }
 
     def to_text(self) -> str:
         rows = [

@@ -67,8 +67,9 @@ def _type_mismatch(expected: type, value) -> str | None:
 
 @dataclass
 class ScenarioConfig:
-    """Everything a run depends on; ``validate`` refuses a malformed one
-    with a ``ConfigError`` naming the field path."""
+    """Everything a run depends on. ``from_json`` parses one, ``validate``
+    refuses a malformed one with a ``ConfigError`` naming the field path,
+    and ``scenarios.run`` calls ``validate`` before it runs anything."""
 
     seed: int = 0
     rollup: str = "optimistic"  # or "validity"
@@ -88,6 +89,8 @@ class ScenarioConfig:
     group_order: int = DEFAULT_PRIME
 
     def validate(self) -> None:
+        """Raise a ``ConfigError`` naming the first field path at fault:
+        a type, a range, a prime, or a workload item's keys and values."""
         for name, spec in self.__dataclass_fields__.items():
             if mismatch := _type_mismatch(_FIELD_TYPES[spec.type], getattr(self, name)):
                 raise ConfigError(f"{name}: {mismatch}")
@@ -151,6 +154,10 @@ class ScenarioConfig:
 
     @classmethod
     def from_json(cls, payload: str) -> "ScenarioConfig":
+        """Parse ``payload`` into a config without checking its values,
+        which ``validate`` does. Text that is not JSON, JSON nested too
+        deeply, a value that is not an object and unknown fields are
+        ``ConfigError``s here, since no config can hold them."""
         try:
             raw = json.loads(payload)
         except ValueError as exc:
@@ -162,9 +169,7 @@ class ScenarioConfig:
         unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"config: unknown fields {sorted(unknown)}")
-        config = cls(**raw)
-        config.validate()
-        return config
+        return cls(**raw)
 
     def config_hash(self) -> str:
         """FIPS-202 SHA3-256 of ``to_json()``: a provenance tag that no
@@ -259,7 +264,9 @@ class _Run:
 
 
 def run(config: ScenarioConfig, profile: list[PhaseCost] | None = None) -> RunReport:
-    """Execute a scenario; the report is a pure function of the config.
+    """Validate ``config``, then execute it; the report is a pure function
+    of the config. Every path that runs a config, the CLI's included,
+    checks it here and only here.
 
     Given a ``profile`` list, append one ``PhaseCost`` per phase and a last
     one for building the report; their permutations sum to the run's. The

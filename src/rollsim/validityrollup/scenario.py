@@ -8,19 +8,18 @@ Three sites know every message or page before they hash it: L1 sending the
 deposit messages, the L2 sending the withdrawal messages, and settlement's
 prover. Each runs inside a ``hashing.prefetch`` scope in its own phase, so
 the hashes run many to a packed permutation. The module that owns a layout
-opens its scope, and this one passes only what it then sends or settles:
-``messaging.prefetch_to_l2`` takes the deposit payloads and numbers them as
-the core will, ``messaging.prefetch_to_l1`` takes the withdrawal messages
-built here, and ``settlement.prefetch_transition`` takes the transition.
-Whoever re-checks those bytes, the settlement verifier and L1 consuming the
-withdrawals, reads the first hash from the run's digest memo
-(``hashing.run_memo``, opened by ``scenarios.run``) and hashes only bytes no
-one has hashed yet.
+lists its blobs. This one opens two scopes and passes only what it then
+sends: ``messaging.prefetch_to_l2`` takes the deposit payloads and numbers
+them as the core will, and ``messaging.prefetch_to_l1`` takes the withdrawal
+messages built here. ``settlement.prove_transition`` opens the third, its
+own, around the commitments it makes. Whoever re-checks those bytes, the
+settlement verifier and L1 consuming the withdrawals, reads the first hash
+from the run's digest memo (``hashing.run_memo``, opened by
+``scenarios.run``) and hashes only bytes no one has hashed yet.
 """
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING
 
 from ..algebra import PairingGroup
@@ -38,13 +37,7 @@ from .messaging import (
     send_message_to_l1,
     starkgate_withdraw_payload,
 )
-from .settlement import (
-    SettlementMessages,
-    SharpProver,
-    prefetch_transition,
-    prove_transition,
-    settle,
-)
+from .settlement import SettlementMessages, SharpProver, prove_transition, settle
 from .statediff import encode_state_diff
 
 if TYPE_CHECKING:
@@ -101,7 +94,7 @@ def run_validity(ctx: _Run) -> RunReport:
             gas={"diff_words_published": len(diff_words)},
             dispute={"played": False},
             withdrawal_latencies=latencies,
-            cost=json.loads(cost.to_json()) if cost else {},
+            cost=cost.as_dict() if cost else {},
         )
 
 
@@ -167,9 +160,8 @@ def _prove_and_settle(ctx: _Run, core: StarkNetCore, l2: ValidityL2State):
     messages = SettlementMessages(
         consumed_l1_to_l2=tuple(l2.consumed_inbox), sent_l2_to_l1=tuple(l2.outbox)
     )
-    with prefetch_transition(diff_words, messages):
-        proof = prove_transition(core.state_root, diff_words, trace, prover, messages)
-        new_root = settle(core, prover, proof, diff_words, messages)
+    proof = prove_transition(core.state_root, diff_words, trace, prover, messages)
+    new_root = settle(core, prover, proof, diff_words, messages)
     settle_block = ctx.chain.pending_block_number
     ctx.log("proof_settled", root=new_root.hex(), diff_words=len(diff_words))
     ctx.chain.mine_block()

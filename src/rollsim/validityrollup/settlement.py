@@ -20,18 +20,18 @@ list, a message hash moved from one list to the other, or a word moved across
 a page boundary changes the digest. Messages enter as their memoized hashes
 and are never rehashed from their fields. The caller encodes the published
 diff once and ``SettlementMessages.blob`` joins the message blob once, for
-both sides.
+both sides; each side builds the diff's calldata once from those words.
 
 A commitment hashes its pages and its preimage through a
 ``hashing.DigestMemo``, so inside a run the verifier, recomputing the
 commitments from what was submitted, reads the prover's digests of
 byte-equal blobs and hashes only what differs: a tampered diff page or a
 forged message list is a new blob, hashed as submitted.
-``prefetch_transition`` opens the ``hashing.prefetch`` scope a caller that
-knows a transition ahead proves in: every page of the diff and of the
-message blob, once each, as one packed sponge. The two preimages that hold
-page digests, the next root's and the transition's, are hashed by the prover
-when it asks.
+``prove_transition`` opens its own ``hashing.prefetch`` scope around the two
+commitments it makes, listing every page of the diff and of the message
+blob, once each, so they hash as one packed sponge; it commits from the
+same calldata it listed. The two preimages that hold page digests, the next
+root's and the transition's, are hashed when the prover asks.
 
 Settlement is atomic: the root update and every message-counter change land
 together or not at all.
@@ -40,7 +40,6 @@ together or not at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ContextManager
 
 from .. import hashing
 from ..algebra import PairingGroup
@@ -144,15 +143,6 @@ def next_root(old_root: bytes, diff_words: list[int]) -> bytes:
     return _commit(old_root, diff_calldata_bytes(diff_words))
 
 
-def prefetch_transition(
-    diff_words: list[int], messages: SettlementMessages = SettlementMessages()
-) -> ContextManager[hashing.Prefetched]:
-    """A ``hashing.prefetch`` scope holding the digest of every page that
-    proving this transition hashes: the pages of the diff, then those of the
-    message blob."""
-    return hashing.prefetch(_pages(diff_calldata_bytes(diff_words)) + _pages(messages.blob))
-
-
 def prove_transition(
     old_root: bytes,
     diff_words: list[int],
@@ -165,14 +155,18 @@ def prove_transition(
     ``trace`` is the runner output for the transition's execution; it must be
     accepted by the deterministic machine (the prover refuses otherwise).
     Pass None for transitions whose execution is outside the simulated
-    machine (pure bridge bookkeeping).
+    machine (pure bridge bookkeeping). The proof's pages hash in the
+    prover's own prefetch scope, as the module docstring sets out.
     """
     if trace is not None and not deterministic_accept(
         trace.steps, trace.memory, trace.states, trace.prime
     ):
         raise ValueError("trace is not accepted by the deterministic machine")
-    new_root = next_root(old_root, diff_words)
-    snark_proof, output = prover.prove_digest(prover.transition_digest(new_root, messages))
+    diff = diff_calldata_bytes(diff_words)
+    with hashing.prefetch(_pages(diff) + _pages(messages.blob)):
+        new_root = _commit(old_root, diff)
+        digest = prover.transition_digest(new_root, messages)
+    snark_proof, output = prover.prove_digest(digest)
     return ValidityProof(snark=snark_proof, claimed_output=output, new_root=new_root)
 
 

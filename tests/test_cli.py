@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import math
@@ -5,7 +6,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from rollsim import hashing
+from rollsim import algebra, hashing, scenarios
 from rollsim.cli import main
 from rollsim.scenarios import MAX_DISPUTE_STEPS, ScenarioConfig
 
@@ -197,6 +198,47 @@ class TestSimulations:
         assert "rollup" in result.output
 
 
+class TestOneConfigCheckPerCommand:
+    """A command checks its config once: ``scenarios.run`` does, or
+    dispute-demo, which runs no scenario, does itself. ``validate`` tests
+    field_prime and, for a group order of its own, group_order; a validity
+    run's pairing group tests its order once more."""
+
+    @pytest.mark.parametrize(
+        "args, validates, primes",
+        [
+            (["run", "--config", "{config}"], 1, 2),
+            (["simulate-op"], 1, 1),
+            (["simulate-validity"], 1, 2),
+            (["dispute-demo"], 1, 1),
+        ],
+        ids=["run-validity-config", "simulate-op", "simulate-validity", "dispute-demo"],
+    )
+    def test_validate_and_primality_calls(self, runner, tmp_path, monkeypatch, args,
+                                          validates, primes):
+        path = tmp_path / "scenario.json"
+        path.write_text(ScenarioConfig(
+            rollup="validity", deposits=[{"user": 1, "value": 100}],
+            withdrawals=[{"user": 1, "value": 10}],
+        ).to_json())
+        calls = {"validate": 0, "is_prime": 0}
+
+        def validate(config, _validate=ScenarioConfig.validate):
+            calls["validate"] += 1
+            _validate(config)
+
+        def is_prime(n, _is_prime=algebra.is_prime):
+            calls["is_prime"] += 1
+            return _is_prime(n)
+
+        monkeypatch.setattr(ScenarioConfig, "validate", validate)
+        monkeypatch.setattr(algebra, "is_prime", is_prime)
+        monkeypatch.setattr(scenarios, "is_prime", is_prime)
+        result = runner.invoke(main, [arg.format(config=path) for arg in args])
+        assert result.exit_code == 0, result.output
+        assert calls == {"validate": validates, "is_prime": primes}
+
+
 class TestFileInputs:
     """A config or corpus path that names no file, or a config that is not
     UTF-8, ends in a one-line error; no exception escapes to print a
@@ -288,6 +330,21 @@ class TestCostReport:
         assert result.exit_code == 0
         assert "9240" in result.output
         assert "221000" in result.output
+
+    # SHA3-256 of each stdout, so a change to how the cost block is
+    # rendered that moves any byte fails here
+    @pytest.mark.parametrize(
+        "args, digest",
+        [
+            ([], "7381f79c9496d67bd9b3e38bf78c2cfd6b518d840bd1f247caeee358b1081c53"),
+            (["--json"], "930e8d2582726ceb3bdda59dfa15fcd98e9fe56084206a7e7d7765587efc2a0d"),
+        ],
+        ids=["text", "json"],
+    )
+    def test_stdout_pinned(self, runner, args, digest):
+        result = runner.invoke(main, ["cost-report", *args])
+        assert result.exit_code == 0
+        assert hashlib.sha3_256(result.output.encode()).hexdigest() == digest
 
     def test_json_report_with_compression_block(self, runner):
         result = runner.invoke(main, ["cost-report", "--json"])

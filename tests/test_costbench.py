@@ -215,7 +215,8 @@ class TestDaComparison:
 
         diff = decode_state_diff(MAINNET_DIFF_VECTOR)
         report = da_cost_comparison(diff)
-        payload = json.loads(report.to_json())
+        payload = report.as_dict()
+        assert json.loads(json.dumps(payload)) == payload  # JSON-ready as it stands
         assert payload["l1_storage_gas"] == 221_000
         text = report.to_text()
         assert "9240" in text and "221000" in text

@@ -54,7 +54,15 @@ class TestConfig:
 
     def test_bad_rollup_kind(self):
         with pytest.raises(ConfigError, match="rollup"):
-            ScenarioConfig.from_json(json.dumps({"rollup": "plasma"}))
+            ScenarioConfig.from_json(json.dumps({"rollup": "plasma"})).validate()
+
+    def test_from_json_parses_and_run_validates(self):
+        # a payload that parses but holds a bad value is a config; the run
+        # refuses it before it starts, naming the field path
+        config = ScenarioConfig.from_json('{"deposits": [{"user": 1, "value": "x"}]}')
+        assert config.deposits == [{"user": 1, "value": "x"}]
+        with pytest.raises(ConfigError, match=r"^deposits\[0\]\.value: expected int, got str$"):
+            run(config)
 
     def test_unknown_field_named(self):
         with pytest.raises(ConfigError, match="unknown fields"):
@@ -102,8 +110,9 @@ class TestConfig:
          r"^deposits\[0\]\.value: must lie in \[0, 2\^128\)$"),
     ])
     def test_malformed_field_is_a_config_error_naming_its_path(self, payload, path):
+        # "[]" is refused by the parse, every other payload by ``validate``
         with pytest.raises(ConfigError, match=path):
-            ScenarioConfig.from_json(payload)
+            ScenarioConfig.from_json(payload).validate()
 
     @pytest.mark.parametrize("payload, message", [
         ('{"rollup": "validity", "field_prime": 4}', "field_prime: 4 is not prime"),
@@ -113,13 +122,15 @@ class TestConfig:
     ])
     def test_field_prime_and_group_order_checked(self, payload, message):
         with pytest.raises(ConfigError, match=message):
-            ScenarioConfig.from_json(payload)
+            ScenarioConfig.from_json(payload).validate()
 
     @pytest.mark.parametrize("field, bound", _BOUNDS.items())
     def test_run_length_fields_bounded_above(self, field, bound):
-        assert getattr(ScenarioConfig.from_json(json.dumps({field: bound})), field) == bound
+        config = ScenarioConfig.from_json(json.dumps({field: bound}))
+        config.validate()
+        assert getattr(config, field) == bound
         with pytest.raises(ConfigError, match=f"^{field}: "):
-            ScenarioConfig.from_json(json.dumps({field: bound + 1}))
+            ScenarioConfig.from_json(json.dumps({field: bound + 1})).validate()
 
     def test_named_substreams_differ(self):
         config = ScenarioConfig(seed=5)
@@ -202,7 +213,7 @@ def _valid_when_clamped(payload, above):
     obj = json.loads(payload)
     obj.update(above)
     try:
-        ScenarioConfig.from_json(json.dumps(obj))
+        ScenarioConfig.from_json(json.dumps(obj)).validate()
     except ConfigError:
         return False
     return True
@@ -245,6 +256,7 @@ class TestConfigFuzz:
             above = _above_bound(payload)
             try:
                 config = ScenarioConfig.from_json(payload)
+                config.validate()
             except ConfigError as exc:
                 assert _FIELD_PATH.match(str(exc)), (str(exc), payload[:200])
                 # a mutant whose only fault is a field above its bound is
@@ -572,7 +584,8 @@ class TestValidityScenario:
         # each deposit message is encoded for its prefetch and for its hash;
         # each withdrawal message once, for its send and its scope, and
         # once more where L1 encodes the payload it is asked to consume. The
-        # diff is encoded to publish and to cost. The message blob is joined
+        # diff is encoded to publish and to cost, and its calldata built by the
+        # prover, the verifier and the cost block. The message blob is joined
         # once, with one length word in front of each of its two lists.
         calls = {}
 
@@ -584,13 +597,14 @@ class TestValidityScenario:
 
         monkeypatch.setattr(messaging, "_words", counted("words", messaging._words))
         monkeypatch.setattr(settlement, "_word", counted("length words", settlement._word))
-        encode = statediff.encode_state_diff
-        for name, module in list(sys.modules.items()):
-            if name.startswith("rollsim") and getattr(module, "encode_state_diff", None) is encode:
-                monkeypatch.setattr(module, "encode_state_diff", counted("diff", encode))
+        for fn, name in ((statediff.encode_state_diff, "diff"),
+                         (statediff.diff_calldata_bytes, "diff calldata")):
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("rollsim") and getattr(module, fn.__name__, None) is fn:
+                    monkeypatch.setattr(module, fn.__name__, counted(name, fn))
         report = run(bench_workloads.WORKLOADS["validity-messages"].config(1))
         assert report.ok and len(_events(report, "withdrawal_consumed")) == 320
-        assert calls == {"words": 4 * 320, "diff": 2, "length words": 2 * 1}
+        assert calls == {"words": 4 * 320, "diff": 2, "diff calldata": 3, "length words": 2 * 1}
 
     def test_withdrawal_next_block_after_settlement(self):
         report = run(ScenarioConfig(rollup="validity", **WORKLOAD))

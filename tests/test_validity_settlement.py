@@ -1,3 +1,4 @@
+import contextlib
 import random
 
 import pytest
@@ -20,7 +21,6 @@ from rollsim.validityrollup.settlement import (
     StateMismatch,
     ValidityProof,
     next_root,
-    prefetch_transition,
     prove_transition,
     settle,
 )
@@ -350,26 +350,42 @@ class TestPreimages:
 
 
 class TestPrefetchedSettlement:
-    """The prover reads its pages from the prefetch scope; inside a run the
-    verifier reads every digest of byte-equal blobs from the run's memo and
-    still hashes what it was given, so a tampered submission misses and is
-    refused. Each tamper test runs the honest pass first, so the memo holds
-    every digest of the honest transition."""
+    """The prover reads its pages from the prefetch scope it opens; inside a
+    run the verifier reads every digest of byte-equal blobs from the run's
+    memo and still hashes what it was given, so a tampered submission misses
+    and is refused. Each tamper test runs the honest pass first, so the memo
+    holds every digest of the honest transition."""
+
+    @pytest.fixture
+    def scopes(self, monkeypatch):
+        """Each ``hashing.prefetch`` scope opened in the test, with the number
+        of digests it listed."""
+        real, opened = hashing.prefetch, []
+
+        @contextlib.contextmanager
+        def recorded(blobs):
+            with real(blobs) as scope:
+                opened.append((scope.unread, scope))
+                yield scope
+
+        monkeypatch.setattr(hashing, "prefetch", recorded)
+        return opened
 
     @staticmethod
-    def _honest_pass(prover, words, messages):
-        """Prove the transition in its prefetch scope and settle it on a
-        fresh core; return the proof. Call inside ``hashing.run_memo()``."""
+    def _honest_pass(prover, words, messages, scopes):
+        """Prove the transition, which opens its own prefetch scope, and
+        settle it on a fresh core; return the proof. Call inside
+        ``hashing.run_memo()``."""
         _, core = make_core()
-        with prefetch_transition(words, messages) as scope:
-            proof = prove_transition(core.state_root, words, None, prover, messages)
+        proof = prove_transition(core.state_root, words, None, prover, messages)
+        [(_, scope)] = scopes
         assert scope.unread == 0
         with hashing.counting() as count:
             settle(core, prover, proof, words, messages)
         assert count.perms == 0
         return proof
 
-    def test_honest_pair_reads_every_slot_packed(self, prover):
+    def test_honest_pair_reads_every_slot_packed(self, prover, scopes):
         _, core = make_core()
         diff = simple_diff()
         words = encode_state_diff(diff)
@@ -378,10 +394,10 @@ class TestPrefetchedSettlement:
         plain_proof = prove_transition(plain.state_root, words, None, prover, messages)
         expected = settle(plain, prover, plain_proof, words, messages)
         with hashing.run_memo():
-            with hashing.counting() as count, prefetch_transition(words, messages) as scope:
-                assert scope.unread == 2
+            with hashing.counting() as count:
                 proof = prove_transition(core.state_root, words, None, prover, messages)
-                assert scope.unread == 0
+            # the plain proof's scope, then this one's: two pages listed, both read
+            assert [(listed, scope.unread) for listed, scope in scopes] == [(2, 0), (2, 0)]
             # a two-block diff page and a one-block message page share a
             # packed permutation, the page's second block runs alone, then a
             # one-block next root and a one-block transition
@@ -390,12 +406,23 @@ class TestPrefetchedSettlement:
                 assert settle(core, prover, proof, words, messages) == expected
             assert count.perms == 0
 
-    def test_tampered_diff_misses_and_is_refused(self, prover):
+    def test_prover_runs_its_pages_packed_with_no_scope_around_it(self, prover, scopes):
+        _, core = make_core()
+        words = encode_state_diff(simple_diff())
+        messages = SettlementMessages(sent_l2_to_l1=sent_messages(1))
+        messages.blob  # joined, and its message hashed, when the L2 sent it, as in a run
+        with hashing.counting() as count:
+            prove_transition(core.state_root, words, None, prover, messages)
+        assert [(listed, scope.unread) for listed, scope in scopes] == [(2, 0)]
+        # the same two pages share a packed permutation as in the honest pair
+        assert (count.perms, count.packed) == (2 + 1 + 1 + 1, 1 + 1)
+
+    def test_tampered_diff_misses_and_is_refused(self, prover, scopes):
         _, core = make_core()
         words = encode_state_diff(simple_diff())
         tampered = encode_state_diff(simple_diff(value=999))
         with hashing.run_memo():
-            proof = self._honest_pass(prover, words, SettlementMessages())
+            proof = self._honest_pass(prover, words, SettlementMessages(), scopes)
             with hashing.counting() as count:
                 with pytest.raises(ProofRejected):
                     settle(core, prover, proof, tampered)
@@ -407,14 +434,14 @@ class TestPrefetchedSettlement:
                 settle(core, prover, proof, words)
             assert count.perms == 0
 
-    def test_word_changed_in_the_last_diff_page_misses_and_is_refused(self, prover):
+    def test_word_changed_in_the_last_diff_page_misses_and_is_refused(self, prover, scopes):
         _, core = make_core()
         diff = many_updates(40)
         words = encode_state_diff(diff)
         assert len(words) == 84  # a full page of 17 blocks, then a 12-word page of 3
         tampered = [*words[:-1], words[-1] + 1]
         with hashing.run_memo():
-            proof = self._honest_pass(prover, words, SettlementMessages())
+            proof = self._honest_pass(prover, words, SettlementMessages(), scopes)
             with hashing.counting() as count:
                 with pytest.raises((ProofRejected, StateMismatch)):
                     settle(core, prover, proof, tampered)
@@ -426,7 +453,7 @@ class TestPrefetchedSettlement:
                 settle(core, prover, proof, words)
             assert count.perms == 0
 
-    def test_forged_message_list_misses_and_is_refused(self, prover):
+    def test_forged_message_list_misses_and_is_refused(self, prover, scopes):
         _, core = make_core()
         diff = simple_diff()
         words = encode_state_diff(diff)
@@ -434,7 +461,7 @@ class TestPrefetchedSettlement:
         forged = SettlementMessages(sent_l2_to_l1=(L2ToL1Message(0x22, 0xD1, (0, 0xEE, 5000, 0)),))
         with hashing.run_memo():
             forged.sent_l2_to_l1[0].hash  # sent when the L2 built it, as in a run
-            proof = self._honest_pass(prover, words, proven)
+            proof = self._honest_pass(prover, words, proven, scopes)
             with hashing.counting() as count:
                 with pytest.raises(ProofRejected):
                     settle(core, prover, proof, words, forged)
@@ -446,7 +473,7 @@ class TestPrefetchedSettlement:
                 settle(core, prover, proof, words, proven)
             assert count.perms == 0
 
-    def test_forged_hash_in_the_second_message_page_misses_and_is_refused(self, prover):
+    def test_forged_hash_in_the_second_message_page_misses_and_is_refused(self, prover, scopes):
         _, core = make_core()
         diff = simple_diff()
         words = encode_state_diff(diff)
@@ -457,7 +484,7 @@ class TestPrefetchedSettlement:
         )
         with hashing.run_memo():
             forged.sent_l2_to_l1[75].hash  # sent when the L2 built it, as in a run
-            proof = self._honest_pass(prover, words, proven)
+            proof = self._honest_pass(prover, words, proven, scopes)
             with hashing.counting() as count:
                 with pytest.raises(ProofRejected):
                     settle(core, prover, proof, words, forged)
