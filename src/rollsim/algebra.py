@@ -379,15 +379,6 @@ class LagrangeBasis:
         return Polynomial(field, acc)
 
 
-def poly_interpolate(
-    field: Field, points: Sequence[tuple[FieldElement | int, FieldElement | int]]
-) -> Polynomial:
-    """Lagrange interpolation through ``points``, as the sum of y_i * L_i over
-    their ``LagrangeBasis``; x-coordinates must be distinct, else
-    ``DuplicateAbscissa``."""
-    return LagrangeBasis(field, [x for x, _ in points]).interpolate([y for _, y in points])
-
-
 # --- group oracle -----------------------------------------------------------
 
 # Odd 64-bit constants for the opaque wire encoding of group elements. The

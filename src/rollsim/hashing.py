@@ -57,29 +57,35 @@ of one blob runs on ``_keccak_f`` from its first block. A 1,024-slot lane is
 an 8 KiB int, and ``_packed_constants(1024)`` holds 624 KiB, built in about
 0.5 ms on first use.
 
-The digests are handed out through ``keccak256``: inside the ``prefetch``
-block, ``keccak256(blob)`` returns the ready digest and counts its
-permutations there, as if it had run them. So ``counting()``, a wrapper that
-counts ``keccak256`` calls, and every pinned permutation count read the same
-numbers with or without a prefetch; a function returning many digests at once
-would run permutations that such a wrapper never sees. A scope hashes each
-distinct blob once and hands it out once, and a test checks that no scope of
-a whole run closes with a digest unread. Any other blob is hashed for real,
-so a caller always gets the digest of what it passed, tampered or not.
+The digests wait in the run. ``prefetch`` hashes only inside a
+``run_memo()`` block, which ``scenarios.run`` opens, and keeps each digest
+pending there until the one ``keccak256(blob)`` call that asks for it, which
+returns it ready and counts its permutations as if it had run them. So
+``counting()``, a wrapper that counts ``keccak256`` calls, and every pinned
+permutation count read the same numbers with or without a prefetch; a
+function returning many digests at once would run permutations that such a
+wrapper never sees. That is why the pending digests are a dict of their own
+and not entries of the run's memo: a memo hit calls no ``keccak256``, and the
+benchmark's ``PermCounter`` counts those calls; the two dicts can merge once
+that counter reads the permutations run rather than the calls made. Each
+pending digest is handed out once; a blob asked for again, or never listed,
+is hashed for real, so a caller always gets the digest of what it passed,
+tampered or not. Outside a run nothing is hashed ahead, and no digest
+outlives its run.
 
 ``DigestMemo`` sits in front of ``keccak256`` and hashes each distinct blob
 once, so a hit is no ``keccak256`` call and counts nothing. Inside a
-``run_memo()`` block, which ``scenarios.run`` opens, the memos over one hash
-function share one dict: whoever re-checks another party's bytes (the L1
-portal folding the L2's tree, L1 consuming the L2's messages, the verifier
-re-committing the prover's pages) reads the first hash. A tampered blob is a
-new key, hashed for real, and no digest outlives the block.
+``run_memo()`` block the memos over one hash function share one dict:
+whoever re-checks another party's bytes (the L1 portal folding the L2's tree,
+L1 consuming the L2's messages, the verifier re-committing the prover's
+pages) reads the first hash. A tampered blob is a new key, hashed for real.
+``prefetch`` skips a blob that dict already holds, or that is already
+pending.
 
 A ``counting()`` block counts every permutation run inside it, nested blocks
 included, so a run that counts its own phases still shows its whole count to
-a caller that counts around it. A ``prefetch`` or ``run_memo()`` block
-shadows the one of its kind around it, so each scope is read by the code it
-was opened for.
+a caller that counts around it. A ``run_memo()`` block shadows the one around
+it, its memos and its pending digests alike.
 """
 
 from __future__ import annotations
@@ -88,7 +94,7 @@ import contextlib
 import contextvars
 import functools
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 HashFn = Callable[[bytes], bytes]
@@ -451,13 +457,13 @@ def _keccak_f_packed(state: list[int], slots: int) -> list[int]:
 def keccak256(data: bytes) -> bytes:
     """Return the 32-byte Keccak-256 digest of ``data``.
 
-    Inside a ``prefetch`` block, a blob the block computed ahead is handed
-    out ready, once; any other blob is hashed here. The permutations are
-    counted here either way, not in the sponges, so a stand-in sponge
-    swapped in for sweeps is counted the same way.
+    Inside a ``run_memo()`` block, a digest ``prefetch`` left pending for
+    ``data`` is handed out ready, once; any other blob is hashed here. The
+    permutations are counted here either way, not in the sponges, so a
+    stand-in sponge swapped in for sweeps is counted the same way.
     """
-    scope = _scope.get()
-    ready = scope.take(bytes(data)) if scope is not None else None
+    run = _run.get()
+    ready = run.pending.pop(bytes(data), None) if run is not None and run.pending else None
     count = _count.get()
     if count is not None:
         count.perms += _blocks(len(data))
@@ -573,61 +579,50 @@ def _packed_sponge(blobs: list[bytes], domain: int) -> list[tuple[bytes, int]]:
     return [(flat[off:off + 32], n) for off, n in zip(range(0, 32 * slots, 32), packed)]
 
 
-class Prefetched:
-    """The digests one ``prefetch`` block computed, one per distinct blob,
-    each handed out once."""
+@dataclass
+class _RunDigests:
+    """The digests of one ``run_memo()`` block: each hash function's memo
+    dict, and the digests ``prefetch`` computed that no ``keccak256`` call
+    has asked for yet."""
 
-    def __init__(self, blobs: Iterable[bytes]):
-        blobs = list(dict.fromkeys(bytes(blob) for blob in blobs))
-        # blob -> (digest, blocks that ran in slots of the packed kernel)
-        self._held = dict(zip(blobs, _sponge_many(blobs, 0x01)))
-
-    def take(self, blob: bytes) -> tuple[bytes, int] | None:
-        """The digest of ``blob`` and the number of its blocks that ran in
-        slots of the packed kernel, if it is held and not yet handed out."""
-        return self._held.pop(blob, None)
-
-    @property
-    def unread(self) -> int:
-        """Digests no ``keccak256`` call has read yet."""
-        return len(self._held)
+    memos: dict[HashFn, dict[bytes, bytes]] = field(default_factory=dict)
+    # blob -> (digest, blocks that ran in slots of the packed kernel)
+    pending: dict[bytes, tuple[bytes, int]] = field(default_factory=dict)
 
 
-_scope: contextvars.ContextVar[Prefetched | None] = contextvars.ContextVar(
-    "keccak_prefetch", default=None
+_run: contextvars.ContextVar[_RunDigests | None] = contextvars.ContextVar(
+    "run_digests", default=None
 )
-
-
-@contextlib.contextmanager
-def prefetch(blobs: Iterable[bytes]) -> Iterator[Prefetched]:
-    """Hash the distinct ``blobs`` together now, and hand each digest out
-    once through ``keccak256`` inside the block, which counts its
-    permutations. A blob not listed, or asked for again, is hashed by that
-    call as usual, so a caller never gets a stale digest; one that asks for
-    a blob more than once hashes through a ``DigestMemo``. Inside an inner
-    block only its own digests are handed out, so its ``unread`` speaks for
-    the code it was opened around alone.
-    """
-    scope = Prefetched(blobs)
-    token = _scope.set(scope)
-    try:
-        yield scope
-    finally:
-        _scope.reset(token)
-
-
-_run: contextvars.ContextVar[dict | None] = contextvars.ContextVar("digest_memos", default=None)
 
 
 @contextlib.contextmanager
 def run_memo() -> Iterator[None]:
     """Share one blob -> digest dict per hash function among the
-    ``DigestMemo``s made inside the block; no digest outlives it."""
-    token = _run.set({})
+    ``DigestMemo``s made inside the block, and hold the digests ``prefetch``
+    computes there until ``keccak256`` asks for them; no digest outlives the
+    block."""
+    token = _run.set(_RunDigests())
     try:
         yield
     finally:
         _run.reset(token)
+
+
+def prefetch(blobs: Iterable[bytes]) -> None:
+    """Hash together now, in one packed batch, the distinct ``blobs`` the
+    open run's Keccak memo does not hold and that are not already pending,
+    and keep each digest pending in the run until the one ``keccak256`` call
+    that asks for it, which counts its permutations. Outside a
+    ``run_memo()`` block this hashes nothing ahead.
+    """
+    run = _run.get()
+    if run is None:
+        return
+    held = run.memos.get(keccak256, {})
+    new = [blob for blob in dict.fromkeys(map(bytes, blobs))
+           if blob not in held and blob not in run.pending]
+    if new:
+        run.pending.update(zip(new, _sponge_many(new, 0x01)))
 
 
 class DigestMemo:
@@ -641,17 +636,13 @@ class DigestMemo:
     def __init__(self, hash_fn: HashFn = keccak256):
         self._hash_fn = hash_fn
         run = _run.get()
-        self._digests: dict[bytes, bytes] = {} if run is None else run.setdefault(hash_fn, {})
+        self._digests: dict[bytes, bytes] = {} if run is None else run.memos.setdefault(hash_fn, {})
 
     def __call__(self, blob: bytes) -> bytes:
         digest = self._digests.get(blob)
         if digest is None:
             digest = self._digests[blob] = self._hash_fn(blob)
         return digest
-
-    def __contains__(self, blob: bytes) -> bool:
-        """Whether this memo, or one sharing its digests, has hashed ``blob``."""
-        return blob in self._digests
 
 
 def memoized_digest(compute: Callable[[object], bytes]) -> property:

@@ -30,14 +30,14 @@ three neighbours stay.
 A game reads about log2(n) of a trace's n + 1 state hashes, so a trace hashes
 lazily. One cursor ``MemoryTree`` moves to a queried index by replaying the
 store log forward or undoing it backward, rehashing each touched leaf and
-each node above them once, level by level: the tree opens a
-``hashing.prefetch`` scope over each level's blobs that are new to it, so they
-run as one packed batch. The cursor hashes through its tree's digest memo, so
-a node blob it has held before costs nothing: moving back over replayed
-stores, or forward to memory it has seen, rehashes no node, so a memory root
-needs no memo of its own. ``VmTrace.state(i)`` reads state i's memory root
-off the cursor, ``VmTrace.state_hash(i)`` memoizes its hash per index, and
-step proofs are cut from the cursor.
+each node above them once, level by level: each level's blobs go to one
+``hashing.prefetch`` call, so inside a run those new to it hash as one packed
+batch. The cursor hashes through its tree's digest memo, so a node blob it
+has held before costs nothing: moving back over replayed stores, or forward
+to memory it has seen, rehashes no node, so a memory root needs no memo of
+its own. ``VmTrace.state(i)`` reads state i's memory root off the cursor,
+``VmTrace.state_hash(i)`` memoizes its hash per index, and step proofs are
+cut from the cursor.
 """
 
 from __future__ import annotations
@@ -151,9 +151,9 @@ class MemoryTree(MerkleTree):
     """Memory as a Merkle tree over a power-of-two array of words, four
     words to a 32-byte leaf; fewer than four words pad one leaf with zeros.
 
-    Each level's blobs that the tree's memo has not seen are hashed
-    together in a ``hashing.prefetch`` scope of their own, one packed batch
-    per level, before the level reads them through the memo."""
+    Each level's blobs go to ``hashing.prefetch`` before the level reads
+    them through the memo, so inside a ``hashing.run_memo()`` block those
+    the run has not seen hash as one packed batch per level."""
 
     def __init__(self, words: list[int]):
         if not words or len(words) & (len(words) - 1):
@@ -177,12 +177,8 @@ class MemoryTree(MerkleTree):
         super().update({index: self.leaf(index) for index in touched})
 
     def _hash_level(self, level: list[bytes], blobs: Mapping[int, bytes]) -> None:
-        unseen = dict.fromkeys(blob for blob in blobs.values() if blob not in self._digest)
-        if unseen:
-            with hashing.prefetch(unseen):
-                super()._hash_level(level, blobs)
-        else:
-            super()._hash_level(level, blobs)
+        hashing.prefetch(blobs.values())
+        super()._hash_level(level, blobs)
 
 
 @dataclass(frozen=True)
@@ -665,21 +661,23 @@ def play_planted_fault(
     and play the game over them; return it settled.
 
     The defender is a ``FaultyAgent`` whose claimed trace diverges at
-    ``fault``, the challenger an ``HonestAgent``. No ``hashing.run_memo()``
-    block is opened: the trace's one memory tree already hashes through its
-    own memo, and ``dispute_step`` hashes the two states it checks itself,
-    as it would with no agent beside it.
+    ``fault``, the challenger an ``HonestAgent``. The game runs in a
+    ``hashing.run_memo()`` block of its own, inside a scenario run or not:
+    the memory tree's prefetched levels wait there for the reads that ask
+    for them, so its packed batches run wherever the game is played, and
+    ``dispute_step`` reads the two state digests the agents already took.
     """
     program = list(FIXTURE_PROGRAM)
-    trace = VmRunner(program, initial_registers=registers).run_trace(steps)
-    faulty = FaultyAgent(trace, fault)
-    game = dispute_open(
-        GameParams(program=program),
-        challenger=challenger,
-        defender=defender,
-        claimed_final_state=faulty.state_hash(steps),
-        trace_length=steps,
-        agreed_start_hash=trace.state_hash(0),
-    )
-    run_dispute(game, defender_agent=faulty, challenger_agent=HonestAgent(trace))
+    with hashing.run_memo():
+        trace = VmRunner(program, initial_registers=registers).run_trace(steps)
+        faulty = FaultyAgent(trace, fault)
+        game = dispute_open(
+            GameParams(program=program),
+            challenger=challenger,
+            defender=defender,
+            claimed_final_state=faulty.state_hash(steps),
+            trace_length=steps,
+            agreed_start_hash=trace.state_hash(0),
+        )
+        run_dispute(game, defender_agent=faulty, challenger_agent=HonestAgent(trace))
     return game

@@ -271,7 +271,8 @@ def run(config: ScenarioConfig, profile: list[PhaseCost] | None = None) -> RunRe
     Given a ``profile`` list, append one ``PhaseCost`` per phase and a last
     one for building the report; their permutations sum to the run's. The
     run hashes inside one ``hashing.run_memo()`` block, so a party that
-    re-checks bytes another party hashed reads the first digest.
+    re-checks bytes another party hashed reads the first digest, and a
+    prefetched digest waits there for the read that asks for it.
     """
     config.validate()
     ctx = _Run(config, profile)

@@ -11,25 +11,28 @@ it; handler dispatch and settlement reuse that digest. An L2-to-L1 message,
 built once by its sender, is hashed when the L2 sends it; settlement binds
 that digest. On L1, ``consume_message_from_l2`` hashes the raw payload its
 caller submits: that is the core contract's own check, trusting no digest.
-Both L2-to-L1 sites hash through a ``hashing.DigestMemo``, so inside a run
-the consume of a message the L2 sent reads the send's digest, while a
-tampered payload is a new blob and is hashed.
+Both L2-to-L1 sites read ``L2ToL1Message.hash``, which hashes through a
+``hashing.DigestMemo``, so inside a run the consume of a message the L2 sent
+reads the send's digest, while a tampered payload is a new blob and is
+hashed.
 
 Each direction states its word layout once, in ``_l1_to_l2_preimage`` and
-``_l2_to_l1_preimage``; an L2-to-L1 message memoizes its ``preimage``, which
-its ``hash`` hashes. A caller that knows the messages ahead hashes them
-together in a scope this module opens: ``prefetch_to_l2`` for L1 sends,
-numbered from the core's ``message_nonce`` here, where the core assigns
-them, and ``prefetch_to_l1`` for L2 sends, which lists the sent messages'
-own preimages. A prefetched digest is handed out only for the exact
-preimage it was computed from, so a tampered payload or a send the scope
-did not list costs one real hash, never a wrong digest.
+``L2ToL1Message.preimage``, which an L2-to-L1 message memoizes and its
+``hash`` hashes; ``l2_to_l1_message_hash`` builds the message and reads its
+``hash``, so the core's check and the L2's send share one path. A caller
+that knows the messages ahead hashes them together inside the run:
+``prefetch_to_l2`` lists the L1 sends, numbered from the core's
+``message_nonce`` here, where the core assigns them, and a caller of
+``send_message_to_l1`` passes the messages' own preimages to
+``hashing.prefetch``. A prefetched digest waits in the run for a
+``keccak256`` call on the exact preimage it was computed from, so a tampered
+payload or a send no one listed costs one real hash, never a wrong digest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, ContextManager
+from typing import Callable
 
 from .. import hashing
 from ..hashing import DigestMemo, keccak256, memoized_digest
@@ -73,11 +76,6 @@ def _l1_to_l2_preimage(from_address: int, to_address: int, selector: int, payloa
     return _words(from_address, to_address, selector, len(payload), *payload, nonce)
 
 
-def _l2_to_l1_preimage(from_address: int, to_address: int, payload) -> bytes:
-    """(from_address, consumer, payload length, payload) as 32-byte words."""
-    return _words(from_address, to_address, len(payload), *payload)
-
-
 @dataclass(frozen=True)
 class L1ToL2Message:
     """A message sent from L1 to an L2 contract; ``hash`` is its identity in the core contract."""
@@ -110,7 +108,8 @@ class L2ToL1Message:
 
     @memoized_digest
     def preimage(self) -> bytes:
-        return _l2_to_l1_preimage(self.from_address, self.to_address, self.payload)
+        """(from_address, consumer, payload length, payload) as 32-byte words."""
+        return _words(self.from_address, self.to_address, len(self.payload), *self.payload)
 
     @memoized_digest
     def hash(self) -> bytes:
@@ -119,26 +118,20 @@ class L2ToL1Message:
 
 def l2_to_l1_message_hash(from_address: int, to_address: int, payload) -> bytes:
     """The hash of the ``L2ToL1Message`` these fields make."""
-    return DigestMemo()(_l2_to_l1_preimage(from_address, to_address, tuple(payload)))
+    return L2ToL1Message(from_address, to_address, tuple(payload)).hash
 
 
 def prefetch_to_l2(
     core: StarkNetCore, from_address: int, to_address: int, selector: int, payloads
-) -> ContextManager[hashing.Prefetched]:
-    """A ``hashing.prefetch`` scope holding the hash of each message the next
+) -> None:
+    """Prefetch the preimage of each message the next
     ``core.send_message_to_l2`` calls send, one per payload in order, numbered
-    from ``core.message_nonce`` as the core numbers them."""
-    return hashing.prefetch(
+    from ``core.message_nonce`` as the core numbers them; inside a run their
+    digests wait there for the sends."""
+    hashing.prefetch(
         _l1_to_l2_preimage(from_address, to_address, selector, payload, nonce)
         for nonce, payload in enumerate(payloads, core.message_nonce)
     )
-
-
-def prefetch_to_l1(messages) -> ContextManager[hashing.Prefetched]:
-    """A ``hashing.prefetch`` scope holding the hash of each L2-to-L1 message,
-    for ``send_message_to_l1``; a consume on L1 reads the send's digest from
-    the run's memo."""
-    return hashing.prefetch([message.preimage for message in messages])
 
 
 class StarkNetCore:

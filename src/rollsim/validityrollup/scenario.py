@@ -6,22 +6,23 @@ machine, settlement and the SNARK it proves with).
 
 Three sites know every message or page before they hash it: L1 sending the
 deposit messages, the L2 sending the withdrawal messages, and settlement's
-prover. Each runs inside a ``hashing.prefetch`` scope in its own phase, so
-the hashes run many to a packed permutation. The module that owns a layout
-lists its blobs. This one opens two scopes and passes only what it then
-sends: ``messaging.prefetch_to_l2`` takes the deposit payloads and numbers
-them as the core will, and ``messaging.prefetch_to_l1`` takes the withdrawal
-messages built here. ``settlement.prove_transition`` opens the third, its
-own, around the commitments it makes. Whoever re-checks those bytes, the
+prover. Each makes one prefetch call before its reads, in its own phase, so
+the hashes run many to a packed permutation, and their digests wait in the
+run's digest memo (``hashing.run_memo``, opened by ``scenarios.run``) for the
+reads. This module lists only what it then sends:
+``messaging.prefetch_to_l2`` takes the deposit payloads and numbers them as
+the core will, and ``hashing.prefetch`` takes the preimages of the withdrawal
+messages built here. ``settlement.prove_transition`` makes the third call,
+its own, before the commitments it makes. Whoever re-checks those bytes, the
 settlement verifier and L1 consuming the withdrawals, reads the first hash
-from the run's digest memo (``hashing.run_memo``, opened by
-``scenarios.run``) and hashes only bytes no one has hashed yet.
+from the run's memo and hashes only bytes no one has hashed yet.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from .. import hashing
 from ..algebra import PairingGroup
 from ..costbench import da_cost_comparison
 from ..l1sim import Chain
@@ -32,7 +33,6 @@ from .messaging import (
     StarkNetCore,
     ValidityL2State,
     dispatch_l1_handler,
-    prefetch_to_l1,
     prefetch_to_l2,
     send_message_to_l1,
     starkgate_withdraw_payload,
@@ -108,16 +108,14 @@ def _message_and_execute(
     pending_messages = []
     deposits = ctx.config.deposits
     deposit_payloads = [(dep["user"], dep["value"]) for dep in deposits]
-    with prefetch_to_l2(
-        core, L1_BRIDGE_ADDRESS, L2_BRIDGE_ADDRESS, deposit_selector, deposit_payloads
-    ):
-        for dep, payload in zip(deposits, deposit_payloads):
-            msg_hash, message = core.send_message_to_l2(
-                caller=L1_BRIDGE_ADDRESS, to_address=L2_BRIDGE_ADDRESS, selector=deposit_selector,
-                payload=payload, fee=dep.get("fee", 10_000),
-            )
-            pending_messages.append(message)
-            ctx.log("message_to_l2", hash=msg_hash.hex(), value=dep["value"])
+    prefetch_to_l2(core, L1_BRIDGE_ADDRESS, L2_BRIDGE_ADDRESS, deposit_selector, deposit_payloads)
+    for dep, payload in zip(deposits, deposit_payloads):
+        msg_hash, message = core.send_message_to_l2(
+            caller=L1_BRIDGE_ADDRESS, to_address=L2_BRIDGE_ADDRESS, selector=deposit_selector,
+            payload=payload, fee=dep.get("fee", 10_000),
+        )
+        pending_messages.append(message)
+        ctx.log("message_to_l2", hash=msg_hash.hex(), value=dep["value"])
     chain.mine_block()
 
     for message in pending_messages:
@@ -141,9 +139,9 @@ def _message_and_execute(
         messages.append(L2ToL1Message(L2_BRIDGE_ADDRESS, L1_BRIDGE_ADDRESS, tuple(payload)))
         initiated.append(w)
         ctx.log("withdrawal_initiated", user=w["user"], value=w["value"])
-    with prefetch_to_l1(messages):
-        for message in messages:
-            send_message_to_l1(l2, message)
+    hashing.prefetch([message.preimage for message in messages])
+    for message in messages:
+        send_message_to_l1(l2, message)
     for _ in range(ctx.config.proof_cadence_blocks - 1):
         chain.mine_block()
     return initiated, initiated_block

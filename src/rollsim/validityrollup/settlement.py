@@ -27,11 +27,12 @@ A commitment hashes its pages and its preimage through a
 commitments from what was submitted, reads the prover's digests of
 byte-equal blobs and hashes only what differs: a tampered diff page or a
 forged message list is a new blob, hashed as submitted.
-``prove_transition`` opens its own ``hashing.prefetch`` scope around the two
-commitments it makes, listing every page of the diff and of the message
-blob, once each, so they hash as one packed sponge; it commits from the
-same calldata it listed. The two preimages that hold page digests, the next
-root's and the transition's, are hashed when the prover asks.
+``prove_transition`` passes every page of the diff and of the message blob
+to one ``hashing.prefetch`` call before the two commitments it makes, so
+inside a run they hash as one packed sponge and wait there for the
+commitments' reads; it commits from the same calldata it listed. The two
+preimages that hold page digests, the next root's and the transition's, are
+hashed when the prover asks.
 
 Settlement is atomic: the root update and every message-counter change land
 together or not at all.
@@ -155,17 +156,17 @@ def prove_transition(
     ``trace`` is the runner output for the transition's execution; it must be
     accepted by the deterministic machine (the prover refuses otherwise).
     Pass None for transitions whose execution is outside the simulated
-    machine (pure bridge bookkeeping). The proof's pages hash in the
-    prover's own prefetch scope, as the module docstring sets out.
+    machine (pure bridge bookkeeping). The proof's pages are prefetched
+    here, as the module docstring sets out.
     """
     if trace is not None and not deterministic_accept(
         trace.steps, trace.memory, trace.states, trace.prime
     ):
         raise ValueError("trace is not accepted by the deterministic machine")
     diff = diff_calldata_bytes(diff_words)
-    with hashing.prefetch(_pages(diff) + _pages(messages.blob)):
-        new_root = _commit(old_root, diff)
-        digest = prover.transition_digest(new_root, messages)
+    hashing.prefetch(_pages(diff) + _pages(messages.blob))
+    new_root = _commit(old_root, diff)
+    digest = prover.transition_digest(new_root, messages)
     snark_proof, output = prover.prove_digest(digest)
     return ValidityProof(snark=snark_proof, claimed_output=output, new_root=new_root)
 

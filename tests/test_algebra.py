@@ -9,10 +9,10 @@ from rollsim.algebra import (
     DuplicateAbscissa,
     Field,
     InversionOfZero,
+    LagrangeBasis,
     PairingGroup,
     Polynomial,
     is_prime,
-    poly_interpolate,
 )
 
 F13 = Field(13)
@@ -46,15 +46,15 @@ class TestFieldInverse:
 class TestInterpolation:
     def test_textbook_parabola(self):
         # A_1 from the worked example: through (1,0), (2,0), (3,8)
-        poly = poly_interpolate(F, [(1, 0), (2, 0), (3, 8)])
+        poly = LagrangeBasis(F, [1, 2, 3]).interpolate([0, 0, 8])
         assert poly == Polynomial(F, [8, -12, 4])
 
     def test_single_point_constant(self):
-        poly = poly_interpolate(F, [(5, 7)])
+        poly = LagrangeBasis(F, [5]).interpolate([7])
         assert poly == Polynomial(F, [7])
 
     def test_square_points(self):
-        poly = poly_interpolate(F, [(1, 1), (2, 4), (3, 9)])
+        poly = LagrangeBasis(F, [1, 2, 3]).interpolate([1, 4, 9])
         for x in (1, 2, 3, 17):
             assert poly(x) == F(x * x)
         assert poly == Polynomial(F, [0, 0, 1])
@@ -63,7 +63,7 @@ class TestInterpolation:
     def test_duplicate_abscissa(self, second):
         # congruent abscissas are the same point, whatever their form
         with pytest.raises(DuplicateAbscissa):
-            poly_interpolate(F, [(1, 1), (second, 2)])
+            LagrangeBasis(F, [1, second])
 
     def test_interpolate_evaluate_identity(self):
         rng = random.Random(11)
@@ -72,8 +72,7 @@ class TestInterpolation:
             coeffs = [rng.randrange(DEFAULT_PRIME) for _ in range(n)]
             poly = Polynomial(F, coeffs)
             xs = rng.sample(range(1, 100), n)
-            points = [(x, poly(x)) for x in xs]
-            assert poly_interpolate(F, points) == poly
+            assert LagrangeBasis(F, xs).interpolate([poly(x) for x in xs]) == poly
 
 
 class TestPolyDivmod:

@@ -22,7 +22,6 @@ from rollsim.validityrollup.messaging import (
     L2ToL1Message,
     StarkNetCore,
     ValidityL2State,
-    prefetch_to_l1,
     prefetch_to_l2,
     send_message_to_l1,
     starkgate_withdraw_payload,
@@ -216,7 +215,8 @@ class TestBatchedSponge:
         blobs = [b"", b"abc", _message(50), _message(135)]
         got = hashing._sponge_many(blobs, 0x01)
         assert got[:2] == [(bytes.fromhex(EMPTY_DIGEST), True), (bytes.fromhex(ABC_DIGEST), True)]
-        with hashing.prefetch(blobs), hashing.counting() as count:
+        with hashing.run_memo(), hashing.counting() as count:
+            hashing.prefetch(blobs)
             assert keccak256(b"").hex() == EMPTY_DIGEST
             assert keccak256(b"abc").hex() == ABC_DIGEST
         assert (count.perms, count.packed) == (2, 2)
@@ -266,10 +266,11 @@ class TestBatchedSponge:
             assert [digest for digest, _ in got] == [hashlib.sha3_256(m).digest() for m in blobs]
             assert sum(packed for _, packed in got) == slots.packed
             with _permuted_slots() as slots, hashing.counting() as count:
-                with hashing.prefetch(blobs) as scope:
+                with hashing.run_memo():
+                    hashing.prefetch(blobs)
                     for blob in blobs:
                         keccak256(blob)
-                    assert scope.unread == 0
+                    assert _pending() == 0
             assert (count.perms, count.packed) == (slots.total, slots.packed)
 
 
@@ -297,6 +298,13 @@ class TestPadding:
         assert [digest for digest, _ in got] == [hashlib.sha3_256(b).digest() for b in blobs]
         info = hashing._tail.cache_info()
         assert (info.misses, info.hits) == (4, 6)
+
+
+def _pending() -> int:
+    """Digests ``prefetch`` left in the open run that no ``keccak256`` call
+    has asked for yet; 0 outside a run."""
+    run = hashing._run.get()
+    return 0 if run is None else len(run.pending)
 
 
 @contextlib.contextmanager
@@ -426,7 +434,8 @@ class TestCounting:
         assert run(_validity_users(320)).ok
         assert sha3_perms.perms > 0 and sha3_perms.packed == 0
         blob = _message(10)
-        with hashing.prefetch([blob, blob]):
+        with hashing.run_memo():
+            hashing.prefetch([blob, blob])
             ready = keccak256(blob)
         assert ready == keccak256(blob) == hashlib.sha3_256(blob).digest()
 
@@ -437,15 +446,42 @@ class TestPrefetch:
         # is hashed for real
         blob, other = _message(200), _message(150)  # two blocks each
         expected, expected_other = hashing._sponge(blob, 0x01), hashing._sponge(other, 0x01)
-        with _permuted_slots() as slots, hashing.counting() as count:
-            with hashing.prefetch([blob, blob, other]) as scope:
-                assert scope.unread == 2
-                assert keccak256(blob) == keccak256(blob) == expected
-                assert scope.unread == 1
-                assert keccak256(other) == expected_other
-                assert scope.unread == 0
+        with _permuted_slots() as slots, hashing.counting() as count, hashing.run_memo():
+            hashing.prefetch([blob, blob, other])
+            assert _pending() == 2
+            assert keccak256(blob) == keccak256(blob) == expected
+            assert _pending() == 1
+            assert keccak256(other) == expected_other
+            assert _pending() == 0
         assert count.perms == slots.total == 2 * 2 + 2
         assert count.packed == slots.packed == 2 * 2
+
+    def test_outside_a_run_nothing_is_hashed_ahead(self):
+        # with no run to wait in, a prefetch hashes nothing; each read then
+        # hashes its blob alone and counts its permutations, none packed
+        blobs = [_message(200), _message(150)]  # two blocks each
+        expected = [hashing._sponge(blob, 0x01) for blob in blobs]
+        with _permuted_slots() as slots, hashing.counting() as count:
+            assert hashing.prefetch(blobs) is None
+            assert slots.total == 0
+            assert [keccak256(blob) for blob in blobs] == expected
+        assert (count.perms, count.packed) == (slots.total, slots.packed) == (2 * 2, 0)
+
+    def test_blob_the_run_memo_holds_is_not_hashed_again(self):
+        # a listed blob the run's memo holds runs no permutation when it is
+        # listed, and a memo read of it still counts nothing; the other blob
+        # waits in the run, alone in its batch and so scalar
+        held, other = _message(200), _message(150)  # two blocks each
+        expected = [hashing._sponge(held, 0x01), hashing._sponge(other, 0x01)]
+        with hashing.run_memo():
+            memo = hashing.DigestMemo()
+            memo(held)
+            with _permuted_slots() as slots:
+                hashing.prefetch([held, other])
+            assert (slots.total, slots.packed, _pending()) == (2, 0, 1)
+            with _permuted_slots() as slots, hashing.counting() as count:
+                assert [memo(held), memo(other)] == expected
+            assert (slots.total, count.perms, count.packed, _pending()) == (0, 2, 0, 0)
 
     def test_identical_withdrawals_are_hashed_once(self, monkeypatch):
         config = ScenarioConfig(
@@ -465,7 +501,7 @@ class TestPrefetch:
             report = run(config)
         assert report.ok and len(report.withdrawal_latencies) == 2
         # the L2 sends one message twice and L1 consumes it twice: its
-        # preimage is one slot of the sends' scope, a lone one, so scalar
+        # preimage is one slot of the sends' prefetch, a lone one, so scalar
         sent = L2ToL1Message(
             L2_BRIDGE_ADDRESS, L1_BRIDGE_ADDRESS, tuple(starkgate_withdraw_payload(1, 10))
         )
@@ -483,10 +519,11 @@ class TestPrefetch:
         payload, other = (0, 0xEE, 50, 0), (0, 0xEF, 60, 0)
         sent = [L2ToL1Message(0x22, 0xD1, payload), L2ToL1Message(0x22, 0xD1, other)]
         with hashing.run_memo():
-            with hashing.counting() as count, prefetch_to_l1(sent) as scope:
+            with hashing.counting() as count:
+                hashing.prefetch([message.preimage for message in sent])
                 for message in sent:
                     send_message_to_l1(l2, message)
-            assert (scope.unread, count.perms, count.packed) == (0, 2 * 2, 2 * 2)
+            assert (_pending(), count.perms, count.packed) == (0, 2 * 2, 2 * 2)
             core.l2_to_l1_counters[sent[0].hash] = 1
             with hashing.counting() as count:
                 with pytest.raises(InvalidMessageToConsume):
@@ -498,56 +535,79 @@ class TestPrefetch:
         assert core.l2_to_l1_counters[keccak256(sent[0].preimage)] == 0
 
     @staticmethod
-    def _watch_scopes(monkeypatch) -> list[tuple[str, int, int]]:
-        """Record ``(opener, listed at entry, unread at exit)`` of every
-        ``prefetch`` scope opened through the module from now on, as it
-        closes; the opener is the module, under ``rollsim``, that called
-        ``prefetch``."""
-        real, scopes = hashing.prefetch, []
-
-        @contextlib.contextmanager
-        def watch(blobs, opener):
-            with real(blobs) as scope:
-                listed = scope.unread
-                yield scope
-            scopes.append((opener, listed, scope.unread))
+    def _watch_prefetches(monkeypatch) -> list[tuple[str, int]]:
+        """Record ``(caller, digests added)`` of every ``prefetch`` call made
+        through the module from now on: the caller is the module, under
+        ``rollsim``, that called ``prefetch``, and the digests added are
+        those the call left pending in the run."""
+        real, calls = hashing.prefetch, []
 
         def watched(blobs):
-            # read the caller here: inside ``watch`` it would be contextlib
-            opener = sys._getframe(1).f_globals["__name__"].removeprefix("rollsim.")
-            return watch(blobs, opener)
+            caller = sys._getframe(1).f_globals["__name__"].removeprefix("rollsim.")
+            before = _pending()
+            real(blobs)
+            calls.append((caller, _pending() - before))
 
         monkeypatch.setattr(hashing, "prefetch", watched)
-        return scopes
+        return calls
+
+    @staticmethod
+    def _watch_runs(monkeypatch) -> list[int]:
+        """Record the digests still pending as each ``run_memo()`` block
+        opened through the module from now on closes."""
+        real, left = hashing.run_memo, []
+
+        @contextlib.contextmanager
+        def watched():
+            with real():
+                yield
+                left.append(_pending())
+
+        monkeypatch.setattr(hashing, "run_memo", watched)
+        return left
 
     def test_no_digest_left_unread_when_a_scope_closes(self, monkeypatch):
-        # an unread digest is work the model did not ask for
-        scopes = self._watch_scopes(monkeypatch)
+        # a pending digest no one reads is work the model did not ask for
+        calls = self._watch_prefetches(monkeypatch)
+        left = self._watch_runs(monkeypatch)
         assert run(_validity_users(320)).ok
         # deposit sends, withdrawal sends, and settlement's prover (one slot
         # of each of the nine diff pages and nine message pages); the
-        # verifier and L1's consumes read the run's memo and open no scope
-        assert [opener for opener, _, _ in scopes] == [
-            "validityrollup.messaging", "validityrollup.messaging", "validityrollup.settlement",
+        # verifier and L1's consumes read the run's memo and prefetch nothing
+        assert calls == [
+            ("validityrollup.messaging", 320), ("validityrollup.scenario", 320),
+            ("validityrollup.settlement", 9 + 9),
         ]
-        assert [(listed, unread) for _, listed, unread in scopes] == [
-            (320, 0), (320, 0), (9 + 9, 0)
-        ]
+        assert left == [0]
 
     def test_no_digest_left_unread_when_a_game_scope_closes(self, monkeypatch):
-        # the memory tree opens one scope per level of its build and of each
-        # cursor move, over the level's blobs its memo has not seen, and none
-        # for a level it has seen whole; those scopes read 85 of the game's
-        # 135 permutations packed
-        scopes = self._watch_scopes(monkeypatch)
+        # the game opens its own run; the memory tree prefetches each level
+        # of its build and of each cursor move, and 44 of those calls add the
+        # level's blobs the run has not seen. Those read 85 of the game's 133
+        # permutations packed. Inside its run ``dispute_step`` reads the two
+        # state digests the agents took, two fewer than the 135 it hashed
+        # when the bare game opened no run
+        calls = self._watch_prefetches(monkeypatch)
+        left = self._watch_runs(monkeypatch)
         with _permuted_slots() as slots, hashing.counting() as count:
             game = play_planted_fault((0, 1, 3, 0, 1, 0, 0, 0), 1024, 600, 0xC, 0xD)
         assert game.winner == CHALLENGER
-        assert len(scopes) == 44
-        assert all(opener == "oprollup.dispute" for opener, _, _ in scopes)
-        assert all(listed > 0 and unread == 0 for _, listed, unread in scopes)
-        assert count.perms == slots.total == 135
+        assert all(caller == "oprollup.dispute" for caller, _ in calls)
+        assert len([added for _, added in calls if added]) == 44
+        assert left == [0]
+        assert count.perms == slots.total == 133
         assert count.packed == slots.packed == 85
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 7])
+    @pytest.mark.parametrize("workload", ["op-withdrawals", "op-fraud-trace", "validity-messages"])
+    def test_no_digest_left_pending_when_a_run_closes(
+        self, monkeypatch, bench_workloads, workload, seed
+    ):
+        # every prefetched digest of a run is read before its memo closes;
+        # a planted-fraud run also closes the game's own run inside it
+        left = self._watch_runs(monkeypatch)
+        assert run(bench_workloads.WORKLOADS[workload].config(seed)).ok
+        assert left == [0] * (2 if workload == "op-fraud-trace" else 1)
 
     @pytest.mark.parametrize("nonce", [0, 2**255])
     def test_l1_to_l2_hash_reads_its_prefetched_preimage(self, nonce):
@@ -564,9 +624,10 @@ class TestPrefetch:
                     for ws in words]
         preimages = [m.preimage for m in messages]
         assert sorted({hashing._blocks(len(p)) for p in preimages}) == [2, 3]
-        with hashing.counting() as count, hashing.prefetch(preimages) as scope:
+        with hashing.run_memo(), hashing.counting() as count:
+            hashing.prefetch(preimages)
             assert [m.hash for m in messages] == expected
-            assert scope.unread == 0
+            assert _pending() == 0
         assert [keccak256(p) for p in preimages] == expected
         assert count.perms == count.packed == 4 * 2 + 3 * 3
 
@@ -581,11 +642,12 @@ class TestPrefetch:
         off = core.message_nonce + 1
         preimages = [L1ToL2Message(0xD1, 0x22, 5, send["payload"], off + i, fee=0).preimage
                      for i, send in enumerate(sends)]
-        with hashing.counting() as count, hashing.prefetch(preimages) as scope:
+        with hashing.run_memo(), hashing.counting() as count:
+            hashing.prefetch(preimages)
             sent = [core.send_message_to_l2(**send) for send in sends]
-        misses = sum(m.preimage not in preimages for _, m in sent)
+            misses = sum(m.preimage not in preimages for _, m in sent)
+            assert _pending() == misses == len(sends)
         assert [msg_hash for msg_hash, _ in sent] == expected
-        assert scope.unread == misses == len(sends)
         assert (count.perms, count.packed) == (2 * len(sends), 0)
 
     def test_l1_sends_read_the_nonces_prefetch_to_l2_numbers(self):
@@ -594,21 +656,12 @@ class TestPrefetch:
         for i in range(3):
             core.send_message_to_l2(caller=0xD1, to_address=0x22, selector=5, payload=(i,))
         payloads = [(0x1000 + i, 100) for i in range(4)]
-        with hashing.counting() as count, prefetch_to_l2(core, 0xD1, 0x22, 5, payloads) as scope:
+        with hashing.run_memo(), hashing.counting() as count:
+            prefetch_to_l2(core, 0xD1, 0x22, 5, payloads)
             for payload in payloads:
                 core.send_message_to_l2(caller=0xD1, to_address=0x22, selector=5, payload=payload)
-        assert scope.unread == 0
+            assert _pending() == 0
         assert (count.perms, count.packed) == (2 * len(payloads), 2 * len(payloads))
-
-    def test_scopes_nest_by_shadowing(self):
-        outer_blob, inner_blob = _message(20), _message(30)
-        with hashing.prefetch([outer_blob]) as outer:
-            with hashing.prefetch([inner_blob]) as inner:
-                keccak256(outer_blob)
-                keccak256(inner_blob)
-            assert (outer.unread, inner.unread) == (1, 0)
-            keccak256(outer_blob)
-        assert outer.unread == 0
 
     @staticmethod
     def _reports_the_same_without_a_digest_handed_out(config):
@@ -621,7 +674,7 @@ class TestPrefetch:
         with hashing.counting() as batched:
             report = run(config)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(hashing.Prefetched, "take", lambda self, blob: None)
+            patch.setattr(hashing, "prefetch", lambda blobs: None)
             with hashing.counting() as hashed:
                 unbatched = run(config)
             patch.setattr(hashing, "run_memo", contextlib.nullcontext)
@@ -635,7 +688,7 @@ class TestPrefetch:
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 7])
     def test_run_without_handing_out_a_digest_reports_the_same(self, seed, bench_workloads):
-        # every scope of the run lists bytes the L2 or L1 built, and each
+        # every prefetch of the run lists bytes the L2 or L1 built, and each
         # must hand out the digest keccak256 computes for them; the verifier
         # and L1's consumes read the memo
         config = bench_workloads.WORKLOADS["validity-messages"].config(seed)
@@ -664,19 +717,20 @@ class TestRunMemo:
         blob = _message(200)  # two blocks
         with hashing.run_memo(), hashing.counting() as count:
             first = hashing.DigestMemo()(blob)
-            assert blob in hashing.DigestMemo()
-            assert hashing.DigestMemo()(blob) == first == hashing._sponge(blob, 0x01)
-        assert count.perms == 2
+            with hashing.counting() as hit:
+                assert hashing.DigestMemo()(blob) == first == hashing._sponge(blob, 0x01)
+        assert (count.perms, hit.perms) == (2, 0)
 
     def test_stand_in_memo_never_returns_a_keccak_digest(self):
         blob = _message(40)
-        sha3 = lambda data: hashlib.sha3_256(data).digest()
+        hashed = []
+        sha3 = lambda data: hashed.append(data) or hashlib.sha3_256(data).digest()
         with hashing.run_memo():
             keccak = hashing.DigestMemo()
             assert keccak(blob) == keccak256(blob)
             stand_in = hashing.DigestMemo(sha3)
-            assert blob not in stand_in
-            assert stand_in(blob) == sha3(blob) != keccak(blob)
+            assert stand_in(blob) == stand_in(blob) == sha3(blob) != keccak(blob)
+            assert hashed == [blob, blob]  # the memo's one miss, then the check's own call
             assert hashing.DigestMemo()(blob) == keccak256(blob)
 
     def test_memo_made_after_the_scope_closes_starts_empty(self):
@@ -684,7 +738,6 @@ class TestRunMemo:
         with hashing.run_memo():
             hashing.DigestMemo()(blob)
         after = hashing.DigestMemo()
-        assert blob not in after
         with hashing.counting() as count:
             digest = after(blob)
         assert (digest, count.perms) == (keccak256(blob), 1)
@@ -693,9 +746,11 @@ class TestRunMemo:
         blob = _message(40)
         with hashing.run_memo():
             hashing.DigestMemo()(blob)
-            with hashing.run_memo():
-                assert blob not in hashing.DigestMemo()
-            assert blob in hashing.DigestMemo()
+            with hashing.run_memo(), hashing.counting() as inner:
+                hashing.DigestMemo()(blob)
+            with hashing.counting() as outer:
+                hashing.DigestMemo()(blob)
+        assert (inner.perms, outer.perms) == (1, 0)
 
 
 def _withdrawal():

@@ -17,6 +17,7 @@ from rollsim.merkle import (
     verify_inclusion,
 )
 from rollsim.oprollup.dispute import MemoryTree
+from test_hashing import _pending
 
 
 def sha(data: bytes) -> bytes:
@@ -172,38 +173,41 @@ class TestBuildDeduplication:
         # 1 + 1, and the root
         assert len(calls) == len(set(calls)) == 9 + 6 + 4 + 2 + 1
 
-    def test_open_prefetch_scope_batches_each_level_once(self, monkeypatch):
+    def test_memory_tree_prefetches_each_level_once(self, monkeypatch):
         # 32-byte memory leaves a, b, a, b, c, c, d, d: distinct leaves a, b,
         # c, d; then nodes ab, ab, cc, dd (three distinct); then abab and
         # ccdd; then the root, alone and so scalar
         words = [word for leaf in (1, 2, 1, 2, 3, 3, 4, 4) for word in (leaf, 0, 0, 0)]
         leaves = [b"".join(word.to_bytes(8, "big") for word in words[i:i + 4])
                   for i in range(0, len(words), 4)]
-        # a plain tree hashes one blob at a time, even inside an open scope
-        with hashing.counting() as alone, hashing.prefetch(()) as scope:
+        # a plain tree hashes one blob at a time, even inside a run
+        with hashing.counting() as alone, hashing.run_memo():
             expected = MerkleTree(leaves).root
-        assert scope.unread == 0
+            assert _pending() == 0
         assert (alone.perms, alone.packed) == (4 + 3 + 2 + 1, 0)
 
-        # the memory tree opens one scope per level, over the blobs its memo
-        # has not seen, and none for a level it has seen whole
-        real, listed = hashing.prefetch, []
+        # the memory tree prefetches each level, and the run keeps the
+        # digests of the blobs it has not seen, none for a level it has
+        # seen whole; each is read before the next level is listed
+        real, added = hashing.prefetch, []
 
         def watched(blobs):
-            listed.append(len(blobs))
-            return real(blobs)
+            before = _pending()
+            real(blobs)
+            added.append(_pending() - before)
 
         monkeypatch.setattr(hashing, "prefetch", watched)
-        with hashing.counting() as batched:
-            tree = MemoryTree(words)
-        assert tree.root == expected
-        assert listed == [4, 3, 2, 1]
-        assert (batched.perms, batched.packed) == (4 + 3 + 2 + 1, 4 + 3 + 2)
-        listed.clear()
-        with hashing.counting() as moved:
-            tree.update({0: 2})  # leaf 0 becomes b, a leaf blob the memo holds
-        assert listed == [1, 1, 1]
-        assert (moved.perms, moved.packed) == (3, 0)
+        with hashing.run_memo():
+            with hashing.counting() as batched:
+                tree = MemoryTree(words)
+            assert tree.root == expected
+            assert added == [4, 3, 2, 1]
+            assert (batched.perms, batched.packed) == (4 + 3 + 2 + 1, 4 + 3 + 2)
+            added.clear()
+            with hashing.counting() as moved:
+                tree.update({0: 2})  # leaf 0 becomes b, a leaf blob the memo holds
+            assert added == [0, 1, 1, 1]
+            assert (moved.perms, moved.packed, _pending()) == (3, 0, 0)
 
 
 class TestVerification:

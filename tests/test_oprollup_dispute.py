@@ -350,10 +350,11 @@ class TestMemoryRoot:
 
     def test_move_over_every_leaf_hashes_each_level_as_one_packed_group(self):
         words = [0] * 64
-        tree = MemoryTree(words)
         moved = {4 * leaf + leaf % 4: leaf + 1 for leaf in range(16)}  # one word in each leaf
-        with _permuted_slots() as slots, hashing.counting() as count:
-            tree.update(moved)
+        with hashing.run_memo():
+            tree = MemoryTree(words)
+            with _permuted_slots() as slots, hashing.counting() as count:
+                tree.update(moved)
         # 16 new leaves, then 8, 4 and 2 new nodes, each level one packed
         # call; the root alone runs on the scalar kernel
         assert slots.widths == [16, 8, 4, 2]
@@ -463,7 +464,7 @@ class TestScenarioTrace:
     def test_permutation_budget(self, keccak_perms):
         # recording hashes nothing; the game hashes about log2(n) states and
         # moves one memory cursor to each, whose tree rehashes no node blob
-        # it has hashed before (135 now, 390 with one leaf per word, 650 when
+        # it has hashed before (133 now, 390 with one leaf per word, 650 when
         # the cursor rehashed every moved node, 2,721 with every state hashed
         # eagerly and a replay per step proof)
         assert _scenario_game(1024) == CHALLENGER
@@ -471,7 +472,7 @@ class TestScenarioTrace:
 
     def test_permutation_budget_grows_logarithmically(self, keccak_perms):
         assert _scenario_game(16_384) == CHALLENGER
-        # 265 now, 905 with one leaf per word, 1,159 without the memo, 39,585 eagerly
+        # 263 now, 905 with one leaf per word, 1,159 without the memo, 39,585 eagerly
         assert keccak_perms.perms <= 290
 
     def test_state_hashes_pinned(self):

@@ -556,7 +556,7 @@ class TestValidityScenario:
         assert run(config).ok
         assert tested == [config.field_prime, config.group_order]
 
-    def test_one_message_object_per_message_sent(self, monkeypatch, bench_workloads):
+    def test_one_message_object_per_send_and_per_consume(self, monkeypatch, bench_workloads):
         built = {}
         for cls in (L1ToL2Message, L2ToL1Message):
             def counted(message, *args, _init=cls.__init__, _cls=cls, **kwargs):
@@ -578,11 +578,15 @@ class TestValidityScenario:
                 len(_events(report, "message_to_l2")), len(_events(report, "withdrawal_initiated"))
             )
             assert (deposits, withdrawals) == sent
-            assert (built.get(L1ToL2Message), built.get(L2ToL1Message)) == sent
+            # the L2 builds one message per withdrawal it sends, and L1's
+            # consume builds one more from the payload it is asked to check,
+            # through ``l2_to_l1_message_hash``
+            messages = (built.get(L1ToL2Message), built.get(L2ToL1Message))
+            assert messages == (deposits, 2 * withdrawals)
 
     def test_each_hashed_byte_string_built_once(self, monkeypatch, bench_workloads):
         # each deposit message is encoded for its prefetch and for its hash;
-        # each withdrawal message once, for its send and its scope, and
+        # each withdrawal message once, for its send and its prefetch, and
         # once more where L1 encodes the payload it is asked to consume. The
         # diff is encoded to publish and to cost, and its calldata built by the
         # prover, the verifier and the cost block. The message blob is joined

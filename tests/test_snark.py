@@ -5,9 +5,9 @@ import pytest
 from rollsim.algebra import (
     DEFAULT_PRIME,
     Field,
+    LagrangeBasis,
     PairingGroup,
     Polynomial,
-    poly_interpolate,
 )
 from rollsim.snark import (
     CRS,
@@ -169,9 +169,8 @@ class TestQap:
             xs = rng.sample(range(1 << 62), n)
             # about three values in ten are zero, the entries a sparse column skips
             ys = [rng.randrange(F.prime) if rng.random() < 0.7 else 0 for _ in xs]
-            points = list(zip(xs, ys))
-            poly = poly_interpolate(F, points)
-            assert poly == naive_interpolate(F, points)
+            poly = LagrangeBasis(F, xs).interpolate(ys)
+            assert poly == naive_interpolate(F, list(zip(xs, ys)))
             assert poly.degree < max(n, 1)
             assert [poly(x) for x in xs] == [F(y) for y in ys]
 

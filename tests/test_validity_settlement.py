@@ -1,4 +1,3 @@
-import contextlib
 import random
 
 import pytest
@@ -31,6 +30,7 @@ from rollsim.validityrollup.statediff import (
     decode_state_diff,
     encode_state_diff,
 )
+from test_hashing import _pending
 
 GROUP = PairingGroup(DEFAULT_PRIME)
 
@@ -153,9 +153,7 @@ class TestProveAndSettle:
         chain, core = make_core()
         sent = tuple(L2ToL1Message(0x22, 0xD1, (0, 0xEE, i, 0)) for i in range(3))
         hashes = [message.hash for message in sent]
-        monkeypatch.setattr(
-            messaging, "_l2_to_l1_preimage", lambda *a: pytest.fail("message rehashed")
-        )
+        monkeypatch.setattr(messaging, "_words", lambda *a: pytest.fail("message rehashed"))
         messages = SettlementMessages(sent_l2_to_l1=sent)
         words = encode_state_diff(simple_diff())
         proof = prove_transition(core.state_root, words, None, prover, messages)
@@ -350,42 +348,41 @@ class TestPreimages:
 
 
 class TestPrefetchedSettlement:
-    """The prover reads its pages from the prefetch scope it opens; inside a
-    run the verifier reads every digest of byte-equal blobs from the run's
-    memo and still hashes what it was given, so a tampered submission misses
-    and is refused. Each tamper test runs the honest pass first, so the memo
-    holds every digest of the honest transition."""
+    """Inside a run the prover reads its pages from the digests its own
+    prefetch left waiting there; the verifier reads every digest of
+    byte-equal blobs from the run's memo and still hashes what it was given,
+    so a tampered submission misses and is refused. Each tamper test runs
+    the honest pass first, so the memo holds every digest of the honest
+    transition."""
 
     @pytest.fixture
-    def scopes(self, monkeypatch):
-        """Each ``hashing.prefetch`` scope opened in the test, with the number
-        of digests it listed."""
-        real, opened = hashing.prefetch, []
+    def prefetches(self, monkeypatch):
+        """For each ``hashing.prefetch`` call made in the test, the number of
+        digests it left pending in the run."""
+        real, added = hashing.prefetch, []
 
-        @contextlib.contextmanager
         def recorded(blobs):
-            with real(blobs) as scope:
-                opened.append((scope.unread, scope))
-                yield scope
+            before = _pending()
+            real(blobs)
+            added.append(_pending() - before)
 
         monkeypatch.setattr(hashing, "prefetch", recorded)
-        return opened
+        return added
 
     @staticmethod
-    def _honest_pass(prover, words, messages, scopes):
-        """Prove the transition, which opens its own prefetch scope, and
+    def _honest_pass(prover, words, messages, prefetches):
+        """Prove the transition, which makes its own prefetch call, and
         settle it on a fresh core; return the proof. Call inside
         ``hashing.run_memo()``."""
         _, core = make_core()
         proof = prove_transition(core.state_root, words, None, prover, messages)
-        [(_, scope)] = scopes
-        assert scope.unread == 0
+        assert len(prefetches) == 1 and _pending() == 0
         with hashing.counting() as count:
             settle(core, prover, proof, words, messages)
         assert count.perms == 0
         return proof
 
-    def test_honest_pair_reads_every_slot_packed(self, prover, scopes):
+    def test_honest_pair_reads_every_slot_packed(self, prover, prefetches):
         _, core = make_core()
         diff = simple_diff()
         words = encode_state_diff(diff)
@@ -396,8 +393,9 @@ class TestPrefetchedSettlement:
         with hashing.run_memo():
             with hashing.counting() as count:
                 proof = prove_transition(core.state_root, words, None, prover, messages)
-            # the plain proof's scope, then this one's: two pages listed, both read
-            assert [(listed, scope.unread) for listed, scope in scopes] == [(2, 0), (2, 0)]
+            # the plain proof, outside a run, left nothing pending; this one
+            # left two pages, and both were read
+            assert (prefetches, _pending()) == ([0, 2], 0)
             # a two-block diff page and a one-block message page share a
             # packed permutation, the page's second block runs alone, then a
             # one-block next root and a one-block transition
@@ -406,23 +404,24 @@ class TestPrefetchedSettlement:
                 assert settle(core, prover, proof, words, messages) == expected
             assert count.perms == 0
 
-    def test_prover_runs_its_pages_packed_with_no_scope_around_it(self, prover, scopes):
+    def test_prover_runs_its_pages_packed_inside_a_run(self, prover, prefetches):
         _, core = make_core()
         words = encode_state_diff(simple_diff())
         messages = SettlementMessages(sent_l2_to_l1=sent_messages(1))
-        messages.blob  # joined, and its message hashed, when the L2 sent it, as in a run
-        with hashing.counting() as count:
-            prove_transition(core.state_root, words, None, prover, messages)
-        assert [(listed, scope.unread) for listed, scope in scopes] == [(2, 0)]
+        with hashing.run_memo():
+            messages.blob  # joined, and its message hashed, when the L2 sent it, as in a run
+            with hashing.counting() as count:
+                prove_transition(core.state_root, words, None, prover, messages)
+            assert (prefetches, _pending()) == ([2], 0)
         # the same two pages share a packed permutation as in the honest pair
         assert (count.perms, count.packed) == (2 + 1 + 1 + 1, 1 + 1)
 
-    def test_tampered_diff_misses_and_is_refused(self, prover, scopes):
+    def test_tampered_diff_misses_and_is_refused(self, prover, prefetches):
         _, core = make_core()
         words = encode_state_diff(simple_diff())
         tampered = encode_state_diff(simple_diff(value=999))
         with hashing.run_memo():
-            proof = self._honest_pass(prover, words, SettlementMessages(), scopes)
+            proof = self._honest_pass(prover, words, SettlementMessages(), prefetches)
             with hashing.counting() as count:
                 with pytest.raises(ProofRejected):
                     settle(core, prover, proof, tampered)
@@ -434,14 +433,14 @@ class TestPrefetchedSettlement:
                 settle(core, prover, proof, words)
             assert count.perms == 0
 
-    def test_word_changed_in_the_last_diff_page_misses_and_is_refused(self, prover, scopes):
+    def test_word_changed_in_the_last_diff_page_misses_and_is_refused(self, prover, prefetches):
         _, core = make_core()
         diff = many_updates(40)
         words = encode_state_diff(diff)
         assert len(words) == 84  # a full page of 17 blocks, then a 12-word page of 3
         tampered = [*words[:-1], words[-1] + 1]
         with hashing.run_memo():
-            proof = self._honest_pass(prover, words, SettlementMessages(), scopes)
+            proof = self._honest_pass(prover, words, SettlementMessages(), prefetches)
             with hashing.counting() as count:
                 with pytest.raises((ProofRejected, StateMismatch)):
                     settle(core, prover, proof, tampered)
@@ -453,7 +452,7 @@ class TestPrefetchedSettlement:
                 settle(core, prover, proof, words)
             assert count.perms == 0
 
-    def test_forged_message_list_misses_and_is_refused(self, prover, scopes):
+    def test_forged_message_list_misses_and_is_refused(self, prover, prefetches):
         _, core = make_core()
         diff = simple_diff()
         words = encode_state_diff(diff)
@@ -461,7 +460,7 @@ class TestPrefetchedSettlement:
         forged = SettlementMessages(sent_l2_to_l1=(L2ToL1Message(0x22, 0xD1, (0, 0xEE, 5000, 0)),))
         with hashing.run_memo():
             forged.sent_l2_to_l1[0].hash  # sent when the L2 built it, as in a run
-            proof = self._honest_pass(prover, words, proven, scopes)
+            proof = self._honest_pass(prover, words, proven, prefetches)
             with hashing.counting() as count:
                 with pytest.raises(ProofRejected):
                     settle(core, prover, proof, words, forged)
@@ -473,7 +472,7 @@ class TestPrefetchedSettlement:
                 settle(core, prover, proof, words, proven)
             assert count.perms == 0
 
-    def test_forged_hash_in_the_second_message_page_misses_and_is_refused(self, prover, scopes):
+    def test_forged_hash_in_the_second_message_page_misses_and_is_refused(self, prover, prefetches):
         _, core = make_core()
         diff = simple_diff()
         words = encode_state_diff(diff)
@@ -484,7 +483,7 @@ class TestPrefetchedSettlement:
         )
         with hashing.run_memo():
             forged.sent_l2_to_l1[75].hash  # sent when the L2 built it, as in a run
-            proof = self._honest_pass(prover, words, proven, scopes)
+            proof = self._honest_pass(prover, words, proven, prefetches)
             with hashing.counting() as count:
                 with pytest.raises(ProofRejected):
                     settle(core, prover, proof, words, forged)
